@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from mbsa import __version__
@@ -179,20 +180,19 @@ def cmd_mcs(args) -> int:
     return EXIT_OK
 
 
-def _build_tree(args, xm, specs):
+def _build_tree(args, xm):
     tle = _parse_tle(args, xm)
     result = compute_mcs(xm, tle, args.max_card, _step_bound(args), args.cap)
     sequences = None
     if args.dynamic:
         sequences = compute_cut_sequences(xm, tle, result, _step_bound(args), args.cap)
     probabilities = {name: info.probability for name, info in xm.events.items()}
-    ft = build_fault_tree(result, sequences, tle_label=print_expr(tle), probabilities=probabilities)
-    return ft, result
+    return build_fault_tree(result, sequences, tle_label=print_expr(tle), probabilities=probabilities)
 
 
 def cmd_ft(args) -> int:
-    xm, specs = _load_extended(args)
-    ft, _ = _build_tree(args, xm, specs)
+    xm, _ = _load_extended(args)
+    ft = _build_tree(args, xm)
     out = _out_dir(args)
     ext = {"xml": "ftx", "tsv": "fttsv", "dot": "dot"}
     for fmt in _formats(args, ("xml", "tsv", "dot")):
@@ -202,8 +202,10 @@ def cmd_ft(args) -> int:
 
 def cmd_ftprob(args) -> int:
     xm, specs = _load_extended(args)
-    ft, _ = _build_tree(args, xm, specs)
-    groups = dependency_groups(specs)
+    ft = _build_tree(args, xm)
+    # a member outside the tree cannot change any node's probability
+    events = ft.basic_events()
+    groups = [replace(g, members=g.members.intersection(events)) for g in dependency_groups(specs)]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
     symbolic = symbolic_probability(ft, groups)
@@ -298,7 +300,6 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = T
     sub.add_argument("--cca", default="", help="common cause definitions (.cca)")
     sub.add_argument("--out-dir", default=".", help="artifact directory")
     sub.add_argument("--cap", type=int, default=None, help="state cap (default 10^7)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampling-based self checks")
     if tle:
         sub.add_argument("--tle", default="", help="top-level event expression")
     if bounds:

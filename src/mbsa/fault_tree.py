@@ -5,10 +5,12 @@ Probability semantics is the mission model: every basic event is a Bernoulli
 indicator, independent except for common cause groups, which are handled by
 conditioning on each group's occurrence (members are forced when the group
 fires, and keep their independent spontaneous probability otherwise).  Gate
-probabilities are exact (Shannon expansion over events); PAND evaluates as
-AND, since the mission model has no time distribution over orderings --
-ordering affects tree structure only, never node probabilities.  The
-rare-event sum is available separately as a reference value.
+probabilities are exact: the tree compiles to one reduced ordered BDD over
+the group occurrences and the events, evaluated bottom-up over exact
+rationals.  PAND evaluates as AND, since the mission model has no time
+distribution over orderings -- ordering affects tree structure only, never
+node probabilities.  The rare-event sum is available separately as a
+reference value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from xml.etree import ElementTree as ET
 
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
-from mbsa.probability import PBuilder, ProbabilityExpr, prob_str
+from mbsa.probability import Bdd, ProbabilityExpr, prob_str
 
 
 class FaultTreeError(MbsaError):
@@ -137,57 +139,48 @@ def build_fault_tree(result: CutSetResult, sequences: list[CutSequence] | None =
 
 
 # ---------------------------------------------------------------------------
-# Exact probability
+# Probability
 
-def _support(ft: FaultTree) -> dict[str, frozenset[str]]:
-    memo: dict[str, frozenset[str]] = {}
+def _compile(ft: FaultTree, groups) -> tuple[Bdd, dict[str, int], list[str]]:
+    """Every tree node as a node of one BDD, plus the variable names in order.
 
-    def go(nid: str) -> frozenset[str]:
-        if nid in memo:
-            return memo[nid]
+    The order puts the group ids first, sorted, then the other basic events,
+    sorted.  A group member's leaf is the member OR each group containing it.
+    Raises FaultTreeError when a group references an event that is not a
+    basic event of the tree.
+    """
+    events = ft.basic_events()
+    groups = sorted(groups, key=lambda g: g.id)
+    for g in groups:
+        for m in sorted(g.members):
+            if m not in events:
+                raise FaultTreeError(f"dependency group {g.id!r} references event {m!r} absent from the tree")
+    governed = {g.id for g in groups}
+    names = [g.id for g in groups] + sorted(n for n in events if n not in governed)
+    level = {name: i for i, name in enumerate(names)}
+    bdd = Bdd(len(names))
+    compiled: dict[str, int] = {}
+
+    def go(nid: str) -> int:
+        if nid in compiled:
+            return compiled[nid]
         node = ft.nodes[nid]
         if isinstance(node, BasicEvent):
-            out = frozenset((node.event,))
+            out = bdd.var(level[nid])
+            for g in groups:
+                if nid in g.members:
+                    out = bdd.apply("or", out, bdd.var(level[g.id]))
         else:
-            out = frozenset().union(*(go(c) for c in node.children)) if node.children else frozenset()
-        memo[nid] = out
+            op = "or" if node.kind == "or" else "and"  # probability ignores PAND ordering
+            out = int(op == "and")
+            for c in node.children:
+                out = bdd.apply(op, out, go(c))
+        compiled[nid] = out
         return out
 
     for nid in ft.nodes:
         go(nid)
-    return memo
-
-
-def _peval(ft: FaultTree, nid: str, assign: dict[str, bool]):
-    """Three-valued evaluation under a partial event assignment."""
-    node = ft.nodes[nid]
-    if isinstance(node, BasicEvent):
-        return assign.get(node.event)
-    any_unknown = False
-    if node.kind == "or":
-        for c in node.children:
-            v = _peval(ft, c, assign)
-            if v is True:
-                return True
-            if v is None:
-                any_unknown = True
-        return None if any_unknown else False
-    # and / pand (probability ignores ordering)
-    for c in node.children:
-        v = _peval(ft, c, assign)
-        if v is False:
-            return False
-        if v is None:
-            any_unknown = True
-    return None if any_unknown else True
-
-
-def _group_subsets(groups):
-    """Deterministic conditioning branches: (weight-factors, occurred-set)."""
-    ordered = sorted(groups, key=lambda g: g.id)
-    for mask in range(1 << len(ordered)):
-        occurred = [g for i, g in enumerate(ordered) if mask >> i & 1]
-        yield ordered, occurred
+    return bdd, compiled, names
 
 
 def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment) -> dict[str, Fraction]:
@@ -196,56 +189,20 @@ def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment) -> dict[str, 
     Raises FaultTreeError when a probability is missing or a dependency group
     references an event that is not a basic event of the tree.
     """
-    events = ft.basic_events()
-    groups = list(pa.dependency_groups)
-    governed = {g.id for g in groups}
-    for g in groups:
-        for m in sorted(g.members):
-            if m not in events:
-                raise FaultTreeError(f"dependency group {g.id!r} references event {m!r} absent from the tree")
-    probs: dict[str, Fraction] = {}
-    for name in events:
-        if name in governed:
-            continue  # the group occurrence probability conditions this leaf
+    bdd, compiled, names = _compile(ft, pa.dependency_groups)
+    # a group id that is also a basic event takes the group occurrence probability
+    probs = {g.id: Fraction(g.probability) for g in pa.dependency_groups}
+    for name in ft.basic_events():
+        if name in probs:
+            continue
         if name not in pa.probabilities:
             raise FaultTreeError(f"missing probability for basic event {name!r}")
         p = Fraction(pa.probabilities[name])
         if not 0 <= p <= 1:
             raise FaultTreeError(f"probability of {name!r} outside [0,1]")
         probs[name] = p
-
-    support = _support(ft)
-    results: dict[str, Fraction] = {}
-
-    def shannon(nid: str, assign: dict[str, bool], free: list[str]) -> Fraction:
-        v = _peval(ft, nid, assign)
-        if v is not None:
-            return Fraction(1 if v else 0)
-        for e in free:
-            if e not in assign and e in support[nid]:
-                p = probs[e]
-                hi = shannon(nid, {**assign, e: True}, free)
-                lo = shannon(nid, {**assign, e: False}, free)
-                return p * hi + (1 - p) * lo
-        raise AssertionError("undetermined node with no free support")
-
-    for nid in ft.nodes:
-        total = Fraction(0)
-        for ordered, occurred in _group_subsets(groups):
-            w = Fraction(1)
-            for g in ordered:
-                q = Fraction(g.probability)
-                w *= q if g in occurred else 1 - q
-            assign: dict[str, bool] = {}
-            for g in ordered:
-                assign[g.id] = g in occurred
-                if g in occurred:
-                    for m in g.members:
-                        assign[m] = True
-            free = sorted(n for n in events if n not in assign)
-            total += w * shannon(nid, assign, free)
-        results[nid] = total
-    return results
+    values = bdd.probabilities([probs[n] for n in names])
+    return {nid: values[compiled[nid]] for nid in ft.nodes}
 
 
 def rare_event_approximation(ft: FaultTree, pa: ProbabilityAssignment) -> Fraction:
@@ -256,55 +213,17 @@ def rare_event_approximation(ft: FaultTree, pa: ProbabilityAssignment) -> Fracti
     return sum((node_probs[c] for c in root.children), Fraction(0))
 
 
-# ---------------------------------------------------------------------------
-# Symbolic probability
-
 def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -> ProbabilityExpr:
     """Closed-form root probability over symbols p_e, one per basic event and
     one per common cause group.
 
-    Canonical form: conditioning over group symbols, then Shannon expansion
-    over the remaining events in sorted order, hash-consed and constant-folded
-    so no duplicate subterms remain.  Evaluating at any assignment equals
-    :func:`evaluate_probability`'s root value exactly.
+    Canonical form: one Shannon combination per node of the root's BDD
+    (group symbols first, then the other events in sorted order), hash-consed
+    and constant-folded so no duplicate subterms remain.  Evaluating at any
+    assignment equals :func:`evaluate_probability`'s root value exactly.
     """
-    groups = sorted(dependency_groups or [], key=lambda g: g.id)
-    governed = {g.id for g in groups}
-    events = ft.basic_events()
-    for g in groups:
-        for m in sorted(g.members):
-            if m not in events:
-                raise FaultTreeError(f"dependency group {g.id!r} references event {m!r} absent from the tree")
-    free_events = sorted(n for n in events if n not in governed)
-    support = _support(ft)
-    b = PBuilder()
-
-    def shannon(assign: dict[str, bool], free: list[str]):
-        v = _peval(ft, ft.root, assign)
-        if v is not None:
-            return b.const(1 if v else 0)
-        for e in free:
-            if e not in assign and e in support[ft.root]:
-                hi = shannon({**assign, e: True}, free)
-                lo = shannon({**assign, e: False}, free)
-                return b.mix(b.sym(e), hi, lo)
-        raise AssertionError("undetermined root with no free support")
-
-    def condition(i: int, assign: dict[str, bool]):
-        if i == len(groups):
-            free = [e for e in free_events if e not in assign]
-            return shannon(assign, free)
-        g = groups[i]
-        forced = {**assign, g.id: True}
-        for m in g.members:
-            forced[m] = True
-        hi = condition(i + 1, forced)
-        lo = condition(i + 1, {**assign, g.id: False})
-        return b.mix(b.sym(g.id), hi, lo)
-
-    root = condition(0, {})
-    symbols = tuple(sorted(governed | set(free_events)))
-    return ProbabilityExpr(root, symbols)
+    bdd, compiled, names = _compile(ft, dependency_groups or [])
+    return ProbabilityExpr(bdd.to_pnode(compiled[ft.root], names), tuple(sorted(names)))
 
 
 # ---------------------------------------------------------------------------

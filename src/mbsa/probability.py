@@ -1,8 +1,12 @@
-"""Probability expressions: a hash-consed DAG over constants, symbols, +, -, *.
+"""The probability core: a reduced ordered BDD of a Boolean function over
+independent variables, and probability expressions over their symbols.
 
-Expressions are built through :class:`PBuilder`, which interns structurally
-equal subterms so the canonical Shannon form contains no duplicate subtrees,
-and folds constants.  Evaluation is exact over ``fractions.Fraction``.
+:class:`Bdd` (Bryant 1986; Rauzy 1993 for fault trees) gives exact
+probabilities in one bottom-up pass and renders a closed form with one
+Shannon combination per node.  Expressions are a hash-consed DAG over
+constants, symbols, +, -, *, built through :class:`PBuilder`, which interns
+structurally equal subterms and folds constants.  Evaluation is exact over
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -111,6 +115,80 @@ class ProbabilityExpr:
 
     def evaluate(self, env: dict[str, Fraction]) -> Fraction:
         return evaluate_pnode(self.root, env)
+
+
+class Bdd:
+    """Reduced ordered BDD over variables ``0 .. nvars-1``, ordered by index.
+
+    Node 0 is false and node 1 is true; every other node is ``(var, hi, lo)``
+    with ``hi != lo``, interned in a unique table, so equal functions are the
+    same node.  Nodes are numbered in creation order, children first.
+    """
+
+    def __init__(self, nvars: int):
+        self.nodes: list[tuple[int, int, int]] = [(nvars, 0, 0), (nvars, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._memo: dict[tuple[str, int, int], int] = {}
+
+    def mk(self, var: int, hi: int, lo: int) -> int:
+        if hi == lo:
+            return hi
+        key = (var, hi, lo)
+        node = self._unique.get(key)
+        if node is None:
+            node = self._unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return node
+
+    def var(self, var: int) -> int:
+        return self.mk(var, 1, 0)
+
+    def apply(self, op: str, u: int, v: int) -> int:
+        """Conjunction (``op == "and"``) or disjunction (``"or"``) of two nodes."""
+        absorbing, neutral = (0, 1) if op == "and" else (1, 0)
+        if u == absorbing or v == absorbing:
+            return absorbing
+        if u == neutral or u == v:
+            return v
+        if v == neutral:
+            return u
+        key = (op, u, v) if u < v else (op, v, u)
+        out = self._memo.get(key)
+        if out is None:
+            (i, u_hi, u_lo), (j, v_hi, v_lo) = self.nodes[u], self.nodes[v]
+            top = min(i, j)
+            if i != top:
+                u_hi = u_lo = u
+            if j != top:
+                v_hi = v_lo = v
+            out = self._memo[key] = self.mk(top, self.apply(op, u_hi, v_hi), self.apply(op, u_lo, v_lo))
+        return out
+
+    def probabilities(self, probs: list[Fraction]) -> list[Fraction]:
+        """Exact probability of every node when variable ``i`` holds
+        independently with probability ``probs[i]``."""
+        out = [Fraction(0), Fraction(1)]
+        for var, hi, lo in self.nodes[2:]:
+            p = probs[var]
+            out.append(p * out[hi] + (1 - p) * out[lo])
+        return out
+
+    def to_pnode(self, root: int, names: list[str]) -> PNode:
+        """Closed form of ``root``'s probability: one ``mix`` over the symbol
+        ``names[var]`` per node reachable from ``root``."""
+        reachable: set[int] = set()
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if u > 1 and u not in reachable:
+                reachable.add(u)
+                stack.extend(self.nodes[u][1:])
+        b = PBuilder()
+        out: dict[int, PNode] = {0: b.const(0), 1: b.const(1)}
+        for u in sorted(reachable):
+            var, hi, lo = self.nodes[u]
+            out[u] = b.mix(b.sym(names[var]), out[hi], out[lo])
+        return out[root]
 
 
 def evaluate_pnode(node: PNode, env: dict[str, Fraction]) -> Fraction:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from mbsa.cli import main
 
 from conftest import FIXTURES
@@ -9,6 +11,10 @@ MODEL = str(FIXTURES / "battery_sensor.smx")
 FEI = str(FIXTURES / "battery_sensor.fei")
 TFPG = str(FIXTURES / "battery_sensor.tfpg")
 BIND = str(FIXTURES / "battery_sensor.bind")
+# ftprob artifacts recorded before the probability core became a BDD
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+PAIR = ("--model", str(GOLDENS / "pair.smx"), "--fei", str(GOLDENS / "pair.fei"),
+        "--cca", str(GOLDENS / "burst.cca"))
 
 
 def run(*argv):
@@ -164,6 +170,25 @@ def test_cli_determinism(tmp_path):
                    "--out-dir", str(out)) == 0
     for name in ("mcs.tsv", "mcs.xml", "ft_probabilities.tsv", "tle_probability.py"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("ftprob_fixture", ("--model", MODEL, "--fei", FEI, "--tle", "sys_dead")),
+    ("ftprob_burst", (*PAIR, "--tle", "a & b")),
+])
+def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
+    assert run("ftprob", *argv, "--out-dir", str(tmp_path)) == 0
+    for name in ("ft_probabilities.tsv", "tle_probability.txt", "tle_probability.py", "tle_probability.m"):
+        assert (tmp_path / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+
+
+def test_ftprob_cca_member_outside_tree(tmp_path):
+    # f2 is a member of 'burst' but not a basic event of the tree for 'a'
+    assert run("ftprob", *PAIR, "--tle", "a", "--out-dir", str(tmp_path)) == 0
+    probs = dict(line.split("\t") for line in
+                 (tmp_path / "ft_probabilities.tsv").read_text().splitlines())
+    assert probs["#0"] == "0.145"  # 1 - (1 - 0.05) * (1 - 0.1)
+    assert (tmp_path / "tle_probability.txt").read_text().startswith("symbols: burst, f1\n")
 
 
 def test_user_library_and_cca_paths(tmp_path):

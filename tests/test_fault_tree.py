@@ -1,9 +1,13 @@
 import itertools
+import math
+import random
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from mbsa.analysis import CutSetResult, compute_cut_sequences, compute_mcs
+from mbsa.analysis import CutSequence, CutSetResult, compute_cut_sequences, compute_mcs
 from mbsa.fault_tree import (
     BasicEvent,
     FaultTreeError,
@@ -16,6 +20,7 @@ from mbsa.fault_tree import (
     rare_event_approximation,
     symbolic_probability,
 )
+from mbsa.probability import PBin
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import checked_expr
@@ -81,7 +86,6 @@ def test_symmetric_orders_stay_and(redundant_pair):
 
 def test_partial_orders_become_or_of_pands():
     result = _result([{"fa", "fb", "fc"}])
-    from mbsa.analysis import CutSequence
     seqs = [CutSequence(frozenset({"fa", "fb", "fc"}),
                         (("fa", "fb", "fc"), ("fb", "fa", "fc")))]
     ft = build_fault_tree(result, seqs)
@@ -100,7 +104,6 @@ def test_events_shared_across_gates():
 
 
 def test_sequences_inconsistent_with_result():
-    from mbsa.analysis import CutSequence
     with pytest.raises(FaultTreeError):
         build_fault_tree(_result([{"fa"}]), [CutSequence(frozenset({"fb"}), (("fb",),))])
 
@@ -125,41 +128,118 @@ def test_or_of_and_exact():
     assert probs[ft.root] == Fraction("0.109")  # 1 - 0.9 * 0.99
 
 
-def _indicator_oracle(ft, pa):
-    """Exhaustive enumeration over event-indicator assignments."""
-    from mbsa.fault_tree import _peval
-    events = sorted(ft.basic_events())
+def _holds(ft, nid, occurred, memo):
+    """Two-valued gate evaluation once the set of occurred events is known."""
+    if nid not in memo:
+        node = ft.nodes[nid]
+        if isinstance(node, BasicEvent):
+            memo[nid] = nid in occurred
+        elif node.kind == "or":
+            memo[nid] = any(_holds(ft, c, occurred, memo) for c in node.children)
+        else:  # and / pand: ordering never changes a probability
+            memo[nid] = all(_holds(ft, c, occurred, memo) for c in node.children)
+    return memo[nid]
+
+
+def _node_oracle(ft, pa):
+    """Probability of every node, by exhaustive enumeration over the
+    indicators of the groups and of the events no group id names."""
     groups = sorted(pa.dependency_groups, key=lambda g: g.id)
     governed = {g.id for g in groups}
-    total = Fraction(0)
-    free = [e for e in events if e not in governed]
-    for bits in itertools.product([False, True], repeat=len(free)):
-        assign = dict(zip(free, bits))
-        weight = Fraction(1)
-        for e, b in zip(free, bits):
-            p = Fraction(pa.probabilities[e])
-            weight *= p if b else 1 - p
-        for cc_bits in itertools.product([False, True], repeat=len(groups)):
-            w = weight
-            final = dict(assign)
-            for g, b in zip(groups, cc_bits):
-                q = Fraction(g.probability)
-                w *= q if b else 1 - q
-                final[g.id] = b
-                if b:
-                    for m in g.members:
-                        final[m] = True
-            v = _peval(ft, ft.root, final)
-            assert v is not None
-            if v:
-                total += w
-    return total
+    indicators = [(g.id, Fraction(g.probability)) for g in groups]
+    indicators += [(e, Fraction(pa.probabilities[e])) for e in sorted(ft.basic_events()) if e not in governed]
+    totals = dict.fromkeys(ft.nodes, Fraction(0))
+
+    def enumerate_from(i, occurred, weight):
+        if weight == 0:
+            return
+        if i < len(indicators):
+            name, p = indicators[i]
+            enumerate_from(i + 1, occurred | {name}, weight * p)
+            enumerate_from(i + 1, occurred, weight * (1 - p))
+            return
+        for g in groups:
+            if g.id in occurred:
+                occurred = occurred | g.members
+        memo = {}
+        for nid in ft.nodes:
+            if _holds(ft, nid, occurred, memo):
+                totals[nid] += weight
+
+    enumerate_from(0, frozenset(), Fraction(1))
+    return totals
+
+
+def _indicator_oracle(ft, pa):
+    return _node_oracle(ft, pa)[ft.root]
 
 
 def test_indicator_enumeration_oracle_matches():
     ft = build_fault_tree(_result([{"fc"}, {"fa", "fb"}, {"fa", "fd", "fe"}]))
     pa = _pa(fa="0.3", fb="0.2", fc="0.05", fd="0.5", fe="0.9")
-    assert evaluate_probability(ft, pa)[ft.root] == _indicator_oracle(ft, pa)
+    assert evaluate_probability(ft, pa) == _node_oracle(ft, pa)
+
+
+@dataclass(frozen=True)
+class Group:
+    id: str
+    members: frozenset
+    probability: Fraction
+
+
+def _random_case(rng):
+    """A random cut-set tree of at most 12 events (groups included), with AND,
+    PAND and OR-of-PAND gates, and 0-3 dependency groups whose members may
+    overlap; a group id is sometimes a basic event of the tree too."""
+    group_ids = [f"g{i}" for i in range(rng.randint(0, 3))]
+    plain = [f"e{i:02d}" for i in range(rng.randint(1, 12 - len(group_ids)))]
+    pool = plain + [g for g in group_ids if rng.random() < 0.5]
+    cuts = {frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool))))) for _ in range(rng.randint(1, 7))}
+    sequences = []
+    for cut in cuts:
+        orders = list(itertools.permutations(sorted(cut)))
+        sequences.append(CutSequence(cut, tuple(rng.sample(orders, rng.randint(1, len(orders))))))
+    ft = build_fault_tree(_result(cuts), sequences)
+    events = sorted(e for e in ft.basic_events() if e not in group_ids)
+    groups = [Group(g, frozenset(rng.sample(events, rng.randint(min(1, len(events)), min(3, len(events))))),
+                    Fraction(rng.randint(0, 10), 10)) for g in group_ids]
+    probs = {e: Fraction(rng.randint(0, 20), 20) for e in events}
+    return ft, ProbabilityAssignment(probs, groups)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_trees_match_enumeration(seed):
+    rng = random.Random(seed)
+    ft, pa = _random_case(rng)
+    assert evaluate_probability(ft, pa) == _node_oracle(ft, pa)  # every node, not only the root
+    sp = symbolic_probability(ft, pa.dependency_groups)
+    for _ in range(3):
+        env = {s: Fraction(rng.randint(0, 30), 30) for s in sp.symbols}
+        groups = [Group(g.id, g.members, env[g.id]) for g in pa.dependency_groups]
+        probs = {e: p for e, p in env.items() if e not in {g.id for g in groups}}
+        assert sp.evaluate(env) == _indicator_oracle(ft, ProbabilityAssignment(probs, groups))
+
+
+def test_disjoint_pairs_scale_linearly():
+    k = 30
+    pairs = [(f"e{i:02d}a", f"e{i:02d}b") for i in range(k)]  # adjacent in the sorted variable order
+    probs = {e: Fraction(j + 1, 100 + i) for i, pair in enumerate(pairs) for j, e in enumerate(pair)}
+    start = time.process_time()
+    ft = build_fault_tree(_result([set(p) for p in pairs]))
+    root = evaluate_probability(ft, ProbabilityAssignment(probs))[ft.root]
+    sp = symbolic_probability(ft)
+    elapsed = time.process_time() - start
+    expected = 1 - math.prod((1 - probs[a] * probs[b] for a, b in pairs), start=Fraction(1))
+    assert root == expected
+    assert sp.evaluate(probs) == expected
+    binary, stack = set(), [sp.root]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, PBin) and id(n) not in binary:
+            binary.add(id(n))
+            stack.extend((n.left, n.right))
+    assert len(binary) <= 8 * k
+    assert elapsed < 1.0
 
 
 def test_node_probabilities_in_unit_interval_and_monotone():
@@ -178,7 +258,6 @@ def test_node_probabilities_in_unit_interval_and_monotone():
 def test_pand_probability_equals_and():
     # ordering affects structure only: evaluation ignores it (metamorphic)
     result = _result([{"fa", "fb"}])
-    from mbsa.analysis import CutSequence
     ft_pand = build_fault_tree(result, [CutSequence(frozenset({"fa", "fb"}), (("fa", "fb"),))])
     ft_and = build_fault_tree(result)
     pa = _pa(fa="0.25", fb="0.5")
@@ -234,7 +313,6 @@ def test_symbolic_grid_equivalence(mcs):
 def test_symbolic_dag_has_no_duplicate_subterms():
     ft = build_fault_tree(_result([{"a", "b"}, {"b", "c"}]))
     sp = symbolic_probability(ft)
-    from mbsa.probability import PBin
     seen = {}
     stack = [sp.root]
     while stack:
