@@ -14,8 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
-from mbsa.sts.check import TypedModel
-from mbsa.sts.engine import Engine, Trace
+from mbsa.sts.engine import Trace, _engine
 from mbsa.sts.model import Expr
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
@@ -52,7 +51,7 @@ class Analyzer:
 
     def __init__(self, xm: ExtendedModel, cap: int | None = None):
         self.xm = xm
-        self.engine = Engine(xm.typed, cap) if cap is not None else _shared_engine(xm.typed)
+        self.engine = _engine(xm.typed, cap)
         self.suppress_fns = {name: self.engine.compile(info.suppression) for name, info in xm.events.items()}
         self.occur_fns = {name: self.engine.compile(info.occurrence) for name, info in xm.events.items()}
 
@@ -65,14 +64,6 @@ class Analyzer:
     def explains(self, allowed: frozenset[str], target_fn, step_bound: int | None):
         """Witness path (tuples) reaching the target when only ``allowed`` may occur."""
         return self.engine.reach_tuples(target_fn, step_bound, self.restriction_filter(allowed))
-
-
-def _shared_engine(tm: TypedModel) -> Engine:
-    eng = getattr(tm, "_engine", None)
-    if eng is None:
-        eng = Engine(tm)
-        tm._engine = eng
-    return eng
 
 
 def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,

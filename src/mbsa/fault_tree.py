@@ -173,8 +173,10 @@ def _compile(ft: FaultTree, groups) -> tuple[Bdd, dict[str, int], list[str]]:
         else:
             op = "or" if node.kind == "or" else "and"  # probability ignores PAND ordering
             out = int(op == "and")
-            for c in node.children:
-                out = bdd.apply(op, out, go(c))
+            # deepest top variable first: each step then adds a BDD above
+            # the accumulated one instead of rebuilding it underneath
+            for u in sorted((go(c) for c in node.children), key=lambda u: bdd.nodes[u][0], reverse=True):
+                out = bdd.apply(op, out, u)
         compiled[nid] = out
         return out
 

@@ -11,6 +11,7 @@ structurally equal subterms and folds constants.  Evaluation is exact over
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,25 +145,46 @@ class Bdd:
         return self.mk(var, 1, 0)
 
     def apply(self, op: str, u: int, v: int) -> int:
-        """Conjunction (``op == "and"``) or disjunction (``"or"``) of two nodes."""
+        """Conjunction (``op == "and"``) or disjunction (``"or"``) of two nodes.
+
+        Iterative, so the depth of the BDD is not bounded by Python's
+        recursion limit; nodes are created in the order of the recursive
+        definition (high branch, then low branch, then the node).
+        """
         absorbing, neutral = (0, 1) if op == "and" else (1, 0)
-        if u == absorbing or v == absorbing:
-            return absorbing
-        if u == neutral or u == v:
-            return v
-        if v == neutral:
-            return u
-        key = (op, u, v) if u < v else (op, v, u)
-        out = self._memo.get(key)
-        if out is None:
+        todo: list[tuple] = [(u, v)]  # operand pairs, and (None, key, top) once both branches are done
+        done: list[int] = []
+        while todo:
+            item = todo.pop()
+            if item[0] is None:
+                _, key, top = item
+                lo = done.pop()
+                self._memo[key] = out = self.mk(top, done.pop(), lo)
+                done.append(out)
+                continue
+            u, v = item
+            if u == absorbing or v == absorbing:
+                done.append(absorbing)
+                continue
+            if u == neutral or u == v:
+                done.append(v)
+                continue
+            if v == neutral:
+                done.append(u)
+                continue
+            key = (op, u, v) if u < v else (op, v, u)
+            out = self._memo.get(key)
+            if out is not None:
+                done.append(out)
+                continue
             (i, u_hi, u_lo), (j, v_hi, v_lo) = self.nodes[u], self.nodes[v]
             top = min(i, j)
             if i != top:
                 u_hi = u_lo = u
             if j != top:
                 v_hi = v_lo = v
-            out = self._memo[key] = self.mk(top, self.apply(op, u_hi, v_hi), self.apply(op, u_lo, v_lo))
-        return out
+            todo += [(None, key, top), (u_lo, v_lo), (u_hi, v_hi)]
+        return done[0]
 
     def probabilities(self, probs: list[Fraction]) -> list[Fraction]:
         """Exact probability of every node when variable ``i`` holds
@@ -192,23 +214,19 @@ class Bdd:
 
 
 def evaluate_pnode(node: PNode, env: dict[str, Fraction]) -> Fraction:
-    memo: dict[int, Fraction] = {}
+    values: dict[int, Fraction] = {}
 
-    def go(n: PNode) -> Fraction:
-        key = id(n)
-        if key in memo:
-            return memo[key]
+    def value(n: PNode) -> Fraction:
         if isinstance(n, PConst):
-            v = n.value
-        elif isinstance(n, PSym):
-            v = Fraction(env[n.name])
-        else:
-            a, b = go(n.left), go(n.right)
-            v = a + b if n.op == "+" else a - b if n.op == "-" else a * b
-        memo[key] = v
-        return v
+            return n.value
+        if isinstance(n, PSym):
+            return Fraction(env[n.name])
+        return values[id(n)]
 
-    return go(node)
+    for n in _ssa(node):
+        a, b = value(n.left), value(n.right)
+        values[id(n)] = a + b if n.op == "+" else a - b if n.op == "-" else a * b
+    return value(node)
 
 
 def prob_str(v: Fraction) -> str:
@@ -264,38 +282,45 @@ def _literal(v: Fraction) -> str:
     return repr(float(v))
 
 
-def _ssa(root: PNode):
-    """Linearize the DAG: returns ([(tmp_name, op, a, b)], final operand strings
-    resolver) with shared compound nodes emitted once."""
+def _ssa(root: PNode) -> list[PBin]:
+    """Linearize the DAG: every compound node once, children first, in the
+    post-order of a left-to-right depth-first walk."""
     order: list[PBin] = []
     seen: set[int] = set()
-
-    def visit(n: PNode):
-        if id(n) in seen or not isinstance(n, PBin):
-            return
-        seen.add(id(n))
-        visit(n.left)
-        visit(n.right)
-        order.append(n)
-
-    visit(root)
+    stack: list[tuple[PNode, bool]] = [(root, False)]
+    while stack:
+        n, children_done = stack.pop()
+        if children_done:
+            order.append(n)
+        elif isinstance(n, PBin) and id(n) not in seen:
+            seen.add(id(n))
+            stack += [(n, True), (n.right, False), (n.left, False)]
     return order
 
 
 def pexpr_to_text(expr: ProbabilityExpr) -> str:
     """Infix rendering of the closed form (shared subterms are expanded)."""
     prec = {"+": 1, "-": 1, "*": 2}
+    order = _ssa(expr.root)
+    text: dict[int, str] = {}  # compound node -> its text, built once, children first
+    # parents not yet built, per node: a text is dropped after its last use
+    waiting = Counter(id(c) for n in order for c in (n.left, n.right))
 
-    def go(n: PNode, parent: int) -> str:
+    def operand(n: PNode, parent: int) -> str:
         if isinstance(n, PConst):
             return _literal(n.value)
         if isinstance(n, PSym):
             return "p_" + _sanitize(n.name)
-        mine = prec[n.op]
-        text = f"{go(n.left, mine)} {n.op} {go(n.right, mine + (1 if n.op == '-' else 0))}"
-        return f"({text})" if mine < parent else text
+        return f"({text[id(n)]})" if prec[n.op] < parent else text[id(n)]
 
-    return go(expr.root, 0)
+    for n in order:
+        mine = prec[n.op]
+        text[id(n)] = f"{operand(n.left, mine)} {n.op} {operand(n.right, mine + (1 if n.op == '-' else 0))}"
+        for c in (n.left, n.right):
+            waiting[id(c)] -= 1
+            if not waiting[id(c)]:
+                text.pop(id(c), None)
+    return operand(expr.root, 0)
 
 
 _DIALECTS = ("python", "matlab")

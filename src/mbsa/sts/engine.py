@@ -1,36 +1,36 @@
 """Explicit-state engine: initial states, successors, breadth-first reachability.
 
-States are value tuples in variable declaration order.  Expressions are
-compiled to nested Python closures once per model; TRANS conjuncts of the
-shape ``next(v) = e`` are used as functional assignments so that only
-genuinely nondeterministic variables are enumerated.
+States are value tuples in variable declaration order.  One compiler
+(:mod:`mbsa.sts.codegen`) turns expressions into Python source over state
+indices; from it the engine builds, lazily and once per model, a staged
+successor function and a staged initial-state function:
+
+* TRANS conjuncts of the shape ``next(v) = e`` (``v = e`` in INIT) are
+  functional assignments, so only the remaining free variables are
+  enumerated, as nested loops in declaration order over canonical domains;
+* each assignment is computed, and each residual check and INVAR tested, at
+  the first loop level where all its references are bound: current-state
+  work runs once per state, and a failing check prunes its branch at once
+  (conjunct scheduling: Burch, Clarke and Long, "Symbolic model checking
+  with partitioned transition relations", 1991);
+* each define is bound to a local once per evaluation context.
+
+``Engine.compile`` builds predicates of ``(state, next_state)`` from the same
+compiler.
 
 Iteration order is fixed (declaration order, canonical value order), so every
-result is reproducible bit for bit.  Models and engines are immutable after
-construction and safe to share across threads.
+result is reproducible bit for bit.  Models are immutable and engines only
+fill their caches with pure functions, so both are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
-from mbsa.sts.model import (
-    BinOp,
-    BoolConst,
-    BoolType,
-    Expr,
-    InSet,
-    IntConst,
-    Ite,
-    Name,
-    Next,
-    UnOp,
-    conjuncts,
-    value_in_type,
-)
+from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, InSet, Ite, Name, Next, UnOp, conjuncts
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -56,8 +56,9 @@ class Engine:
         self.tm = tm
         self.cap = cap
         self.nvars = len(tm.var_types)
-        self._define_fns: dict[str, object] = {}
         self._compile_cache: dict[int, object] = {}
+        self._succ_fn = None
+        self._init_fn = None
 
         trans_conj = []
         for e in tm.model.trans:
@@ -67,9 +68,6 @@ class Engine:
         for e in tm.model.init:
             init_conj.extend(conjuncts(e))
         self._init_assign, self._init_checks = self._split_assignments(init_conj, nxt=False)
-        self._invar_fns = [self.compile(e) for e in tm.model.invar]
-        self._trans_check_fns = [self.compile(e) for e in self._trans_checks]
-        self._init_check_fns = [self.compile(e) for e in self._init_checks]
 
     # -- compilation --------------------------------------------------------
 
@@ -80,81 +78,14 @@ class Engine:
         hit = self._compile_cache.get(id(e))
         if hit is not None and hit[0] is e:
             return hit[1]
-        fn = self._compile(e)
+        from mbsa.sts.codegen import PRED, Source  # on first use: see _generate
+
+        g = Source(self.tm, "def f(s, t):")
+        text = g.expr(e, PRED)
+        g.line(f"return {text}")
+        fn = g.build()
         self._compile_cache[id(e)] = (e, fn)
         return fn
-
-    def _define_fn(self, name: str):
-        fn = self._define_fns.get(name)
-        if fn is None:
-            self._define_fns[name] = lambda s, t: None  # cycle guard; checker rejects real cycles
-            fn = self._compile(self.tm.defines[name])
-            self._define_fns[name] = fn
-        return fn
-
-    def _compile(self, e: Expr):
-        tm = self.tm
-        if isinstance(e, BoolConst):
-            v = e.value
-            return lambda s, t: v
-        if isinstance(e, IntConst):
-            v = e.value
-            return lambda s, t: v
-        if isinstance(e, Name):
-            idx = tm.var_index.get(e.name)
-            if idx is not None:
-                return lambda s, t, i=idx: s[i]
-            if e.name in tm.defines:
-                return self._define_fn(e.name)
-            lit = e.name
-            return lambda s, t: lit
-        if isinstance(e, Next):
-            idx = tm.var_index[e.name]
-            return lambda s, t, i=idx: t[i]
-        if isinstance(e, UnOp):
-            f = self._compile(e.operand)
-            if e.op == "!":
-                return lambda s, t: not f(s, t)
-            return lambda s, t: -f(s, t)
-        if isinstance(e, BinOp):
-            fl = self._compile(e.left)
-            fr = self._compile(e.right)
-            op = e.op
-            if op == "&":
-                return lambda s, t: fl(s, t) and fr(s, t)
-            if op == "|":
-                return lambda s, t: fl(s, t) or fr(s, t)
-            if op == "->":
-                return lambda s, t: (not fl(s, t)) or fr(s, t)
-            if op == "<->":
-                return lambda s, t: fl(s, t) == fr(s, t)
-            if op == "=":
-                return lambda s, t: fl(s, t) == fr(s, t)
-            if op == "!=":
-                return lambda s, t: fl(s, t) != fr(s, t)
-            if op == "<":
-                return lambda s, t: fl(s, t) < fr(s, t)
-            if op == "<=":
-                return lambda s, t: fl(s, t) <= fr(s, t)
-            if op == ">":
-                return lambda s, t: fl(s, t) > fr(s, t)
-            if op == ">=":
-                return lambda s, t: fl(s, t) >= fr(s, t)
-            if op == "+":
-                return lambda s, t: fl(s, t) + fr(s, t)
-            if op == "-":
-                return lambda s, t: fl(s, t) - fr(s, t)
-            raise AssertionError(op)
-        if isinstance(e, Ite):
-            fc = self._compile(e.cond)
-            ft = self._compile(e.then)
-            fe = self._compile(e.other)
-            return lambda s, t: ft(s, t) if fc(s, t) else fe(s, t)
-        if isinstance(e, InSet):
-            f = self._compile(e.operand)
-            vals = frozenset(m.value if isinstance(m, (IntConst, BoolConst)) else m.name for m in e.members)
-            return lambda s, t: f(s, t) in vals
-        raise AssertionError(f"unhandled node {e!r}")
 
     # -- functional-assignment extraction ------------------------------------
 
@@ -164,7 +95,8 @@ class Engine:
         In TRANS context an assignment is ``next(v) = rhs`` (or ``<->``, or a
         bare ``next(v)`` / ``!next(v)``); in INIT context the same with plain
         variable references.  Assignments whose right-hand sides depend
-        cyclically on other assigned variables are demoted to checks.
+        cyclically on assigned variables, their own included, are demoted to
+        checks.  Returns ``(index, rhs, type)`` triples in dependency order.
         """
         tm = self.tm
 
@@ -203,18 +135,13 @@ class Engine:
                 owned.append((var, c))
 
         # dependency order among assigned variables (through defines)
-        def dep_refs(e: Expr) -> set[str]:
-            return self._refs(e, nxt=nxt)
-
         order: list[str] = []
         placed: set[str] = set()
         pending = dict(candidates)
         while pending:
             progress = False
             for v in [n for n, _ in self.tm.model.variables if n in pending]:
-                deps = dep_refs(pending[v]) & set(pending)
-                deps.discard(v)
-                if deps <= placed:
+                if self._refs(pending[v], nxt)[0] & set(pending) <= placed:
                     order.append(v)
                     placed.add(v)
                     del pending[v]
@@ -226,12 +153,12 @@ class Engine:
                     del pending[v]
                 break
 
-        assigns = [(tm.var_index[v], self.compile(candidates[v]), tm.var_types[tm.var_index[v]]) for v in order]
+        assigns = [(tm.var_index[v], candidates[v], tm.var_types[tm.var_index[v]]) for v in order]
         return assigns, checks
 
-    def _refs(self, e: Expr, nxt: bool, _seen: frozenset = frozenset()) -> set[str]:
+    def _refs(self, e: Expr, nxt: bool) -> tuple[set[str], set[str]]:
         """Variable names referenced by ``e`` (next-state refs when ``nxt``),
-        expanded through defines."""
+        expanded through defines, and the defines it uses."""
         out: set[str] = set()
         stack = [e]
         seen_defs: set[str] = set()
@@ -256,49 +183,88 @@ class Engine:
                 stack.extend((n.cond, n.then, n.other))
             elif isinstance(n, InSet):
                 stack.append(n.operand)
-        return out
+        return out, seen_defs
 
     # -- enumeration ----------------------------------------------------------
 
-    def _enumerate(self, assigns, check_fns, base, free_idx, invar: bool):
-        """Yield completed tuples: free variables from their domains, assigned
-        variables computed, all residual constraints verified."""
+    def _generate(self, succ: bool):
+        """Build the staged enumerator: ``f(s)`` lists the successors of ``s``
+        when ``succ``, else ``f()`` lists the initial states."""
+        # imported here, not at the top: every mbsa process imports this
+        # module, and the ones that never explore then skip compiling codegen
+        from mbsa.sts.codegen import STATE, STEP, Source
+
         tm = self.tm
-        domains = [tm.domains[i] for i in free_idx]
+        if succ:
+            assigns, actx = self._trans_assign, STEP
+            checks = [(c, STEP) for c in self._trans_checks] + [(c, STATE) for c in tm.model.invar]
+        else:
+            assigns, actx = self._init_assign, STATE
+            checks = [(c, STATE) for c in [*self._init_checks, *tm.model.invar]]
+        assigned = {i for i, _, _ in assigns}
+        free = [i for i in range(self.nvars) if i not in assigned]
         size = 1
-        for d in domains:
-            size *= len(d)
+        for i in free:
+            size *= len(tm.domains[i])
             if size > self.cap:
                 raise ResourceCapError(f"enumeration of {size}+ candidate states exceeds cap {self.cap}")
-        invar_fns = self._invar_fns if invar else ()
-        for combo in itertools.product(*domains):
-            t = list(base) if base is not None else [None] * self.nvars
-            for i, v in zip(free_idx, combo):
-                t[i] = v
-            ok = True
-            s = base if base is not None else t
-            for i, fn, ty in assigns:
-                v = fn(s, t)
-                if not value_in_type(v, ty):
-                    ok = False
-                    break
-                t[i] = v
-            if not ok:
-                continue
-            tt = tuple(t)
-            src = base if base is not None else tt
-            if all(fn(src, tt) for fn in check_fns) and all(fn(tt, None) for fn in invar_fns):
-                yield tt
+
+        # loop level k binds the k-th free variable; level 0 runs once per call
+        level = {i: k for k, i in enumerate(free, 1)}
+        used: set[tuple[str, tuple]] = set()  # (define, context) pairs
+
+        def level_of(e: Expr, ctx) -> int:
+            """The first level at which every reference of ``e`` is bound."""
+            names, defs = self._refs(e, nxt=ctx is STEP)
+            used.update((name, ctx) for name in defs)
+            return max((level[tm.var_index[n]] for n in names), default=0)
+
+        stages = [([], [], []) for _ in range(len(free) + 1)]  # per level: assignments, defines, checks
+        for i, rhs, ty in assigns:
+            level[i] = level_of(rhs, actx)
+            stages[level[i]][0].append((i, rhs, ty))
+        for e, ctx in checks:
+            stages[level_of(e, ctx)][2].append((e, ctx))
+        g = Source(tm, "def f(s):" if succ else "def f():")
+        # every define in use is bound once per context, at its own level
+        for name, ctx in sorted(used, key=lambda d: (g.define_ids[d[0]], d[1][2])):
+            stages[level_of(tm.defines[name], ctx)][1].append((name, ctx))
+
+        if succ and self.nvars:
+            cur = [f"c{i}" for i in range(self.nvars)]
+            g.line(f"{', '.join(cur)}, = s")
+            g.names.extend(cur)
+        for lv, (asg, defs, chks) in enumerate(stages):
+            if lv:
+                g.loop(free[lv - 1], tm.domains[free[lv - 1]])
+            prune = "continue" if lv else "return []"
+            for i, rhs, ty in asg:
+                g.assign(i, rhs, actx, ty, prune)
+            for name, ctx in defs:
+                g.define(name, ctx)
+            for e, ctx in chks:
+                g.check(e, ctx, prune)
+            if not lv and free:
+                g.line("out = []")
+        state = "(" + "".join(f"n{i}, " for i in range(self.nvars)) + ")"
+        if free:
+            g.line(f"out.append({state})")
+            g.funcs[0].append("    return out")
+        else:
+            g.line(f"return [{state}]")
+        return g.build()
 
     def init_tuples(self) -> list[tuple]:
-        assigned = {i for i, _, _ in self._init_assign}
-        free = [i for i in range(self.nvars) if i not in assigned]
-        return list(self._enumerate(self._init_assign, self._init_check_fns, None, free, invar=True))
+        """The states satisfying INIT and INVAR, in canonical order."""
+        if self._init_fn is None:
+            self._init_fn = self._generate(succ=False)
+        return self._init_fn()
 
     def succ_tuples(self, s: tuple) -> list[tuple]:
-        assigned = {i for i, _, _ in self._trans_assign}
-        free = [i for i in range(self.nvars) if i not in assigned]
-        return list(self._enumerate(self._trans_assign, self._trans_check_fns, s, free, invar=True))
+        """The successors of ``s`` under TRANS and INVAR, in canonical order."""
+        if self._succ_fn is None:
+            self._succ_fn = self._generate(succ=True)
+        return self._succ_fn(s)
 
     # -- state conversion ------------------------------------------------------
 
@@ -376,6 +342,9 @@ class Engine:
 
 
 def _engine(tm: TypedModel, cap: int | None = None) -> Engine:
+    """The model's one engine, so its generated functions and compiled
+    predicates are built once per process.  ``cap=None`` takes the cached
+    engine whatever its cap; another cap replaces it."""
     cache = getattr(tm, "_engine", None)
     if cache is None or (cap is not None and cache.cap != cap):
         cache = Engine(tm, cap if cap is not None else DEFAULT_STATE_CAP)

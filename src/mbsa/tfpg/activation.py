@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError
 from mbsa.faults import ExtendedModel
-from mbsa.sts.engine import Engine, Trace
+from mbsa.sts.engine import Engine, Trace, _engine
 from mbsa.sts.model import Expr
 from mbsa.sts.parse import TokenStream, parse_expr, tokenize
 from mbsa.tfpg.graph import Tfpg
@@ -116,7 +116,7 @@ class BindingEvaluator:
 
     def __init__(self, xm: ExtendedModel, binding: NodeBinding, engine: Engine | None = None):
         self.binding = binding
-        self.engine = engine if engine is not None else Engine(xm.typed)
+        self.engine = engine if engine is not None else _engine(xm.typed)
         self.node_order = tuple(sorted(binding.kinds))
         self._act_fns = [(n, self.engine.compile(binding.activations[n])) for n in self.node_order]
         self._mode_fns = [(m, self.engine.compile(e)) for m, e in binding.mode_exprs.items()]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.faults import ExtendedModel
-from mbsa.sts.engine import DEFAULT_STATE_CAP, Engine
+from mbsa.sts.engine import _engine
 from mbsa.tfpg.activation import BindingEvaluator, NodeBinding
 from mbsa.tfpg.graph import Tfpg, TfpgEdge
 
@@ -47,7 +47,7 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
                        cap: int | None):
     """BFS over (state, activated-set, last-burst) products, recording one
     instance per distinct (v, A, sim, last, mode)."""
-    engine = Engine(xm.typed, cap if cap is not None else DEFAULT_STATE_CAP)
+    engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
     order = ev.node_order
     instances: dict[str, set[tuple]] = {n: set() for n in order}

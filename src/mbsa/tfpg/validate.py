@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.faults import ExtendedModel
-from mbsa.sts.engine import DEFAULT_STATE_CAP, Engine, Trace
+from mbsa.sts.engine import Trace, _engine
 from mbsa.tfpg.activation import (
     ActivationTrace,
     BindingEvaluator,
@@ -192,7 +192,7 @@ def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,
     """
     tfpg.check()
     check_binding_total(tfpg, binding)
-    engine = Engine(xm.typed, cap if cap is not None else DEFAULT_STATE_CAP)
+    engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
     # monitor works on the binding's node order restricted to TFPG nodes
     node_order = tuple(n for n in ev.node_order if n in tfpg.nodes)

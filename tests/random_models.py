@@ -51,3 +51,52 @@ def random_extended_model(rng: random.Random):
     tle = parse_expr_text(" | ".join(terms))
     xm.typed.check_expr(tle)
     return xm, tle
+
+
+def random_typed_model(rng: random.Random):
+    """A small random model over integer ranges, an enum and booleans.
+
+    Every variable picks one TRANS shape from a menu that covers what the
+    successor generator schedules differently: functional assignments that
+    leave their range, assignments reading other next-state values
+    (``next(a) = next(b)``), cyclic assignments (demoted to checks, a
+    self-cycle included), free variables under residual checks, INVARs and
+    defines nested three deep.  Products stay at most 576 states.
+    """
+    hi = rng.randint(2, 3)
+    lit = rng.choice(["A", "B", "C"])
+    lines = ["MODULE random_typed", "VAR",
+             f"  x : 0..{hi};", "  y : -1..2;", "  m : {A, B, C};",
+             "  p : boolean;", "  q : boolean;", "  r : boolean;",
+             "DEFINE",
+             f"  low := x <= {rng.randint(0, hi)};",
+             f"  hot := low & p | m = {lit};",
+             "  level := (hot ? x + y : x - 1);",
+             "  twice := level + level;"]
+    init = {
+        "x": ["x = 0", "x = y + 1", None],
+        "y": ["y = 0", "y = level", "y in {0, 2}", None],  # level reads y: a self-cycle
+        "m": ["m = A", "m != C", None],
+        "p": ["!p", "p = q", None],
+        "q": ["q", None],
+        "r": ["r = hot", "r <-> !p", None],
+    }
+    trans = {
+        "x": ["next(x) = x + 1", "next(x) = (hot ? x : x + 1)", "next(x) = level",
+              "next(x) <= x + 1", None],
+        "y": ["next(y) = next(x) - 1", "next(y) = twice - y", "next(y) != y", None],
+        "m": ["next(m) = (p ? B : m)", "next(m) = C -> next(r)", "next(m) in {A, C}", None],
+        "p": ["next(p) = next(q)", "next(p) = next(q) & r", "!next(p)", None],
+        "q": ["next(q) = !q", "next(q) = next(p) | hot", "next(q) = next(r) & p", None],
+        "r": ["next(r) = next(r) & p", "next(r) = (next(m) = A)", "next(r)", None],
+    }
+    invar = ["x != 2 | p", "hot -> m != B", "twice >= -2", "y < 2 | !r"]
+    for table, section in ((init, "INIT"), (trans, "TRANS")):
+        for choices in table.values():
+            text = rng.choice(choices)
+            if text is not None:
+                lines.append(f"{section} {text};")
+    for text in invar:
+        if rng.random() < 0.35:
+            lines.append(f"INVAR {text};")
+    return type_check(parse_model("\n".join(lines) + "\n"))

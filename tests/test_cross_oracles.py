@@ -7,63 +7,119 @@ over every trace, and FMEA rows vs replayable witnesses.
 """
 
 import itertools
+import operator
 import random
 
 from mbsa.analysis import witness
 from mbsa.fmea import generate_fmea
 from mbsa.sts.engine import Engine, Trace
-from mbsa.sts.model import type_values
+from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
 from mbsa.tfpg import Tfpg, TfpgEdge, admits, validate_behavioral
 from mbsa.tfpg.activation import NodeBinding, activation_trace_of
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import build_extended, checked_expr
-from random_models import random_extended_model
+from random_models import random_extended_model, random_typed_model
+
+_OPS = {
+    "&": lambda a, b: a and b,
+    "|": lambda a, b: a or b,
+    "->": lambda a, b: (not a) or b,
+    "<->": operator.eq,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+}
 
 
-def _naive_successors(eng: Engine, s: tuple) -> set[tuple]:
+def _eval(tm, e, s, t=None):
+    """Value of ``e`` in current state ``s`` and next state ``t``, read off
+    the syntax tree (defines re-evaluated at every reference)."""
+    if isinstance(e, (BoolConst, IntConst)):
+        return e.value
+    if isinstance(e, Name):
+        if e.name in tm.var_index:
+            return s[tm.var_index[e.name]]
+        if e.name in tm.defines:
+            return _eval(tm, tm.defines[e.name], s)
+        return e.name  # an enumeration literal
+    if isinstance(e, Next):
+        return t[tm.var_index[e.name]]
+    if isinstance(e, UnOp):
+        v = _eval(tm, e.operand, s, t)
+        return (not v) if e.op == "!" else -v
+    if isinstance(e, BinOp):
+        return _OPS[e.op](_eval(tm, e.left, s, t), _eval(tm, e.right, s, t))
+    if isinstance(e, Ite):
+        return _eval(tm, e.then if _eval(tm, e.cond, s, t) else e.other, s, t)
+    if isinstance(e, InSet):
+        return _eval(tm, e.operand, s, t) in {_eval(tm, m, s, t) for m in e.members}
+    raise AssertionError(e)
+
+
+def _canonical(eng: Engine, states: list[tuple], assigns) -> list[tuple]:
+    """The engine's order: by the domain positions of the variables that are
+    not functionally assigned, in declaration order (stable)."""
+    assigned = {i for i, _, _ in assigns}
+    free = [i for i in range(eng.nvars) if i not in assigned]
+    pos = [{v: k for k, v in enumerate(d)} for d in eng.tm.domains]
+    return sorted(states, key=lambda t: [pos[i][t[i]] for i in free])
+
+
+def _naive_successors(eng: Engine, s: tuple) -> list[tuple]:
     """Cross product of every variable's domain, filtered by all constraints."""
     tm = eng.tm
-    trans_fns = [eng.compile(e) for e in tm.model.trans]
-    invar_fns = [eng.compile(e) for e in tm.model.invar]
-    out = set()
-    for combo in itertools.product(*(type_values(ty) for ty in tm.var_types)):
-        if all(fn(s, combo) for fn in trans_fns) and all(fn(combo, None) for fn in invar_fns):
-            out.add(combo)
-    return out
+    out = [t for t in itertools.product(*(type_values(ty) for ty in tm.var_types))
+           if all(_eval(tm, e, s, t) for e in tm.model.trans)
+           and all(_eval(tm, e, t) for e in tm.model.invar)]
+    return _canonical(eng, out, eng._trans_assign)
 
 
-def _naive_inits(eng: Engine) -> set[tuple]:
+def _naive_inits(eng: Engine) -> list[tuple]:
     tm = eng.tm
-    init_fns = [eng.compile(e) for e in tm.model.init]
-    invar_fns = [eng.compile(e) for e in tm.model.invar]
-    out = set()
-    for combo in itertools.product(*(type_values(ty) for ty in tm.var_types)):
-        if all(fn(combo, None) for fn in init_fns) and all(fn(combo, None) for fn in invar_fns):
-            out.add(combo)
-    return out
+    out = [s for s in itertools.product(*(type_values(ty) for ty in tm.var_types))
+           if all(_eval(tm, e, s) for e in (*tm.model.init, *tm.model.invar))]
+    return _canonical(eng, out, eng._init_assign)
+
+
+def _check_against_naive(tm, samples: int):
+    """Initial states and the successors of up to ``samples`` reachable
+    states, as ordered lists."""
+    eng = Engine(tm)
+    inits = eng.init_tuples()
+    assert inits == _naive_inits(eng)
+    states = list(inits)
+    seen = set(states)
+    for _ in range(samples):
+        if not states:
+            break
+        s = states.pop()
+        succ = eng.succ_tuples(s)
+        assert succ == _naive_successors(eng, s), s
+        for t in succ:
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
 
 
 def test_successor_generation_matches_naive_enumeration():
     rng = random.Random(5)
     for _ in range(12):
         xm, _ = random_extended_model(rng)
-        eng = Engine(xm.typed)
-        inits = eng.init_tuples()
-        assert set(inits) == _naive_inits(eng)
-        states = list(inits)
-        seen = set(states)
-        for _ in range(30):  # sample a few reachable states per model
-            if not states:
-                break
-            s = states.pop()
-            succ = eng.succ_tuples(s)
-            assert set(succ) == _naive_successors(eng, s)
-            assert len(succ) == len(set(succ))
-            for t in succ:
-                if t not in seen:
-                    seen.add(t)
-                    states.append(t)
+        _check_against_naive(xm.typed, 30)
+
+
+def test_typed_successor_generation_matches_naive_enumeration():
+    # integer ranges (with out-of-range assignments), enums, INVARs, nested
+    # defines, next-to-next assignments and cyclic assignments
+    rng = random.Random(17)
+    for _ in range(20):
+        _check_against_naive(random_typed_model(rng), 12)
 
 
 def _all_traces(eng: Engine, bound: int):

@@ -1,9 +1,14 @@
+import inspect
+import time
+
 import pytest
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import type_check
 from mbsa.sts.engine import Engine, Trace, initial_states, reach, replay_ok, successors
 from mbsa.sts.parse import parse_expr_text, parse_model
+
+from test_cross_oracles import _naive_inits, _naive_successors
 
 
 def _tm(text):
@@ -143,3 +148,93 @@ def test_battery_sensor_shape(battery_sensor):
     (init,) = initial_states(battery_sensor.typed)
     assert init["mode"] == "P"  # primary configuration, everything healthy
     assert all(v == "nominal" for k, v in init.items() if k.startswith("mode#"))
+
+
+# -- the expression compiler ----------------------------------------------------
+
+def test_define_chain_compiles_in_linear_time():
+    # each define reads the previous one twice: pasting defines textually
+    # would double the code 40 times
+    defines = " ".join(f"d{i} := d{i - 1} + d{i - 1};" for i in range(1, 40))
+    tm = _tm(f"""MODULE m
+VAR x : 0..1;
+DEFINE d0 := x; {defines}
+INIT x = 1;
+TRANS next(x) = (d39 > 0 ? 0 : 1);
+INVAR d39 >= 0;
+""")
+    start = time.process_time()
+    eng = Engine(tm)
+    d39 = eng.compile(tm.check_expr(parse_expr_text("d39")))
+    assert eng.init_tuples() == [(1,)]
+    assert eng.succ_tuples((1,)) == [(0,)]
+    assert eng.succ_tuples((0,)) == [(1,)]
+    assert time.process_time() - start < 1.0
+    assert d39((1,), None) == 2 ** 39 and d39((0,), None) == 0
+
+
+def test_identifiers_that_look_like_generated_locals():
+    # the generated code names locals s, t, out, f, cN, nN, dN, eN, kN; user
+    # identifiers never reach it, so these names cannot capture anything
+    tm = _tm("""MODULE m
+VAR s : boolean; t : 0..2; out : {K, c0, n1, k1, e1}; f : boolean; n0 : boolean;
+DEFINE d0 := s & t > 0; e0 := out = K | n0; c1 := d0 | e0;
+INIT !s & t = 0 & f;
+TRANS next(t) = (t < 2 ? t + 1 : 0);
+TRANS next(s) -> next(out) != K;
+TRANS next(f) = !f | c1;
+TRANS d0 -> next(n0);
+INVAR e0 | t > 0 | s;
+""")
+    eng = Engine(tm)
+    inits = eng.init_tuples()
+    assert inits == _naive_inits(eng)
+    states, seen = list(inits), set(inits)
+    while states:
+        cur = states.pop()
+        succ = eng.succ_tuples(cur)
+        assert succ == _naive_successors(eng, cur)
+        for nxt in succ:
+            if nxt not in seen:
+                seen.add(nxt)
+                states.append(nxt)
+    assert len(seen) > 20
+
+
+def test_enumeration_cap_message():
+    tm = _tm("MODULE m VAR a : 0..9; b : 0..9; c : boolean; TRANS next(c) = !c;")
+    eng = Engine(tm, cap=50)
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ResourceCapError, match=r"^enumeration of 100\+ candidate states exceeds cap 50$"):
+            eng.init_tuples()
+        with pytest.raises(ResourceCapError, match=r"^enumeration of 100\+ candidate states exceeds cap 50$"):
+            eng.succ_tuples((0, 0, False))
+
+
+def test_more_free_variables_than_nested_loops_allow():
+    # CPython refuses more than 20 nested loops in one function; the checks
+    # sit at the innermost levels, after the nest has been split
+    tm = _tm("MODULE m VAR " + " ".join(f"z{i} : 0..0;" for i in range(20))
+             + " a : boolean; b : boolean; c : {X, Y};"
+             + " INVAR a -> b; TRANS next(c) = X -> next(a) & z0 = 0;")
+    eng = Engine(tm)
+    inits = eng.init_tuples()
+    assert len(inits) == 6 and inits == _naive_inits(eng)
+    for s in inits:
+        assert eng.succ_tuples(s) == _naive_successors(eng, s)
+    assert len(eng.succ_tuples(inits[0])) == 4
+
+
+def test_layer_hooks_stay_on_the_class(monkeypatch):
+    # perfbench/tracer.py wraps these methods on the class; an instance
+    # attribute of the same name would bypass the wrapper
+    for name in ("succ_tuples", "init_tuples", "reach_tuples"):
+        assert inspect.isfunction(Engine.__dict__[name]), name
+    calls = []
+    for name in ("succ_tuples", "init_tuples"):
+        orig = Engine.__dict__[name]
+        monkeypatch.setattr(Engine, name, lambda self, *a, _o=orig, _n=name: calls.append(_n) or _o(self, *a))
+    eng = Engine(_tm(COUNTER))
+    assert len(eng.reachable_tuples()) == 4
+    assert calls.count("init_tuples") == 1 and calls.count("succ_tuples") == 4
+    assert not {"succ_tuples", "init_tuples", "reach_tuples"} & set(vars(eng))

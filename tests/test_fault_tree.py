@@ -20,7 +20,7 @@ from mbsa.fault_tree import (
     rare_event_approximation,
     symbolic_probability,
 )
-from mbsa.probability import PBin
+from mbsa.probability import PBin, pexpr_to_text, render_prob_script
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import checked_expr
@@ -240,6 +240,29 @@ def test_disjoint_pairs_scale_linearly():
             stack.extend((n.left, n.right))
     assert len(binary) <= 8 * k
     assert elapsed < 1.0
+
+
+def test_deep_or_needs_no_recursion():
+    # a root OR over 1,200 single-event cut sets: the BDD and the closed form
+    # are 1,200 levels deep, beyond Python's recursion limit
+    names = [f"e{i:04d}" for i in range(1200)]
+    probs = {e: Fraction(1, 1000 + i) for i, e in enumerate(names)}
+    start = time.process_time()
+    ft = build_fault_tree(_result([{e} for e in names]))
+    expected = 1 - math.prod((1 - p for p in probs.values()), start=Fraction(1))
+    assert evaluate_probability(ft, ProbabilityAssignment(probs))[ft.root] == expected
+    sp = symbolic_probability(ft)
+    assert sp.evaluate(probs) == expected
+    assert pexpr_to_text(sp).count("p_e") == 2 * 1200 - 1
+    python = render_prob_script(sp, "python")
+    env: dict = {}
+    exec(python, env)
+    assert env["tle_probability"](*(float(probs[e]) for e in sp.symbols)) == pytest.approx(float(expected))
+    steps = [line.strip() for line in python.splitlines() if line.startswith("    t")]
+    assert len(steps) == 3 * (1200 - 1)
+    matlab = render_prob_script(sp, "matlab")
+    assert [line.strip().rstrip(";") for line in matlab.splitlines() if line.startswith("  t")] == steps
+    assert time.process_time() - start < 5.0
 
 
 def test_node_probabilities_in_unit_interval_and_monotone():
