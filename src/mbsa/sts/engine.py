@@ -342,14 +342,14 @@ class Engine:
 
 
 def _engine(tm: TypedModel, cap: int | None = None) -> Engine:
-    """The model's one engine, so its generated functions and compiled
-    predicates are built once per process.  ``cap=None`` takes the cached
-    engine whatever its cap; another cap replaces it."""
-    cache = getattr(tm, "_engine", None)
-    if cache is None or (cap is not None and cache.cap != cap):
-        cache = Engine(tm, cap if cap is not None else DEFAULT_STATE_CAP)
-        tm._engine = cache
-    return cache
+    """The model's engine for a state cap (``DEFAULT_STATE_CAP`` when None),
+    so its generated functions and compiled predicates are built once per
+    process and cap."""
+    cap = DEFAULT_STATE_CAP if cap is None else cap
+    engines = tm.__dict__.setdefault("_engines", {})
+    if cap not in engines:
+        engines[cap] = Engine(tm, cap)
+    return engines[cap]
 
 
 def initial_states(tm: TypedModel, cap: int | None = None) -> list[dict]:

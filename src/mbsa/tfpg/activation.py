@@ -111,8 +111,7 @@ def check_binding_total(tfpg: Tfpg, binding: NodeBinding) -> None:
 
 
 class BindingEvaluator:
-    """Compiled activation/mode predicates over one extended model, memoized
-    per state tuple."""
+    """Compiled activation/mode predicates over one extended model."""
 
     def __init__(self, xm: ExtendedModel, binding: NodeBinding, engine: Engine | None = None):
         self.binding = binding
@@ -120,21 +119,15 @@ class BindingEvaluator:
         self.node_order = tuple(sorted(binding.kinds))
         self._act_fns = [(n, self.engine.compile(binding.activations[n])) for n in self.node_order]
         self._mode_fns = [(m, self.engine.compile(e)) for m, e in binding.mode_exprs.items()]
-        self._memo: dict[tuple, tuple[tuple[bool, ...], str]] = {}
 
     def observe(self, state: tuple) -> tuple[tuple[bool, ...], str]:
         """(activation bits in node_order, active mode literal) for a state."""
-        hit = self._memo.get(state)
-        if hit is not None:
-            return hit
         bits = tuple(bool(fn(state, None)) for _, fn in self._act_fns)
         active = [m for m, fn in self._mode_fns if fn(state, None)]
         if len(active) != 1:
             raise MbsaError(
                 f"mode predicates must hold for exactly one literal per state; got {active!r}")
-        out = (bits, active[0])
-        self._memo[state] = out
-        return out
+        return bits, active[0]
 
 
 def activation_trace_of(trace: Trace, binding: NodeBinding, xm: ExtendedModel) -> ActivationTrace:

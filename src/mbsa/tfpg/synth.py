@@ -7,7 +7,11 @@ records, for every first activation of a bound discrepancy v, an instance
 (A, S, L, m): the nodes A already (or simultaneously) activated, the
 simultaneous co-activations S, the most recent earlier activation burst L,
 and the active mode m.  S and L form the direct group: the nodes with
-direct-precedence evidence for v in that instance.
+direct-precedence evidence for v in that instance.  The search is the
+product search of :mod:`mbsa.tfpg.product` with (activated, last burst)
+node masks as its abstract state; an instance depends on that state and
+the observation only, so it is recorded once per distinct pair, and the
+masks become sets of node names once, at the end.
 
 Parent selection per node:
 
@@ -36,70 +40,39 @@ edge uniquely explains (falling back to all direct witnesses).
 
 from __future__ import annotations
 
-from mbsa.diagnostics import ResourceCapError
+import functools
+
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import _engine
 from mbsa.tfpg.activation import BindingEvaluator, NodeBinding
 from mbsa.tfpg.graph import Tfpg, TfpgEdge
+from mbsa.tfpg.product import explore
 
 
 def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int | None,
                        cap: int | None):
-    """BFS over (state, activated-set, last-burst) products, recording one
-    instance per distinct (v, A, sim, last, mode)."""
+    """Product search over (state, acted mask, last-burst mask), recording
+    one instance per distinct (v, A, sim, last, mode)."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
     order = ev.node_order
-    instances: dict[str, set[tuple]] = {n: set() for n in order}
-    succ_cache: dict[tuple, list[tuple]] = {}
+    discrepancies = [(1 << i, n) for i, n in enumerate(order) if binding.kinds[n] != "failure"]
+    found: dict[str, set[tuple]] = {n: set() for n in order}
 
-    def record(newly: frozenset, acted: frozenset, last: frozenset, mode: str):
-        for v in newly:
-            if binding.kinds[v] == "failure":
-                continue
-            instances[v].add((
-                frozenset((acted | newly) - {v}),
-                frozenset(newly - {v}),
-                frozenset(last),
-                mode,
-            ))
+    def step(state, mask: int, mode: str):
+        acted, last = state
+        newly = mask & ~acted
+        if not newly:
+            return state, None
+        for b, v in discrepancies:
+            if newly & b:
+                found[v].add(((acted | newly) & ~b, newly & ~b, last, mode))
+        return (acted | newly, newly), None
 
-    visited: set[tuple] = set()
-    frontier: list[tuple] = []
-    for s in engine.init_tuples():
-        bits, mode = ev.observe(s)
-        newly = frozenset(n for n, b in zip(order, bits) if b)
-        record(newly, frozenset(), frozenset(), mode)
-        key = (s, newly, newly)
-        if key not in visited:
-            visited.add(key)
-            frontier.append(key)
-    depth = 0
-    while frontier and (step_bound is None or depth < step_bound):
-        depth += 1
-        nxt = []
-        for s, acted, last in frontier:
-            succs = succ_cache.get(s)
-            if succs is None:
-                succs = engine.succ_tuples(s)
-                succ_cache[s] = succs
-            for t in succs:
-                bits, mode = ev.observe(t)
-                now = frozenset(n for n, b in zip(order, bits) if b)
-                newly = now - acted
-                if newly:
-                    record(newly, acted, last, mode)
-                    nacted, nlast = acted | newly, newly
-                else:
-                    nacted, nlast = acted, last
-                key = (t, nacted, nlast)
-                if key not in visited:
-                    if len(visited) >= engine.cap:
-                        raise ResourceCapError(f"stored synthesis states exceed cap {engine.cap}")
-                    visited.add(key)
-                    nxt.append(key)
-        frontier = nxt
-    return instances
+    explore(engine, ev, (0, 0), step, step_bound, "synthesis")
+    names = functools.cache(lambda m: frozenset(n for i, n in enumerate(order) if m >> i & 1))
+    return {v: {(names(a), names(sim), names(last), mode) for a, sim, last, mode in insts}
+            for v, insts in found.items()}
 
 
 def _rank_key(u: str, pool, kinds):

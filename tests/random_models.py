@@ -100,3 +100,66 @@ def random_typed_model(rng: random.Random):
         if rng.random() < 0.35:
             lines.append(f"INVAR {text};")
     return type_check(parse_model("\n".join(lines) + "\n"))
+
+
+def random_stutter_model(rng: random.Random):
+    """A latched model with a TFPG whose finite deadlines it may miss.
+
+    Nominal variables only keep or spread their value, so once the faults
+    that will occur have occurred, a run can repeat its state forever.
+    Discrepancies are bound to literals or to ``never`` (always false); each
+    has incoming edges with a finite ``tmax`` from a failure node and
+    sometimes from another node, some gated by the mode.  A failure can thus
+    be followed by a discrepancy that stays inactive while the model
+    stutters, and the deadline passes on a self-loop.  Returns
+    ``(xm, graph, binding)``.
+    """
+    from mbsa.tfpg import Tfpg, TfpgEdge
+    from mbsa.tfpg.activation import NodeBinding
+
+    names = [f"v{i}" for i in range(rng.randint(2, 3))]
+    lines = ["MODULE stutter", "VAR", *(f"  {n} : boolean;" for n in names),
+             "DEFINE", "  never := v0 & !v0;"]
+    for n in names:
+        lines.append(f"INIT {rng.choice([n, '!' + n])};")
+        other = rng.choice([m for m in names if m != n])
+        lines.append(rng.choice([f"TRANS next({n}) = {n};", f"TRANS next({n}) = {n} | {other};"]))
+    model = type_check(parse_model("\n".join(lines) + "\n"))
+    fei = [f"fault e{i}: target {rng.choice(names)}, template "
+           f"{rng.choice(['stuck_at(TRUE)', 'stuck_at(FALSE)', 'inverted'])}, "
+           f"dynamics {rng.choice(['permanent', 'permanent', 'sporadic'])}, prob 0.01;"
+           for i in range(rng.randint(1, 2))]
+    xm = extend_model(model, load_fault_library(), parse_fei("\n".join(fei)))
+
+    def checked(text):
+        expr = parse_expr_text(text)
+        xm.typed.check_expr(expr)
+        return expr
+
+    kinds, activations, failure_events = {}, {}, {}
+    for e in sorted(xm.events):
+        kinds[f"F_{e}"] = "failure"
+        activations[f"F_{e}"] = xm.events[e].occurrence
+        failure_events[f"F_{e}"] = e
+    failures = sorted(kinds)
+    discrepancies = [f"D{i}" for i in range(rng.randint(1, 2))]
+    for d in discrepancies:
+        kinds[d] = rng.choice(["or", "or", "and"])
+        activations[d] = checked(rng.choice(["never", "never", *names, *(f"!{n}" for n in names)]))
+    modes = {"UP": checked("v0"), "DOWN": checked("!v0")} if rng.random() < 0.5 else {"ON": checked("TRUE")}
+    binding = NodeBinding(kinds, activations, modes, failure_events)
+
+    edges = []
+    for d in discrepancies:
+        sources = [rng.choice(failures)]
+        others = [n for n in kinds if n != d and n not in sources]
+        if others and rng.random() < 0.4:
+            sources.append(rng.choice(others))
+        for src in sources:
+            tmin = rng.randint(0, 1)
+            tmax = rng.choice([tmin, tmin + 1, tmin + 2, None] if src in failures else [tmin + 1, None])
+            gate = None if len(modes) == 1 or rng.random() < 0.5 else frozenset({rng.choice(sorted(modes))})
+            edges.append(TfpgEdge(src, d, tmin, tmax, gate))
+    graph = Tfpg(tuple(modes), kinds, tuple(edges))
+    graph.check()
+    return xm, graph, binding

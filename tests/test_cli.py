@@ -11,7 +11,8 @@ MODEL = str(FIXTURES / "battery_sensor.smx")
 FEI = str(FIXTURES / "battery_sensor.fei")
 TFPG = str(FIXTURES / "battery_sensor.tfpg")
 BIND = str(FIXTURES / "battery_sensor.bind")
-# ftprob artifacts recorded before the probability core became a BDD
+# ftprob artifacts recorded before the probability core became a BDD; tfpg
+# artifacts recorded before validation and synthesis shared one product search
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 PAIR = ("--model", str(GOLDENS / "pair.smx"), "--fei", str(GOLDENS / "pair.fei"),
         "--cca", str(GOLDENS / "burst.cca"))
@@ -113,6 +114,54 @@ def test_tfpg_check_incomplete_exits_1(tmp_path, capsys):
     assert (tmp_path / "tfpg_counterexample.trace").is_file()
     header = (tmp_path / "tfpg_counterexample.trace").read_text().splitlines()[0]
     assert header.startswith("step\t")
+
+
+def _refute_tfpg(tmp_path):
+    """The fixture graph without edge B1_DEAD -> S2_NO: no longer complete."""
+    mutated = tmp_path / "refute.tfpg"
+    mutated.write_text("".join(l for l in Path(TFPG).read_text().splitlines(True)
+                               if not l.startswith("edge B1_DEAD -> S2_NO ")))
+    return str(mutated)
+
+
+@pytest.mark.parametrize("golden, graph, code", [
+    ("tfpg_check", lambda tmp: TFPG, 0),
+    ("tfpg_refute", _refute_tfpg, 1),
+])
+def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
+    out = tmp_path / "out"
+    assert run("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", graph(tmp_path),
+               "--bind", BIND, "--step-bound", "60", "--out-dir", str(out)) == code
+    expected = sorted(p.name for p in (GOLDENS / golden).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+
+
+def test_tfpg_synth_matches_golden(tmp_path):
+    out = tmp_path / "synth.tfpg"
+    assert run("tfpg", "synth", "--model", MODEL, "--fei", FEI, "--bind", BIND,
+               "--step-bound", "60", "--outfile", str(out)) == 0
+    assert out.read_bytes() == (GOLDENS / "tfpg_synth" / "synth.tfpg").read_bytes()
+
+
+def test_tfpg_check_catches_violation_while_model_stutters(tmp_path, capsys):
+    # after F the model repeats its state forever, and B must follow F within
+    # one step but never activates: the deadline passes on a self-loop
+    m = tmp_path / "m"
+    Path(f"{m}.smx").write_text(
+        "MODULE m\nVAR x : boolean;\nDEFINE never := x & !x;\nINIT x;\nTRANS next(x) = x;\n")
+    Path(f"{m}.fei").write_text(
+        "fault F: target x, template stuck_at(FALSE), dynamics permanent, prob 0.001;\n")
+    Path(f"{m}.tfpg").write_text("modes M;\nfailure F;\nor B;\nedge F -> B [0,1] {*};\n")
+    Path(f"{m}.bind").write_text("failure F : F;\nor B : never;\nmode M : TRUE;\n")
+    assert run("tfpg", "check", "--model", f"{m}.smx", "--fei", f"{m}.fei", "--tfpg", f"{m}.tfpg",
+               "--bind", f"{m}.bind", "--step-bound", "0", "--out-dir", str(tmp_path)) == 1
+    assert "incomplete: B too-late at step 3" in capsys.readouterr().err
+    assert (tmp_path / "tfpg_check.txt").read_text() == "incomplete\tB\ttoo-late\tstep 3\n"
+    assert (tmp_path / "tfpg_counterexample.trace").read_text() == (
+        "step\tx#nominal\tmode#F\n0\tTrue\tnominal\n1\tTrue\tfaulty\n"
+        "2\tFalse\tfaulty\n3\tFalse\tfaulty\n")
 
 
 def test_tfpg_convert_round_trip(tmp_path):

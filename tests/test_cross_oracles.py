@@ -3,7 +3,8 @@
 Each test pits an optimized implementation against a naive one that is
 obviously faithful to the definitions: successor generation vs raw
 cross-product filtering, product-monitor validation vs per-trace admission
-over every trace, and FMEA rows vs replayable witnesses.
+over every trace, synthesis instances vs a plain search over node sets, and
+FMEA rows vs replayable witnesses.
 """
 
 import itertools
@@ -15,11 +16,12 @@ from mbsa.fmea import generate_fmea
 from mbsa.sts.engine import Engine, Trace
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
 from mbsa.tfpg import Tfpg, TfpgEdge, admits, validate_behavioral
-from mbsa.tfpg.activation import NodeBinding, activation_trace_of
+from mbsa.tfpg.activation import BindingEvaluator, NodeBinding, activation_trace_of
+from mbsa.tfpg.synth import _collect_instances
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import build_extended, checked_expr
-from random_models import random_extended_model, random_typed_model
+from random_models import random_extended_model, random_stutter_model, random_typed_model
 
 _OPS = {
     "&": lambda a, b: a and b,
@@ -167,36 +169,107 @@ def _random_binding_and_graph(xm, rng):
     return graph, binding
 
 
+def _verdict_equals_per_trace_admission(xm, graph, binding, bound: int) -> bool:
+    """Validation at ``bound`` against admits() on every trace up to it;
+    returns whether the verdict is complete."""
+    report = validate_behavioral(graph, binding, xm, step_bound=bound)
+    eng = Engine(xm.typed)
+    refused = None
+    for tuples in _all_traces(eng, bound):
+        trace = Trace([eng.to_dict(s) for s in tuples])
+        if not admits(graph, activation_trace_of(trace, binding, xm)).ok:
+            refused = trace
+            break
+    if report.complete:
+        assert refused is None, (graph, refused.states)
+    else:
+        assert refused is not None
+        # and the reported counterexample is itself refused, and shortest
+        cex, inc = report.counterexamples[0]
+        assert not admits(graph, activation_trace_of(cex, binding, xm)).ok
+        if len(cex) > 1:
+            assert validate_behavioral(graph, binding, xm, step_bound=len(cex) - 2).complete
+    return report.complete
+
+
 def test_validation_verdict_equals_per_trace_admission():
     # the product monitor must agree with running admits() on every single
     # trace up to the bound
     rng = random.Random(9)
-    bound = 4
-    disagreements = 0
-    complete_seen = incomplete_seen = 0
+    verdicts = []
     for _ in range(10):
         xm, _ = random_extended_model(rng)
         graph, binding = _random_binding_and_graph(xm, rng)
-        report = validate_behavioral(graph, binding, xm, step_bound=bound)
-        eng = Engine(xm.typed)
-        refused = None
-        for tuples in _all_traces(eng, bound):
-            trace = Trace([eng.to_dict(s) for s in tuples])
-            at = activation_trace_of(trace, binding, xm)
-            if not admits(graph, at).ok:
-                refused = trace
-                break
-        if report.complete:
-            complete_seen += 1
-            assert refused is None, (graph, refused.states)
+        verdicts.append(_verdict_equals_per_trace_admission(xm, graph, binding, 4))
+    assert set(verdicts) == {True, False}  # both verdicts exercised
+
+
+def test_validation_verdict_equals_per_trace_admission_on_stuttering_models():
+    # models that repeat their state after a fault, against graphs whose
+    # finite deadlines can pass while they do
+    rng = random.Random(3)
+    verdicts = [_verdict_equals_per_trace_admission(*random_stutter_model(rng), rng.randint(2, 5))
+                for _ in range(40)]
+    assert set(verdicts) == {True, False}
+
+
+def _naive_instances(xm, binding, step_bound):
+    """Synthesis instances by breadth-first search over (state, activated
+    set, last burst) with frozensets, observing every transition anew."""
+    engine = Engine(xm.typed)
+    ev = BindingEvaluator(xm, binding, engine)
+    instances = {n: set() for n in ev.node_order}
+
+    def record(newly, acted, last, mode):
+        for v in newly:
+            if binding.kinds[v] != "failure":
+                instances[v].add((frozenset((acted | newly) - {v}), frozenset(newly - {v}), last, mode))
+
+    def now(s):
+        bits, mode = ev.observe(s)
+        return frozenset(n for n, b in zip(ev.node_order, bits) if b), mode
+
+    visited = set()
+    frontier = []
+    for s in engine.init_tuples():
+        newly, mode = now(s)
+        record(newly, frozenset(), frozenset(), mode)
+        if (s, newly, newly) not in visited:
+            visited.add((s, newly, newly))
+            frontier.append((s, newly, newly))
+    depth = 0
+    while frontier and (step_bound is None or depth < step_bound):
+        depth += 1
+        nxt = []
+        for s, acted, last in frontier:
+            for t in engine.succ_tuples(s):
+                active, mode = now(t)
+                newly = active - acted
+                if newly:
+                    record(newly, acted, last, mode)
+                    acted_t, last_t = acted | newly, newly
+                else:
+                    acted_t, last_t = acted, last
+                if (t, acted_t, last_t) not in visited:
+                    visited.add((t, acted_t, last_t))
+                    nxt.append((t, acted_t, last_t))
+        frontier = nxt
+    return instances
+
+
+def test_synthesis_instances_equal_naive_search(battery_sensor, battery_binding):
+    for bound in (60, None):
+        assert _collect_instances(battery_sensor, battery_binding, bound, None) == \
+            _naive_instances(battery_sensor, battery_binding, bound)
+    rng = random.Random(11)
+    for i in range(24):
+        if i % 2:
+            xm, _, binding = random_stutter_model(rng)
         else:
-            incomplete_seen += 1
-            assert refused is not None
-            # and the reported counterexample is itself refused
-            cex, inc = report.counterexamples[0]
-            assert not admits(graph, activation_trace_of(cex, binding, xm)).ok
-    assert complete_seen and incomplete_seen  # both verdicts exercised
-    assert disagreements == 0
+            xm, _ = random_extended_model(rng)
+            _, binding = _random_binding_and_graph(xm, rng)
+        bound = rng.randint(1, 3)
+        assert _collect_instances(xm, binding, bound, None) == _naive_instances(xm, binding, bound)
 
 
 def test_fmea_rows_are_witnessed(redundant_pair):

@@ -238,3 +238,19 @@ def test_layer_hooks_stay_on_the_class(monkeypatch):
     assert len(eng.reachable_tuples()) == 4
     assert calls.count("init_tuples") == 1 and calls.count("succ_tuples") == 4
     assert not {"succ_tuples", "init_tuples", "reach_tuples"} & set(vars(eng))
+
+
+def test_cap_of_one_call_does_not_stick():
+    # a library call without a cap runs under the default one, whatever
+    # cap an earlier call on the same model passed
+    from mbsa.analysis import compute_mcs
+    from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr
+
+    xm = build_extended((FIXTURES / "battery_sensor.smx").read_text(),
+                        (FIXTURES / "battery_sensor.fei").read_text())
+    tle = checked_expr(xm, "sys_dead")
+    with pytest.raises(ResourceCapError, match="exceeds cap 10$"):
+        reach(xm.typed, tle, cap=10)
+    assert set(compute_mcs(xm, tle, 2).mcs) == GOLDEN_MCS
+    with pytest.raises(ResourceCapError, match="exceeds cap 10$"):
+        reach(xm.typed, tle, cap=10)

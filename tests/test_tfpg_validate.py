@@ -3,9 +3,11 @@ import random
 import pytest
 
 from mbsa.sts.engine import Engine, Trace, replay_ok
-from mbsa.tfpg import Tfpg, TfpgEdge, admits, validate_behavioral
+from mbsa.tfpg import Tfpg, TfpgEdge, admits, parse_binding, parse_tfpg, validate_behavioral
 from mbsa.tfpg.activation import activation_trace_of
-from mbsa.tfpg.validate import monitor_run
+from mbsa.tfpg.validate import Inconsistency, monitor_run
+
+from conftest import build_extended
 
 
 def _drop_edge(g, src, dst):
@@ -96,3 +98,31 @@ def test_binding_totality_checked(battery_tfpg, battery_binding, battery_sensor)
     del partial.kinds["Sys_DEAD"]
     with pytest.raises(BindingError):
         validate_behavioral(battery_tfpg, partial, battery_sensor, step_bound=5)
+
+
+STUTTER_SMX = """MODULE stutter
+VAR x : boolean;
+DEFINE never := x & !x;
+INIT x;
+TRANS next(x) = x;
+"""
+
+STUTTER_FEI = "fault F: target x, template stuck_at(FALSE), dynamics permanent, prob 0.001;"
+
+
+def test_violation_on_a_repeated_product_state_is_reported():
+    # B must follow F within one step but never activates.  Once F has
+    # occurred the model repeats its state, so the step that passes the
+    # deadline leads back to a product state already stored; the violation
+    # must be seen anyway
+    xm = build_extended(STUTTER_SMX, STUTTER_FEI)
+    binding = parse_binding("failure F : F;\nor B : never;\nmode M : TRUE;\n", xm)
+    graph = parse_tfpg("modes M;\nfailure F;\nor B;\nedge F -> B [0,1] {*};\n")
+    assert validate_behavioral(graph, binding, xm, step_bound=2).complete
+    for bound in (3, 5, None):
+        report = validate_behavioral(graph, binding, xm, step_bound=bound)
+        assert report.verdict == "incomplete", bound
+        trace, inc = report.counterexamples[0]
+        assert inc == Inconsistency("B", "too-late", 3)
+        assert len(trace) == 4 and replay_ok(xm.typed, trace)
+        assert not admits(graph, activation_trace_of(trace, binding, xm)).ok
