@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
-from mbsa.sts.engine import Trace, _engine
+from mbsa.sts.engine import Trace, _engine, breadth_first
 from mbsa.sts.model import Expr
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
@@ -156,64 +156,37 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
 
 
 def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bound: int | None):
-    """BFS over (state, occurrence partition) products; yields each partition
+    """Search over (state, occurrence partition) keys; yields each partition
     of first occurrences realized by a TLE witness, with one witness path."""
-    members = sorted(base)
-    occ = [(name, ana.occur_fns[name]) for name in members]
+    occ = [(name, ana.occur_fns[name]) for name in sorted(base)]
     state_filter = ana.restriction_filter(base)
     eng = ana.engine
-
-    def occurred(s):
-        return frozenset(name for name, fn in occ if fn(s, None))
-
-    inits = eng.init_tuples()
-    if state_filter is not None:
-        inits = [s for s in inits if state_filter(s)]
-    seen: dict[tuple, tuple | None] = {}
-    frontier = []
     reported: set[tuple] = set()
-    for s in inits:
-        first = occurred(s)
-        part = (tuple(sorted(first)),) if first else ()
-        node = (s, part)
-        if node not in seen:
-            seen[node] = None
-            frontier.append(node)
-    depth = 0
-    while frontier:
-        for node in frontier:
-            s, part = node
-            if target_fn(s, None) and frozenset(itertools.chain.from_iterable(part)) == base:
-                if part not in reported:
-                    reported.add(part)
-                    yield part, _node_path(seen, node)
-        if step_bound is not None and depth >= step_bound:
-            return
-        depth += 1
-        nxt = []
-        for node in frontier:
-            s, part = node
-            done = frozenset(itertools.chain.from_iterable(part))
-            for t in eng.succ_tuples(s):
-                if state_filter is not None and not state_filter(t):
-                    continue
-                new = occurred(t) - done
-                npart = part + (tuple(sorted(new)),) if new else part
-                nnode = (t, npart)
-                if nnode not in seen:
-                    seen[nnode] = node
-                    nxt.append(nnode)
-        frontier = nxt
 
+    def expand(node):
+        if node is None:
+            states, part = eng.init_tuples(), ()
+        else:
+            states, part = eng.succ_tuples(node[0]), node[1]
+        done = frozenset(itertools.chain.from_iterable(part))
+        missing = len(base) - len(done)
+        children, stops = [], []
+        for t in states:
+            if state_filter is not None and not state_filter(t):
+                continue
+            new = frozenset(name for name, fn in occ if fn(t, None)) - done
+            child = (t, part + (tuple(sorted(new)),) if new else part)
+            children.append(child)
+            # a stored key was tested when it was first a child: its
+            # partition, if a witness one, is already reported
+            if len(new) == missing and child[1] not in reported and target_fn(t, None):
+                reported.add(child[1])
+                stops.append(child)
+        return children, stops
 
-def _node_path(seen, node) -> list[tuple]:
-    path = []
-    cur = node
-    while cur is not None:
-        path.append(cur[0])
-        cur = seen[cur]
-    path.reverse()
-    return path
+    for path, _ in breadth_first(expand, step_bound, eng.cap, "cut-sequence states"):
+        if path is not None:
+            yield path[-1][1], [s for s, _ in path]
 
 
 # ---------------------------------------------------------------------------

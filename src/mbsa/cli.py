@@ -74,22 +74,27 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Config supplies defaults; explicit flags win."""
+    """Config supplies defaults; explicit flags win.  A value is converted
+    like the flag's own argument."""
     if not getattr(args, "config", None):
         return
     config = _load_config(args.config)
+    actions = {a.dest: a for a in parser._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise InputError([Diagnostic(f"unknown config key {key!r}", filename=args.config)])
         if parser.get_default(dest) == getattr(args, dest):
-            default = parser.get_default(dest)
-            if isinstance(default, bool):
-                setattr(args, dest, value.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int) and default is not None:
-                setattr(args, dest, int(value))
-            else:
-                setattr(args, dest, value)
+            convert = actions[dest].type
+            if isinstance(parser.get_default(dest), bool):
+                value = value.lower() in ("1", "true", "yes")
+            elif convert is not None:
+                try:
+                    value = convert(value)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise InputError([Diagnostic(f"config key {key!r}: bad value {value!r} ({exc})",
+                                                 filename=args.config)]) from None
+            setattr(args, dest, value)
 
 
 def _load_extended(args):
@@ -292,6 +297,16 @@ def cmd_tfpg(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 
+def _card(text: str) -> int:
+    try:
+        card = int(text)
+    except ValueError:
+        card = 0
+    if card < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return card
+
+
 def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = True):
     sub.add_argument("--config", help="key = value configuration file; flags win")
     sub.add_argument("--model", default="", help="nominal model (.smx)")
@@ -303,7 +318,7 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = T
     if tle:
         sub.add_argument("--tle", default="", help="top-level event expression")
     if bounds:
-        sub.add_argument("--max-card", type=int, default=4, help="cut set cardinality bound")
+        sub.add_argument("--max-card", type=_card, default=4, help="cut set cardinality bound")
         sub.add_argument("--step-bound", type=int, default=0, help="step bound (0 = unbounded)")
 
 

@@ -18,6 +18,13 @@ successor function and a staged initial-state function:
 ``Engine.compile`` builds predicates of ``(state, next_state)`` from the same
 compiler.
 
+:func:`breadth_first` is the one search of the package.  It owns the
+frontier, the step bound, the parent map, the cap check and shortest-path
+reconstruction; a caller supplies only the children of a key.  Reachability
+searches states (``Engine.reach_tuples``), the cut-sequence search of
+:mod:`mbsa.analysis` (state, first-occurrence partition) pairs, and the TFPG
+product of :mod:`mbsa.tfpg.product` (state, abstract state) pairs.
+
 Iteration order is fixed (declaration order, canonical value order), so every
 result is reproducible bit for bit.  Models are immutable and engines only
 fill their caches with pure functions, so both are safe to share across
@@ -283,62 +290,72 @@ class Engine:
         ``state_filter`` restricts the explored state space (equivalent to
         conjoining an INVAR): states failing it are discarded everywhere.
         """
-        inits = self.init_tuples()
-        if state_filter is not None:
-            inits = [s for s in inits if state_filter(s)]
-        parents: dict[tuple, tuple | None] = {}
-        frontier: list[tuple] = []
-        for s in inits:
-            if s not in parents:
-                parents[s] = None
-                frontier.append(s)
-        for s in frontier:
-            if target_fn(s, None):
-                return [s]
-        depth = 0
-        while frontier:
-            if bound is not None and depth >= bound:
-                return None
-            depth += 1
-            nxt_frontier: list[tuple] = []
-            for s in frontier:
-                for t in self.succ_tuples(s):
-                    if t in parents:
-                        continue
-                    if state_filter is not None and not state_filter(t):
-                        continue
-                    if len(parents) >= self.cap:
-                        raise ResourceCapError(f"stored states exceed cap {self.cap}")
-                    parents[t] = s
-                    if target_fn(t, None):
-                        path = [t]
-                        cur = t
-                        while parents[cur] is not None:
-                            cur = parents[cur]
-                            path.append(cur)
-                        path.reverse()
-                        return path
-                    nxt_frontier.append(t)
-            frontier = nxt_frontier
-        return None
+
+        def expand(s):
+            states = self.init_tuples() if s is None else self.succ_tuples(s)
+            if state_filter is not None:
+                states = [t for t in states if state_filter(t)]
+            # a stored state is no target, so the first target is a new state
+            for i, t in enumerate(states):
+                if target_fn(t, None):
+                    return states[:i + 1], (t,)
+            return states, ()
+
+        path, _ = next(breadth_first(expand, bound, self.cap, "states"))
+        return path
 
     def reachable_tuples(self, bound: int | None = None) -> set[tuple]:
         """All states reachable within ``bound`` steps (all, when unbounded)."""
-        visited = set(self.init_tuples())
-        frontier = list(visited)
-        depth = 0
-        while frontier and (bound is None or depth < bound):
-            depth += 1
-            nxt_frontier = []
-            for s in frontier:
-                for t in self.succ_tuples(s):
-                    if t not in visited:
-                        if len(visited) >= self.cap:
-                            raise ResourceCapError(f"stored states exceed cap {self.cap}")
-                        visited.add(t)
-                        nxt_frontier.append(t)
-            frontier = nxt_frontier
-        return visited
+
+        def expand(s):
+            return self.init_tuples() if s is None else self.succ_tuples(s), ()
+
+        _, stored = next(breadth_first(expand, bound, self.cap, "states"))
+        return set(stored)
+
+
+def breadth_first(expand, bound: int | None, cap: int, what: str):
+    """The breadth-first search behind every analysis, over hashable keys.
+
+    The search starts at the root key None.  ``expand(key)`` returns
+    ``(children, stops)``: the keys one step after ``key``, in order (the
+    root's children are the initial keys, at depth 0), and the keys at which
+    a path ends.  Each child not yet stored is stored, with ``key`` as its
+    parent; storing more than ``cap`` keys raises
+    ``ResourceCapError("stored <what> exceed cap N")``.  Keys at depth
+    ``bound`` or deeper are not expanded; the root always is, so the initial
+    keys are stored under every bound, a negative one too.
+
+    After the children of ``key`` are stored, each stop yields
+    ``(path, stored)``: the shortest path of keys from depth 0 through
+    ``key`` to the stop, and the stored keys.  A stop need not be a child;
+    it is not stored.  The search goes on when resumed, and ends by yielding
+    ``(None, stored)``.
+    """
+    parents: dict = {}
+    frontier = [None]
+    depth = -1  # the root's
+    while frontier and (bound is None or depth < max(bound, 0)):
+        depth += 1
+        nxt = []
+        for key in frontier:
+            children, stops = expand(key)
+            for child in children:
+                if child in parents:
+                    continue
+                if len(parents) >= cap:
+                    raise ResourceCapError(f"stored {what} exceed cap {cap}")
+                parents[child] = key
+                nxt.append(child)
+            for stop in stops:
+                path = [stop]
+                k = key
+                while k is not None:
+                    path.append(k)
+                    k = parents[k]
+                yield path[::-1], parents.keys()
+        frontier = nxt
+    yield None, parents.keys()
 
 
 def _engine(tm: TypedModel, cap: int | None = None) -> Engine:

@@ -3,8 +3,10 @@
 Both explore the model in lockstep with a deterministic abstraction of what
 the binding has observed so far: the admission monitor's state for
 validation, the (acted, last burst) node masks for synthesis.  The search is
-breadth-first over (model state, abstract state id) pairs.  Everything that
-depends on only one half of a product state is computed once:
+:func:`mbsa.sts.engine.breadth_first`, the one search of every analysis,
+over (model state, abstract state id) keys; this module supplies the
+children of a key.  Everything that depends on only one half of a product
+state is computed once:
 
 * the successors of a model state, each paired with its observation;
 * the observation of a model state: the activation bitmask over the
@@ -16,8 +18,7 @@ depends on only one half of a product state is computed once:
 
 from __future__ import annotations
 
-from mbsa.diagnostics import ResourceCapError
-from mbsa.sts.engine import Engine
+from mbsa.sts.engine import Engine, breadth_first
 from mbsa.tfpg.activation import BindingEvaluator
 
 
@@ -60,36 +61,24 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
         hit = table[a][o] = (na, stop)
         return hit
 
-    # the key (None, 0) stands before the initial states: its successors
-    succ_memo = {None: [(s, observe(s)) for s in engine.init_tuples()]}
-    parents: dict[tuple, tuple] = {}
-    frontier = [(None, 0)]
-    cap = engine.cap
-    depth = -1  # the initial states are explored under every bound, a negative one too
-    while frontier and (step_bound is None or depth < max(step_bound, 0)):
-        depth += 1
-        nxt: list[tuple] = []
-        for key in frontier:
-            s, a = key
-            succs = succ_memo.get(s)
-            if succs is None:
-                succs = succ_memo[s] = [(t, obs_of[t] if t in obs_of else observe(t))
-                                        for t in engine.succ_tuples(s)]
-            row = table[a]
-            for t, o in succs:
-                na, stop = row.get(o) or move(a, o)
-                if stop is not None:
-                    path = [t]
-                    while key[0] is not None:
-                        path.append(key[0])
-                        key = parents[key]
-                    return path[::-1], len(parents) + 1
-                nkey = (t, na)
-                if nkey in parents:
-                    continue
-                if len(parents) >= cap:
-                    raise ResourceCapError(f"stored {what} states exceed cap {cap}")
-                parents[nkey] = key
-                nxt.append(nkey)
-        frontier = nxt
-    return None, len(parents)
+    succ_memo: dict[tuple | None, list[tuple[tuple, int]]] = {}
+
+    def expand(key):
+        s, a = key or (None, 0)  # the root is the start before the initial states
+        succs = succ_memo.get(s)
+        if succs is None:
+            states = engine.init_tuples() if s is None else engine.succ_tuples(s)
+            succs = succ_memo[s] = [(t, obs_of[t] if t in obs_of else observe(t)) for t in states]
+        row = table[a]
+        children = []
+        for t, o in succs:
+            na, stop = row.get(o) or move(a, o)
+            if stop is not None:
+                return children, ((t, na),)
+            children.append((t, na))
+        return children, ()
+
+    path, stored = next(breadth_first(expand, step_bound, engine.cap, f"{what} states"))
+    if path is None:
+        return None, len(stored)
+    return [s for s, _ in path], len(stored) + 1

@@ -4,8 +4,9 @@ Complete means every model trace (up to the step bound) abstracts to an
 activation trace the TFPG admits.  Instead of enumerating traces, validation
 runs a deterministic admission monitor in lockstep with the breadth-first
 product search of :mod:`mbsa.tfpg.product`: the monitor state per edge is a
-saturated elapsed counter plus sticky window/deadline flags, which is
-exactly the information the per-node admission conditions need.  The
+saturated elapsed counter plus a window-hit flag and a passed-deadline bit,
+which is exactly the information the per-node admission conditions need
+(counters never decrease, so a passed deadline stays passed).  The
 monitor step is a function of (monitor state, observation), so the search
 takes it once per distinct pair; the per-edge and per-node data it reads
 are precomputed as bits and tuples.  Every step is checked, a step back
@@ -62,8 +63,7 @@ class AdmissionMonitor:
     activation traces the TFPG does not admit.
     """
 
-    def __init__(self, tfpg: Tfpg, node_order: tuple[str, ...], reset_on_disable: bool = False):
-        self.reset = reset_on_disable
+    def __init__(self, tfpg: Tfpg, node_order: tuple[str, ...]):
         bit = {n: 1 << i for i, n in enumerate(node_order)}
         self.nodes = sum(bit[n] for n in tfpg.nodes)
         edges = sorted(tfpg.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0))
@@ -132,8 +132,6 @@ class AdmissionMonitor:
             c, hit = slot or (0, tmin == 0)
             if modes is None or mode in modes:
                 c += 1
-            elif self.reset:
-                c = 0
             if tmax is not None and c > tmax:
                 new_late |= ebit
                 c = tmax + 1
@@ -141,15 +139,14 @@ class AdmissionMonitor:
                 c = tmin if tmin > 0 else 1  # saturate: window open forever
             if c >= tmin and (tmax is None or c <= tmax):
                 hit = True
-            new_late |= late & ebit  # a passed deadline stays passed
             new_slots.append((c, hit))
         return (act, new_late, tuple(new_slots)), None
 
 
-def monitor_run(tfpg: Tfpg, at: ActivationTrace, reset_on_disable: bool = False) -> bool:
+def monitor_run(tfpg: Tfpg, at: ActivationTrace) -> bool:
     """Feed a whole activation trace through the monitor (test hook)."""
     node_order = tuple(sorted(tfpg.nodes))
-    mon = AdmissionMonitor(tfpg, node_order, reset_on_disable)
+    mon = AdmissionMonitor(tfpg, node_order)
     mstate = mon.initial()
     for step in range(at.length):
         mask = sum(1 << i for i, n in enumerate(node_order)

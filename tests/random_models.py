@@ -2,6 +2,7 @@
 
 import random
 
+from mbsa.cca import apply_cca, parse_cca
 from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.sts.check import type_check
 from mbsa.sts.parse import parse_expr_text, parse_model
@@ -51,6 +52,24 @@ def random_extended_model(rng: random.Random):
     tle = parse_expr_text(" | ".join(terms))
     xm.typed.check_expr(tle)
     return xm, tle
+
+
+def random_cca_model(rng: random.Random):
+    """``random_extended_model`` with one common cause woven over two of its
+    events: simultaneous, or cascading with random windows.  Returns
+    ``(xm, tle)``."""
+    xm, tle = random_extended_model(rng)
+    members = rng.sample(sorted(xm.events), 2)
+    if rng.random() < 0.5:
+        pattern = "simultaneous"
+    else:
+        windows = []
+        for m in members:
+            lo = rng.randint(0, 1)
+            windows.append(f"{m}: [{lo},{lo + rng.randint(0, 1)}]")
+        pattern = f"cascading({', '.join(windows)})"
+    spec = f"cc cause: members {{{', '.join(members)}}}, pattern {pattern}, prob 0.01;"
+    return apply_cca(xm, parse_cca(spec)), tle
 
 
 def random_typed_model(rng: random.Random):

@@ -12,8 +12,11 @@ FEI = str(FIXTURES / "battery_sensor.fei")
 TFPG = str(FIXTURES / "battery_sensor.tfpg")
 BIND = str(FIXTURES / "battery_sensor.bind")
 # ftprob artifacts recorded before the probability core became a BDD; tfpg
-# artifacts recorded before validation and synthesis shared one product search
+# artifacts recorded before validation and synthesis shared one product
+# search; mcs, ft --dynamic and fmea --dynamic artifacts recorded before
+# reachability and cut sequences shared one breadth-first search
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+PROPS = str(GOLDENS / "fixture.props")
 PAIR = ("--model", str(GOLDENS / "pair.smx"), "--fei", str(GOLDENS / "pair.fei"),
         "--cca", str(GOLDENS / "burst.cca"))
 
@@ -210,6 +213,38 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def _conf(tmp_path, *lines):
+    config = tmp_path / "run.conf"
+    config.write_text("\n".join((f"model = {MODEL}", f"fei = {FEI}", "tle = sys_dead",
+                                 f"out-dir = {tmp_path}", *lines)) + "\n")
+    return str(config)
+
+
+def test_config_values_take_the_flag_type(tmp_path, capsys):
+    # an int, not the string "100": the cap is exceeded, not compared with a str
+    assert run("mcs", "--config", _conf(tmp_path, "cap = 100")) == 3
+    assert "stored states exceed cap 100" in capsys.readouterr().err
+    assert run("mcs", "--config", _conf(tmp_path, "cap = 100000")) == 0
+    assert len((tmp_path / "mcs.tsv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("line", ["max-card = abc", "cap = 1e3", "max-card = 0"])
+def test_bad_config_value_exits_2(tmp_path, capsys, line):
+    config = _conf(tmp_path, line)
+    assert run("mcs", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(config + ":") and repr(line.split(" = ")[1]) in err
+
+
+@pytest.mark.parametrize("card", ["0", "-2", "two"])
+def test_max_card_below_one_exits_2(tmp_path, capsys, card):
+    with pytest.raises(SystemExit) as exc:
+        run("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--max-card", card,
+            "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert "argument --max-card: must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_cli_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -228,6 +263,23 @@ def test_cli_determinism(tmp_path):
 def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
     assert run("ftprob", *argv, "--out-dir", str(tmp_path)) == 0
     for name in ("ft_probabilities.tsv", "tle_probability.txt", "tle_probability.py", "tle_probability.m"):
+        assert (tmp_path / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("mcs_fixture", ("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--formats", "tsv,xml")),
+    ("mcs_burst", ("mcs", *PAIR, "--tle", "a & b", "--formats", "tsv,xml")),
+    ("ft_dynamic_fixture", ("ft", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--dynamic",
+                            "--formats", "xml,dot")),
+    ("ft_dynamic_burst", ("ft", *PAIR, "--tle", "a & b", "--dynamic", "--formats", "xml,dot")),
+    ("fmea_dynamic_fixture", ("fmea", "--model", MODEL, "--fei", FEI, "--props", PROPS, "--dynamic",
+                              "--formats", "tsv,xml")),
+])
+def test_search_artifacts_match_goldens(tmp_path, golden, argv):
+    assert run(*argv, "--out-dir", str(tmp_path)) == 0
+    expected = sorted(p.name for p in (GOLDENS / golden).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
 
 
@@ -271,3 +323,16 @@ def test_resource_cap_exits_3(tmp_path, capsys):
                "--cap", "10", "--out-dir", str(tmp_path))
     assert code == 3
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ft", "--tle", "sys_dead", "--dynamic"),
+    ("fmea", "--props", PROPS, "--dynamic"),
+])
+def test_cut_sequence_search_honours_cap(tmp_path, capsys, argv):
+    # the cut sets fit in 500 stored states; the cut sequences of
+    # {G1_Off, G2_Off} need more (state, partition) keys
+    m = ("--model", MODEL, "--fei", FEI, "--cap", "500", "--out-dir", str(tmp_path))
+    assert run("mcs", *m, "--tle", "sys_dead") == 0
+    assert run(*argv, *m) == 3
+    assert "resource cap exceeded: stored cut-sequence states exceed cap 500" in capsys.readouterr().err
