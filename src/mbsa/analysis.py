@@ -3,9 +3,12 @@
 Restricting an extended model so that "only the events in C may occur" is
 realized by filtering the state space with the registry's suppression
 predicates of all other events, which is equivalent to conjoining them as
-INVAR constraints.  ``compute_mcs`` prunes supersets of discovered cut sets;
-``brute_force_mcs`` enumerates every subset and is the reference oracle the
-test suite compares against.
+INVAR constraints.  The filter is a mask test: every suppression and
+occurrence predicate of the registry is compiled into one label function,
+evaluated once per distinct state into one int (a bank per engine and
+registry), and a state is dropped when its label meets the mask of the
+forbidden events.  ``compute_mcs`` prunes supersets of discovered cut sets;
+``brute_force_mcs`` enumerates every subset with no pruning.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from mbsa.sts.engine import Trace, _engine, breadth_first
-from mbsa.sts.model import Expr
+from mbsa.sts.model import Expr, UnOp
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
 
@@ -46,24 +49,56 @@ def _sorted_mcs(sets) -> list[frozenset[str]]:
     return sorted(sets, key=lambda c: (len(c), tuple(sorted(c))))
 
 
+class _Labels(dict):
+    """A label function memoized per distinct state: ``bank[s]``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, s):
+        label = self[s] = self.fn(s)
+        return label
+
+
 class Analyzer:
-    """Shared compiled machinery for cut-set queries on one extended model."""
+    """Shared compiled machinery for cut-set queries on one extended model.
+
+    ``labels[s]`` is the fault label of state ``s``.  With the events in
+    sorted-name order, bit k is set when the k-th event's suppression
+    predicate fails in ``s`` and bit ``len(events) + k`` when its occurrence
+    predicate holds.  The bank is shared by every analyzer of the same engine
+    and registry (a registry is not modified once built).
+    """
 
     def __init__(self, xm: ExtendedModel, cap: int | None = None):
         self.xm = xm
         self.engine = _engine(xm.typed, cap)
-        self.suppress_fns = {name: self.engine.compile(info.suppression) for name, info in xm.events.items()}
-        self.occur_fns = {name: self.engine.compile(info.occurrence) for name, info in xm.events.items()}
+        self.events = sorted(xm.events)
+        self.full = (1 << len(self.events)) - 1
+        banks = vars(self.engine).setdefault("_label_banks", {})
+        hit = banks.get(id(xm.events))
+        if hit is None or hit[0] is not xm.events:
+            infos = [xm.events[name] for name in self.events]
+            fn = self.engine.compile_mask([UnOp("!", i.suppression) for i in infos]
+                                          + [i.occurrence for i in infos])
+            # the entry keeps the registry alive: id() keys are only stable while it is
+            hit = banks[id(xm.events)] = (xm.events, _Labels(fn))
+        self.labels = hit[1]
 
-    def restriction_filter(self, allowed: frozenset[str]):
-        fns = [fn for name, fn in self.suppress_fns.items() if name not in allowed]
-        if not fns:
-            return None
-        return lambda s: all(fn(s, None) for fn in fns)
+    def mask(self, names) -> int:
+        """The bits of the registered events among ``names``."""
+        return sum(1 << k for k, name in enumerate(self.events) if name in names)
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """The sorted event names of the bits of ``mask``."""
+        return tuple(name for k, name in enumerate(self.events) if mask >> k & 1)
 
     def explains(self, allowed: frozenset[str], target_fn, step_bound: int | None):
         """Witness path (tuples) reaching the target when only ``allowed`` may occur."""
-        return self.engine.reach_tuples(target_fn, step_bound, self.restriction_filter(allowed))
+        return self.engine.reach_tuples(target_fn, step_bound, self.labels, self.full ^ self.mask(allowed))
 
 
 def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
@@ -81,7 +116,8 @@ def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
 
 def brute_force_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
                     step_bound: int | None = None, cap: int | None = None) -> CutSetResult:
-    """Reference oracle: exhaustive subset enumeration with no pruning."""
+    """Exhaustive subset enumeration with no pruning: a reference for the
+    pruning of ``compute_mcs``, not for the label bank both use."""
     return _mcs(xm, tle, max_card, step_bound, cap, prune=False)
 
 
@@ -148,19 +184,23 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
             continue
         orders: dict[tuple[str, ...], Trace] = {}
         for partition, path in _sequence_partitions(ana, base, target_fn, step_bound):
-            trace = Trace([ana.engine.to_dict(s) for s in path])
-            for order in _interleavings(partition):
-                orders.setdefault(order, trace)
+            # the first witness of an order is kept
+            new = [order for order in _interleavings(partition) if order not in orders]
+            if new:
+                trace = Trace([ana.engine.to_dict(s) for s in path])
+                orders.update(dict.fromkeys(new, trace))
         out.append(CutSequence(base, tuple(sorted(orders)), orders))
     return out
 
 
 def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bound: int | None):
-    """Search over (state, occurrence partition) keys; yields each partition
-    of first occurrences realized by a TLE witness, with one witness path."""
-    occ = [(name, ana.occur_fns[name]) for name in sorted(base)]
-    state_filter = ana.restriction_filter(base)
-    eng = ana.engine
+    """Search over (state, occurrence partition) keys, a partition being a
+    tuple of event masks; yields each partition of first occurrences realized
+    by a TLE witness, as sorted name tuples, with one witness path."""
+    labels, eng = ana.labels, ana.engine
+    want = ana.mask(base)
+    forbidden = ana.full ^ want
+    shift = len(ana.events)
     reported: set[tuple] = set()
 
     def expand(node):
@@ -168,25 +208,27 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bo
             states, part = eng.init_tuples(), ()
         else:
             states, part = eng.succ_tuples(node[0]), node[1]
-        done = frozenset(itertools.chain.from_iterable(part))
-        missing = len(base) - len(done)
+        missing = want
+        for group in part:
+            missing ^= group
         children, stops = [], []
         for t in states:
-            if state_filter is not None and not state_filter(t):
+            label = labels[t]
+            if label & forbidden:
                 continue
-            new = frozenset(name for name, fn in occ if fn(t, None)) - done
-            child = (t, part + (tuple(sorted(new)),) if new else part)
+            new = label >> shift & missing
+            child = (t, part + (new,) if new else part)
             children.append(child)
             # a stored key was tested when it was first a child: its
             # partition, if a witness one, is already reported
-            if len(new) == missing and child[1] not in reported and target_fn(t, None):
+            if new == missing and child[1] not in reported and target_fn(t, None):
                 reported.add(child[1])
                 stops.append(child)
         return children, stops
 
     for path, _ in breadth_first(expand, step_bound, eng.cap, "cut-sequence states"):
         if path is not None:
-            yield path[-1][1], [s for s, _ in path]
+            yield tuple(ana.names(g) for g in path[-1][1]), [s for s, _ in path]
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if dest not in actions or not hasattr(args, dest):
             raise InputError([Diagnostic(f"unknown config key {key!r}", filename=args.config)])
         if parser.get_default(dest) == getattr(args, dest):
-            convert = actions[dest].type
-            if isinstance(parser.get_default(dest), bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif convert is not None:
+            convert = _boolean if isinstance(parser.get_default(dest), bool) else actions[dest].type
+            if convert is not None:
                 try:
                     value = convert(value)
                 except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -297,14 +295,31 @@ def cmd_tfpg(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 
-def _card(text: str) -> int:
+def _at_least(low: int):
+    """The argparse type of an integer bound: anything but an integer >=
+    ``low`` is a usage error."""
+
+    def bound(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return value
+
+    return bound
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(text: str) -> bool:
+    """A config value for a switch, case-insensitive."""
     try:
-        card = int(text)
-    except ValueError:
-        card = 0
-    if card < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1")
-    return card
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError("expected 1, true, yes, 0, false or no") from None
 
 
 def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = True):
@@ -314,12 +329,12 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = T
     sub.add_argument("--fei", default="", help="fault extension instructions (.fei)")
     sub.add_argument("--cca", default="", help="common cause definitions (.cca)")
     sub.add_argument("--out-dir", default=".", help="artifact directory")
-    sub.add_argument("--cap", type=int, default=None, help="state cap (default 10^7)")
+    sub.add_argument("--cap", type=_at_least(1), default=None, help="state cap (default 10^7)")
     if tle:
         sub.add_argument("--tle", default="", help="top-level event expression")
     if bounds:
-        sub.add_argument("--max-card", type=_card, default=4, help="cut set cardinality bound")
-        sub.add_argument("--step-bound", type=int, default=0, help="step bound (0 = unbounded)")
+        sub.add_argument("--max-card", type=_at_least(1), default=4, help="cut set cardinality bound")
+        sub.add_argument("--step-bound", type=_at_least(0), default=0, help="step bound (0 = unbounded)")
 
 
 def build_parser() -> argparse.ArgumentParser:

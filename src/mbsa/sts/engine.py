@@ -16,7 +16,8 @@ successor function and a staged initial-state function:
 * each define is bound to a local once per evaluation context.
 
 ``Engine.compile`` builds predicates of ``(state, next_state)`` from the same
-compiler.
+compiler, and ``Engine.compile_mask`` one function that evaluates a vector of
+current-state predicates into the bits of one int.
 
 :func:`breadth_first` is the one search of the package.  It owns the
 frontier, the step bound, the parent map, the cap check and shortest-path
@@ -93,6 +94,22 @@ class Engine:
         fn = g.build()
         self._compile_cache[id(e)] = (e, fn)
         return fn
+
+    def compile_mask(self, preds: list[Expr]):
+        """Compile current-state predicates into one function of a state whose
+        result has bit k set iff ``preds[k]`` holds there; each define is
+        evaluated once per call."""
+        from mbsa.sts.codegen import STEP, Source
+
+        g = Source(self.tm, "def f(s):")
+        if self.nvars:
+            g.line("".join(f"c{i}, " for i in range(self.nvars)) + "= s")
+        g.line("m = 0")
+        for k, e in enumerate(preds):
+            text = g.expr(e, STEP)
+            g.line(f"if {text}: m |= {1 << k}")
+        g.line("return m")
+        return g.build()
 
     # -- functional-assignment extraction ------------------------------------
 
@@ -283,18 +300,20 @@ class Engine:
 
     # -- reachability -----------------------------------------------------------
 
-    def reach_tuples(self, target_fn, bound: int | None = None, state_filter=None):
+    def reach_tuples(self, target_fn, bound: int | None = None, labels=None, forbidden: int = 0):
         """Shortest witness (list of tuples) whose last state satisfies the
         target, or None.  ``bound`` limits the number of steps.
 
-        ``state_filter`` restricts the explored state space (equivalent to
-        conjoining an INVAR): states failing it are discarded everywhere.
+        ``labels[s]`` is an int label of state ``s``, and ``forbidden`` a mask
+        over labels that restricts the explored state space (equivalent to
+        conjoining an INVAR): a state whose label meets it is discarded
+        everywhere.
         """
 
         def expand(s):
             states = self.init_tuples() if s is None else self.succ_tuples(s)
-            if state_filter is not None:
-                states = [t for t in states if state_filter(t)]
+            if forbidden:
+                states = [t for t in states if not labels[t] & forbidden]
             # a stored state is no target, so the first target is a new state
             for i, t in enumerate(states):
                 if target_fn(t, None):

@@ -14,11 +14,14 @@ BIND = str(FIXTURES / "battery_sensor.bind")
 # ftprob artifacts recorded before the probability core became a BDD; tfpg
 # artifacts recorded before validation and synthesis shared one product
 # search; mcs, ft --dynamic and fmea --dynamic artifacts recorded before
-# reachability and cut sequences shared one breadth-first search
+# reachability and cut sequences shared one breadth-first search; static
+# fmea, ftprob --cca --dynamic and fmea --dynamic --cca artifacts recorded
+# before restrictions became mask tests over per-state fault labels
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 PROPS = str(GOLDENS / "fixture.props")
 PAIR = ("--model", str(GOLDENS / "pair.smx"), "--fei", str(GOLDENS / "pair.fei"),
         "--cca", str(GOLDENS / "burst.cca"))
+PAIR_PROPS = str(GOLDENS / "pair.props")
 
 
 def run(*argv):
@@ -228,12 +231,35 @@ def test_config_values_take_the_flag_type(tmp_path, capsys):
     assert len((tmp_path / "mcs.tsv").read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("line", ["max-card = abc", "cap = 1e3", "max-card = 0"])
+@pytest.mark.parametrize("line", ["max-card = abc", "cap = 1e3", "max-card = 0", "cap = 0",
+                                  "step-bound = -3"])
 def test_bad_config_value_exits_2(tmp_path, capsys, line):
     config = _conf(tmp_path, line)
     assert run("mcs", "--config", config) == 2
     err = capsys.readouterr().err
     assert err.startswith(config + ":") and repr(line.split(" = ")[1]) in err
+
+
+def _fmea_conf(tmp_path, dynamic):
+    config = tmp_path / "fmea.conf"
+    config.write_text(f"model = {MODEL}\nfei = {FEI}\nprops = {PROPS}\nout-dir = {tmp_path}\n"
+                      f"dynamic = {dynamic}\n")
+    return str(config)
+
+
+def test_misspelt_switch_in_config_exits_2(tmp_path, capsys):
+    # "ture" was read as false and the static table written
+    config = _fmea_conf(tmp_path, "ture")
+    assert run("fmea", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(config + ":") and "config key 'dynamic': bad value 'ture'" in err
+    assert not list(tmp_path.glob("*.tsv"))
+
+
+@pytest.mark.parametrize("value, dynamic", [("YES", True), ("1", True), ("False", False), ("no", False)])
+def test_switch_values_in_config(tmp_path, value, dynamic):
+    assert run("fmea", "--config", _fmea_conf(tmp_path, value)) == 0
+    assert (tmp_path / ("fmea_dynamic.tsv" if dynamic else "fmea.tsv")).is_file()
 
 
 @pytest.mark.parametrize("card", ["0", "-2", "two"])
@@ -243,6 +269,21 @@ def test_max_card_below_one_exits_2(tmp_path, capsys, card):
             "--out-dir", str(tmp_path))
     assert exc.value.code == 2
     assert "argument --max-card: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, value, low", [
+    (("mcs", "--tle", "sys_dead"), "--step-bound", "-3", 0),
+    (("tfpg", "check", "--tfpg", TFPG, "--bind", BIND), "--step-bound", "-2", 0),
+    (("mcs", "--tle", "sys_dead"), "--cap", "-1", 1),
+    (("fmea", "--props", PROPS), "--cap", "0", 1),
+], ids=["mcs-step-bound", "tfpg-check-step-bound", "mcs-cap", "fmea-cap"])
+def test_bounds_out_of_range_exit_2(tmp_path, capsys, argv, flag, value, low):
+    # a negative step bound ran unbounded and exited 0; a negative cap exited 3
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--model", MODEL, "--fei", FEI, flag, value, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= {low}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_determinism(tmp_path):
@@ -274,6 +315,9 @@ def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
     ("ft_dynamic_burst", ("ft", *PAIR, "--tle", "a & b", "--dynamic", "--formats", "xml,dot")),
     ("fmea_dynamic_fixture", ("fmea", "--model", MODEL, "--fei", FEI, "--props", PROPS, "--dynamic",
                               "--formats", "tsv,xml")),
+    ("fmea_fixture", ("fmea", "--model", MODEL, "--fei", FEI, "--props", PROPS, "--formats", "tsv,xml")),
+    ("ftprob_dynamic_burst", ("ftprob", *PAIR, "--tle", "a & b", "--dynamic")),
+    ("fmea_dynamic_burst", ("fmea", *PAIR, "--props", PAIR_PROPS, "--dynamic", "--formats", "tsv,xml")),
 ])
 def test_search_artifacts_match_goldens(tmp_path, golden, argv):
     assert run(*argv, "--out-dir", str(tmp_path)) == 0

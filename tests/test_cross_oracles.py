@@ -3,6 +3,8 @@
 Each test pits an optimized implementation against a naive one that is
 obviously faithful to the definitions: successor generation vs raw
 cross-product filtering, shortest witnesses vs a plain queue-based search,
+minimal cut sets and FMEA rows vs a search over every event subset, fault
+labels vs the predicates they stand for,
 cut-sequence orders vs every trace up to the bound, product-monitor
 validation vs per-trace admission over every trace, synthesis instances vs
 a plain search over node sets, and FMEA rows vs replayable witnesses.
@@ -14,7 +16,9 @@ import itertools
 import operator
 import random
 
-from mbsa.analysis import CutSetResult, compute_cut_sequences, witness
+from mbsa.analysis import Analyzer, CutSetResult, compute_cut_sequences, compute_mcs, witness
+from mbsa.cca import apply_cca, parse_cca
+from mbsa.faults import ExtendedModel
 from mbsa.fmea import generate_fmea
 from mbsa.sts.engine import Engine, Trace, reach, replay_ok
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
@@ -193,6 +197,120 @@ def test_shortest_witnesses_equal_naive_search():
                 assert got == _naive_reach(xm, tle, allowed, bound), (i, bound, allowed)
                 lengths[None if got is None else len(got)] += 1
     assert lengths[None] and lengths[1] and any(n and n >= 3 for n in lengths)
+
+
+def _naive_distance(xm, target, allowed):
+    """Steps of the shortest path to a target state under the restriction,
+    or None: the target is reachable within a bound b iff this is <= b."""
+    path = _naive_reach(xm, target, allowed, None)
+    return None if path is None else len(path) - 1
+
+
+def _naive_mcs(distance, events, max_card, bound):
+    """Minimal event sets of at most ``max_card`` events that reach the
+    target within ``bound``, by testing every subset."""
+    def reached(c):
+        return distance[c] is not None and (bound is None or distance[c] <= bound)
+
+    if reached(frozenset()):
+        return {frozenset()}
+    explaining = [frozenset(c) for k in range(1, max_card + 1)
+                  for c in itertools.combinations(events, k) if reached(frozenset(c))]
+    return {c for c in explaining if not any(o < c for o in explaining)}
+
+
+def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
+    # an oracle that shares nothing with the analyzer: its own evaluator and
+    # search, every subset tested; plain and common-cause models, step
+    # bounds 0-3 and unbounded, cardinality bounds 1-3
+    rng = random.Random(27)
+    models = [(redundant_pair, ["(a & b) | c", "a & b & c", "a"]), (latch_model, ["armed & y", "x", "y"])]
+    for i in range(12):
+        xm, tle = (random_cca_model if i % 2 else random_extended_model)(rng)
+        models.append((xm, [tle, "v0", "v1 & v2"]))
+    counts = collections.Counter()
+    for i, (xm, exprs) in enumerate(models):
+        events = sorted(xm.events)
+        max_card = 3 if i < 2 else 1 + i % 3
+        props = [(f"p{k}", checked_expr(xm, e) if isinstance(e, str) else e) for k, e in enumerate(exprs)]
+        subsets = [frozenset(c) for k in range(max_card + 1) for c in itertools.combinations(events, k)]
+        distance = {label: {c: _naive_distance(xm, expr, c) for c in subsets} for label, expr in props}
+        for bound in (0, 1, 2, 3, None):
+            naive = {label: _naive_mcs(distance[label], events, max_card, bound) for label, _ in props}
+            for label, expr in props:
+                result = compute_mcs(xm, expr, max_card, bound)
+                assert set(result.mcs) == naive[label], (i, bound, label)
+                assert result.nominal_warning == (naive[label] == {frozenset()})
+                counts.update(len(c) for c in naive[label])
+                counts["none"] += not naive[label]
+            rows = set()
+            for c in set().union(*naive.values()):
+                violated = [label for label, _ in props if distance[label][c] is not None
+                            and (bound is None or distance[label][c] <= bound)]
+                if violated:
+                    rows.add((c, tuple(violated)))
+            table = generate_fmea(xm, props, max_card, bound)
+            assert {(r.faults, r.violated) for r in table.rows} == rows, (i, bound)
+    # no cut set, the nominal warning, and cut sets of one to three events
+    assert all(counts[k] for k in ("none", 0, 1, 2, 3)), counts
+
+
+def _check_labels(xm):
+    """Every bit of the label bank on every reachable state, against the
+    predicates read off the syntax tree."""
+    ana = Analyzer(xm)
+    tm = xm.typed
+    events = sorted(xm.events)
+    n = len(events)
+    states = ana.engine.reachable_tuples()
+    for s in states:
+        label = ana.labels[s]
+        for k, name in enumerate(events):
+            info = xm.events[name]
+            assert bool(label >> k & 1) == (not _eval(tm, info.suppression, s)), (name, s)
+            assert bool(label >> n + k & 1) == bool(_eval(tm, info.occurrence, s)), (name, s)
+        assert label >> 2 * n == 0
+    return ana, states
+
+
+def test_label_bank_bits_equal_predicates():
+    rng = random.Random(29)
+    seen = collections.Counter()
+    for i in range(18):
+        if i % 3 == 0:
+            xm, _ = random_extended_model(rng)
+        elif i % 3 == 1:
+            xm, _ = random_cca_model(rng)
+        else:
+            xm, _, _ = random_stutter_model(rng)
+        ana, states = _check_labels(xm)
+        n = len(ana.events)
+        for s in states:
+            label = ana.labels[s]
+            seen["suppression fails"] += label & ana.full != 0
+            seen["occurs"] += label >> n != 0
+            seen["nominal"] += label == 0
+    assert all(seen[k] for k in ("suppression fails", "occurs", "nominal"))
+
+
+def test_cca_woven_registry_gets_its_own_bank():
+    rng = random.Random(31)
+    differs = 0
+    for _ in range(6):
+        xm, _ = random_extended_model(rng)
+        members = rng.sample(sorted(xm.events), 2)
+        woven = apply_cca(xm, parse_cca(f"cc cause: members {{{', '.join(members)}}}, "
+                                        "pattern simultaneous, prob 0.01;"))
+        assert Analyzer(xm).labels is Analyzer(xm, None).labels
+        assert Analyzer(woven).labels is not Analyzer(xm).labels
+        # the woven model under the registry before weaving: the same engine,
+        # a registry whose members' suppressions lack the cause's allowance
+        unwoven = ExtendedModel(woven.typed, {**woven.events, **{m: xm.events[m] for m in members}})
+        ana, states = _check_labels(unwoven)
+        woven_ana, _ = _check_labels(woven)
+        assert ana.engine is woven_ana.engine and ana.labels is not woven_ana.labels
+        differs += any(ana.labels[s] != woven_ana.labels[s] for s in states)
+    assert differs
 
 
 def _naive_orders(xm, tle, base, bound):
