@@ -5,10 +5,10 @@ realized by filtering the state space with the registry's suppression
 predicates of all other events, which is equivalent to conjoining them as
 INVAR constraints.  The filter is a mask test: every suppression and
 occurrence predicate of the registry is compiled into one label function,
-evaluated once per distinct state into one int (a bank per engine and
-registry), and a state is dropped when its label meets the mask of the
-forbidden events.  ``compute_mcs`` prunes supersets of discovered cut sets;
-``brute_force_mcs`` enumerates every subset with no pruning.
+evaluated once per distinct state into one int (a ``Labels`` bank per
+engine and registry), and a state is dropped when its label meets the mask
+of the forbidden events.  ``compute_mcs`` prunes supersets of discovered
+cut sets; ``brute_force_mcs`` enumerates every subset with no pruning.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
-from mbsa.sts.engine import Trace, _engine, breadth_first
+from mbsa.sts.engine import Labels, Trace, _engine, breadth_first
 from mbsa.sts.model import Expr, UnOp
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
@@ -49,20 +49,6 @@ def _sorted_mcs(sets) -> list[frozenset[str]]:
     return sorted(sets, key=lambda c: (len(c), tuple(sorted(c))))
 
 
-class _Labels(dict):
-    """A label function memoized per distinct state: ``bank[s]``."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, s):
-        label = self[s] = self.fn(s)
-        return label
-
-
 class Analyzer:
     """Shared compiled machinery for cut-set queries on one extended model.
 
@@ -85,7 +71,7 @@ class Analyzer:
             fn = self.engine.compile_mask([UnOp("!", i.suppression) for i in infos]
                                           + [i.occurrence for i in infos])
             # the entry keeps the registry alive: id() keys are only stable while it is
-            hit = banks[id(xm.events)] = (xm.events, _Labels(fn))
+            hit = banks[id(xm.events)] = (xm.events, Labels(fn))
         self.labels = hit[1]
 
     def mask(self, names) -> int:
@@ -126,7 +112,7 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
     if max_card < 1:
         raise ValueError("max_card must be >= 1")
     ana = Analyzer(xm, cap)
-    target_fn = ana.engine.compile(xm.typed.check_expr(tle))
+    target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
     events = sorted(xm.events)
 
     if ana.explains(frozenset(), target_fn, step_bound) is not None:
@@ -153,7 +139,7 @@ def witness(xm: ExtendedModel, events: frozenset[str], tle: Expr,
             step_bound: int | None = None, cap: int | None = None) -> Trace | None:
     """A replayable trace reaching the TLE with only ``events`` occurring."""
     ana = Analyzer(xm, cap)
-    target_fn = ana.engine.compile(xm.typed.check_expr(tle))
+    target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
     path = ana.explains(events, target_fn, step_bound)
     if path is None:
         return None
@@ -176,7 +162,7 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
     """For each cut set, the total orders realizable as first-occurrence orders
     of some witness trace (with only that cut set's events allowed)."""
     ana = Analyzer(xm, cap)
-    target_fn = ana.engine.compile(xm.typed.check_expr(tle))
+    target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
     out: list[CutSequence] = []
     for base in result.mcs:
         if not base:
@@ -221,7 +207,7 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bo
             children.append(child)
             # a stored key was tested when it was first a child: its
             # partition, if a witness one, is already reported
-            if new == missing and child[1] not in reported and target_fn(t, None):
+            if new == missing and child[1] not in reported and target_fn(t):
                 reported.add(child[1])
                 stops.append(child)
         return children, stops

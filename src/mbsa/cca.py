@@ -78,16 +78,14 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
     out: list[CommonCauseSpec] = []
     seen: set[str] = set()
     while ts.cur.kind != "eof":
-        if not (ts.cur.kind == "ident" and ts.cur.text == "cc"):
-            ts.fail(f"expected 'cc', found {ts.cur.text!r}")
-        ts.advance()
+        ts.expect_word("cc")
         id_tok = ts.expect_ident("common cause id")
         if id_tok.text in seen:
             raise CcaError([Diagnostic(f"duplicate common cause id {id_tok.text!r}",
                                        id_tok.line, id_tok.col, filename=filename)])
         seen.add(id_tok.text)
         ts.expect(":")
-        _word(ts, "members")
+        ts.expect_word("members")
         ts.expect("{")
         members = [ts.expect_ident("member event").text]
         while ts.accept(","):
@@ -100,7 +98,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
             raise CcaError([Diagnostic(f"common cause {id_tok.text!r} needs at least 2 members",
                                        id_tok.line, id_tok.col, filename=filename)])
         ts.expect(",")
-        _word(ts, "pattern")
+        ts.expect_word("pattern")
         if ts.cur.kind == "ident" and ts.cur.text == "simultaneous":
             ts.advance()
             pattern: Simultaneous | Cascading = Simultaneous()
@@ -137,7 +135,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         else:
             ts.fail(f"expected 'simultaneous' or 'cascading', found {ts.cur.text!r}")
         ts.expect(",")
-        _word(ts, "prob")
+        ts.expect_word("prob")
         p_tok = ts.cur
         if p_tok.kind not in ("num", "real"):
             ts.fail(f"expected probability literal, found {p_tok.text!r}")
@@ -149,12 +147,6 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         ts.expect(";")
         out.append(CommonCauseSpec(id_tok.text, frozenset(members), pattern, prob))
     return out
-
-
-def _word(ts: TokenStream, word: str):
-    if not (ts.cur.kind == "ident" and ts.cur.text == word):
-        ts.fail(f"expected {word!r}, found {ts.cur.text!r}")
-    ts.advance()
 
 
 # ---------------------------------------------------------------------------

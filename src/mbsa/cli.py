@@ -114,7 +114,7 @@ def _parse_tle(args, xm):
     if not args.tle:
         raise InputError([Diagnostic("a top-level event is required (--tle)")])
     expr = parse_expr_text(args.tle, "<tle>")
-    xm.typed.check_expr(expr, filename="<tle>")
+    xm.typed.check_predicate(expr, filename="<tle>")
     return expr
 
 
@@ -238,7 +238,7 @@ def cmd_fmea(args) -> int:
         label, _, rest = line.partition(":")
         expr_text = rest.strip().rstrip(";")
         expr = parse_expr_text(expr_text, args.props)
-        xm.typed.check_expr(expr, filename=args.props)
+        xm.typed.check_predicate(expr, filename=args.props)
         properties.append((label.strip(), expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea
     table = gen(xm, properties, args.max_card, _step_bound(args), args.cap)

@@ -115,9 +115,6 @@ class ExtendedModel:
     def model(self) -> SymbolicModel:
         return self.typed.model
 
-    def event_names(self) -> list[str]:
-        return list(self.events)
-
 
 # ---------------------------------------------------------------------------
 # Built-in library
@@ -252,20 +249,17 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
     out: list[ExtensionInstruction] = []
     seen: set[str] = set()
     while ts.cur.kind != "eof":
-        kw = ts.cur
-        if not (kw.kind == "ident" and kw.text == "fault"):
-            ts.fail(f"expected 'fault', found {kw.text!r}")
-        ts.advance()
+        ts.expect_word("fault")
         ev = ts.expect_ident("event name")
         if ev.text in seen:
             raise FaultDefinitionError([Diagnostic(
                 f"duplicate event name {ev.text!r}", ev.line, ev.col, filename=filename)])
         seen.add(ev.text)
         ts.expect(":")
-        _expect_word(ts, "target")
+        ts.expect_word("target")
         target = ts.expect_ident("target name").text
         ts.expect(",")
-        _expect_word(ts, "template")
+        ts.expect_word("template")
         template = ts.expect_ident("template name").text
         args: list[Expr] = []
         if ts.accept("("):
@@ -275,10 +269,10 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
                     args.append(parse_expr(ts))
             ts.expect(")")
         ts.expect(",")
-        _expect_word(ts, "dynamics")
+        ts.expect_word("dynamics")
         dynamics = ts.expect_ident("dynamics name").text
         ts.expect(",")
-        _expect_word(ts, "prob")
+        ts.expect_word("prob")
         prob_tok = ts.cur
         if prob_tok.kind not in ("num", "real"):
             ts.fail(f"expected probability literal, found {prob_tok.text!r}")
@@ -290,12 +284,6 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
         ts.expect(";")
         out.append(ExtensionInstruction(ev.text, target, template, tuple(args), dynamics, prob))
     return out
-
-
-def _expect_word(ts: TokenStream, word: str):
-    if not (ts.cur.kind == "ident" and ts.cur.text == word):
-        ts.fail(f"expected {word!r}, found {ts.cur.text!r}")
-    ts.advance()
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def generate_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]], max_car
         result = compute_mcs(xm, expr, max_card, step_bound, cap)
         candidates.update(result.mcs)
     ana = Analyzer(xm, cap)
-    target_fns = [(label, ana.engine.compile(xm.typed.check_expr(expr))) for label, expr in properties]
+    target_fns = [(label, ana.engine.compile(xm.typed.check_predicate(expr))) for label, expr in properties]
     rows = []
     for cand in candidates:
         violated = tuple(sorted(label for label, fn in target_fns

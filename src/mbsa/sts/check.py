@@ -66,15 +66,23 @@ class TypedModel:
     def var_names(self) -> list[str]:
         return self.model.var_names()
 
-    def check_expr(self, expr: Expr, *, allow_next: bool = False, filename: str = "<expr>") -> Expr:
-        """Type-check an expression against this model's symbols; returns it annotated."""
+    def check_expr(self, expr: Expr, *, filename: str = "<expr>") -> Expr:
+        """Type-check a current-state expression against this model's
+        symbols; returns it annotated."""
         checker = _Checker(self, filename)
-        checker.infer(expr, allow_next=allow_next)
+        checker.infer(expr, allow_next=False)
         checker.raise_if_failed()
         return expr
 
-    def expr_type(self, expr: Expr):
-        return expr.ty
+    def check_predicate(self, expr: Expr, *, filename: str = "<expr>") -> Expr:
+        """``check_expr`` for a state predicate (a top-level event, an FMEA
+        property, a node activation or a mode): the expression must be
+        boolean."""
+        self.check_expr(expr, filename=filename)
+        if not isinstance(expr.ty, BoolType):
+            raise TypeError_([Diagnostic(f"predicate must be boolean, got {expr.ty}",
+                                         expr.line, expr.col, filename=filename)])
+        return expr
 
 
 class _Checker:

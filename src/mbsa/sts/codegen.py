@@ -37,7 +37,7 @@ _BINOPS = {
 # reference by variable index, and the prefix of the locals defines bind to.
 STEP = ("c{}", "n{}", "d")      # TRANS: current = the source state, next = the state being built
 STATE = ("n{}", None, "e")      # INIT and INVAR: current = the state being built
-PRED = ("s[{}]", "t[{}]", "d")  # Engine.compile: f(s, t) over whole tuples
+PRED = ("s[{}]", None, "d")     # Engine.compile: f(s) over a whole tuple
 
 # CPython allows 20 statically nested blocks per function; deeper loop nests
 # continue in a fresh function

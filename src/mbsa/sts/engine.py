@@ -15,9 +15,13 @@ successor function and a staged initial-state function:
   with partitioned transition relations", 1991);
 * each define is bound to a local once per evaluation context.
 
-``Engine.compile`` builds predicates of ``(state, next_state)`` from the same
-compiler, and ``Engine.compile_mask`` one function that evaluates a vector of
-current-state predicates into the bits of one int.
+``Engine.compile`` builds a function of one state from the same compiler,
+and ``Engine.compile_mask`` one function that evaluates a vector of
+current-state predicates into the bits of one int, a state's label; both are
+compiled once per engine and expression.  :class:`Labels` memoizes a label
+function per distinct state.  It is the one per-state memo of predicate
+vectors, behind the fault labels of :mod:`mbsa.analysis` and the binding
+labels of :mod:`mbsa.tfpg.product`.
 
 :func:`breadth_first` is the one search of the package.  It owns the
 frontier, the step bound, the parent map, the cap check and shortest-path
@@ -57,6 +61,20 @@ class Trace:
         return self.states[i]
 
 
+class Labels(dict):
+    """A label function memoized per distinct state: ``labels[s]``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, s):
+        label = self[s] = self.fn(s)
+        return label
+
+
 class Engine:
     """Compiled evaluator and enumerator for one typed model."""
 
@@ -64,7 +82,8 @@ class Engine:
         self.tm = tm
         self.cap = cap
         self.nvars = len(tm.var_types)
-        self._compile_cache: dict[int, object] = {}
+        # id(expr) -> (expr, function); a tuple of ids -> (exprs, mask function)
+        self._compile_cache: dict[int | tuple, tuple] = {}
         self._succ_fn = None
         self._init_fn = None
 
@@ -80,15 +99,15 @@ class Engine:
     # -- compilation --------------------------------------------------------
 
     def compile(self, e: Expr):
-        """Compile an expression to a function of (state, next_state)."""
-        # the cache entry keeps the node alive: id() keys are only stable
-        # while the object is
+        """Compile a current-state expression to a function of a state."""
+        # a cache entry keeps its nodes alive: id() keys are only stable
+        # while the objects are
         hit = self._compile_cache.get(id(e))
-        if hit is not None and hit[0] is e:
+        if hit is not None:
             return hit[1]
         from mbsa.sts.codegen import PRED, Source  # on first use: see _generate
 
-        g = Source(self.tm, "def f(s, t):")
+        g = Source(self.tm, "def f(s):")
         text = g.expr(e, PRED)
         g.line(f"return {text}")
         fn = g.build()
@@ -98,7 +117,12 @@ class Engine:
     def compile_mask(self, preds: list[Expr]):
         """Compile current-state predicates into one function of a state whose
         result has bit k set iff ``preds[k]`` holds there; each define is
-        evaluated once per call."""
+        evaluated once per call.  The same predicate objects get the same
+        function."""
+        key = tuple(map(id, preds))
+        hit = self._compile_cache.get(key)
+        if hit is not None:
+            return hit[1]
         from mbsa.sts.codegen import STEP, Source
 
         g = Source(self.tm, "def f(s):")
@@ -109,7 +133,9 @@ class Engine:
             text = g.expr(e, STEP)
             g.line(f"if {text}: m |= {1 << k}")
         g.line("return m")
-        return g.build()
+        fn = g.build()
+        self._compile_cache[key] = (tuple(preds), fn)
+        return fn
 
     # -- functional-assignment extraction ------------------------------------
 
@@ -316,7 +342,7 @@ class Engine:
                 states = [t for t in states if not labels[t] & forbidden]
             # a stored state is no target, so the first target is a new state
             for i, t in enumerate(states):
-                if target_fn(t, None):
+                if target_fn(t):
                     return states[:i + 1], (t,)
             return states, ()
 

@@ -67,16 +67,6 @@ def type_values(ty: TypeSpec) -> tuple:
     raise TypeError(f"not a variable type: {ty}")
 
 
-def value_in_type(value, ty: TypeSpec) -> bool:
-    if isinstance(ty, BoolType):
-        return isinstance(value, bool)
-    if isinstance(ty, EnumType):
-        return isinstance(value, str) and value in ty.literals
-    if isinstance(ty, IntRangeType):
-        return isinstance(value, int) and not isinstance(value, bool) and ty.lo <= value <= ty.hi
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -149,15 +139,6 @@ def conjuncts(e: Expr) -> list[Expr]:
     if isinstance(e, BinOp) and e.op == "&":
         return conjuncts(e.left) + conjuncts(e.right)
     return [e]
-
-
-def conjoin(es: list[Expr]) -> Expr:
-    if not es:
-        return BoolConst(True)
-    out = es[0]
-    for e in es[1:]:
-        out = BinOp("&", out, e)
-    return out
 
 
 def walk(e: Expr):

@@ -112,6 +112,12 @@ class TokenStream:
             self.fail(f"expected {text!r}, found {self.cur.text!r}")
         return self.advance()
 
+    def expect_word(self, word: str) -> Token:
+        """A keyword of a definition language, lexed as an identifier."""
+        if not (self.cur.kind == "ident" and self.cur.text == word):
+            self.fail(f"expected {word!r}, found {self.cur.text!r}")
+        return self.advance()
+
     def expect_ident(self, what: str = "identifier") -> Token:
         if self.cur.kind != "ident":
             self.fail(f"expected {what}, found {self.cur.text!r}")

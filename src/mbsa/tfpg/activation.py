@@ -3,8 +3,11 @@
 A binding maps every TFPG node to a boolean activation predicate over an
 extended model (failure nodes to fault-event occurrence predicates) and every
 mode literal to a predicate; the mode predicates must be mutually exclusive
-and exhaustive on reachable states.  An activation trace abstracts a model
-trace to first-activation times plus the active mode per step.
+and exhaustive on reachable states.  ``BindingEvaluator`` compiles all of
+them into one label function of a state (``Engine.compile_mask``, as the
+fault labels of :mod:`mbsa.analysis` are), and decodes a label into an
+activation mask and a mode.  An activation trace abstracts a model trace to
+first-activation times plus the active mode per step.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def parse_binding(text: str, xm: ExtendedModel, filename: str = "<bind>") -> Nod
                 binding.failure_events[node.text] = ev.text
             else:
                 expr = parse_expr(ts)
-                xm.typed.check_expr(expr, filename=filename)
+                xm.typed.check_predicate(expr, filename=filename)
                 binding.kinds[node.text] = word
                 binding.activations[node.text] = expr
             ts.expect(";")
@@ -83,7 +86,7 @@ def parse_binding(text: str, xm: ExtendedModel, filename: str = "<bind>") -> Nod
             lit = ts.expect_ident("mode literal")
             ts.expect(":")
             expr = parse_expr(ts)
-            xm.typed.check_expr(expr, filename=filename)
+            xm.typed.check_predicate(expr, filename=filename)
             if lit.text in binding.mode_exprs:
                 raise BindingError([Diagnostic(f"duplicate mode binding {lit.text!r}",
                                                lit.line, lit.col, filename=filename)])
@@ -111,23 +114,35 @@ def check_binding_total(tfpg: Tfpg, binding: NodeBinding) -> None:
 
 
 class BindingEvaluator:
-    """Compiled activation/mode predicates over one extended model."""
+    """A binding's predicates over one extended model, compiled into one
+    label function.
+
+    Bit i of a state's label is the activation of ``node_order[i]``, and bit
+    ``len(node_order) + k`` the predicate of the k-th mode literal, in
+    declaration order.
+    """
 
     def __init__(self, xm: ExtendedModel, binding: NodeBinding, engine: Engine | None = None):
-        self.binding = binding
         self.engine = engine if engine is not None else _engine(xm.typed)
         self.node_order = tuple(sorted(binding.kinds))
-        self._act_fns = [(n, self.engine.compile(binding.activations[n])) for n in self.node_order]
-        self._mode_fns = [(m, self.engine.compile(e)) for m, e in binding.mode_exprs.items()]
+        self.modes = binding.mode_literals()
+        self._label = self.engine.compile_mask([binding.activations[n] for n in self.node_order]
+                                               + list(binding.mode_exprs.values()))
 
-    def observe(self, state: tuple) -> tuple[tuple[bool, ...], str]:
-        """(activation bits in node_order, active mode literal) for a state."""
-        bits = tuple(bool(fn(state, None)) for _, fn in self._act_fns)
-        active = [m for m, fn in self._mode_fns if fn(state, None)]
-        if len(active) != 1:
+    def observe(self, state: tuple) -> int:
+        """The label of a state, in which exactly one mode bit must be set."""
+        label = self._label(state)
+        held = label >> len(self.node_order)
+        if held.bit_count() != 1:
+            active = [m for k, m in enumerate(self.modes) if held >> k & 1]
             raise MbsaError(
                 f"mode predicates must hold for exactly one literal per state; got {active!r}")
-        return bits, active[0]
+        return label
+
+    def decode(self, label: int) -> tuple[int, str]:
+        """(activation mask over node_order, active mode literal) of a label."""
+        n = len(self.node_order)
+        return label & ((1 << n) - 1), self.modes[(label >> n).bit_length() - 1]
 
 
 def activation_trace_of(trace: Trace, binding: NodeBinding, xm: ExtendedModel) -> ActivationTrace:
@@ -136,10 +151,9 @@ def activation_trace_of(trace: Trace, binding: NodeBinding, xm: ExtendedModel) -
     times: dict[str, int | None] = {n: None for n in binding.kinds}
     modes: list[str] = []
     for step, state_dict in enumerate(trace.states):
-        state = ev.engine.to_tuple(state_dict)
-        bits, mode = ev.observe(state)
+        mask, mode = ev.decode(ev.observe(ev.engine.to_tuple(state_dict)))
         modes.append(mode)
-        for n, bit in zip(ev.node_order, bits):
-            if bit and times[n] is None:
+        for i, n in enumerate(ev.node_order):
+            if mask >> i & 1 and times[n] is None:
                 times[n] = step
     return ActivationTrace(len(trace.states), times, tuple(modes))

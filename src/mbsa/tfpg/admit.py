@@ -2,17 +2,17 @@
 
 Execution semantics.  An edge (u, v) becomes pending when u first activates;
 its elapsed counter advances exactly in steps whose active mode is in the
-edge's mode set (pausing, or resetting, while disabled -- pausing is the
-default).  The edge may fire at any step where the counter lies inside
-[tmin, tmax]; firing itself is not mode-gated.  With a finite tmax the edge
-must have fired before its counter exceeds tmax.  An OR discrepancy activates
-at its earliest incoming firing; an AND discrepancy activates at its latest
-incoming firing, once every incoming edge has fired and every source has
-activated (a source that never fails keeps the AND inactive).  Obligations of
-edges into an already-activated destination are discharged (their firings are
-absorbed).  A trace is admitted iff some per-edge assignment of firing steps
-reproduces the given first-activation times exactly; inconsistencies are
-reported against the earliest offending step.
+edge's mode set, and pauses in the others.  The edge may fire at any step
+where the counter lies inside [tmin, tmax]; firing itself is not mode-gated.
+With a finite tmax the edge must have fired before its counter exceeds tmax.
+An OR discrepancy activates at its earliest incoming firing; an AND
+discrepancy activates at its latest incoming firing, once every incoming
+edge has fired and every source has activated (a source that never fails
+keeps the AND inactive).  Obligations of edges into an already-activated
+destination are discharged (their firings are absorbed).  A trace is
+admitted iff some per-edge assignment of firing steps reproduces the given
+first-activation times exactly; inconsistencies are reported against the
+earliest offending step.
 
 ``admits`` decides this analytically per destination node; the search over
 explicit firing assignments (``admits_by_search``) is the module's reference
@@ -52,15 +52,12 @@ class _EdgeView:
     deadline: int | None  # first step where the counter exceeds tmax (forced if set)
 
 
-def _edge_view(e: TfpgEdge, t_src: int, at: ActivationTrace, reset_on_disable: bool) -> _EdgeView:
+def _edge_view(e: TfpgEdge, t_src: int, at: ActivationTrace) -> _EdgeView:
     counters = [0]
     c = 0
     for s in range(t_src, at.length):
-        enabled = e.modes is None or at.modes[s] in e.modes
-        if enabled:
+        if e.modes is None or at.modes[s] in e.modes:
             c += 1
-        elif reset_on_disable:
-            c = 0
         counters.append(c)
     fire = []
     deadline = None
@@ -85,7 +82,7 @@ def _classify_blocked(view: _EdgeView, t: int) -> str:
     return "too-early"
 
 
-def admits(tfpg: Tfpg, at: ActivationTrace, reset_on_disable: bool = False) -> AdmitResult:
+def admits(tfpg: Tfpg, at: ActivationTrace) -> AdmitResult:
     """Yes iff some firing-delay assignment reproduces the activation trace."""
     unknown = set(at.modes) - set(tfpg.modes)
     if unknown:
@@ -100,7 +97,7 @@ def admits(tfpg: Tfpg, at: ActivationTrace, reset_on_disable: bool = False) -> A
         for e in incoming:
             t_src = at.times.get(e.src)
             if t_src is not None:
-                views[e] = _edge_view(e, t_src, at, reset_on_disable)
+                views[e] = _edge_view(e, t_src, at)
 
         if kind == "or":
             v = _check_or(node, t_v, incoming, views)
@@ -163,7 +160,7 @@ def _check_and(node: str, t_v: int | None, incoming, views) -> tuple[int, str, s
 # ---------------------------------------------------------------------------
 # Reference semantics: explicit search over firing assignments
 
-def admits_by_search(tfpg: Tfpg, at: ActivationTrace, reset_on_disable: bool = False) -> bool:
+def admits_by_search(tfpg: Tfpg, at: ActivationTrace) -> bool:
     """Exhaustive enumeration of per-edge firing steps (desk-scale only)."""
     unknown = set(at.modes) - set(tfpg.modes)
     if unknown:
@@ -176,7 +173,7 @@ def admits_by_search(tfpg: Tfpg, at: ActivationTrace, reset_on_disable: bool = F
         for e in incoming:
             t_src = at.times.get(e.src)
             if t_src is not None:
-                views.append(_edge_view(e, t_src, at, reset_on_disable))
+                views.append(_edge_view(e, t_src, at))
         if kind == "or" and t_v is not None:
             views = [v for v in views if v.t_src <= t_v]  # later edges are absorbed
         if not _node_consistent(kind, t_v, len(incoming), views):

@@ -8,17 +8,18 @@ over (model state, abstract state id) keys; this module supplies the
 children of a key.  Everything that depends on only one half of a product
 state is computed once:
 
-* the successors of a model state, each paired with its observation;
-* the observation of a model state: the activation bitmask over the
-  binding's node order (bit i is ``BindingEvaluator.node_order[i]``) and the
-  active mode;
-* the abstract step, one table entry per (abstract id, observation): on the
-  fixture at step bound 60, 9,560 entries serve check's 26,651 transitions.
+* the successors of a model state, each paired with its label;
+* the label of a model state (``BindingEvaluator.observe``: activation bits
+  over the binding's node order, then mode bits), memoized per state in a
+  :class:`mbsa.sts.engine.Labels` bank, the memo of the fault labels too;
+* the abstract step, one table entry per (abstract id, label), the label
+  decoded once per entry: on the fixture at step bound 60, 9,560 entries
+  serve check's 26,651 transitions.
 """
 
 from __future__ import annotations
 
-from mbsa.sts.engine import Engine, breadth_first
+from mbsa.sts.engine import Engine, Labels, breadth_first
 from mbsa.tfpg.activation import BindingEvaluator
 
 
@@ -36,29 +37,18 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     stopping one included.  Storing more than the engine's cap raises
     ``ResourceCapError("stored <what> states exceed cap N")``.
     """
-    obs_of: dict[tuple, int] = {}  # model state -> observation id
-    obs_ids: dict[tuple[int, str], int] = {}
-    observations: list[tuple[int, str]] = []  # id -> (activation mask, mode)
-
-    def observe(s: tuple) -> int:
-        bits, mode = ev.observe(s)
-        key = (sum(1 << i for i, b in enumerate(bits) if b), mode)
-        o = obs_of[s] = obs_ids.setdefault(key, len(observations))
-        if o == len(observations):
-            observations.append(key)
-        return o
-
+    labels = Labels(ev.observe)
     abstract = [start]
     abstract_ids = {start: 0}
-    table: list[dict[int, tuple[int, object]]] = [{}]  # abstract id -> observation -> (id, stop)
+    table: list[dict[int, tuple[int, object]]] = [{}]  # abstract id -> label -> (id, stop)
 
-    def move(a: int, o: int) -> tuple[int, object]:
-        nstate, stop = step(abstract[a], *observations[o])
+    def move(a: int, label: int) -> tuple[int, object]:
+        nstate, stop = step(abstract[a], *ev.decode(label))
         na = abstract_ids.setdefault(nstate, len(abstract))
         if na == len(abstract):
             abstract.append(nstate)
             table.append({})
-        hit = table[a][o] = (na, stop)
+        hit = table[a][label] = (na, stop)
         return hit
 
     succ_memo: dict[tuple | None, list[tuple[tuple, int]]] = {}
@@ -68,11 +58,11 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
         succs = succ_memo.get(s)
         if succs is None:
             states = engine.init_tuples() if s is None else engine.succ_tuples(s)
-            succs = succ_memo[s] = [(t, obs_of[t] if t in obs_of else observe(t)) for t in states]
+            succs = succ_memo[s] = [(t, labels[t]) for t in states]
         row = table[a]
         children = []
-        for t, o in succs:
-            na, stop = row.get(o) or move(a, o)
+        for t, label in succs:
+            na, stop = row.get(label) or move(a, label)
             if stop is not None:
                 return children, ((t, na),)
             children.append((t, na))

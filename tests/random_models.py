@@ -30,7 +30,7 @@ def random_extended_model(rng: random.Random):
         elif style < 0.8:
             other = rng.choice([m for m in names if m != n])
             op = rng.choice(["&", "|"])
-            lines.append(f"TRANS next({n}) = {n} {op} {other};")
+            lines.append(f"TRANS next({n}) = ({n} {op} {other});")
         # otherwise free: unconstrained next value
     model = type_check(parse_model("\n".join(lines) + "\n"))
 
@@ -142,7 +142,7 @@ def random_stutter_model(rng: random.Random):
     for n in names:
         lines.append(f"INIT {rng.choice([n, '!' + n])};")
         other = rng.choice([m for m in names if m != n])
-        lines.append(rng.choice([f"TRANS next({n}) = {n};", f"TRANS next({n}) = {n} | {other};"]))
+        lines.append(rng.choice([f"TRANS next({n}) = {n};", f"TRANS next({n}) = ({n} | {other});"]))
     model = type_check(parse_model("\n".join(lines) + "\n"))
     fei = [f"fault e{i}: target {rng.choice(names)}, template "
            f"{rng.choice(['stuck_at(TRUE)', 'stuck_at(FALSE)', 'inverted'])}, "

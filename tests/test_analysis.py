@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from mbsa.analysis import (
+    CutSetResult,
     brute_force_mcs,
     compute_cut_sequences,
     compute_mcs,
@@ -10,9 +11,31 @@ from mbsa.analysis import (
     cutsets_to_xml,
     witness,
 )
+from mbsa.fmea import generate_fmea
+from mbsa.sts.check import TypeError_
 from mbsa.sts.engine import replay_ok
+from mbsa.sts.parse import parse_expr_text
+from mbsa.tfpg import parse_binding
 
 from conftest import GOLDEN_MCS, build_extended, checked_expr
+
+
+def test_library_rejects_a_non_boolean_predicate(battery_sensor):
+    # the checks of the CLI hold on the library path too
+    xm = battery_sensor
+    level = parse_expr_text("b1 - 12")
+    calls = [
+        lambda: compute_mcs(xm, level, 2),
+        lambda: witness(xm, frozenset({"G1_Off"}), level),
+        lambda: compute_cut_sequences(xm, level, CutSetResult(level, [frozenset({"G1_Off"})], 2, None, False)),
+        lambda: generate_fmea(xm, [("lvl", level)], 1),
+        lambda: parse_binding("mode P : b1 - 12;", xm, "g.bind"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError_) as exc:
+            call()
+        assert "predicate must be boolean, got integer" in str(exc.value)
+    assert "g.bind:1:13:" in str(exc.value)
 
 
 def test_redundant_pair_mcs(redundant_pair):

@@ -113,7 +113,7 @@ def test_cascading_window_exact(pair):
     suppress = [eng.compile(info.suppression) for name, info in xm.events.items() if name != "casc"]
     seen_cc = False
     for s in eng.reachable_tuples():
-        if not all(fn(s, None) for fn in suppress):
+        if not all(fn(s) for fn in suppress):
             continue
         if s[cc_i]:
             seen_cc = True

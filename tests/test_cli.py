@@ -170,6 +170,59 @@ def test_tfpg_check_catches_violation_while_model_stutters(tmp_path, capsys):
         "2\tFalse\tfaulty\n3\tFalse\tfaulty\n")
 
 
+def _edited_bind(tmp_path, old, new):
+    """The fixture binding with one line replaced."""
+    text = Path(BIND).read_text()
+    assert old in text
+    path = tmp_path / "edited.bind"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def _non_boolean(tmp_path, kind):
+    """A run whose predicate of ``kind`` is an integer, and where its
+    diagnostic points."""
+    m = ("--model", MODEL, "--fei", FEI)
+    out = ("--out-dir", str(tmp_path))
+    if kind in ("b1 - 12", "b1"):
+        return ("mcs", *m, "--tle", kind, *out), "<tle>:1:4:" if kind == "b1 - 12" else "<tle>:1:1:"
+    if kind == "property":
+        props = tmp_path / "p.props"
+        props.write_text("dead : sys_dead;\nlvl : b1 - 12;\n")
+        return ("fmea", *m, "--props", str(props), *out), f"{props}:1:4:"
+    if kind == "activation":
+        bind = _edited_bind(tmp_path, "or B1_LOW : b1 <= 5;", "or B1_LOW : b1;")
+        return ("tfpg", "check", *m, "--tfpg", TFPG, "--bind", bind, *out), f"{bind}:8:13:"
+    bind = _edited_bind(tmp_path, "mode S1 : mode = S1;", "mode S1 : b2;")
+    return ("tfpg", "synth", *m, "--bind", bind, "--outfile", str(tmp_path / "s.tfpg")), f"{bind}:16:11:"
+
+
+@pytest.mark.parametrize("kind", ["b1 - 12", "b1", "property", "activation", "mode"])
+def test_non_boolean_predicate_exits_2(tmp_path, capsys, kind):
+    # an integer used to be read by its truthiness: a cut set, a nominal
+    # warning, an FMEA row or a TFPG verdict for a predicate that is none
+    argv, where = _non_boolean(tmp_path, kind)
+    assert run(*argv) == 2
+    assert f"{where} error: predicate must be boolean, got " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tsv")) and not list(tmp_path.glob("*.t*fpg*"))
+
+
+@pytest.mark.parametrize("command", ["check", "synth"])
+@pytest.mark.parametrize("old, new, held", [
+    ("mode S1 : mode = S1;", "mode S1 : mode != S2;", "['P', 'S1']"),  # overlapping
+    ("mode S2 : mode = S2;", "mode S2 : mode = S2 & gen1;", "[]"),  # a reachable state has none
+])
+def test_mode_binding_not_exactly_one_exits_2(tmp_path, capsys, command, old, new, held):
+    bind = _edited_bind(tmp_path, old, new)
+    argv = {"check": ("--tfpg", TFPG, "--out-dir", str(tmp_path)),
+            "synth": ("--outfile", str(tmp_path / "s.tfpg"))}[command]
+    assert run("tfpg", command, "--model", MODEL, "--fei", FEI, "--bind", bind,
+               "--step-bound", "60", *argv) == 2
+    assert capsys.readouterr().err == (
+        f"mode predicates must hold for exactly one literal per state; got {held}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["edited.bind"]
+
+
 def test_tfpg_convert_round_trip(tmp_path):
     xml = tmp_path / "g.xml"
     back = tmp_path / "g.tfpg"

@@ -4,7 +4,7 @@ Each test pits an optimized implementation against a naive one that is
 obviously faithful to the definitions: successor generation vs raw
 cross-product filtering, shortest witnesses vs a plain queue-based search,
 minimal cut sets and FMEA rows vs a search over every event subset, fault
-labels vs the predicates they stand for,
+and binding labels vs the predicates they stand for,
 cut-sequence orders vs every trace up to the bound, product-monitor
 validation vs per-trace admission over every trace, synthesis instances vs
 a plain search over node sets, and FMEA rows vs replayable witnesses.
@@ -273,6 +273,23 @@ def _check_labels(xm):
     return ana, states
 
 
+def _check_observations(xm, binding):
+    """Every bit of the binding's label, and its decoding, on every reachable
+    state, against the predicates read off the syntax tree; returns the
+    decoded labels."""
+    ev = BindingEvaluator(xm, binding)
+    tm = xm.typed
+    decoded = set()
+    for s in ev.engine.reachable_tuples():
+        label = ev.observe(s)
+        acts = [bool(_eval(tm, binding.activations[n], s)) for n in ev.node_order]
+        modes = [bool(_eval(tm, e, s)) for e in binding.mode_exprs.values()]
+        assert label == sum(1 << k for k, b in enumerate(acts + modes) if b), s
+        assert ev.decode(label) == (sum(1 << k for k, b in enumerate(acts) if b), ev.modes[modes.index(True)])
+        decoded.add(ev.decode(label))
+    return decoded
+
+
 def test_label_bank_bits_equal_predicates():
     rng = random.Random(29)
     seen = collections.Counter()
@@ -282,15 +299,20 @@ def test_label_bank_bits_equal_predicates():
         elif i % 3 == 1:
             xm, _ = random_cca_model(rng)
         else:
-            xm, _, _ = random_stutter_model(rng)
+            xm, _, binding = random_stutter_model(rng)
+        if i % 3 != 2:
+            _, binding = _random_binding_and_graph(xm, rng)
         ana, states = _check_labels(xm)
+        for mask, mode in _check_observations(xm, binding):
+            seen["activates"] += mask != 0
+            seen["second mode"] += mode != binding.mode_literals()[0]
         n = len(ana.events)
         for s in states:
             label = ana.labels[s]
             seen["suppression fails"] += label & ana.full != 0
             seen["occurs"] += label >> n != 0
             seen["nominal"] += label == 0
-    assert all(seen[k] for k in ("suppression fails", "occurs", "nominal"))
+    assert all(seen[k] for k in ("suppression fails", "occurs", "nominal", "activates", "second mode"))
 
 
 def test_cca_woven_registry_gets_its_own_bank():
@@ -438,19 +460,21 @@ def test_validation_verdict_equals_per_trace_admission_on_stuttering_models():
 
 def _naive_instances(xm, binding, step_bound):
     """Synthesis instances by breadth-first search over (state, activated
-    set, last burst) with frozensets, observing every transition anew."""
+    set, last burst) with frozensets, each state observed by reading the
+    binding's predicates off the syntax tree."""
     engine = Engine(xm.typed)
-    ev = BindingEvaluator(xm, binding, engine)
-    instances = {n: set() for n in ev.node_order}
+    tm = xm.typed
+    instances = {n: set() for n in binding.kinds}
 
     def record(newly, acted, last, mode):
         for v in newly:
             if binding.kinds[v] != "failure":
                 instances[v].add((frozenset((acted | newly) - {v}), frozenset(newly - {v}), last, mode))
 
+    @functools.cache
     def now(s):
-        bits, mode = ev.observe(s)
-        return frozenset(n for n, b in zip(ev.node_order, bits) if b), mode
+        (mode,) = [m for m, e in binding.mode_exprs.items() if _eval(tm, e, s)]
+        return frozenset(n for n, e in binding.activations.items() if _eval(tm, e, s)), mode
 
     visited = set()
     frontier = []

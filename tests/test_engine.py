@@ -88,7 +88,7 @@ TRANS next(x) = (fast ? (x + 2 > 7 ? 7 : x + 2) : (x + 1 > 7 ? 7 : x + 1));
     layer = set(eng.init_tuples())
     depth = 0
     tgt = eng.compile(target)
-    while not any(tgt(s, None) for s in layer):
+    while not any(tgt(s) for s in layer):
         layer = {t for s in layer for t in eng.succ_tuples(s)}
         depth += 1
     assert len(witness) == depth + 1
@@ -170,7 +170,7 @@ INVAR d39 >= 0;
     assert eng.succ_tuples((1,)) == [(0,)]
     assert eng.succ_tuples((0,)) == [(1,)]
     assert time.process_time() - start < 1.0
-    assert d39((1,), None) == 2 ** 39 and d39((0,), None) == 0
+    assert d39((1,)) == 2 ** 39 and d39((0,)) == 0
 
 
 def test_identifiers_that_look_like_generated_locals():

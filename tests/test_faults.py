@@ -167,10 +167,10 @@ def test_stuck_at_permanence():
             if (state, was_faulty) in seen:
                 continue
             seen.add((state, was_faulty))
-            faulty = occ(state, None)
+            faulty = occ(state)
             assert not (was_faulty and not faulty), "permanent fault recovered"
             if faulty:
-                assert s_val(state, None) is False
+                assert s_val(state) is False
             for t in eng.succ_tuples(state):
                 stack.append((t, faulty))
 
@@ -181,8 +181,8 @@ def test_transient_never_two_consecutive_faulty_steps():
     eng = Engine(xm.typed)
     occ = eng.compile(xm.events["glitch"].occurrence)
     for s in eng.reachable_tuples():
-        if occ(s, None):
-            assert all(not occ(t, None) for t in eng.succ_tuples(s))
+        if occ(s):
+            assert all(not occ(t) for t in eng.succ_tuples(s))
 
 
 def test_random_template_reaches_both_values():
@@ -203,10 +203,10 @@ def test_conditional_template():
     k_i = xm.typed.var_index["k"]
     s_nom = xm.typed.var_index["s#nominal"]
     for state in eng.reachable_tuples():
-        if occ(state, None) and state[k_i] == 0:
-            assert s_val(state, None) is False
+        if occ(state) and state[k_i] == 0:
+            assert s_val(state) is False
         elif state[k_i] != 0:
-            assert s_val(state, None) == state[s_nom]  # guard false: nominal passes through
+            assert s_val(state) == state[s_nom]  # guard false: nominal passes through
 
 
 def test_ramp_down_saturates_at_lower_bound():
@@ -223,12 +223,12 @@ def test_ramp_down_saturates_at_lower_bound():
     # walk one maximal faulty path: the observed level decreases by the step
     # size each faulty step and pins at the type's lower bound
     state = eng.init_tuples()[0]
-    seen_levels = [level(state, None)]
+    seen_levels = [level(state)]
     for _ in range(6):
-        nxt = [t for t in eng.succ_tuples(state) if occ(t, None)]
+        nxt = [t for t in eng.succ_tuples(state) if occ(t)]
         assert nxt
         state = max(nxt, key=lambda t: t[drop_i])
-        seen_levels.append(level(state, None))
+        seen_levels.append(level(state))
     assert seen_levels == [6, 4, 2, 0, 0, 0, 0]
 
 
@@ -241,10 +241,10 @@ def test_composition_order_later_wraps_earlier():
     occ1 = eng.compile(xm.events["first"].occurrence)
     occ2 = eng.compile(xm.events["second"].occurrence)
     for state in eng.reachable_tuples():
-        if occ2(state, None):
-            assert s_val(state, None) is False  # the later wrap wins
-        elif occ1(state, None):
-            assert s_val(state, None) is True
+        if occ2(state):
+            assert s_val(state) is False  # the later wrap wins
+        elif occ1(state):
+            assert s_val(state) is True
 
 
 def test_extension_serializes_to_model_language():

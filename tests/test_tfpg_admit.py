@@ -98,16 +98,15 @@ def test_counter_pauses_while_disabled():
     assert admits_by_search(g, at)
 
 
-def test_counter_reset_semantics_optional():
+def test_counter_keeps_its_count_across_a_disabled_gap():
     g = Tfpg(("A", "B"), {"F": "failure", "D": "or"},
              (TfpgEdge("F", "D", 2, 2, frozenset({"A"})),))
-    # enabled steps at 0, 3, 4; the disabled gap separates step 0 from the rest
+    # enabled steps at 0, 3, 4; the disabled gap pauses the counter, it does
+    # not clear what step 0 counted
     at5 = ActivationTrace(6, {"F": 0, "D": 5}, ("A", "B", "B", "A", "A", "B"))
-    assert not admits(at=at5, tfpg=g).ok  # pause: c(5) = 3 already past the window
-    assert admits(g, at5, reset_on_disable=True).ok  # reset: gap cleared step 0, c(5) = 2
+    assert not admits(at=at5, tfpg=g).ok  # c(5) = 3 already past the window
     at4 = ActivationTrace(6, {"F": 0, "D": 4}, ("A", "B", "B", "A", "A", "B"))
-    assert admits(g, at4).ok  # pause: c(4) = 2
-    assert not admits(g, at4, reset_on_disable=True).ok  # reset: c(4) = 1
+    assert admits(g, at4).ok  # c(4) = 2
 
 
 def test_interval_widening_never_flips_yes_to_no():
