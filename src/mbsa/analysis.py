@@ -1,14 +1,14 @@
 """Minimal cut sets and cut sequences for a top-level event.
 
-Restricting an extended model so that "only the events in C may occur" is
-realized by filtering the state space with the registry's suppression
-predicates of all other events, which is equivalent to conjoining them as
-INVAR constraints.  The filter is a mask test: every suppression and
-occurrence predicate of the registry is compiled into one label function,
-evaluated once per distinct state into one int (a ``Labels`` bank per
-engine and registry), and a state is dropped when its label meets the mask
-of the forbidden events.  ``compute_mcs`` prunes supersets of discovered
-cut sets; ``brute_force_mcs`` enumerates every subset with no pruning.
+Restricting an extended model so that "only the events in C may occur"
+conjoins the registry's suppression predicates of all other events as INVAR
+constraints.  The analyzer's engine carries them as guards, and a search
+passes the mask of the forbidden events, so a forbidden fault branch is
+pruned where it is chosen.  First occurrences, read only by the cut-sequence
+search, are a label: the registry's occurrence predicates compiled into one
+function, memoized per distinct state in a ``Labels`` bank.  ``compute_mcs``
+prunes supersets of discovered cut sets; ``brute_force_mcs`` enumerates every
+subset with no pruning.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from mbsa.sts.engine import Labels, Trace, _engine, breadth_first
-from mbsa.sts.model import Expr, UnOp
+from mbsa.sts.model import Expr
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
 
@@ -52,27 +52,21 @@ def _sorted_mcs(sets) -> list[frozenset[str]]:
 class Analyzer:
     """Shared compiled machinery for cut-set queries on one extended model.
 
-    ``labels[s]`` is the fault label of state ``s``.  With the events in
-    sorted-name order, bit k is set when the k-th event's suppression
-    predicate fails in ``s`` and bit ``len(events) + k`` when its occurrence
-    predicate holds.  The bank is shared by every analyzer of the same engine
-    and registry (a registry is not modified once built).
+    With the events in sorted-name order, guard k of ``engine`` is the k-th
+    event's suppression predicate, and bit k of ``labels[s]`` is set when its
+    occurrence predicate holds in state ``s``.  The engine and the bank are
+    shared by every analyzer of the same model, cap and registry (a registry
+    is not modified once built).
     """
 
     def __init__(self, xm: ExtendedModel, cap: int | None = None):
         self.xm = xm
-        self.engine = _engine(xm.typed, cap)
         self.events = sorted(xm.events)
         self.full = (1 << len(self.events)) - 1
-        banks = vars(self.engine).setdefault("_label_banks", {})
-        hit = banks.get(id(xm.events))
-        if hit is None or hit[0] is not xm.events:
-            infos = [xm.events[name] for name in self.events]
-            fn = self.engine.compile_mask([UnOp("!", i.suppression) for i in infos]
-                                          + [i.occurrence for i in infos])
-            # the entry keeps the registry alive: id() keys are only stable while it is
-            hit = banks[id(xm.events)] = (xm.events, Labels(fn))
-        self.labels = hit[1]
+        infos = [xm.events[name] for name in self.events]
+        self.engine = _engine(xm.typed, cap, [i.suppression for i in infos])
+        fn = self.engine.compile_mask([i.occurrence for i in infos])
+        self.labels = vars(self.engine).setdefault("_label_banks", {}).setdefault(fn, Labels(fn))
 
     def mask(self, names) -> int:
         """The bits of the registered events among ``names``."""
@@ -84,7 +78,7 @@ class Analyzer:
 
     def explains(self, allowed: frozenset[str], target_fn, step_bound: int | None):
         """Witness path (tuples) reaching the target when only ``allowed`` may occur."""
-        return self.engine.reach_tuples(target_fn, step_bound, self.labels, self.full ^ self.mask(allowed))
+        return self.engine.reach_tuples(target_fn, step_bound, self.full ^ self.mask(allowed))
 
 
 def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
@@ -186,23 +180,19 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bo
     labels, eng = ana.labels, ana.engine
     want = ana.mask(base)
     forbidden = ana.full ^ want
-    shift = len(ana.events)
     reported: set[tuple] = set()
 
     def expand(node):
         if node is None:
-            states, part = eng.init_tuples(), ()
+            states, part = eng.init_tuples(forbidden), ()
         else:
-            states, part = eng.succ_tuples(node[0]), node[1]
+            states, part = eng.succ_tuples(node[0], forbidden), node[1]
         missing = want
         for group in part:
             missing ^= group
         children, stops = [], []
         for t in states:
-            label = labels[t]
-            if label & forbidden:
-                continue
-            new = label >> shift & missing
+            new = labels[t] & missing
             child = (t, part + (new,) if new else part)
             children.append(child)
             # a stored key was tested when it was first a child: its

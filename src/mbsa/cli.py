@@ -6,7 +6,7 @@ convert, or synthesize timed failure propagation graphs.  Identical inputs
 and options produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 negative analysis verdict (an incomplete TFPG),
-2 usage or input error, 3 resource cap exceeded.
+2 usage, input or file-system error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def _registry_json(xm) -> str:
 
 def _formats(args, allowed: tuple[str, ...]) -> list[str]:
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    if not formats:
+        raise InputError([Diagnostic(f"no format given (expected one or more of {', '.join(allowed)})")])
     for f in formats:
         if f not in allowed:
             raise InputError([Diagnostic(f"unknown format {f!r} (expected one of {', '.join(allowed)})")])
@@ -171,13 +173,14 @@ def cmd_extend(args) -> int:
 
 
 def cmd_mcs(args) -> int:
+    formats = _formats(args, ("tsv", "xml"))
     xm, _ = _load_extended(args)
     tle = _parse_tle(args, xm)
     result = compute_mcs(xm, tle, args.max_card, _step_bound(args), args.cap)
     if result.nominal_warning:
         print("warning: top-level event is reachable with no faults", file=sys.stderr)
     out = _out_dir(args)
-    for fmt in _formats(args, ("tsv", "xml")):
+    for fmt in formats:
         text = cutsets_to_tsv(result) if fmt == "tsv" else cutsets_to_xml(result)
         _write(out / f"mcs.{fmt}", text)
     return EXIT_OK
@@ -194,11 +197,12 @@ def _build_tree(args, xm):
 
 
 def cmd_ft(args) -> int:
+    formats = _formats(args, ("xml", "tsv", "dot"))
     xm, _ = _load_extended(args)
     ft = _build_tree(args, xm)
     out = _out_dir(args)
     ext = {"xml": "ftx", "tsv": "fttsv", "dot": "dot"}
-    for fmt in _formats(args, ("xml", "tsv", "dot")):
+    for fmt in formats:
         _write(out / f"ft.{ext[fmt]}", export_ft(ft, fmt, with_probabilities=args.with_probabilities))
     return EXIT_OK
 
@@ -225,6 +229,7 @@ def cmd_ftprob(args) -> int:
 
 
 def cmd_fmea(args) -> int:
+    formats = _formats(args, ("xml", "tsv"))
     xm, _ = _load_extended(args)
     if not args.props:
         raise InputError([Diagnostic("a property file is required (--props)")])
@@ -235,16 +240,21 @@ def cmd_fmea(args) -> int:
             continue
         if ":" not in line:
             raise InputError([Diagnostic("expected 'label : expression;'", lineno, filename=args.props)])
-        label, _, rest = line.partition(":")
-        expr_text = rest.strip().rstrip(";")
-        expr = parse_expr_text(expr_text, args.props)
+        colon = raw.index(":")
+        label = raw[:colon].strip()
+        if label in dict(properties) or not label:
+            problem = f"duplicate property label {label!r}" if label else "empty property label"
+            raise InputError([Diagnostic(problem, lineno, len(raw) - len(raw.lstrip()) + 1, filename=args.props)])
+        # the expression is parsed where it stands in the file, so its
+        # diagnostics give their real line and column
+        expr = parse_expr_text(raw[colon + 1:].rstrip().rstrip(";"), args.props, lineno, colon + 2)
         xm.typed.check_predicate(expr, filename=args.props)
-        properties.append((label.strip(), expr))
+        properties.append((label, expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea
     table = gen(xm, properties, args.max_card, _step_bound(args), args.cap)
     out = _out_dir(args)
     suffix = "fmea_dynamic" if args.dynamic else "fmea"
-    for fmt in _formats(args, ("xml", "tsv")):
+    for fmt in formats:
         _write(out / f"{suffix}.{fmt}", export_fmea(table, fmt))
     return EXIT_OK
 
@@ -410,6 +420,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except MbsaError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # an input read or an artifact written: the path is the position
+        print(Diagnostic(exc.strerror or str(exc), filename=str(exc.filename or "<input>")), file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -6,7 +6,8 @@ built, ``dK`` / ``eK`` define ``K`` over one or the other.  The source holds
 only these names, Python operators and ``repr`` literals, never a user
 identifier.  A define is bound to a local once per evaluation context,
 before its first use, so nested defines give linear rather than exponential
-text.
+text.  A gated check prunes only while its bit of the mask ``r`` is set, a
+parameter of ``f`` that every continuation receives.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class Source:
         self.bind(f"n{i}", text)
         self.line(f"if {_out_of_type(f'n{i}', ty)}: {prune}")
 
-    def check(self, e: Expr, ctx, prune: str):
+    def check(self, e: Expr, ctx, prune: str, gate: int = 0):
         text = self.expr(e, ctx, _NOT)
-        self.line(f"if not {text}: {prune}")
+        self.line(f"if {f'r & {gate} and ' if gate else ''}not {text}: {prune}")
 
     def loop(self, i: int, domain: tuple):
         """Bind next-state variable ``i`` to each value of ``domain`` in turn."""

@@ -15,6 +15,12 @@ successor function and a staged initial-state function:
   with partitioned transition relations", 1991);
 * each define is bound to a local once per evaluation context.
 
+Guards are current-state predicates switched on per call: bit k of the
+``forbidden`` mask of ``init_tuples``, ``succ_tuples`` and ``reach_tuples``
+conjoins guard k as an INVAR, staged like one behind a test of that bit, so
+a forbidden branch is cut at its loop level.  The cut-set restriction of
+:mod:`mbsa.analysis` is one guard per event, its suppression predicate.
+
 ``Engine.compile`` builds a function of one state from the same compiler,
 and ``Engine.compile_mask`` one function that evaluates a vector of
 current-state predicates into the bits of one int, a state's label; both are
@@ -78,9 +84,10 @@ class Labels(dict):
 class Engine:
     """Compiled evaluator and enumerator for one typed model."""
 
-    def __init__(self, tm: TypedModel, cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, tm: TypedModel, cap: int = DEFAULT_STATE_CAP, guards: tuple[Expr, ...] = ()):
         self.tm = tm
         self.cap = cap
+        self.guards = tuple(guards)
         self.nvars = len(tm.var_types)
         # id(expr) -> (expr, function); a tuple of ids -> (exprs, mask function)
         self._compile_cache: dict[int | tuple, tuple] = {}
@@ -238,8 +245,8 @@ class Engine:
     # -- enumeration ----------------------------------------------------------
 
     def _generate(self, succ: bool):
-        """Build the staged enumerator: ``f(s)`` lists the successors of ``s``
-        when ``succ``, else ``f()`` lists the initial states."""
+        """Build the staged enumerator: ``f(s, r)`` lists the successors of
+        ``s`` when ``succ``, else ``f(r)`` the initial states, under mask ``r``."""
         # imported here, not at the top: every mbsa process imports this
         # module, and the ones that never explore then skip compiling codegen
         from mbsa.sts.codegen import STATE, STEP, Source
@@ -247,10 +254,11 @@ class Engine:
         tm = self.tm
         if succ:
             assigns, actx = self._trans_assign, STEP
-            checks = [(c, STEP) for c in self._trans_checks] + [(c, STATE) for c in tm.model.invar]
+            checks = [(c, STEP, 0) for c in self._trans_checks] + [(c, STATE, 0) for c in tm.model.invar]
         else:
             assigns, actx = self._init_assign, STATE
-            checks = [(c, STATE) for c in [*self._init_checks, *tm.model.invar]]
+            checks = [(c, STATE, 0) for c in [*self._init_checks, *tm.model.invar]]
+        checks += [(c, STATE, 1 << k) for k, c in enumerate(self.guards)]
         assigned = {i for i, _, _ in assigns}
         free = [i for i in range(self.nvars) if i not in assigned]
         size = 1
@@ -273,9 +281,9 @@ class Engine:
         for i, rhs, ty in assigns:
             level[i] = level_of(rhs, actx)
             stages[level[i]][0].append((i, rhs, ty))
-        for e, ctx in checks:
-            stages[level_of(e, ctx)][2].append((e, ctx))
-        g = Source(tm, "def f(s):" if succ else "def f():")
+        for e, ctx, gate in checks:
+            stages[level_of(e, ctx)][2].append((e, ctx, gate))
+        g = Source(tm, "def f(s, r):" if succ else "def f(r):")
         # every define in use is bound once per context, at its own level
         for name, ctx in sorted(used, key=lambda d: (g.define_ids[d[0]], d[1][2])):
             stages[level_of(tm.defines[name], ctx)][1].append((name, ctx))
@@ -284,6 +292,7 @@ class Engine:
             cur = [f"c{i}" for i in range(self.nvars)]
             g.line(f"{', '.join(cur)}, = s")
             g.names.extend(cur)
+        g.names.append("r")
         for lv, (asg, defs, chks) in enumerate(stages):
             if lv:
                 g.loop(free[lv - 1], tm.domains[free[lv - 1]])
@@ -292,8 +301,8 @@ class Engine:
                 g.assign(i, rhs, actx, ty, prune)
             for name, ctx in defs:
                 g.define(name, ctx)
-            for e, ctx in chks:
-                g.check(e, ctx, prune)
+            for e, ctx, gate in chks:
+                g.check(e, ctx, prune, gate)
             if not lv and free:
                 g.line("out = []")
         state = "(" + "".join(f"n{i}, " for i in range(self.nvars)) + ")"
@@ -304,17 +313,17 @@ class Engine:
             g.line(f"return [{state}]")
         return g.build()
 
-    def init_tuples(self) -> list[tuple]:
-        """The states satisfying INIT and INVAR, in canonical order."""
+    def init_tuples(self, forbidden: int = 0) -> list[tuple]:
+        """The states satisfying INIT, INVAR and the guards in ``forbidden``, in canonical order."""
         if self._init_fn is None:
             self._init_fn = self._generate(succ=False)
-        return self._init_fn()
+        return self._init_fn(forbidden)
 
-    def succ_tuples(self, s: tuple) -> list[tuple]:
-        """The successors of ``s`` under TRANS and INVAR, in canonical order."""
+    def succ_tuples(self, s: tuple, forbidden: int = 0) -> list[tuple]:
+        """The successors of ``s`` under TRANS, INVAR and the guards in ``forbidden``, in canonical order."""
         if self._succ_fn is None:
             self._succ_fn = self._generate(succ=True)
-        return self._succ_fn(s)
+        return self._succ_fn(s, forbidden)
 
     # -- state conversion ------------------------------------------------------
 
@@ -326,20 +335,14 @@ class Engine:
 
     # -- reachability -----------------------------------------------------------
 
-    def reach_tuples(self, target_fn, bound: int | None = None, labels=None, forbidden: int = 0):
+    def reach_tuples(self, target_fn, bound: int | None = None, forbidden: int = 0):
         """Shortest witness (list of tuples) whose last state satisfies the
-        target, or None.  ``bound`` limits the number of steps.
-
-        ``labels[s]`` is an int label of state ``s``, and ``forbidden`` a mask
-        over labels that restricts the explored state space (equivalent to
-        conjoining an INVAR): a state whose label meets it is discarded
-        everywhere.
+        target, or None.  ``bound`` limits the number of steps, and the
+        guards that ``forbidden`` selects hold on every state of the search.
         """
 
         def expand(s):
-            states = self.init_tuples() if s is None else self.succ_tuples(s)
-            if forbidden:
-                states = [t for t in states if not labels[t] & forbidden]
+            states = self.init_tuples(forbidden) if s is None else self.succ_tuples(s, forbidden)
             # a stored state is no target, so the first target is a new state
             for i, t in enumerate(states):
                 if target_fn(t):
@@ -403,15 +406,15 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
     yield None, parents.keys()
 
 
-def _engine(tm: TypedModel, cap: int | None = None) -> Engine:
-    """The model's engine for a state cap (``DEFAULT_STATE_CAP`` when None),
-    so its generated functions and compiled predicates are built once per
-    process and cap."""
-    cap = DEFAULT_STATE_CAP if cap is None else cap
+def _engine(tm: TypedModel, cap: int | None = None, guards=()) -> Engine:
+    """The model's engine for a state cap (``DEFAULT_STATE_CAP`` when None)
+    and guard objects (kept alive by the engine, so their ids are stable):
+    its generated functions and compiled predicates are built once per key."""
+    key = (DEFAULT_STATE_CAP if cap is None else cap, *map(id, guards))
     engines = tm.__dict__.setdefault("_engines", {})
-    if cap not in engines:
-        engines[cap] = Engine(tm, cap)
-    return engines[cap]
+    if key not in engines:
+        engines[key] = Engine(tm, key[0], guards)
+    return engines[key]
 
 
 def initial_states(tm: TypedModel, cap: int | None = None) -> list[dict]:

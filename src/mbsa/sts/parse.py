@@ -57,9 +57,9 @@ class Token:
     col: int
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+def tokenize(text: str, filename: str = "<input>", line: int = 1, col: int = 1) -> list[Token]:
+    """Tokens of ``text``, positioned as if it started at ``line``:``col``."""
     tokens: list[Token] = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -237,9 +237,10 @@ def _parse_atom(ts: TokenStream) -> Expr:
     ts.fail(f"expected expression, found {t.text!r}")
 
 
-def parse_expr_text(text: str, filename: str = "<expr>") -> Expr:
-    """Parse a standalone expression (properties, top-level events, bindings)."""
-    ts = TokenStream(tokenize(text, filename), filename)
+def parse_expr_text(text: str, filename: str = "<expr>", line: int = 1, col: int = 1) -> Expr:
+    """Parse a standalone expression (properties, top-level events,
+    bindings) that starts at ``line``:``col`` of ``filename``."""
+    ts = TokenStream(tokenize(text, filename, line, col), filename)
     e = parse_expr(ts)
     if ts.cur.kind != "eof":
         ts.fail(f"trailing input after expression: {ts.cur.text!r}")

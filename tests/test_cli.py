@@ -189,7 +189,7 @@ def _non_boolean(tmp_path, kind):
     if kind == "property":
         props = tmp_path / "p.props"
         props.write_text("dead : sys_dead;\nlvl : b1 - 12;\n")
-        return ("fmea", *m, "--props", str(props), *out), f"{props}:1:4:"
+        return ("fmea", *m, "--props", str(props), *out), f"{props}:2:10:"
     if kind == "activation":
         bind = _edited_bind(tmp_path, "or B1_LOW : b1 <= 5;", "or B1_LOW : b1;")
         return ("tfpg", "check", *m, "--tfpg", TFPG, "--bind", bind, *out), f"{bind}:8:13:"
@@ -207,6 +207,21 @@ def test_non_boolean_predicate_exits_2(tmp_path, capsys, kind):
     assert not list(tmp_path.glob("*.tsv")) and not list(tmp_path.glob("*.t*fpg*"))
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("a : sys_dead;\n  a : b1 < 3;\n", "2:3", "duplicate property label 'a'"),
+    ("dead : sys_dead;\n : sys_dead;\n", "2:2", "empty property label"),
+    ("dead : sys_dead;\nlow :\tb1 < 3 &\n", "2:15", "expected expression, found '<end of input>'"),
+])
+def test_bad_property_file_exits_2(tmp_path, capsys, text, where, message):
+    # a repeated label used to give rows violating "a,a", an empty one rows
+    # with an empty cell; an expression's diagnostic gives its place in the file
+    props = tmp_path / "p.props"
+    props.write_text(text)
+    assert run("fmea", "--model", MODEL, "--fei", FEI, "--props", str(props), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"{props}:{where}: error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.props"]
+
+
 @pytest.mark.parametrize("command", ["check", "synth"])
 @pytest.mark.parametrize("old, new, held", [
     ("mode S1 : mode = S1;", "mode S1 : mode != S2;", "['P', 'S1']"),  # overlapping
@@ -221,6 +236,26 @@ def test_mode_binding_not_exactly_one_exits_2(tmp_path, capsys, command, old, ne
     assert capsys.readouterr().err == (
         f"mode predicates must hold for exactly one literal per state; got {held}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["edited.bind"]
+
+
+def test_file_system_error_exits_2(tmp_path, capsys):
+    # an artifact that cannot be written is an input error, not a traceback
+    # (exit 1 is the verdict of an incomplete graph)
+    missing = tmp_path / "no" / "such" / "g.xml"
+    assert run("tfpg", "convert", TFPG, str(missing)) == 2
+    assert capsys.readouterr().err == f"{missing}:0:0: error: No such file or directory\n"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(blocker / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"{blocker / 'x'}:0:0: error: ")
+
+
+@pytest.mark.parametrize("formats", ["", " , "])
+def test_empty_format_list_exits_2(tmp_path, capsys, formats):
+    assert run("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--formats", formats,
+               "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "<input>:0:0: error: no format given (expected one or more of tsv, xml)\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_tfpg_convert_round_trip(tmp_path):

@@ -4,7 +4,8 @@ Each test pits an optimized implementation against a naive one that is
 obviously faithful to the definitions: successor generation vs raw
 cross-product filtering, shortest witnesses vs a plain queue-based search,
 minimal cut sets and FMEA rows vs a search over every event subset, fault
-and binding labels vs the predicates they stand for,
+and binding labels vs the predicates they stand for, guarded successor
+lists vs unguarded ones filtered by the suppression predicates,
 cut-sequence orders vs every trace up to the bound, product-monitor
 validation vs per-trace admission over every trace, synthesis instances vs
 a plain search over node sets, and FMEA rows vs replayable witnesses.
@@ -256,20 +257,15 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
 
 
 def _check_labels(xm):
-    """Every bit of the label bank on every reachable state, against the
-    predicates read off the syntax tree."""
+    """Every bit of the occurrence label bank on every reachable state, and
+    the analyzer's guards, against the registry."""
     ana = Analyzer(xm)
     tm = xm.typed
-    events = sorted(xm.events)
-    n = len(events)
+    assert ana.engine.guards == tuple(xm.events[name].suppression for name in ana.events)
     states = ana.engine.reachable_tuples()
     for s in states:
-        label = ana.labels[s]
-        for k, name in enumerate(events):
-            info = xm.events[name]
-            assert bool(label >> k & 1) == (not _eval(tm, info.suppression, s)), (name, s)
-            assert bool(label >> n + k & 1) == bool(_eval(tm, info.occurrence, s)), (name, s)
-        assert label >> 2 * n == 0
+        assert ana.labels[s] == sum(1 << k for k, name in enumerate(ana.events)
+                                    if _eval(tm, xm.events[name].occurrence, s)), s
     return ana, states
 
 
@@ -306,13 +302,10 @@ def test_label_bank_bits_equal_predicates():
         for mask, mode in _check_observations(xm, binding):
             seen["activates"] += mask != 0
             seen["second mode"] += mode != binding.mode_literals()[0]
-        n = len(ana.events)
         for s in states:
-            label = ana.labels[s]
-            seen["suppression fails"] += label & ana.full != 0
-            seen["occurs"] += label >> n != 0
-            seen["nominal"] += label == 0
-    assert all(seen[k] for k in ("suppression fails", "occurs", "nominal", "activates", "second mode"))
+            seen["occurs"] += ana.labels[s] != 0
+            seen["nominal"] += ana.labels[s] == 0
+    assert all(seen[k] for k in ("occurs", "nominal", "activates", "second mode"))
 
 
 def test_cca_woven_registry_gets_its_own_bank():
@@ -323,16 +316,77 @@ def test_cca_woven_registry_gets_its_own_bank():
         members = rng.sample(sorted(xm.events), 2)
         woven = apply_cca(xm, parse_cca(f"cc cause: members {{{', '.join(members)}}}, "
                                         "pattern simultaneous, prob 0.01;"))
+        assert Analyzer(xm).engine is Analyzer(xm, None).engine
         assert Analyzer(xm).labels is Analyzer(xm, None).labels
         assert Analyzer(woven).labels is not Analyzer(xm).labels
-        # the woven model under the registry before weaving: the same engine,
-        # a registry whose members' suppressions lack the cause's allowance
+        # the woven model under the registry before weaving: the same model,
+        # but the members' suppressions lack the cause's allowance, so the
+        # guard vector, and with it the engine and the bank, are its own
         unwoven = ExtendedModel(woven.typed, {**woven.events, **{m: xm.events[m] for m in members}})
         ana, states = _check_labels(unwoven)
         woven_ana, _ = _check_labels(woven)
-        assert ana.engine is woven_ana.engine and ana.labels is not woven_ana.labels
-        differs += any(ana.labels[s] != woven_ana.labels[s] for s in states)
+        assert ana.engine.tm is woven_ana.engine.tm
+        assert ana.engine is not woven_ana.engine and ana.labels is not woven_ana.labels
+        # only the cause may occur: the woven guards admit the members it forces
+        only_cause = ana.full ^ ana.mask({"cause"})
+        differs += any(ana.engine.succ_tuples(s, only_cause) != woven_ana.engine.succ_tuples(s, only_cause)
+                       for s in states)
     assert differs
+
+
+def _wide_model():
+    """15 free booleans that move together, and 7 permanent faults whose mode
+    variables are free too: 22 loop levels, so the guards of the later
+    events sit in a continuation function of the generated code."""
+    n = 15
+    smx = ("MODULE wide\nVAR\n" + "".join(f"  x{i} : boolean;\n" for i in range(n))
+           + "".join(f"INIT !x{i};\n" for i in range(n))
+           + "".join(f"TRANS next(x{i}) != !next(x{i - 1});\n" for i in range(1, n)))
+    templates = ["stuck_at(TRUE)", "stuck_at(FALSE)", "inverted"]
+    fei = "".join(f"fault f{k}: target x{(4 * k + 1) % n}, template {templates[k % 3]}, "
+                  "dynamics permanent, prob 0.01;\n" for k in range(7))
+    return build_extended(smx, fei)
+
+
+def test_guarded_generator_equals_filtered_lists():
+    # a guarded list is the unguarded one minus the states where a forbidden
+    # event's suppression predicate fails, in the same order
+    rng = random.Random(37)
+    models = []
+    for i in range(12):
+        if i % 3 == 0:
+            models.append(random_extended_model(rng)[0])
+        elif i % 3 == 1:
+            models.append(random_cca_model(rng)[0])
+        else:
+            models.append(random_stutter_model(rng)[0])
+    wide = _wide_model()
+    names = wide.typed.var_names()
+    assert not Engine(wide.typed)._trans_assign and names.index("mode#f6") >= 16
+    models.append(wide)
+    seen = collections.Counter()
+    for xm in models:
+        ana = Analyzer(xm)
+        plain = Engine(xm.typed)
+        suppressions = [xm.events[name].suppression for name in ana.events]
+        fails = functools.cache(lambda t: sum(1 << k for k, e in enumerate(suppressions)
+                                              if not _eval(xm.typed, e, t)))
+        if len(ana.events) <= 6:
+            masks = range(ana.full + 1)
+        else:
+            masks = [0, ana.full, *rng.sample(range(1, ana.full), 24)]
+            seen["sampled"] += 1
+        for m in masks:
+            assert ana.engine.init_tuples(m) == [t for t in plain.init_tuples() if not fails(t) & m], m
+        for s in plain.reachable_tuples():
+            succ = plain.succ_tuples(s)
+            for m in masks:
+                guarded = ana.engine.succ_tuples(s, m)
+                assert guarded == [t for t in succ if not fails(t) & m], (s, m)
+                seen["pruned"] += len(guarded) < len(succ)
+                seen["pruned to none"] += bool(succ) and not guarded
+                seen["kept"] += bool(guarded) and m != 0
+    assert all(seen[k] for k in ("sampled", "pruned", "pruned to none", "kept")), seen
 
 
 def _naive_orders(xm, tle, base, bound):
