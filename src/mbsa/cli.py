@@ -172,13 +172,17 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def cmd_mcs(args) -> int:
-    formats = _formats(args, ("tsv", "xml"))
-    xm, _ = _load_extended(args)
-    tle = _parse_tle(args, xm)
+def _cut_sets(args, xm, tle):
     result = compute_mcs(xm, tle, args.max_card, _step_bound(args), args.cap)
     if result.nominal_warning:
         print("warning: top-level event is reachable with no faults", file=sys.stderr)
+    return result
+
+
+def cmd_mcs(args) -> int:
+    formats = _formats(args, ("tsv", "xml"))
+    xm, _ = _load_extended(args)
+    result = _cut_sets(args, xm, _parse_tle(args, xm))
     out = _out_dir(args)
     for fmt in formats:
         text = cutsets_to_tsv(result) if fmt == "tsv" else cutsets_to_xml(result)
@@ -188,7 +192,7 @@ def cmd_mcs(args) -> int:
 
 def _build_tree(args, xm):
     tle = _parse_tle(args, xm)
-    result = compute_mcs(xm, tle, args.max_card, _step_bound(args), args.cap)
+    result = _cut_sets(args, xm, tle)
     sequences = None
     if args.dynamic:
         sequences = compute_cut_sequences(xm, tle, result, _step_bound(args), args.cap)
@@ -247,7 +251,7 @@ def cmd_fmea(args) -> int:
             raise InputError([Diagnostic(problem, lineno, len(raw) - len(raw.lstrip()) + 1, filename=args.props)])
         # the expression is parsed where it stands in the file, so its
         # diagnostics give their real line and column
-        expr = parse_expr_text(raw[colon + 1:].rstrip().rstrip(";"), args.props, lineno, colon + 2)
+        expr = parse_expr_text(raw[colon + 1:], args.props, lineno, colon + 2, end=";")
         xm.typed.check_predicate(expr, filename=args.props)
         properties.append((label, expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea

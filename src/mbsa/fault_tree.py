@@ -80,7 +80,8 @@ def build_fault_tree(result: CutSetResult, sequences: list[CutSequence] | None =
     sets contribute an AND gate, unless cut sequences show that not every
     order is admissible: a single admissible order becomes a PAND gate with
     children in that order, several (but not all) admissible orders become an
-    OR of PANDs.
+    OR of PANDs.  The empty cut set of a TLE reachable with no faults is an
+    AND gate with no children, which is true.
     """
     order_info: dict[frozenset, tuple[tuple[str, ...], ...]] = {}
     if sequences is not None:
@@ -107,8 +108,6 @@ def build_fault_tree(result: CutSetResult, sequences: list[CutSequence] | None =
 
     children: list[str] = []
     for cut in result.mcs:
-        if not cut:
-            continue  # nominal-reachability warning case: no basic cause
         members = sorted(cut)
         if len(members) == 1:
             children.append(event_node(members[0]))

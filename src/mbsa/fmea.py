@@ -1,18 +1,22 @@
 """FMEA and dynamic FMEA tables: fault sets mapped to the properties they can violate.
 
-A row pairs a fault set C with the maximal set of properties reachable under
-the only-C restriction; rows are limited to fault sets that are minimal for
-at least one property, so per property the minimal rows coincide with its
-minimal cut sets.  Dynamic tables list one row per admissible
-first-occurrence order.
+Both tables are joins over one ``compute_mcs`` result per property; the
+candidate fault sets are those minimal for at least one property.  The
+"only C may occur" restriction is monotone in C and no candidate exceeds
+``max_card``, so C violates p exactly when some cut set of p is a subset of
+C (a nominal property's only cut set is empty): a static row is a candidate
+with every property it violates by that subset test.  A dynamic row is one
+admissible first-occurrence order of a candidate; a candidate that contains
+no cut set of p has no witness for p, so only the candidates that contain
+one go to p's cut-sequence search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from xml.etree import ElementTree as ET
 
-from mbsa.analysis import Analyzer, CutSetResult, compute_cut_sequences, compute_mcs
+from mbsa.analysis import _sorted_mcs, compute_cut_sequences, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
@@ -40,26 +44,24 @@ class FmeaTable:
     dynamic: bool
 
 
-def _row_key(row: FmeaRow):
-    return (len(row.faults), tuple(sorted(row.faults)), row.ordering or ())
+def _join(xm: ExtendedModel, properties: list[tuple[str, Expr]], max_card: int,
+          step_bound: int | None, cap: int | None):
+    """Each property's cut-set result, and the candidates in cut-set order."""
+    results = [compute_mcs(xm, expr, max_card, step_bound, cap) for _, expr in properties]
+    return results, _sorted_mcs(set().union(*(r.mcs for r in results)))
+
+
+def _violates(cand: frozenset[str], result) -> bool:
+    return any(m <= cand for m in result.mcs)
 
 
 def generate_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]], max_card: int,
                   step_bound: int | None = None, cap: int | None = None) -> FmeaTable:
     """Static FMEA: rows (C, V) with V the maximal violated-property set."""
-    candidates: set[frozenset[str]] = set()
-    for _, expr in properties:
-        result = compute_mcs(xm, expr, max_card, step_bound, cap)
-        candidates.update(result.mcs)
-    ana = Analyzer(xm, cap)
-    target_fns = [(label, ana.engine.compile(xm.typed.check_predicate(expr))) for label, expr in properties]
-    rows = []
-    for cand in candidates:
-        violated = tuple(sorted(label for label, fn in target_fns
-                                if ana.explains(cand, fn, step_bound) is not None))
-        if violated:
-            rows.append(FmeaRow(cand, violated))
-    rows.sort(key=_row_key)
+    results, candidates = _join(xm, properties, max_card, step_bound, cap)
+    rows = [FmeaRow(cand, tuple(sorted(label for (label, _), r in zip(properties, results)
+                                       if _violates(cand, r))))
+            for cand in candidates]
     return FmeaTable(tuple(properties), rows, max_card, step_bound, dynamic=False)
 
 
@@ -67,22 +69,15 @@ def generate_dynamic_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]],
                           step_bound: int | None = None, cap: int | None = None) -> FmeaTable:
     """Dynamic FMEA: one row per (fault set, admissible order), with the
     properties for which that order is witnessed."""
-    candidates: set[frozenset[str]] = set()
-    for label, expr in properties:
-        candidates.update(compute_mcs(xm, expr, max_card, step_bound, cap).mcs)
-    ordered_cands = sorted(candidates, key=lambda c: (len(c), tuple(sorted(c))))
-    per_order: dict[tuple[frozenset[str], tuple[str, ...]], set[str]] = {}
-    for label, expr in properties:
-        carrier = CutSetResult(expr, ordered_cands, max_card, step_bound, complete=False)
-        for seq in compute_cut_sequences(xm, expr, carrier, step_bound, cap):
+    results, candidates = _join(xm, properties, max_card, step_bound, cap)
+    witnessed: dict[frozenset[str], dict[tuple[str, ...], set[str]]] = {c: {} for c in candidates if c}
+    for (label, expr), result in zip(properties, results):
+        mine = replace(result, mcs=[c for c in witnessed if _violates(c, result)])
+        for seq in compute_cut_sequences(xm, expr, mine, step_bound, cap):
             for order in seq.orders:
-                per_order.setdefault((seq.base, order), set()).add(label)
-    rows = []
-    for (faults, order), labels in per_order.items():
-        if not faults:
-            continue
-        rows.append(FmeaRow(faults, tuple(sorted(labels)), order))
-    rows.sort(key=_row_key)
+                witnessed[seq.base].setdefault(order, set()).add(label)
+    rows = [FmeaRow(faults, tuple(sorted(labels)), order)
+            for faults, orders in witnessed.items() for order, labels in sorted(orders.items())]
     return FmeaTable(tuple(properties), rows, max_card, step_bound, dynamic=True)
 
 

@@ -237,11 +237,15 @@ def _parse_atom(ts: TokenStream) -> Expr:
     ts.fail(f"expected expression, found {t.text!r}")
 
 
-def parse_expr_text(text: str, filename: str = "<expr>", line: int = 1, col: int = 1) -> Expr:
+def parse_expr_text(text: str, filename: str = "<expr>", line: int = 1, col: int = 1,
+                    end: str = "") -> Expr:
     """Parse a standalone expression (properties, top-level events,
-    bindings) that starts at ``line``:``col`` of ``filename``."""
+    bindings) that starts at ``line``:``col`` of ``filename``; one ``end``
+    token, if given, may follow it."""
     ts = TokenStream(tokenize(text, filename, line, col), filename)
     e = parse_expr(ts)
+    if end:
+        ts.accept(end)
     if ts.cur.kind != "eof":
         ts.fail(f"trailing input after expression: {ts.cur.text!r}")
     return e

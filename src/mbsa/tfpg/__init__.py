@@ -2,7 +2,7 @@
 
 from mbsa.tfpg.graph import Tfpg, TfpgEdge, TfpgError, parse_tfpg, write_tfpg, tfpg_to_xml, tfpg_from_xml, tfpg_to_dot
 from mbsa.tfpg.activation import ActivationTrace, NodeBinding, parse_binding, activation_trace_of
-from mbsa.tfpg.admit import AdmitResult, admits, admits_by_search
+from mbsa.tfpg.admit import AdmitResult, admits
 from mbsa.tfpg.validate import Inconsistency, ValidationReport, validate_behavioral
 from mbsa.tfpg.synth import synthesize_structure
 
@@ -21,7 +21,6 @@ __all__ = [
     "activation_trace_of",
     "AdmitResult",
     "admits",
-    "admits_by_search",
     "Inconsistency",
     "ValidationReport",
     "validate_behavioral",

@@ -14,14 +14,13 @@ admitted iff some per-edge assignment of firing steps reproduces the given
 first-activation times exactly; inconsistencies are reported against the
 earliest offending step.
 
-``admits`` decides this analytically per destination node; the search over
-explicit firing assignments (``admits_by_search``) is the module's reference
-semantics and the test suite checks the two agree.
+``admits`` decides this analytically per destination node.  Its reference
+is a search over explicit firing assignments, ``admits_by_search`` in the
+test suite's ``tfpg_references`` module, and the tests check the two agree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from mbsa.tfpg.activation import ActivationTrace
@@ -156,51 +155,3 @@ def _check_and(node: str, t_v: int | None, incoming, views) -> tuple[int, str, s
         return (t_v, node, "too-late")
     return None
 
-
-# ---------------------------------------------------------------------------
-# Reference semantics: explicit search over firing assignments
-
-def admits_by_search(tfpg: Tfpg, at: ActivationTrace) -> bool:
-    """Exhaustive enumeration of per-edge firing steps (desk-scale only)."""
-    unknown = set(at.modes) - set(tfpg.modes)
-    if unknown:
-        raise ValueError(f"activation trace uses unknown mode literals {sorted(unknown)}")
-    for node in sorted(tfpg.discrepancies()):
-        kind = tfpg.nodes[node]
-        t_v = at.times.get(node)
-        incoming = tfpg.incoming(node)
-        views = []
-        for e in incoming:
-            t_src = at.times.get(e.src)
-            if t_src is not None:
-                views.append(_edge_view(e, t_src, at))
-        if kind == "or" and t_v is not None:
-            views = [v for v in views if v.t_src <= t_v]  # later edges are absorbed
-        if not _node_consistent(kind, t_v, len(incoming), views):
-            return False
-    return True
-
-
-def _node_consistent(kind: str, t_v: int | None, n_incoming: int, views) -> bool:
-    options = []
-    for v in views:
-        opts: list[int | None] = list(v.fire_steps)
-        if v.deadline is None:
-            opts.append(None)
-        options.append(opts)
-    for combo in itertools.product(*options):
-        fired = [f for f in combo if f is not None]
-        if kind == "or":
-            if t_v is None:
-                ok = not fired
-            else:
-                ok = bool(views) and any(f == t_v for f in fired) and all(f >= t_v for f in fired)
-        else:
-            if t_v is None:
-                ok = n_incoming == 0 or len(fired) < n_incoming
-            else:
-                ok = (n_incoming > 0 and len(views) == n_incoming
-                      and len(fired) == n_incoming and max(fired) == t_v)
-        if ok:
-            return True
-    return False

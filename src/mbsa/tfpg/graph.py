@@ -56,6 +56,10 @@ class Tfpg:
     def incoming(self, node: str) -> list[TfpgEdge]:
         return [e for e in self.edges if e.dst == node]
 
+    def sorted_edges(self) -> list[TfpgEdge]:
+        """The canonical edge order: source, destination, then bounds, unbounded last."""
+        return sorted(self.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0))
+
     def check(self, filename: str = "<tfpg>") -> None:
         """Structural validation; raises TfpgError on the first problem."""
         mode_set = set(self.modes)
@@ -162,7 +166,7 @@ def write_tfpg(g: Tfpg) -> str:
         lines.append("modes " + ", ".join(g.modes) + ";")
     for node in sorted(g.nodes):
         lines.append(f"{g.nodes[node]} {node};")
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0)):
+    for e in g.sorted_edges():
         lines.append(f"edge {e.src} -> {e.dst} {e.bounds_label()} {e.modes_label()};")
     return "\n".join(lines) + "\n"
 
@@ -185,7 +189,7 @@ def tfpg_to_xml(g: Tfpg) -> str:
             el.set("id", node)
             el.set("semantics", kind)
     edges_el = ET.SubElement(root, "edges")
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0)):
+    for e in g.sorted_edges():
         el = ET.SubElement(edges_el, "edge")
         el.set("src", e.src)
         el.set("dst", e.dst)
@@ -251,7 +255,7 @@ def tfpg_to_dot(g: Tfpg) -> str:
             lines.append(f'  "{node}" [shape=box];')
         else:
             lines.append(f'  "{node}" [shape=circle];')
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0)):
+    for e in g.sorted_edges():
         label = f"{e.bounds_label()} {e.modes_label()}"
         lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}"];')
     lines.append("}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import Trace, _engine
 from mbsa.tfpg.activation import (
-    ActivationTrace,
     BindingEvaluator,
     NodeBinding,
     activation_trace_of,
@@ -66,7 +65,7 @@ class AdmissionMonitor:
     def __init__(self, tfpg: Tfpg, node_order: tuple[str, ...]):
         bit = {n: 1 << i for i, n in enumerate(node_order)}
         self.nodes = sum(bit[n] for n in tfpg.nodes)
-        edges = sorted(tfpg.edges, key=lambda e: (e.src, e.dst, e.tmin, e.tmax is None, e.tmax or 0))
+        edges = tfpg.sorted_edges()
         # per edge: (edge bit, source bit, destination bit, tmin, tmax, modes)
         self.edges = tuple((1 << i, bit[e.src], bit[e.dst], e.tmin, e.tmax, e.modes)
                            for i, e in enumerate(edges))
@@ -141,20 +140,6 @@ class AdmissionMonitor:
                 hit = True
             new_slots.append((c, hit))
         return (act, new_late, tuple(new_slots)), None
-
-
-def monitor_run(tfpg: Tfpg, at: ActivationTrace) -> bool:
-    """Feed a whole activation trace through the monitor (test hook)."""
-    node_order = tuple(sorted(tfpg.nodes))
-    mon = AdmissionMonitor(tfpg, node_order)
-    mstate = mon.initial()
-    for step in range(at.length):
-        mask = sum(1 << i for i, n in enumerate(node_order)
-                   if at.times[n] is not None and at.times[n] <= step)
-        mstate, bad = mon.advance(mstate, mask, at.modes[step])
-        if bad is not None:
-            return False
-    return True
 
 
 def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,

@@ -92,6 +92,24 @@ def test_ft_and_ftprob(tmp_path):
     assert (tmp_path / "tle_probability.m").is_file()
 
 
+@pytest.mark.parametrize("dynamic", [(), ("--dynamic",)])
+def test_tle_reachable_with_no_faults_has_probability_one(tmp_path, capsys, dynamic):
+    # the empty cut set used to be left out of the tree: a root OR with no
+    # children, so every probability artifact read 0, and no warning
+    assert run("ftprob", *dynamic, "--model", MODEL, "--fei", FEI, "--tle", "TRUE", "--out-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == "warning: top-level event is reachable with no faults\n"
+    assert (tmp_path / "ft_probabilities.tsv").read_text() == "#0\t1\n#1\t1\nrare-event-sum\t1\n"
+    assert (tmp_path / "tle_probability.txt").read_text() == "symbols: \n1\n"
+    script = {}
+    exec((tmp_path / "tle_probability.py").read_text(), script)
+    assert script["tle_probability"]() == 1
+    assert "  p = 1;\n" in (tmp_path / "tle_probability.m").read_text()
+    assert run("ft", *dynamic, "--model", MODEL, "--fei", FEI, "--tle", "b1 >= 0", "--formats", "tsv",
+               "--out-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == "warning: top-level event is reachable with no faults\n"
+    assert (tmp_path / "ft.fttsv").read_text() == "#0\tor\t#1\tb1 >= 0\n#1\tand\t\tcut set {}\n"
+
+
 def test_fmea_command(tmp_path):
     props = tmp_path / "props.txt"
     props.write_text("dead : sys_dead;\ns1_lost : !s1_out;\n")
@@ -211,6 +229,7 @@ def test_non_boolean_predicate_exits_2(tmp_path, capsys, kind):
     ("a : sys_dead;\n  a : b1 < 3;\n", "2:3", "duplicate property label 'a'"),
     ("dead : sys_dead;\n : sys_dead;\n", "2:2", "empty property label"),
     ("dead : sys_dead;\nlow :\tb1 < 3 &\n", "2:15", "expected expression, found '<end of input>'"),
+    ("dead : sys_dead; -- note\nlow : b1 < 3;; -- twice\n", "2:14", "trailing input after expression: ';'"),
 ])
 def test_bad_property_file_exits_2(tmp_path, capsys, text, where, message):
     # a repeated label used to give rows violating "a,a", an empty one rows
@@ -220,6 +239,18 @@ def test_bad_property_file_exits_2(tmp_path, capsys, text, where, message):
     assert run("fmea", "--model", MODEL, "--fei", FEI, "--props", str(props), "--out-dir", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"{props}:{where}: error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["p.props"]
+
+
+def test_property_line_with_trailing_comment(tmp_path):
+    # the ';' before a comment used to be trailing input (exit 2)
+    plain, commented = tmp_path / "plain.props", tmp_path / "commented.props"
+    plain.write_text("dead : sys_dead;\nlow : b1 < 3\n")
+    commented.write_text("dead : sys_dead; -- note\nlow : b1 < 3 -- no ';'\n")
+    for props in (plain, commented):
+        assert run("fmea", "--model", MODEL, "--fei", FEI, "--props", str(props), "--formats", "tsv,xml",
+                   "--out-dir", str(tmp_path / props.stem)) == 0
+    for name in ("fmea.tsv", "fmea.xml"):
+        assert (tmp_path / "commented" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])

@@ -6,7 +6,9 @@ cross-product filtering, shortest witnesses vs a plain queue-based search,
 minimal cut sets and FMEA rows vs a search over every event subset, fault
 and binding labels vs the predicates they stand for, guarded successor
 lists vs unguarded ones filtered by the suppression predicates,
-cut-sequence orders vs every trace up to the bound, product-monitor
+cut-sequence orders vs every trace up to the bound, dynamic FMEA rows vs
+naive cut sets and trace orders over every (candidate, property) pair,
+product-monitor
 validation vs per-trace admission over every trace, synthesis instances vs
 a plain search over node sets, and FMEA rows vs replayable witnesses.
 """
@@ -20,7 +22,7 @@ import random
 from mbsa.analysis import Analyzer, CutSetResult, compute_cut_sequences, compute_mcs, witness
 from mbsa.cca import apply_cca, parse_cca
 from mbsa.faults import ExtendedModel
-from mbsa.fmea import generate_fmea
+from mbsa.fmea import generate_dynamic_fmea, generate_fmea
 from mbsa.sts.engine import Engine, Trace, reach, replay_ok
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
 from mbsa.tfpg import Tfpg, TfpgEdge, admits, validate_behavioral
@@ -432,6 +434,40 @@ def test_cut_sequence_orders_equal_trace_enumeration(latch_model):
                     assert len(trace) <= bound + 1 and replay_ok(xm.typed, trace)
                 counts[len(seq.base), len(seq.orders)] += 1
     assert counts[2, 0] and counts[2, 1] and counts[2, 2] and counts[1, 1]
+
+
+def test_dynamic_fmea_equals_naive_orders_of_every_pair(redundant_pair, latch_model):
+    # the candidates are the naive cut sets of every property, and each is
+    # checked against every property by trace enumeration, so a candidate
+    # wrongly kept from a property's order search shows as missing rows
+    rng = random.Random(31)
+    models = [(latch_model, ["armed & y", "x", "y"]), (redundant_pair, ["(a & b) | c", "a & b & c", "a"])]
+    for i in range(10):
+        xm, tle = (random_cca_model if i % 2 else random_extended_model)(rng)
+        models.append((xm, [tle, "v0", "v1 & v2"]))
+    seen = collections.Counter()
+    for i, (xm, exprs) in enumerate(models):
+        events = sorted(xm.events)
+        max_card = 3 if i < 2 else 1 + i % 3
+        props = [(f"p{k}", checked_expr(xm, e) if isinstance(e, str) else e) for k, e in enumerate(exprs)]
+        subsets = [frozenset(c) for k in range(max_card + 1) for c in itertools.combinations(events, k)]
+        distance = {label: {c: _naive_distance(xm, expr, c) for c in subsets} for label, expr in props}
+        for bound in (0, 1, 2, 3):
+            naive = {label: _naive_mcs(distance[label], events, max_card, bound) for label, _ in props}
+            expected = collections.defaultdict(set)
+            for c in set().union(*naive.values()) - {frozenset()}:
+                for label, expr in props:
+                    orders = _naive_orders(xm, expr, c, bound)
+                    seen["no cut set"] += not any(m <= c for m in naive[label])
+                    seen["non-minimal row"] += bool(orders) and c not in naive[label]
+                    for order in orders:
+                        expected[c, order].add(label)
+            table = generate_dynamic_fmea(xm, props, max_card, bound)
+            got = [(r.faults, r.ordering, r.violated) for r in table.rows]
+            assert set(got) == {(c, o, tuple(sorted(v))) for (c, o), v in expected.items()}, (i, bound)
+            assert got == sorted(got, key=lambda r: (len(r[0]), sorted(r[0]), r[1])), (i, bound)
+            seen["row"] += len(got)
+    assert all(seen[k] for k in ("no cut set", "non-minimal row", "row")), seen
 
 
 def _random_binding_and_graph(xm, rng):

@@ -1,10 +1,10 @@
 import random
 
-from mbsa.tfpg import Tfpg, TfpgEdge, admits, admits_by_search
+from mbsa.tfpg import Tfpg, TfpgEdge, admits
 from mbsa.tfpg.activation import ActivationTrace
-from mbsa.tfpg.validate import monitor_run
 
 from test_tfpg_io import full_scale_graph
+from tfpg_references import admits_by_search, monitor_run
 
 
 def _at(graph, times, length=60, modes=None):

@@ -5,9 +5,10 @@ import pytest
 from mbsa.sts.engine import Engine, Trace, replay_ok
 from mbsa.tfpg import Tfpg, TfpgEdge, admits, parse_binding, parse_tfpg, validate_behavioral
 from mbsa.tfpg.activation import activation_trace_of
-from mbsa.tfpg.validate import Inconsistency, monitor_run
+from mbsa.tfpg.validate import Inconsistency
 
 from conftest import build_extended
+from tfpg_references import monitor_run
 
 
 def _drop_edge(g, src, dst):
