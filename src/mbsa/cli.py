@@ -33,7 +33,7 @@ from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.fmea import export_fmea, generate_dynamic_fmea, generate_fmea
 from mbsa.probability import pexpr_to_text, prob_str, render_prob_script
 from mbsa.sts.check import type_check
-from mbsa.sts.parse import parse_expr_text, parse_model
+from mbsa.sts.parse import TokenStream, parse_expr_text, parse_model, tokenize
 from mbsa.sts.pretty import print_expr, print_model
 from mbsa.tfpg import (
     parse_binding,
@@ -239,21 +239,23 @@ def cmd_fmea(args) -> int:
         raise InputError([Diagnostic("a property file is required (--props)")])
     properties = []
     for lineno, raw in enumerate(_read_named(args.props, "properties").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("--"):
-            continue
-        if ":" not in line:
-            raise InputError([Diagnostic("expected 'label : expression;'", lineno, filename=args.props)])
-        colon = raw.index(":")
-        label = raw[:colon].strip()
-        if label in dict(properties) or not label:
-            problem = f"duplicate property label {label!r}" if label else "empty property label"
-            raise InputError([Diagnostic(problem, lineno, len(raw) - len(raw.lstrip()) + 1, filename=args.props)])
-        # the expression is parsed where it stands in the file, so its
-        # diagnostics give their real line and column
-        expr = parse_expr_text(raw[colon + 1:], args.props, lineno, colon + 2, end=";")
+        # a label is one identifier, lexed as in the model, so that it cannot
+        # make a TSV cell ambiguous; every diagnostic gives its real line and column
+        ts = TokenStream(tokenize(raw, args.props, lineno), args.props)
+        if ts.cur.kind == "eof":
+            continue  # a blank or comment line
+        if ts.at(":"):
+            ts.fail("empty property label")
+        label = ts.expect_ident("property label")
+        if label.text in dict(properties):
+            raise InputError([Diagnostic(f"duplicate property label {label.text!r}", label.line, label.col,
+                                         filename=args.props)])
+        if not ts.at(":"):
+            ts.fail(f"expected ':' after property label {label.text!r}, found {ts.cur.text!r}")
+        colon = ts.cur.col
+        expr = parse_expr_text(raw[colon:], args.props, lineno, colon + 1, end=";")
         xm.typed.check_predicate(expr, filename=args.props)
-        properties.append((label, expr))
+        properties.append((label.text, expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea
     table = gen(xm, properties, args.max_card, _step_bound(args), args.cap)
     out = _out_dir(args)

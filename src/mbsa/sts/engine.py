@@ -25,9 +25,10 @@ a forbidden branch is cut at its loop level.  The cut-set restriction of
 and ``Engine.compile_mask`` one function that evaluates a vector of
 current-state predicates into the bits of one int, a state's label; both are
 compiled once per engine and expression.  :class:`Labels` memoizes a label
-function per distinct state.  It is the one per-state memo of predicate
-vectors, behind the fault labels of :mod:`mbsa.analysis` and the binding
-labels of :mod:`mbsa.tfpg.product`.
+function per distinct state, behind the fault labels of
+:mod:`mbsa.analysis`.  The TFPG product search of :mod:`mbsa.tfpg.product`
+keeps its binding labels by interned state instead, next to each state's
+successors.
 
 :func:`breadth_first` is the one search of the package.  It owns the
 frontier, the step bound, the parent map, the cap check and shortest-path

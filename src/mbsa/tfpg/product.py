@@ -4,22 +4,27 @@ Both explore the model in lockstep with a deterministic abstraction of what
 the binding has observed so far: the admission monitor's state for
 validation, the (acted, last burst) node masks for synthesis.  The search is
 :func:`mbsa.sts.engine.breadth_first`, the one search of every analysis,
-over (model state, abstract state id) keys; this module supplies the
-children of a key.  Everything that depends on only one half of a product
-state is computed once:
+over (state id, abstract state id) keys; this module supplies the children
+of a key.  Everything that depends on only one half of a product state is
+computed once:
 
-* the successors of a model state, each paired with its label;
-* the label of a model state (``BindingEvaluator.observe``: activation bits
-  over the binding's node order, then mode bits), memoized per state in a
-  :class:`mbsa.sts.engine.Labels` bank, the memo of the fault labels too;
+* a model state is interned to a small int the first time it is seen, and
+  stored once with its label (``BindingEvaluator.observe``: activation bits
+  over the binding's node order, then mode bits), so ``observe`` runs once
+  per distinct state;
+* the successors of a state are generated on its first expansion and kept
+  as a list of state ids, so ``Engine.succ_tuples`` runs once per expanded
+  distinct state;
 * the abstract step, one table entry per (abstract id, label), the label
   decoded once per entry: on the fixture at step bound 60, 9,560 entries
-  serve check's 26,651 transitions.
+  serve check's 26,651 transitions, which reach 5,200 distinct model states.
+
+States are turned back into value tuples only on the path that is returned.
 """
 
 from __future__ import annotations
 
-from mbsa.sts.engine import Engine, Labels, breadth_first
+from mbsa.sts.engine import Engine, breadth_first
 from mbsa.tfpg.activation import BindingEvaluator
 
 
@@ -37,7 +42,20 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     stopping one included.  Storing more than the engine's cap raises
     ``ResourceCapError("stored <what> states exceed cap N")``.
     """
-    labels = Labels(ev.observe)
+    ids: dict[tuple, int] = {}  # model state -> state id
+    states: list[tuple] = []  # state id -> model state
+    labels: list[int] = []  # state id -> label
+    succs: list[list[int] | None] = []  # state id -> successor ids, once expanded
+
+    def intern(t: tuple) -> int:
+        sid = ids.get(t)
+        if sid is None:
+            sid = ids[t] = len(states)
+            states.append(t)
+            labels.append(ev.observe(t))
+            succs.append(None)
+        return sid
+
     abstract = [start]
     abstract_ids = {start: 0}
     table: list[dict[int, tuple[int, object]]] = [{}]  # abstract id -> label -> (id, stop)
@@ -51,24 +69,25 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
         hit = table[a][label] = (na, stop)
         return hit
 
-    succ_memo: dict[tuple | None, list[tuple[tuple, int]]] = {}
-
     def expand(key):
-        s, a = key or (None, 0)  # the root is the start before the initial states
-        succs = succ_memo.get(s)
-        if succs is None:
-            states = engine.init_tuples() if s is None else engine.succ_tuples(s)
-            succs = succ_memo[s] = [(t, labels[t]) for t in states]
+        if key is None:  # the root is the start before the initial states
+            a, kids = 0, [intern(t) for t in engine.init_tuples()]
+        else:
+            sid, a = key
+            kids = succs[sid]
+            if kids is None:
+                kids = succs[sid] = [intern(t) for t in engine.succ_tuples(states[sid])]
         row = table[a]
         children = []
-        for t, label in succs:
+        for c in kids:
+            label = labels[c]
             na, stop = row.get(label) or move(a, label)
             if stop is not None:
-                return children, ((t, na),)
-            children.append((t, na))
+                return children, ((c, na),)
+            children.append((c, na))
         return children, ()
 
     path, stored = next(breadth_first(expand, step_bound, engine.cap, f"{what} states"))
     if path is None:
         return None, len(stored)
-    return [s for s, _ in path], len(stored) + 1
+    return [states[sid] for sid, _ in path], len(stored) + 1

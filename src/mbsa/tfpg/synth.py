@@ -11,7 +11,8 @@ direct-precedence evidence for v in that instance.  The search is the
 product search of :mod:`mbsa.tfpg.product` with (activated, last burst)
 node masks as its abstract state; an instance depends on that state and
 the observation only, so it is recorded once per distinct pair, and the
-masks become sets of node names once, at the end.
+masks become sets of node names once, at the end.  Each node's instances
+are ordered by their sorted names, each distinct set sorted once.
 
 Parent selection per node:
 
@@ -129,12 +130,13 @@ def synthesize_structure(xm: ExtendedModel, binding: NodeBinding, step_bound: in
     modes = binding.mode_literals()
     all_modes = frozenset(modes)
 
+    ordered = functools.cache(lambda names: tuple(sorted(names)))  # once per distinct name set
     sorted_insts: dict[str, list[tuple]] = {}
     parent_map: dict[str, list[str]] = {}
     for v in sorted(binding.kinds):
         if kinds[v] == "failure":
             continue
-        insts = sorted(instances[v], key=lambda i: (sorted(i[0]), sorted(i[1]), sorted(i[2]), i[3]))
+        insts = sorted(instances[v], key=lambda i: (ordered(i[0]), ordered(i[1]), ordered(i[2]), i[3]))
         sorted_insts[v] = insts
         if not insts:
             parent_map[v] = []

@@ -8,9 +8,11 @@ saturated elapsed counter plus a window-hit flag and a passed-deadline bit,
 which is exactly the information the per-node admission conditions need
 (counters never decrease, so a passed deadline stays passed).  The
 monitor step is a function of (monitor state, observation), so the search
-takes it once per distinct pair; the per-edge and per-node data it reads
-are precomputed as bits and tuples.  Every step is checked, a step back
-into a product state already stored included.  The first violating step
+takes it once per distinct pair.  It is generated once per TFPG as
+straight-line Python, every edge and node check unrolled with its bits,
+bounds and modes as constants; the tests compare it step by step with an
+interpretive reference monitor.  Every step is checked, a step back into
+a product state already stored included.  The first violating step
 ends a shortest counterexample trace; its precise (node, reason, step)
 verdict is recomputed with :func:`mbsa.tfpg.admit.admits` on that trace.
 """
@@ -60,86 +62,114 @@ class AdmissionMonitor:
     pending and its destination inactive; None otherwise.  Feeding the
     observations of a trace prefix rejects exactly the prefixes whose
     activation traces the TFPG does not admit.
+
+    ``advance(mstate, mask, mode)`` processes one step and returns (new
+    state, violated node | None); on a violation the new state is
+    meaningless and exploration of that branch stops.  It is generated once
+    per TFPG as straight-line Python (:func:`_advance_source`): the per-node
+    checks and the per-edge slot updates are unrolled, with every bit,
+    bound and mode set a constant.
     """
 
     def __init__(self, tfpg: Tfpg, node_order: tuple[str, ...]):
-        bit = {n: 1 << i for i, n in enumerate(node_order)}
-        self.nodes = sum(bit[n] for n in tfpg.nodes)
-        edges = tfpg.sorted_edges()
-        # per edge: (edge bit, source bit, destination bit, tmin, tmax, modes)
-        self.edges = tuple((1 << i, bit[e.src], bit[e.dst], e.tmin, e.tmax, e.modes)
-                           for i, e in enumerate(edges))
-        # per discrepancy, in name order: (name, bit, is OR, incoming edge
-        # bits, (index, source bit, tmin, tmax) per incoming edge)
-        self.checks = []
-        for n in sorted(tfpg.discrepancies()):
-            incoming = tuple((i, bit[e.src], e.tmin, e.tmax) for i, e in enumerate(edges) if e.dst == n)
-            self.checks.append((n, bit[n], tfpg.nodes[n] == "or", sum(1 << i for i, *_ in incoming), incoming))
-        self.discrepancies = sum(dbit for _, dbit, *_ in self.checks)
+        self.nslots = len(tfpg.edges)
+        ns: dict = {}
+        exec(compile(_advance_source(tfpg, node_order), "<mbsa-monitor>", "exec"), ns)
+        self.advance = ns["advance"]
 
     def initial(self) -> tuple[int, int, tuple]:
-        return (0, 0, (None,) * len(self.edges))
+        return (0, 0, (None,) * self.nslots)
 
-    def advance(self, mstate, mask: int, mode: str):
-        """Process one step; returns (new_state, violated_node | None).
 
-        On violation the new state is meaningless and exploration of that
-        branch stops.
-        """
-        act, late, slots = mstate
-        newly = mask & self.nodes & ~act
+def _window(c: str, tmin: int, tmax: int | None) -> str:
+    """Source of ``tmin <= c <= tmax`` for a counter ``c >= 0``; "True" when
+    it always holds."""
+    low = f"{tmin} <= " if tmin > 0 else ""
+    high = f" <= {tmax}" if tmax is not None else ""
+    return f"{low}{c}{high}" if low or high else "True"
 
-        # deadline checks for still-inactive destinations (counters exclude this step)
-        if late:
-            for node, dbit, is_or, into, _ in self.checks:
-                if not act & dbit and late & into and (is_or or late & into == into):
-                    return mstate, node
 
-        # activation checks for newly active discrepancies: a pending edge
-        # from a source activated earlier or now shows its slot, or a fresh one
-        if newly & self.discrepancies:
-            for node, dbit, is_or, _, incoming in self.checks:
-                if not newly & dbit:
-                    continue
-                if not incoming:
-                    return mstate, node
-                views = []  # (counter, hit, tmin, tmax) per pending edge
-                for i, sbit, tmin, tmax in incoming:
-                    slot = slots[i]
-                    if slot is not None:
-                        views.append((*slot, tmin, tmax))
-                    elif (newly | act) & sbit:
-                        views.append((0, tmin == 0, tmin, tmax))
-                now = any(c >= tmin and (tmax is None or c <= tmax) for c, _, tmin, tmax in views)
-                if is_or:
-                    if not now:
-                        return mstate, node
-                elif len(views) != len(incoming) or not now or not all(
-                        hit or c >= tmin and (tmax is None or c <= tmax) for c, hit, tmin, tmax in views):
-                    return mstate, node  # a source never activated, or an edge cannot fire by now
+def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
+    """The monitor step of ``tfpg`` as the source of ``advance``.
 
-        act |= newly
+    On a violation it returns the state it was given and the first
+    violating discrepancy in name order.  Deadline checks see the counters
+    before this step.  An activation check views each incoming edge as its
+    slot, or, when it has none and its source is active, as a fresh slot
+    ``(0, tmin == 0)``; an OR node needs one view inside its window, an
+    AND node a view per edge, each hit or inside its window, and one inside.
+    Then edges into activated nodes are discharged, edges from newly active
+    sources opened, and every pending counter counts this step if its modes
+    allow, saturating past the deadline (late) or past ``tmin`` when there
+    is none.
+    """
+    bit = {n: 1 << i for i, n in enumerate(node_order)}
+    edges = tfpg.sorted_edges()
+    nodes = sum(bit[n] for n in tfpg.nodes)
+    discrepancies = sorted(tfpg.discrepancies())
+    incoming = {n: [(i, e) for i, e in enumerate(edges) if e.dst == n] for n in discrepancies}
+    slots = "".join(f"s{i}, " for i in range(len(edges)))
+    src = ["def advance(mstate, mask, mode):",
+           f"    act, late, ({slots}) = mstate" if edges else "    act, late, _ = mstate",
+           f"    newly = mask & {nodes} & ~act"]
 
-        # update slots: discharge edges into activated destinations, open edges
-        # from newly active sources, then advance counters by this step's mode
-        new_slots = []
-        new_late = 0
-        for slot, (ebit, sbit, dbit, tmin, tmax, modes) in zip(slots, self.edges):
-            if act & dbit or slot is None and not act & sbit:
-                new_slots.append(None)
-                continue
-            c, hit = slot or (0, tmin == 0)
-            if modes is None or mode in modes:
-                c += 1
-            if tmax is not None and c > tmax:
-                new_late |= ebit
-                c = tmax + 1
-            elif tmax is None and c > tmin:
-                c = tmin if tmin > 0 else 1  # saturate: window open forever
-            if c >= tmin and (tmax is None or c <= tmax):
-                hit = True
-            new_slots.append((c, hit))
-        return (act, new_late, tuple(new_slots)), None
+    deadlines = []
+    for n in discrepancies:
+        into = sum(1 << i for i, _ in incoming[n])
+        if into:
+            late = f"late & {into}" if tfpg.nodes[n] == "or" else f"late & {into} == {into}"
+            deadlines.append(f"        if {late} and not act & {bit[n]}: return mstate, {n!r}")
+    if deadlines:
+        src += ["    if late:", *deadlines]
+
+    checks = []
+    for n in discrepancies:
+        checks.append(f"        if newly & {bit[n]}:")
+        if not incoming[n]:
+            checks.append(f"            return mstate, {n!r}")
+            continue
+        for i, e in incoming[n]:
+            checks.append(f"            v{i} = s{i} if s{i} is not None else "
+                          f"{(0, e.tmin == 0)!r} if seen & {bit[e.src]} else None")
+        inside = [(i, _window(f"v{i}[0]", e.tmin, e.tmax)) for i, e in incoming[n]]
+        if tfpg.nodes[n] == "or":
+            some = " or ".join(f"v{i} is not None and {w}" for i, w in inside)
+            checks.append(f"            if not ({some}): return mstate, {n!r}")
+        else:
+            missing = " or ".join(f"v{i} is None" for i, _ in inside)
+            every = " and ".join(f"(v{i}[1] or {w})" for i, w in inside)
+            some = " or ".join(w for _, w in inside)
+            checks.append(f"            if {missing}: return mstate, {n!r}")
+            checks.append(f"            if not ({every} and ({some})): return mstate, {n!r}")
+    if checks:
+        src += [f"    if newly & {sum(bit[n] for n in discrepancies)}:",
+                "        seen = newly | act", *checks]
+
+    src += ["    act |= newly", "    late = 0"]
+    for i, e in enumerate(edges):
+        src += [f"    if act & {bit[e.dst]} or s{i} is None and not act & {bit[e.src]}:",
+                f"        t{i} = None",
+                "    else:",
+                f"        c, hit = s{i} or {(0, e.tmin == 0)!r}"]
+        if e.modes is None:
+            src.append("        c += 1")
+        elif e.modes:
+            src.append(f"        if mode in {{{', '.join(map(repr, sorted(e.modes)))}}}: c += 1")
+        # below the deadline a counter never decreases, so it has hit its
+        # window exactly when it is at tmin or past it
+        hit = _window("c", e.tmin, None)
+        if e.tmax is not None:
+            src += [f"        if c > {e.tmax}:",
+                    f"            late |= {1 << i}",
+                    f"            t{i} = ({e.tmax + 1}, hit)",
+                    "        else:",
+                    f"            t{i} = (c, {hit})"]
+        else:
+            src += [f"        if c > {e.tmin}: c = {max(e.tmin, 1)}",
+                    f"        t{i} = (c, {hit})"]
+    news = "".join(f"t{i}, " for i in range(len(edges)))
+    src.append(f"    return (act, late, ({news})), None")
+    return "\n".join(src) + "\n"
 
 
 def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,

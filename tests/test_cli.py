@@ -230,10 +230,14 @@ def test_non_boolean_predicate_exits_2(tmp_path, capsys, kind):
     ("dead : sys_dead;\n : sys_dead;\n", "2:2", "empty property label"),
     ("dead : sys_dead;\nlow :\tb1 < 3 &\n", "2:15", "expected expression, found '<end of input>'"),
     ("dead : sys_dead; -- note\nlow : b1 < 3;; -- twice\n", "2:14", "trailing input after expression: ';'"),
+    ("dead,low : sys_dead;\nlow : b1 < 3;\n", "1:5", "expected ':' after property label 'dead', found ','"),
+    ("dead : sys_dead;\nb1 low : b1 < 3;\n", "2:4", "expected ':' after property label 'b1', found 'low'"),
+    ("dead\tlow : sys_dead;\n", "1:6", "expected ':' after property label 'dead', found 'low'"),
 ])
 def test_bad_property_file_exits_2(tmp_path, capsys, text, where, message):
     # a repeated label used to give rows violating "a,a", an empty one rows
-    # with an empty cell; an expression's diagnostic gives its place in the file
+    # with an empty cell, a label with a comma the cell "dead,low,low"; an
+    # expression's diagnostic gives its place in the file
     props = tmp_path / "p.props"
     props.write_text(text)
     assert run("fmea", "--model", MODEL, "--fei", FEI, "--props", str(props), "--out-dir", str(tmp_path)) == 2

@@ -2,9 +2,10 @@ import random
 
 from mbsa.tfpg import Tfpg, TfpgEdge, admits
 from mbsa.tfpg.activation import ActivationTrace
+from mbsa.tfpg.validate import AdmissionMonitor
 
 from test_tfpg_io import full_scale_graph
-from tfpg_references import admits_by_search, monitor_run
+from tfpg_references import ReferenceMonitor, admits_by_search, monitor_run
 
 
 def _at(graph, times, length=60, modes=None):
@@ -188,6 +189,43 @@ def test_admits_equals_search_and_monitor_on_random_cases():
         checked += 1
         rejected += not analytic
     assert checked == 400 and 0 < rejected < 400  # both verdicts exercised
+
+
+# an AND node with no incoming edge, an unbounded and a mode-gated edge
+# into an AND node, a point window at 0, and an edge out of a discrepancy
+FEATURES = Tfpg(("M1", "M2"), {"F0": "failure", "F1": "failure", "A0": "and", "A1": "and", "D0": "or"},
+                (TfpgEdge("F0", "A1", 0, None, frozenset({"M1"})), TfpgEdge("F1", "A1", 1, 3, None),
+                 TfpgEdge("A1", "D0", 0, 0, None), TfpgEdge("F1", "D0", 2, None, frozenset({"M2"}))))
+
+
+def test_generated_monitor_step_equals_reference_on_random_walks():
+    rng = random.Random(5)
+    graphs = [FEATURES, full_scale_graph()] + [_random_graph(rng) for _ in range(300)]
+    outcomes = set()
+    for g in graphs:
+        g.check()
+        # a bit of a node outside the graph is ignored
+        order = tuple(sorted([*g.nodes, "X"]))
+        compiled, reference = AdmissionMonitor(g, order), ReferenceMonitor(g, order)
+        state = compiled.initial()
+        assert state == reference.initial()
+        mask = 0
+        for _ in range(40):
+            # activations mostly accumulate, sometimes drop out
+            mask |= sum(1 << i for i in range(len(order)) if rng.random() < 0.1)
+            mask &= ~sum(1 << i for i in range(len(order)) if rng.random() < 0.05)
+            mode = rng.choice(g.modes)
+            got, want = compiled.advance(state, mask, mode), reference.advance(state, mask, mode)
+            assert repr(got) == repr(want), (g, state, mask, mode)
+            # (step accepted, some deadline passed); a rejected step's walk
+            # goes on from the state before it
+            outcomes.add((want[1] is None, bool(want[0][1])))
+            if want[1] is None:
+                state = got[0]
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+    edges = [e for g in graphs for e in g.edges]
+    assert any(e.tmax is None for e in edges) and any(e.tmin == 0 for e in edges)
+    assert any(e.modes is not None for e in edges)
 
 
 def test_first_inconsistency_is_deterministic():

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from mbsa.sts.engine import Engine, Trace, replay_ok
-from mbsa.tfpg import Tfpg, TfpgEdge, admits, parse_binding, parse_tfpg, validate_behavioral
-from mbsa.tfpg.activation import activation_trace_of
+from mbsa.tfpg import (Tfpg, TfpgEdge, admits, parse_binding, parse_tfpg, synthesize_structure,
+                       validate_behavioral)
+from mbsa.tfpg.activation import BindingEvaluator, activation_trace_of
 from mbsa.tfpg.validate import Inconsistency
 
 from conftest import build_extended
@@ -90,6 +91,48 @@ def test_determinism(battery_tfpg, battery_binding, battery_sensor):
     assert a.verdict == b.verdict
     assert a.counterexamples[0][1] == b.counterexamples[0][1]
     assert a.counterexamples[0][0].states == b.counterexamples[0][0].states
+
+
+@pytest.mark.parametrize("job, explored, expansions, labels", [
+    ("check", 5200, 5200, 5200), ("refute", 4872, 4134, 4879), ("synth", None, 5200, 5200)])
+def test_product_search_expands_and_observes_each_model_state_once(
+        monkeypatch, battery_tfpg, battery_binding, battery_sensor, job, explored, expansions, labels):
+    # many product states share a model state: its successors are generated
+    # once, when it is first expanded, and its label once, when it is first seen
+    init, succ, observe = Engine.init_tuples, Engine.succ_tuples, BindingEvaluator.observe
+    seen, expanded, observed = set(), [], {}
+
+    def init_tuples(self, forbidden=0):
+        states = init(self, forbidden)
+        seen.update(states)
+        return states
+
+    def succ_tuples(self, s, forbidden=0):
+        expanded.append(s)
+        states = succ(self, s, forbidden)
+        seen.update(states)
+        return states
+
+    def observe_state(self, s):
+        observed.setdefault(self, []).append(s)
+        return observe(self, s)
+
+    monkeypatch.setattr(Engine, "init_tuples", init_tuples)
+    monkeypatch.setattr(Engine, "succ_tuples", succ_tuples)
+    monkeypatch.setattr(BindingEvaluator, "observe", observe_state)
+    if job == "synth":
+        synthesize_structure(battery_sensor, battery_binding, step_bound=60)
+    else:
+        graph = battery_tfpg if job == "check" else _drop_edge(battery_tfpg, "B1_DEAD", "S2_NO")
+        report = validate_behavioral(graph, battery_binding, battery_sensor, step_bound=60)
+        assert report.explored_states == explored
+        assert report.complete == (job == "check")
+    assert len(set(expanded)) == len(expanded) == expansions
+    searched = next(iter(observed.values()))  # the search's evaluator comes first
+    assert len(set(searched)) == len(searched) == labels
+    assert set(searched) == seen
+    if job == "refute":
+        assert replay_ok(battery_sensor.typed, report.counterexamples[0][0])
 
 
 def test_binding_totality_checked(battery_tfpg, battery_binding, battery_sensor):
