@@ -14,7 +14,6 @@ subset with no pruning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from mbsa.sts.engine import Labels, Trace, _engine, breadth_first
@@ -23,26 +22,30 @@ from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
 
 
-@dataclass
 class CutSetResult:
-    tle: Expr
-    mcs: list[frozenset[str]]  # sorted by (cardinality, lexicographic events)
-    max_card: int
-    step_bound: int | None
-    complete: bool
-    nominal_warning: bool = False
+    __slots__ = ("tle", "mcs", "max_card", "step_bound", "complete", "nominal_warning")
+
+    def __init__(self, tle: Expr, mcs: list[frozenset[str]], max_card: int, step_bound: int | None,
+                 complete: bool, nominal_warning: bool = False):
+        self.tle = tle
+        self.mcs = mcs  # sorted by (cardinality, lexicographic events)
+        self.max_card, self.step_bound = max_card, step_bound
+        self.complete, self.nominal_warning = complete, nominal_warning
 
     def as_sets(self) -> set[frozenset[str]]:
         return set(self.mcs)
 
 
-@dataclass
 class CutSequence:
     """One minimal cut set together with its admissible first-occurrence orders."""
 
-    base: frozenset[str]
-    orders: tuple[tuple[str, ...], ...]  # sorted for determinism
-    witnesses: dict[tuple[str, ...], Trace] = field(default_factory=dict)
+    __slots__ = ("base", "orders", "witnesses")
+
+    def __init__(self, base: frozenset[str], orders: tuple[tuple[str, ...], ...],
+                 witnesses: dict[tuple[str, ...], Trace] | None = None):
+        self.base = base
+        self.orders = orders  # sorted for determinism
+        self.witnesses = {} if witnesses is None else witnesses
 
 
 def _sorted_mcs(sets) -> list[frozenset[str]]:

@@ -14,7 +14,6 @@ common cause inside C triggers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
@@ -38,14 +37,15 @@ class CcaError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class Simultaneous:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Cascading:
-    windows: tuple[tuple[str, int, int], ...]  # (member, lo, hi), sorted by member
+    __slots__ = ("windows",)
+
+    def __init__(self, windows: tuple[tuple[str, int, int], ...]):
+        self.windows = windows  # (member, lo, hi), sorted by member
 
     def window(self, member: str) -> tuple[int, int]:
         for m, lo, hi in self.windows:
@@ -54,12 +54,12 @@ class Cascading:
         return 0, 0  # members without an explicit window trigger immediately
 
 
-@dataclass(frozen=True)
 class CommonCauseSpec:
-    id: str
-    members: frozenset[str]
-    pattern: Simultaneous | Cascading
-    probability: Fraction
+    __slots__ = ("id", "members", "pattern", "probability")
+
+    def __init__(self, id: str, members: frozenset[str], pattern: Simultaneous | Cascading,
+                 probability: Fraction):
+        self.id, self.members, self.pattern, self.probability = id, members, pattern, probability
 
 
 def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
@@ -200,7 +200,9 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
                 mode_var = events[m].mode_var
                 trans.append(BinOp("->", rising, BinOp("=", Next(mode_var), Name("faulty"))))
                 allowance = Name(cc)
-                events[m] = replace(events[m], suppression=BinOp("|", events[m].suppression, allowance))
+                info = events[m]
+                events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
+                                      BinOp("|", info.suppression, allowance))
         else:
             cap = max((hi for _, _, hi in spec.pattern.windows), default=0) + 1
             age = f"age#{spec.id}"
@@ -220,7 +222,9 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
                     "->", BinOp("&", Name(cc), BinOp("=", Name(age), IntConst(hi))),
                     BinOp("=", Name(mode_var), Name("faulty"))))
                 allowance = BinOp("&", Name(cc), BinOp(">=", Name(age), IntConst(lo)))
-                events[m] = replace(events[m], suppression=BinOp("|", events[m].suppression, allowance))
+                info = events[m]
+                events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
+                                      BinOp("|", info.suppression, allowance))
 
         events[spec.id] = EventInfo(
             name=spec.id,

@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from mbsa import __version__
 from mbsa.analysis import compute_cut_sequences, compute_mcs, cutsets_to_tsv, cutsets_to_xml
-from mbsa.cca import apply_cca, dependency_groups, parse_cca
+from mbsa.cca import CommonCauseSpec, apply_cca, dependency_groups, parse_cca
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError, ResourceCapError
 from mbsa.fault_tree import (
     ProbabilityAssignment,
@@ -216,17 +215,18 @@ def cmd_ftprob(args) -> int:
     ft = _build_tree(args, xm)
     # a member outside the tree cannot change any node's probability
     events = ft.basic_events()
-    groups = [replace(g, members=g.members.intersection(events)) for g in dependency_groups(specs)]
+    groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability)
+              for g in dependency_groups(specs)]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
     symbolic = symbolic_probability(ft, groups)
+    text = pexpr_to_text(symbolic)  # may hit its cap: render it before any artifact is written
     out = _out_dir(args)
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
     _write(out / "ft.ftx", export_ft(ft, "xml", with_probabilities=True))
-    _write(out / "tle_probability.txt",
-           "symbols: " + ", ".join(symbolic.symbols) + "\n" + pexpr_to_text(symbolic) + "\n")
+    _write(out / "tle_probability.txt", "symbols: " + ", ".join(symbolic.symbols) + "\n" + text + "\n")
     _write(out / "tle_probability.py", render_prob_script(symbolic, "python", version=__version__))
     _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab", version=__version__))
     return EXIT_OK

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Diagnostic:
     """One reported problem, formatted as ``file:line:col: severity: message``."""
 
-    message: str
-    line: int = 0
-    col: int = 0
-    severity: str = "error"
-    filename: str = "<input>"
+    __slots__ = ("message", "line", "col", "severity", "filename")
+
+    def __init__(self, message: str, line: int = 0, col: int = 0, severity: str = "error",
+                 filename: str = "<input>"):
+        self.message, self.line, self.col = message, line, col
+        self.severity, self.filename = severity, filename
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
@@ -35,4 +33,4 @@ class InputError(MbsaError):
 
 
 class ResourceCapError(MbsaError):
-    """An enumeration exceeded the configured state cap."""
+    """An enumeration exceeded the configured state cap, or an artifact its size cap."""

@@ -16,7 +16,6 @@ reference value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from xml.etree import ElementTree as ET
 
@@ -29,26 +28,27 @@ class FaultTreeError(MbsaError):
     pass
 
 
-@dataclass
 class BasicEvent:
-    event: str
-    probability: Fraction | None = None
-    label: str = ""
+    __slots__ = ("event", "probability", "label")
+
+    def __init__(self, event: str, probability: Fraction | None = None, label: str = ""):
+        self.event, self.probability, self.label = event, probability, label
 
 
-@dataclass
 class Gate:
-    kind: str  # "and" | "or" | "pand"
-    children: tuple[str, ...]
-    label: str = ""
+    __slots__ = ("kind", "children", "label")
+
+    def __init__(self, kind: str, children: tuple[str, ...], label: str = ""):
+        self.kind, self.children, self.label = kind, children, label  # kind: "and" | "or" | "pand"
 
 
-@dataclass
 class FaultTree:
     """Rooted gate DAG; basic events are shared by name across gates."""
 
-    root: str
-    nodes: dict[str, BasicEvent | Gate]
+    __slots__ = ("root", "nodes")
+
+    def __init__(self, root: str, nodes: dict[str, BasicEvent | Gate]):
+        self.root, self.nodes = root, nodes
 
     def basic_events(self) -> dict[str, BasicEvent]:
         return {i: n for i, n in self.nodes.items() if isinstance(n, BasicEvent)}
@@ -57,7 +57,6 @@ class FaultTree:
         return {i: n for i, n in self.nodes.items() if isinstance(n, Gate)}
 
 
-@dataclass
 class ProbabilityAssignment:
     """Per-event probabilities plus the dependency groups that break independence.
 
@@ -65,8 +64,11 @@ class ProbabilityAssignment:
     cca module's CommonCauseSpec qualifies).
     """
 
-    probabilities: dict[str, Fraction]
-    dependency_groups: list = field(default_factory=list)
+    __slots__ = ("probabilities", "dependency_groups")
+
+    def __init__(self, probabilities: dict[str, Fraction], dependency_groups: list | None = None):
+        self.probabilities = probabilities
+        self.dependency_groups = [] if dependency_groups is None else dependency_groups
 
 
 # ---------------------------------------------------------------------------

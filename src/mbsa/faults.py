@@ -15,7 +15,6 @@ compose in instruction order; later wraps displace earlier ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
@@ -48,49 +47,51 @@ class ExtensionError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class TemplateParam:
-    name: str
-    kind: str  # "value" | "expr"
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: str):
+        self.name, self.kind = name, kind  # kind: "value" | "expr"
 
 
-@dataclass(frozen=True)
 class FaultTemplate:
     """A parameterized fault effect over the reserved symbol ``nominal``."""
 
-    name: str
-    params: tuple[TemplateParam, ...]
-    applies_to: str  # "boolean" | "int" | "enum" | "any"
-    effect: Expr | None  # None for built-ins that need auxiliary state
-    builtin: bool = False
+    __slots__ = ("name", "params", "applies_to", "effect", "builtin")
+
+    def __init__(self, name: str, params: tuple[TemplateParam, ...], applies_to: str, effect: Expr | None,
+                 builtin: bool = False):
+        self.name, self.params = name, params
+        self.applies_to = applies_to  # "boolean" | "int" | "enum" | "any"
+        self.effect = effect  # None for built-ins that need auxiliary state
+        self.builtin = builtin
 
 
-@dataclass(frozen=True)
 class DynamicsTemplate:
     """How a fault's mode variable may evolve, as a TRANS schema over ``mode``."""
 
-    name: str
-    constraint: Expr
-    builtin: bool = False
+    __slots__ = ("name", "constraint", "builtin")
+
+    def __init__(self, name: str, constraint: Expr, builtin: bool = False):
+        self.name, self.constraint, self.builtin = name, constraint, builtin
 
 
-@dataclass
 class FaultLibrary:
-    templates: dict[str, FaultTemplate]
-    dynamics: dict[str, DynamicsTemplate]
+    __slots__ = ("templates", "dynamics")
+
+    def __init__(self, templates: dict[str, FaultTemplate], dynamics: dict[str, DynamicsTemplate]):
+        self.templates, self.dynamics = templates, dynamics
 
 
-@dataclass(frozen=True)
 class ExtensionInstruction:
-    event: str
-    target: str
-    template: str
-    args: tuple[Expr, ...]
-    dynamics: str
-    probability: Fraction
+    __slots__ = ("event", "target", "template", "args", "dynamics", "probability")
+
+    def __init__(self, event: str, target: str, template: str, args: tuple[Expr, ...], dynamics: str,
+                 probability: Fraction):
+        self.event, self.target, self.template, self.args = event, target, template, args
+        self.dynamics, self.probability = dynamics, probability
 
 
-@dataclass(frozen=True)
 class EventInfo:
     """Registry entry for one fault event of an extended model.
 
@@ -99,17 +100,20 @@ class EventInfo:
     occurrences forced by a common cause once the cca module rewrites it).
     """
 
-    name: str
-    mode_var: str | None
-    occurrence: Expr
-    probability: Fraction
-    suppression: Expr
+    __slots__ = ("name", "mode_var", "occurrence", "probability", "suppression")
+
+    def __init__(self, name: str, mode_var: str | None, occurrence: Expr, probability: Fraction,
+                 suppression: Expr):
+        self.name, self.mode_var, self.occurrence = name, mode_var, occurrence
+        self.probability, self.suppression = probability, suppression
 
 
-@dataclass
 class ExtendedModel:
-    typed: TypedModel
-    events: dict[str, EventInfo] = field(default_factory=dict)
+    __slots__ = ("typed", "events")
+
+    def __init__(self, typed: TypedModel, events: dict[str, EventInfo] | None = None):
+        self.typed = typed
+        self.events = {} if events is None else events
 
     @property
     def model(self) -> SymbolicModel:

@@ -13,10 +13,9 @@ one go to p's cut-sequence search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from xml.etree import ElementTree as ET
 
-from mbsa.analysis import _sorted_mcs, compute_cut_sequences, compute_mcs
+from mbsa.analysis import CutSetResult, _sorted_mcs, compute_cut_sequences, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
@@ -28,20 +27,23 @@ class FmeaError(MbsaError):
     pass
 
 
-@dataclass(frozen=True)
 class FmeaRow:
-    faults: frozenset[str]
-    violated: tuple[str, ...]  # property labels, sorted
-    ordering: tuple[str, ...] | None = None  # present iff the table is dynamic
+    __slots__ = ("faults", "violated", "ordering")
+
+    def __init__(self, faults: frozenset[str], violated: tuple[str, ...],
+                 ordering: tuple[str, ...] | None = None):
+        self.faults = faults
+        self.violated = violated  # property labels, sorted
+        self.ordering = ordering  # present iff the table is dynamic
 
 
-@dataclass
 class FmeaTable:
-    properties: tuple[tuple[str, Expr], ...]
-    rows: list[FmeaRow]
-    max_card: int
-    step_bound: int | None
-    dynamic: bool
+    __slots__ = ("properties", "rows", "max_card", "step_bound", "dynamic")
+
+    def __init__(self, properties: tuple[tuple[str, Expr], ...], rows: list[FmeaRow], max_card: int,
+                 step_bound: int | None, dynamic: bool):
+        self.properties, self.rows, self.max_card = properties, rows, max_card
+        self.step_bound, self.dynamic = step_bound, dynamic
 
 
 def _join(xm: ExtendedModel, properties: list[tuple[str, Expr]], max_card: int,
@@ -72,7 +74,8 @@ def generate_dynamic_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]],
     results, candidates = _join(xm, properties, max_card, step_bound, cap)
     witnessed: dict[frozenset[str], dict[tuple[str, ...], set[str]]] = {c: {} for c in candidates if c}
     for (label, expr), result in zip(properties, results):
-        mine = replace(result, mcs=[c for c in witnessed if _violates(c, result)])
+        mine = CutSetResult(result.tle, [c for c in witnessed if _violates(c, result)], result.max_card,
+                            result.step_bound, result.complete, result.nominal_warning)
         for seq in compute_cut_sequences(xm, expr, mine, step_bound, cap):
             for order in seq.orders:
                 witnessed[seq.base].setdefault(order, set()).add(label)

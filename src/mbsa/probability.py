@@ -12,30 +12,38 @@ structurally equal subterms and folds constants.  Evaluation is exact over
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
+from mbsa.diagnostics import ResourceCapError
 
-@dataclass(frozen=True, eq=False)
+# The infix closed form expands shared subterms, so its length can double with
+# every disjoint cut-set pair; rendering stops past this many characters.
+TEXT_CAP = 64 * 2**20
+
+
 class PNode:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class PConst(PNode):
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass(frozen=True, eq=False)
 class PSym(PNode):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True, eq=False)
 class PBin(PNode):
-    op: str  # "+", "-", "*"
-    left: PNode
-    right: PNode
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: PNode, right: PNode):
+        self.op, self.left, self.right = op, left, right  # op: "+", "-", "*"
 
 
 class PBuilder:
@@ -107,15 +115,13 @@ class PBuilder:
         return self.add(self.mul(p, hi), self.mul(self.sub(self.const(1), p), lo))
 
 
-@dataclass
 class ProbabilityExpr:
     """A symbolic probability: DAG root plus the symbol order for rendering."""
 
-    root: PNode
-    symbols: tuple[str, ...]
+    __slots__ = ("root", "symbols")
 
-    def evaluate(self, env: dict[str, Fraction]) -> Fraction:
-        return evaluate_pnode(self.root, env)
+    def __init__(self, root: PNode, symbols: tuple[str, ...]):
+        self.root, self.symbols = root, symbols
 
 
 class Bdd:
@@ -213,22 +219,6 @@ class Bdd:
         return out[root]
 
 
-def evaluate_pnode(node: PNode, env: dict[str, Fraction]) -> Fraction:
-    values: dict[int, Fraction] = {}
-
-    def value(n: PNode) -> Fraction:
-        if isinstance(n, PConst):
-            return n.value
-        if isinstance(n, PSym):
-            return Fraction(env[n.name])
-        return values[id(n)]
-
-    for n in _ssa(node):
-        a, b = value(n.left), value(n.right)
-        values[id(n)] = a + b if n.op == "+" else a - b if n.op == "-" else a * b
-    return value(node)
-
-
 def prob_str(v: Fraction) -> str:
     """Stable textual probability: exact decimal when one exists, else the
     shortest float repr.  Re-parsing with Fraction() and re-rendering is a
@@ -299,7 +289,10 @@ def _ssa(root: PNode) -> list[PBin]:
 
 
 def pexpr_to_text(expr: ProbabilityExpr) -> str:
-    """Infix rendering of the closed form (shared subterms are expanded)."""
+    """Infix rendering of the closed form (shared subterms are expanded).
+
+    Raises ``ResourceCapError`` once a subterm's text exceeds ``TEXT_CAP``
+    characters."""
     prec = {"+": 1, "-": 1, "*": 2}
     order = _ssa(expr.root)
     text: dict[int, str] = {}  # compound node -> its text, built once, children first
@@ -316,6 +309,8 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
     for n in order:
         mine = prec[n.op]
         text[id(n)] = f"{operand(n.left, mine)} {n.op} {operand(n.right, mine + (1 if n.op == '-' else 0))}"
+        if len(text[id(n)]) > TEXT_CAP:
+            raise ResourceCapError(f"tle_probability.txt: closed form exceeds {TEXT_CAP} characters")
         for c in (n.left, n.right):
             waiting[id(c)] -= 1
             if not waiting[id(c)]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import (
@@ -48,16 +47,21 @@ def _compatible(a, b) -> bool:
     return False
 
 
-@dataclass
 class TypedModel:
-    """A checked model plus the symbol information the engine needs."""
+    """A checked model plus the symbol information the engine needs.
 
-    model: SymbolicModel
-    var_index: dict[str, int]
-    var_types: tuple[TypeSpec, ...]
-    domains: tuple[tuple, ...]
-    defines: dict[str, Expr]
-    enum_literals: dict[str, list[EnumType]] = field(default_factory=dict)
+    ``_engines`` holds the model's engines, one per key (see ``sts.engine._engine``).
+    """
+
+    __slots__ = ("model", "var_index", "var_types", "domains", "defines", "enum_literals", "_engines")
+
+    def __init__(self, model: SymbolicModel, var_index: dict[str, int], var_types: tuple[TypeSpec, ...],
+                 domains: tuple[tuple, ...], defines: dict[str, Expr],
+                 enum_literals: dict[str, list[EnumType]] | None = None):
+        self.model, self.var_index, self.var_types = model, var_index, var_types
+        self.domains, self.defines = domains, defines
+        self.enum_literals = {} if enum_literals is None else enum_literals
+        self._engines: dict = {}
 
     @property
     def name(self) -> str:

@@ -45,8 +45,6 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
 from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, InSet, Ite, Name, Next, UnOp, conjuncts
@@ -54,12 +52,14 @@ from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, InSet, Ite, Name, N
 DEFAULT_STATE_CAP = 10_000_000
 
 
-@dataclass
 class Trace:
     """A finite execution: state 0 satisfies INIT, steps satisfy TRANS, all
     states satisfy INVAR.  One step is one discrete time unit."""
 
-    states: list[dict]
+    __slots__ = ("states",)
+
+    def __init__(self, states: list[dict]):
+        self.states = states
 
     def __len__(self) -> int:
         return len(self.states)
@@ -412,7 +412,7 @@ def _engine(tm: TypedModel, cap: int | None = None, guards=()) -> Engine:
     and guard objects (kept alive by the engine, so their ids are stable):
     its generated functions and compiled predicates are built once per key."""
     key = (DEFAULT_STATE_CAP if cap is None else cap, *map(id, guards))
-    engines = tm.__dict__.setdefault("_engines", {})
+    engines = tm._engines
     if key not in engines:
         engines[key] = Engine(tm, key[0], guards)
     return engines[key]

@@ -6,40 +6,64 @@ equality), so a parse -> print -> parse round trip yields equal trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """Equality, hashing and repr over the per-class tuple ``_fields``.
+
+    Objects of different classes never compare equal.  A subclass whose
+    objects change after construction or hold unhashable fields sets
+    ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "boolean"
 
 
-@dataclass(frozen=True)
-class EnumType:
-    literals: tuple[str, ...]
+class EnumType(Record):
+    __slots__ = _fields = ("literals",)
 
-    def __post_init__(self):
-        if not self.literals:
+    def __init__(self, literals: tuple[str, ...]):
+        if not literals:
             raise ValueError("enumeration needs at least one literal")
-        if len(set(self.literals)) != len(self.literals):
+        if len(set(literals)) != len(literals):
             raise ValueError("enumeration literals must be distinct")
+        self.literals = literals
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.literals) + "}"
 
 
-@dataclass(frozen=True)
-class IntRangeType:
-    lo: int
-    hi: int
+class IntRangeType(Record):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty integer range {self.lo}..{self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty integer range {lo}..{hi}")
+        self.lo, self.hi = lo, hi
 
     def __str__(self) -> str:
         return f"{self.lo}..{self.hi}"
@@ -50,8 +74,9 @@ TypeSpec = BoolType | EnumType | IntRangeType
 # An abstract "integer" type used while checking arithmetic subexpressions;
 # concrete range membership is only enforced when values are assigned to
 # variables.
-@dataclass(frozen=True)
-class IntType:
+class IntType(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "integer"
 
@@ -70,65 +95,82 @@ def type_values(ty: TypeSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(eq=True)
-class _Node:
+class _Node(Record):
     # Position (set by the parser) and inferred type (set by the checker) are
     # bookkeeping only; they never participate in structural equality.
-    line: int = field(default=0, compare=False, repr=False, kw_only=True)
-    col: int = field(default=0, compare=False, repr=False, kw_only=True)
-    ty: object = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = ("line", "col", "ty")
+    __hash__ = None
 
 
-@dataclass(eq=True)
 class BoolConst(_Node):
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool, *, line: int = 0, col: int = 0, ty: object = None):
+        self.value = value
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class IntConst(_Node):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int, *, line: int = 0, col: int = 0, ty: object = None):
+        self.value = value
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class Name(_Node):
     """A bare identifier: variable, define, or enumeration literal."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str, *, line: int = 0, col: int = 0, ty: object = None):
+        self.name = name
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class Next(_Node):
     """Next-state reference ``next(v)``; only legal inside TRANS."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str, *, line: int = 0, col: int = 0, ty: object = None):
+        self.name = name
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class UnOp(_Node):
-    op: str  # "!" or "-"
-    operand: Expr
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr, *, line: int = 0, col: int = 0, ty: object = None):
+        self.op, self.operand = op, operand  # op: "!" or "-"
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class BinOp(_Node):
-    op: str  # & | -> <-> = != < <= > >= + -
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr, *, line: int = 0, col: int = 0, ty: object = None):
+        self.op, self.left, self.right = op, left, right  # op: & | -> <-> = != < <= > >= + -
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class Ite(_Node):
-    cond: Expr
-    then: Expr
-    other: Expr
+    __slots__ = _fields = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Expr, other: Expr, *, line: int = 0, col: int = 0, ty: object = None):
+        self.cond, self.then, self.other = cond, then, other
+        self.line, self.col, self.ty = line, col, ty
 
 
-@dataclass(eq=True)
 class InSet(_Node):
     """Set membership over literal constants (enumeration values, integers, booleans)."""
 
-    operand: Expr
-    members: tuple[Expr, ...]
+    __slots__ = _fields = ("operand", "members")
+
+    def __init__(self, operand: Expr, members: tuple[Expr, ...], *, line: int = 0, col: int = 0,
+                 ty: object = None):
+        self.operand, self.members = operand, members
+        self.line, self.col, self.ty = line, col, ty
 
 
 Expr = BoolConst | IntConst | Name | Next | UnOp | BinOp | Ite | InSet
@@ -224,8 +266,7 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # Models
 
-@dataclass
-class SymbolicModel:
+class SymbolicModel(Record):
     """A flat synchronous transition system.
 
     INIT and INVAR constraints are boolean, current-state only; TRANS
@@ -233,12 +274,14 @@ class SymbolicModel:
     current-state expressions.
     """
 
-    name: str
-    variables: tuple[tuple[str, TypeSpec], ...]
-    defines: tuple[tuple[str, Expr], ...] = ()
-    init: tuple[Expr, ...] = ()
-    trans: tuple[Expr, ...] = ()
-    invar: tuple[Expr, ...] = ()
+    __slots__ = _fields = ("name", "variables", "defines", "init", "trans", "invar")
+    __hash__ = None
+
+    def __init__(self, name: str, variables: tuple[tuple[str, TypeSpec], ...],
+                 defines: tuple[tuple[str, Expr], ...] = (), init: tuple[Expr, ...] = (),
+                 trans: tuple[Expr, ...] = (), invar: tuple[Expr, ...] = ()):
+        self.name, self.variables, self.defines = name, variables, defines
+        self.init, self.trans, self.invar = init, trans, invar
 
     def var_names(self) -> list[str]:
         return [n for n, _ in self.variables]

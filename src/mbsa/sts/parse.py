@@ -8,7 +8,6 @@ bindings), so positions and error formats are uniform.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import (
@@ -49,12 +48,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "num" | "ident" | "op" | "kw" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "num" | "ident" | "op" | "kw" | "eof"
+        self.text, self.line, self.col = text, line, col
 
 
 def tokenize(text: str, filename: str = "<input>", line: int = 1, col: int = 1) -> list[Token]:

@@ -12,8 +12,6 @@ first-activation times plus the active mode per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import Engine, Trace, _engine
@@ -26,24 +24,27 @@ class BindingError(InputError):
     pass
 
 
-@dataclass
 class NodeBinding:
-    kinds: dict[str, str]  # node id -> "failure" | "and" | "or"
-    activations: dict[str, Expr]  # node id -> activation predicate
-    mode_exprs: dict[str, Expr]  # mode literal -> predicate
-    failure_events: dict[str, str] = field(default_factory=dict)  # failure node -> event name
+    __slots__ = ("kinds", "activations", "mode_exprs", "failure_events")
+
+    def __init__(self, kinds: dict[str, str], activations: dict[str, Expr], mode_exprs: dict[str, Expr],
+                 failure_events: dict[str, str] | None = None):
+        self.kinds = kinds  # node id -> "failure" | "and" | "or"
+        self.activations = activations  # node id -> activation predicate
+        self.mode_exprs = mode_exprs  # mode literal -> predicate
+        self.failure_events = {} if failure_events is None else failure_events  # failure node -> event name
 
     def mode_literals(self) -> tuple[str, ...]:
         return tuple(self.mode_exprs)
 
 
-@dataclass
 class ActivationTrace:
     """First-activation times per node (None = never) and the active mode per step."""
 
-    length: int
-    times: dict[str, int | None]
-    modes: tuple[str, ...]
+    __slots__ = ("length", "times", "modes")
+
+    def __init__(self, length: int, times: dict[str, int | None], modes: tuple[str, ...]):
+        self.length, self.times, self.modes = length, times, modes
 
 
 def parse_binding(text: str, xm: ExtendedModel, filename: str = "<bind>") -> NodeBinding:

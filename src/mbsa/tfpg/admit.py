@@ -21,34 +21,34 @@ test suite's ``tfpg_references`` module, and the tests check the two agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from mbsa.sts.model import Record
 from mbsa.tfpg.activation import ActivationTrace
 from mbsa.tfpg.graph import Tfpg, TfpgEdge
 
 REASONS = ("too-early", "too-late", "missing-cause", "and-incomplete", "mode-violation")
 
 
-@dataclass(frozen=True)
-class AdmitResult:
-    ok: bool
-    node: str | None = None
-    reason: str | None = None
-    step: int | None = None
+class AdmitResult(Record):
+    __slots__ = _fields = ("ok", "node", "reason", "step")
+
+    def __init__(self, ok: bool, node: str | None = None, reason: str | None = None, step: int | None = None):
+        self.ok, self.node, self.reason, self.step = ok, node, reason, step
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.ok
 
 
-@dataclass(frozen=True)
 class _EdgeView:
     """Per-trace view of one pending edge."""
 
-    edge: TfpgEdge
-    t_src: int
-    counters: tuple[int, ...]  # counters[i] = c(t_src + i), one slot past the end
-    fire_steps: tuple[int, ...]  # steps where the counter is inside [tmin, tmax]
-    deadline: int | None  # first step where the counter exceeds tmax (forced if set)
+    __slots__ = ("edge", "t_src", "counters", "fire_steps", "deadline")
+
+    def __init__(self, edge: TfpgEdge, t_src: int, counters: tuple[int, ...], fire_steps: tuple[int, ...],
+                 deadline: int | None):
+        self.edge, self.t_src = edge, t_src
+        self.counters = counters  # counters[i] = c(t_src + i), one slot past the end
+        self.fire_steps = fire_steps  # steps where the counter is inside [tmin, tmax]
+        self.deadline = deadline  # first step where the counter exceeds tmax (forced if set)
 
 
 def _edge_view(e: TfpgEdge, t_src: int, at: ActivationTrace) -> _EdgeView:

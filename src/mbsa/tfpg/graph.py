@@ -8,10 +8,10 @@ ordering (nodes by id, edges by (src, dst)), so output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
 from mbsa.diagnostics import Diagnostic, InputError
+from mbsa.sts.model import Record
 from mbsa.sts.parse import TokenStream, tokenize
 
 
@@ -23,13 +23,13 @@ def _err(message: str, line: int = 0, col: int = 0, filename: str = "<tfpg>") ->
     return TfpgError([Diagnostic(message, line, col, filename=filename)])
 
 
-@dataclass(frozen=True)
-class TfpgEdge:
-    src: str
-    dst: str
-    tmin: int
-    tmax: int | None  # None = unbounded
-    modes: frozenset[str] | None  # None = all modes
+class TfpgEdge(Record):
+    __slots__ = _fields = ("src", "dst", "tmin", "tmax", "modes")
+
+    def __init__(self, src: str, dst: str, tmin: int, tmax: int | None, modes: frozenset[str] | None):
+        self.src, self.dst, self.tmin = src, dst, tmin
+        self.tmax = tmax  # None = unbounded
+        self.modes = modes  # None = all modes
 
     def modes_label(self) -> str:
         if self.modes is None:
@@ -41,11 +41,13 @@ class TfpgEdge:
         return f"[{self.tmin},{hi}]"
 
 
-@dataclass
 class Tfpg:
-    modes: tuple[str, ...]
-    nodes: dict[str, str]  # id -> "failure" | "and" | "or"
-    edges: tuple[TfpgEdge, ...]
+    __slots__ = ("modes", "nodes", "edges")
+
+    def __init__(self, modes: tuple[str, ...], nodes: dict[str, str], edges: tuple[TfpgEdge, ...]):
+        self.modes = modes
+        self.nodes = nodes  # id -> "failure" | "and" | "or"
+        self.edges = edges
 
     def failures(self) -> list[str]:
         return [n for n, k in self.nodes.items() if k == "failure"]

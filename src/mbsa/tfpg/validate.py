@@ -19,10 +19,10 @@ verdict is recomputed with :func:`mbsa.tfpg.admit.admits` on that trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import Trace, _engine
+from mbsa.sts.model import Record
 from mbsa.tfpg.activation import (
     BindingEvaluator,
     NodeBinding,
@@ -34,18 +34,20 @@ from mbsa.tfpg.graph import Tfpg
 from mbsa.tfpg.product import explore
 
 
-@dataclass(frozen=True)
-class Inconsistency:
-    node: str
-    reason: str
-    step: int
+class Inconsistency(Record):
+    __slots__ = _fields = ("node", "reason", "step")
+
+    def __init__(self, node: str, reason: str, step: int):
+        self.node, self.reason, self.step = node, reason, step
 
 
-@dataclass
 class ValidationReport:
-    verdict: str  # "complete" | "incomplete"
-    counterexamples: list[tuple[Trace, Inconsistency]]
-    explored_states: int = 0
+    __slots__ = ("verdict", "counterexamples", "explored_states")
+
+    def __init__(self, verdict: str, counterexamples: list[tuple[Trace, Inconsistency]],
+                 explored_states: int = 0):
+        self.verdict = verdict  # "complete" | "incomplete"
+        self.counterexamples, self.explored_states = counterexamples, explored_states
 
     @property
     def complete(self) -> bool:

@@ -37,6 +37,7 @@ from mbsa.tfpg import (
 from mbsa.tfpg.activation import activation_trace_of
 
 from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr
+from probability_references import evaluate
 from random_models import random_extended_model
 from test_fault_tree import _indicator_oracle
 
@@ -107,7 +108,7 @@ def test_criterion_03_probability_exactness():
         for combo in itertools.product([Fraction(0), Fraction(1, 2), Fraction(1)],
                                        repeat=len(sp.symbols)):
             env = dict(zip(sp.symbols, combo))
-            assert sp.evaluate(env) == evaluate_probability(ft, ProbabilityAssignment(env))[ft.root]
+            assert evaluate(sp, env) == evaluate_probability(ft, ProbabilityAssignment(env))[ft.root]
     _ok(3, f"{len(suites)} trees exact vs enumeration and on the full grid")
 
 

@@ -8,6 +8,7 @@ from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_pr
 from mbsa.sts.engine import Engine
 
 from conftest import build_extended, checked_expr
+from probability_references import evaluate
 
 PAIR_SMX = """MODULE pair
 VAR a : boolean; b : boolean;
@@ -184,7 +185,7 @@ def test_symbolic_includes_cc_symbol(pair):
     sp = symbolic_probability(ft, groups)
     assert sp.symbols == ("f1", "f2", "g")
     env = {"f1": Fraction("0.1"), "f2": Fraction("0.1"), "g": Fraction("0.05")}
-    assert sp.evaluate(env) == Fraction("0.0595")
+    assert evaluate(sp, env) == Fraction("0.0595")
 
 
 def test_group_member_absent_from_tree(pair):

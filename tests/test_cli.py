@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from mbsa import probability
 from mbsa.cli import main
 
 from conftest import FIXTURES
@@ -503,3 +507,47 @@ def test_cut_sequence_search_honours_cap(tmp_path, capsys, argv):
     assert run("mcs", *m, "--tle", "sys_dead") == 0
     assert run(*argv, *m) == 3
     assert "resource cap exceeded: stored cut-sequence states exceed cap 500" in capsys.readouterr().err
+
+
+def _pairs(tmp_path, k):
+    """A model whose top-level event has k disjoint two-fault cut sets."""
+    names = [f"{s}{i}" for i in range(k) for s in "ab"]
+    (tmp_path / "pairs.smx").write_text(
+        "MODULE pairs\nVAR " + " ".join(f"{n} : boolean;" for n in names) + "\n"
+        + "INIT " + " & ".join(f"!{n}" for n in names) + ";\n"
+        + "".join(f"TRANS next({n}) = {n};\n" for n in names))
+    (tmp_path / "pairs.fei").write_text("".join(
+        f"fault f{n}: target {n}, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n" for n in names))
+    return ("--model", str(tmp_path / "pairs.smx"), "--fei", str(tmp_path / "pairs.fei"),
+            "--tle", " | ".join(f"(a{i} & b{i})" for i in range(k)))
+
+
+def test_ftprob_text_over_cap_exits_3_before_any_artifact(tmp_path, capsys, monkeypatch):
+    argv = _pairs(tmp_path, 4)
+    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "free")) == 0
+    free = sorted((tmp_path / "free").iterdir())
+    text = (tmp_path / "free" / "tle_probability.txt").read_text().splitlines()[1]
+    monkeypatch.setattr(probability, "TEXT_CAP", len(text))
+    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "at_cap")) == 0
+    assert [(p.name, p.read_bytes()) for p in free] == \
+        [(p.name, p.read_bytes()) for p in sorted((tmp_path / "at_cap").iterdir())]
+    monkeypatch.setattr(probability, "TEXT_CAP", len(text) - 1)
+    capsys.readouterr()
+    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "over")) == 3
+    assert "tle_probability.txt" in capsys.readouterr().err
+    assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("modules", [
+    "mbsa.cli",
+    "mbsa.analysis, mbsa.cca, mbsa.fault_tree, mbsa.probability, mbsa.sts.model",
+], ids=["cli", "trees_job"])
+def test_start_up_imports_neither_dataclasses_nor_inspect(modules):
+    # every CLI run is a fresh process: creating dataclasses, and importing
+    # dataclasses with inspect, ast and dis behind it, cost each run ~50 ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

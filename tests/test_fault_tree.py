@@ -24,6 +24,7 @@ from mbsa.probability import PBin, pexpr_to_text, render_prob_script
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import checked_expr
+from probability_references import evaluate
 
 
 def _result(mcs, tle="a"):
@@ -217,7 +218,7 @@ def test_random_trees_match_enumeration(seed):
         env = {s: Fraction(rng.randint(0, 30), 30) for s in sp.symbols}
         groups = [Group(g.id, g.members, env[g.id]) for g in pa.dependency_groups]
         probs = {e: p for e, p in env.items() if e not in {g.id for g in groups}}
-        assert sp.evaluate(env) == _indicator_oracle(ft, ProbabilityAssignment(probs, groups))
+        assert evaluate(sp, env) == _indicator_oracle(ft, ProbabilityAssignment(probs, groups))
 
 
 def test_disjoint_pairs_scale_linearly():
@@ -231,7 +232,7 @@ def test_disjoint_pairs_scale_linearly():
     elapsed = time.process_time() - start
     expected = 1 - math.prod((1 - probs[a] * probs[b] for a, b in pairs), start=Fraction(1))
     assert root == expected
-    assert sp.evaluate(probs) == expected
+    assert evaluate(sp, probs) == expected
     binary, stack = set(), [sp.root]
     while stack:
         n = stack.pop()
@@ -252,7 +253,7 @@ def test_deep_or_needs_no_recursion():
     expected = 1 - math.prod((1 - p for p in probs.values()), start=Fraction(1))
     assert evaluate_probability(ft, ProbabilityAssignment(probs))[ft.root] == expected
     sp = symbolic_probability(ft)
-    assert sp.evaluate(probs) == expected
+    assert evaluate(sp, probs) == expected
     assert pexpr_to_text(sp).count("p_e") == 2 * 1200 - 1
     python = render_prob_script(sp, "python")
     env: dict = {}
@@ -307,7 +308,7 @@ def test_symbolic_single_event():
     ft = build_fault_tree(_result([{"a"}]))
     sp = symbolic_probability(ft)
     assert sp.symbols == ("a",)
-    assert sp.evaluate({"a": Fraction("0.37")}) == Fraction("0.37")
+    assert evaluate(sp, {"a": Fraction("0.37")}) == Fraction("0.37")
 
 
 def test_symbolic_or_two_events():
@@ -316,7 +317,7 @@ def test_symbolic_or_two_events():
     for pa_val in (Fraction(0), Fraction(1, 3), Fraction(1)):
         for pb_val in (Fraction(0), Fraction(1, 2), Fraction(1)):
             expected = pa_val + pb_val - pa_val * pb_val
-            assert sp.evaluate({"a": pa_val, "b": pb_val}) == expected
+            assert evaluate(sp, {"a": pa_val, "b": pb_val}) == expected
 
 
 @pytest.mark.parametrize("mcs", [
@@ -330,7 +331,7 @@ def test_symbolic_grid_equivalence(mcs):
     grid = [Fraction(0), Fraction(1, 2), Fraction(1)]
     for combo in itertools.product(grid, repeat=len(sp.symbols)):
         env = dict(zip(sp.symbols, combo))
-        assert sp.evaluate(env) == evaluate_probability(ft, ProbabilityAssignment(env))[ft.root]
+        assert evaluate(sp, env) == evaluate_probability(ft, ProbabilityAssignment(env))[ft.root]
 
 
 def test_symbolic_dag_has_no_duplicate_subterms():

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbsa.faults import EventInfo
 from mbsa.sts.check import TypeError_, type_check
 from mbsa.sts.model import (
-    BinOp, BoolConst, BoolType, InSet, IntConst, IntRangeType, Ite, Name, Next, UnOp,
+    BinOp, BoolConst, BoolType, EnumType, InSet, IntConst, IntRangeType, IntType, Ite, Name, Next, SymbolicModel,
+    UnOp, _Node,
 )
-from mbsa.sts.parse import ParseError, parse_expr_text, parse_model
+from mbsa.sts.parse import ParseError, Token, parse_expr_text, parse_model
+from mbsa.tfpg.graph import TfpgEdge
 from mbsa.sts.pretty import print_expr, print_model
 
 
@@ -177,3 +182,60 @@ def test_diagnostic_format():
     from mbsa.diagnostics import Diagnostic
     d = Diagnostic("boom", 3, 7, filename="model.smx")
     assert str(d) == "model.smx:3:7: error: boom"
+
+
+def _event(name):
+    return EventInfo(name, f"mode#{name}", Name("x"), Fraction(1, 10), Name("y"))
+
+
+# (a, b, a == b).  Expression nodes and models compare by structure and are
+# unhashable; positions and inferred types never take part.  Types and TFPG
+# edges compare and hash by value.  Every other record is hashable.
+RECORDS = [
+    (Name("x"), Next("x"), False),
+    (BoolConst(True), IntConst(1), False),
+    (Name("x", line=1, col=2, ty=BoolType()), Name("x", line=3, col=4), True),
+    (IntConst(1, ty=IntType()), IntConst(1), True),
+    (BinOp("&", Name("a"), Name("b"), line=5), BinOp("&", Name("a", col=9), Name("b")), True),
+    (BinOp("&", Name("a"), Name("b")), BinOp("|", Name("a"), Name("b")), False),
+    (UnOp("!", Name("a")), UnOp("-", Name("a")), False),
+    (Ite(Name("c"), IntConst(1), IntConst(2)), Ite(Name("c", line=2), IntConst(1), IntConst(2)), True),
+    (InSet(Name("m"), (Name("A"), Name("B")), line=2), InSet(Name("m"), (Name("A"), Name("B", col=3))), True),
+    (InSet(Name("m"), (Name("A"),)), InSet(Name("m"), (Name("B"),)), False),
+    (SymbolicModel("m", (("x", BoolType()),), init=(Name("x", line=1),)),
+     SymbolicModel("m", (("x", BoolType()),), init=(Name("x", line=2),)), True),
+    (SymbolicModel("m", (("x", BoolType()),)), SymbolicModel("n", (("x", BoolType()),)), False),
+    (BoolType(), IntType(), False),
+    (BoolType(), BoolType(), True),
+    (IntType(), IntType(), True),
+    (EnumType(("A", "B")), EnumType(("A", "B")), True),
+    (EnumType(("A", "B")), EnumType(("B", "A")), False),
+    (IntRangeType(0, 3), IntRangeType(0, 3), True),
+    (IntRangeType(0, 3), IntRangeType(1, 3), False),
+    (TfpgEdge("a", "b", 1, None, frozenset({"P"})), TfpgEdge("a", "b", 1, None, frozenset({"P"})), True),
+    (TfpgEdge("a", "b", 1, None, None), TfpgEdge("a", "b", 1, 4, None), False),
+    (_event("e"), _event("f"), False),
+    (Token("ident", "x", 1, 1), Token("ident", "y", 1, 2), False),
+]
+
+
+@pytest.mark.parametrize("a, b, equal", RECORDS)
+def test_record_semantics(a, b, equal):
+    assert (a == b) is equal and (a != b) is not equal
+    if isinstance(a, (_Node, SymbolicModel)):
+        for r in (a, b):
+            with pytest.raises(TypeError):
+                hash(r)
+    else:
+        members = {a, b}
+        assert a in members and b in members and len(members) == (1 if equal else 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EnumType(()),
+    lambda: EnumType(("A", "B", "A")),
+    lambda: IntRangeType(3, 1),
+])
+def test_empty_or_repeated_type_rejected(make):
+    with pytest.raises(ValueError):
+        make()
