@@ -6,7 +6,7 @@ Run from the repository root: python demos/demo_fmea_cca.py
 from fractions import Fraction
 
 from mbsa.analysis import compute_mcs
-from mbsa.cca import apply_cca, dependency_groups, parse_cca
+from mbsa.cca import apply_cca, parse_cca
 from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability
 from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.fmea import export_fmea, generate_dynamic_fmea, generate_fmea
@@ -54,8 +54,7 @@ ft = build_fault_tree(compute_mcs(xm, prop("a & b"), 2))
 independent = evaluate_probability(
     ft, ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}))[ft.root]
 conditioned = evaluate_probability(
-    ft, ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")},
-                              dependency_groups(specs)))[ft.root]
+    ft, ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}, specs))[ft.root]
 print(f"\nP(both fail) independent:        {float(independent)}")
 print(f"P(both fail) with common cause:  {float(conditioned)}")
 print("(= 0.05 * 1 + 0.95 * 0.01: conditioning on the cause's occurrence)")

@@ -1,4 +1,4 @@
-"""Common cause events: definition language, model weaving, dependency groups.
+"""Common cause events: definition language and model weaving.
 
 A common cause is a latched event that occurs nondeterministically at most
 once per mission and triggers its member faults, either the same step
@@ -87,9 +87,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         ts.expect(":")
         ts.expect_word("members")
         ts.expect("{")
-        members = [ts.expect_ident("member event").text]
-        while ts.accept(","):
-            members.append(ts.expect_ident("member event").text)
+        members = ts.items(lambda: ts.expect_ident("member event").text)
         ts.expect("}")
         if len(set(members)) != len(members):
             raise CcaError([Diagnostic(f"duplicate member in common cause {id_tok.text!r}",
@@ -107,29 +105,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
             ts.expect("(")
             windows = []
             if not ts.at(")"):
-                while True:
-                    m = ts.expect_ident("member event")
-                    ts.expect(":")
-                    ts.expect("[")
-                    lo_tok = ts.cur
-                    if lo_tok.kind != "num":
-                        ts.fail("expected window lower bound")
-                    lo = int(ts.advance().text)
-                    ts.expect(",")
-                    hi_tok = ts.cur
-                    if hi_tok.kind != "num":
-                        ts.fail("expected window upper bound")
-                    hi = int(ts.advance().text)
-                    ts.expect("]")
-                    if lo > hi:
-                        raise CcaError([Diagnostic(f"window [{lo},{hi}] has lo > hi",
-                                                   hi_tok.line, hi_tok.col, filename=filename)])
-                    if m.text not in members:
-                        raise CcaError([Diagnostic(f"window names non-member {m.text!r}",
-                                                   m.line, m.col, filename=filename)])
-                    windows.append((m.text, lo, hi))
-                    if not ts.accept(","):
-                        break
+                windows = ts.items(lambda: _parse_window(ts, members))
             ts.expect(")")
             pattern = Cascading(tuple(sorted(windows)))
         else:
@@ -147,6 +123,28 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         ts.expect(";")
         out.append(CommonCauseSpec(id_tok.text, frozenset(members), pattern, prob))
     return out
+
+
+def _parse_window(ts: TokenStream, members: list[str]) -> tuple[str, int, int]:
+    m = ts.expect_ident("member event")
+    ts.expect(":")
+    ts.expect("[")
+    lo_tok = ts.cur
+    if lo_tok.kind != "num":
+        ts.fail("expected window lower bound")
+    lo = int(ts.advance().text)
+    ts.expect(",")
+    hi_tok = ts.cur
+    if hi_tok.kind != "num":
+        ts.fail("expected window upper bound")
+    hi = int(ts.advance().text)
+    ts.expect("]")
+    if lo > hi:
+        raise CcaError([Diagnostic(f"window [{lo},{hi}] has lo > hi", hi_tok.line, hi_tok.col,
+                                   filename=ts.filename)])
+    if m.text not in members:
+        raise CcaError([Diagnostic(f"window names non-member {m.text!r}", m.line, m.col, filename=ts.filename)])
+    return m.text, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +240,3 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
         raise CcaError(exc.diagnostics)
     return ExtendedModel(typed, events)
 
-
-def dependency_groups(specs: list[CommonCauseSpec]) -> list[CommonCauseSpec]:
-    """The dependency groups probability evaluation conditions on.
-
-    Evaluation sums over occurrence combinations of the groups: each branch
-    weighs by the group probabilities, forces occurred groups' members to
-    have occurred, and keeps members' spontaneous probabilities independent.
-    """
-    return list(specs)

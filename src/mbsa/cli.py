@@ -18,7 +18,7 @@ from pathlib import Path
 
 from mbsa import __version__
 from mbsa.analysis import compute_cut_sequences, compute_mcs, cutsets_to_tsv, cutsets_to_xml
-from mbsa.cca import CommonCauseSpec, apply_cca, dependency_groups, parse_cca
+from mbsa.cca import CommonCauseSpec, apply_cca, parse_cca
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError, ResourceCapError
 from mbsa.fault_tree import (
     ProbabilityAssignment,
@@ -216,7 +216,7 @@ def cmd_ftprob(args) -> int:
     # a member outside the tree cannot change any node's probability
     events = ft.basic_events()
     groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability)
-              for g in dependency_groups(specs)]
+              for g in specs]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
     symbolic = symbolic_probability(ft, groups)

@@ -27,12 +27,13 @@ from mbsa.sts.model import (
     Expr,
     IntConst,
     IntRangeType,
+    IntType,
     Ite,
     Name,
     Next,
     SymbolicModel,
+    TypeSpec,
     UnOp,
-    rename_refs,
     substitute,
     walk,
 )
@@ -172,15 +173,7 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
             params: list[TemplateParam] = []
             if ts.accept("("):
                 if not ts.at(")"):
-                    while True:
-                        p = ts.expect_ident("parameter name")
-                        ts.expect(":")
-                        kind_tok = ts.expect_ident("parameter kind (value or expr)")
-                        if kind_tok.text not in ("value", "expr"):
-                            ts.fail(f"parameter kind must be 'value' or 'expr', got {kind_tok.text!r}")
-                        params.append(TemplateParam(p.text, kind_tok.text))
-                        if not ts.accept(","):
-                            break
+                    params = ts.items(lambda: _parse_param(ts))
                 ts.expect(")")
             if not (ts.cur.kind == "ident" and ts.cur.text == "for"):
                 ts.fail("expected 'for <boolean|int|enum|any>'")
@@ -217,6 +210,15 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
         else:
             ts.fail(f"expected 'template' or 'dynamics', found {t.text!r}")
     return lib
+
+
+def _parse_param(ts: TokenStream) -> TemplateParam:
+    p = ts.expect_ident("parameter name")
+    ts.expect(":")
+    kind_tok = ts.expect_ident("parameter kind (value or expr)")
+    if kind_tok.text not in ("value", "expr"):
+        ts.fail(f"parameter kind must be 'value' or 'expr', got {kind_tok.text!r}")
+    return TemplateParam(p.text, kind_tok.text)
 
 
 def _validate_template(name_tok: Token, params: list[TemplateParam], effect: Expr,
@@ -268,9 +270,7 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
         args: list[Expr] = []
         if ts.accept("("):
             if not ts.at(")"):
-                args.append(parse_expr(ts))
-                while ts.accept(","):
-                    args.append(parse_expr(ts))
+                args = ts.items(lambda: parse_expr(ts))
             ts.expect(")")
         ts.expect(",")
         ts.expect_word("dynamics")
@@ -332,6 +332,9 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
     trans = list(model.trans)
     invar = list(model.invar)
     events: dict[str, EventInfo] = {}
+    # a target keeps the type it had when first resolved: after a wrap a
+    # target of a finite integer range is a define of abstract integer type
+    target_types: dict[str, TypeSpec] = {}
 
     for ins in instructions:
         taken = {n for n, _ in variables} | {n for n, _ in defines}
@@ -354,6 +357,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
         else:
             raise ExtensionError([Diagnostic(
                 f"unknown extension target {ins.target!r} (event {ins.event})")])
+        target_ty = target_types.setdefault(ins.target, target_ty)
 
         template = library.templates.get(ins.template)
         if template is None:
@@ -380,10 +384,10 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
         if ins.target in var_names:
             idx = var_names[ins.target]
             variables[idx] = (carrier, target_ty)
-            ren = {ins.target: carrier}
-            init = [rename_refs(e, ren) for e in init]
-            invar = [rename_refs(e, ren) for e in invar]
-            trans = [rename_refs(e, ren, current=False, nxt=True) for e in trans]
+            ren = {ins.target: Name(carrier)}
+            init = [substitute(e, ren) for e in init]
+            invar = [substitute(e, ren) for e in invar]
+            trans = [substitute(e, {}, {ins.target: carrier}) for e in trans]
         else:
             idx = define_names[ins.target]
             defines[idx] = (carrier, defines[idx][1])
@@ -394,7 +398,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
             raise ExtensionError([Diagnostic(f"duplicate event name {ins.event!r}")])
         variables.append((mode_var, _MODE_TYPE))
         init.append(BinOp("=", Name(mode_var), Name("nominal")))
-        dyn_constraint = rename_refs(dyn.constraint, {"mode": mode_var})
+        dyn_constraint = substitute(dyn.constraint, {"mode": Name(mode_var)}, {"mode": mode_var})
         if not isinstance(dyn_constraint, BoolConst) or not dyn_constraint.value:
             trans.append(dyn_constraint)
 
@@ -420,6 +424,10 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
 def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carrier: str,
                         target_ty, variables: list, init: list, trans: list, taken: set[str]) -> Expr:
     if template.name == "random" and template.builtin:
+        if isinstance(target_ty, IntType):
+            raise ExtensionError([Diagnostic(
+                f"random needs a target with a finite domain; {ins.target!r} has type {target_ty} "
+                f"(event {ins.event})")])
         rnd = _fresh(f"choice#{ins.event}", taken)
         taken.add(rnd)
         variables.append((rnd, target_ty))  # unconstrained: a fresh value every step

@@ -19,7 +19,6 @@ from mbsa.analysis import CutSetResult, _sorted_mcs, compute_cut_sequences, comp
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
-from mbsa.sts.parse import parse_expr_text
 from mbsa.sts.pretty import print_expr
 
 
@@ -125,26 +124,6 @@ def fmea_to_xml(table: FmeaTable) -> str:
             ET.SubElement(r, "violates").set("label", v)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode") + "\n"
-
-
-def fmea_from_xml(text: str) -> FmeaTable:
-    root = ET.fromstring(text)
-    if root.tag != "fmea":
-        raise FmeaError(f"expected <fmea> document, found <{root.tag}>")
-    dynamic = root.get("dynamic") == "true"
-    bound = root.get("step-bound", "unbounded")
-    properties = []
-    for p in root.find("properties") or []:
-        properties.append((p.get("label", ""), parse_expr_text(p.get("expr", "TRUE"))))
-    rows = []
-    for r in root.find("rows") or []:
-        faults = frozenset(f.get("name", "") for f in r if f.tag == "fault")
-        orders = sorted(((int(o.get("pos", "0")), o.get("name", "")) for o in r if o.tag == "order"))
-        ordering = tuple(name for _, name in orders) if dynamic else None
-        violated = tuple(v.get("label", "") for v in r if v.tag == "violates")
-        rows.append(FmeaRow(faults, violated, ordering))
-    return FmeaTable(tuple(properties), rows, int(root.get("max-card", "1")),
-                     None if bound == "unbounded" else int(bound), dynamic)
 
 
 def export_fmea(table: FmeaTable, fmt: str) -> str:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
-from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, InSet, Ite, Name, Next, UnOp, conjuncts
+from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, Name, Next, UnOp, conjuncts, walk
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -221,26 +221,17 @@ class Engine:
         stack = [e]
         seen_defs: set[str] = set()
         while stack:
-            n = stack.pop()
-            if isinstance(n, Next):
-                if nxt:
-                    out.add(n.name)
-            elif isinstance(n, Name):
-                if n.name in self.tm.defines:
-                    if n.name not in seen_defs:
-                        seen_defs.add(n.name)
-                        stack.append(self.tm.defines[n.name])
-                elif not nxt and n.name in self.tm.var_index:
-                    out.add(n.name)
-            elif isinstance(n, UnOp):
-                stack.append(n.operand)
-            elif isinstance(n, BinOp):
-                stack.append(n.left)
-                stack.append(n.right)
-            elif isinstance(n, Ite):
-                stack.extend((n.cond, n.then, n.other))
-            elif isinstance(n, InSet):
-                stack.append(n.operand)
+            for n in walk(stack.pop()):
+                if isinstance(n, Next):
+                    if nxt:
+                        out.add(n.name)
+                elif isinstance(n, Name):
+                    if n.name in self.tm.defines:
+                        if n.name not in seen_defs:
+                            seen_defs.add(n.name)
+                            stack.append(self.tm.defines[n.name])
+                    elif not nxt and n.name in self.tm.var_index:
+                        out.add(n.name)
         return out, seen_defs
 
     # -- enumeration ----------------------------------------------------------

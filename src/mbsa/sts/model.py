@@ -201,64 +201,28 @@ def walk(e: Expr):
             yield from walk(m)
 
 
-def rename_refs(e: Expr, mapping: dict[str, str], *, current: bool = True, nxt: bool = True) -> Expr:
-    """Return a copy of ``e`` with identifier references renamed.
+def substitute(e: Expr, current: dict[str, Expr], nxt: dict[str, str] | None = None) -> Expr:
+    """Return a copy of ``e`` with each plain reference ``n`` in ``current``
+    replaced by ``current[n]``, and each ``next(n)`` with ``n`` in ``nxt``
+    renamed to ``next(nxt[n])``.
 
-    ``current`` / ``nxt`` select whether plain references and ``next()``
-    references are affected.  Enumeration literals are syntactically Names
-    too; callers must only rename identifiers that are variable/define names.
+    Rebuilt nodes keep their positions.  Enumeration literals are
+    syntactically Names too; callers map only variable and define names.
     """
     if isinstance(e, Name):
-        if current and e.name in mapping:
-            return Name(mapping[e.name], line=e.line, col=e.col)
-        return e
+        return current.get(e.name, e)
     if isinstance(e, Next):
-        if nxt and e.name in mapping:
-            return Next(mapping[e.name], line=e.line, col=e.col)
-        return e
+        return Next(nxt[e.name], line=e.line, col=e.col) if nxt and e.name in nxt else e
     if isinstance(e, UnOp):
-        return UnOp(e.op, rename_refs(e.operand, mapping, current=current, nxt=nxt), line=e.line, col=e.col)
+        return UnOp(e.op, substitute(e.operand, current, nxt), line=e.line, col=e.col)
     if isinstance(e, BinOp):
-        return BinOp(
-            e.op,
-            rename_refs(e.left, mapping, current=current, nxt=nxt),
-            rename_refs(e.right, mapping, current=current, nxt=nxt),
-            line=e.line,
-            col=e.col,
-        )
+        return BinOp(e.op, substitute(e.left, current, nxt), substitute(e.right, current, nxt),
+                     line=e.line, col=e.col)
     if isinstance(e, Ite):
-        return Ite(
-            rename_refs(e.cond, mapping, current=current, nxt=nxt),
-            rename_refs(e.then, mapping, current=current, nxt=nxt),
-            rename_refs(e.other, mapping, current=current, nxt=nxt),
-            line=e.line,
-            col=e.col,
-        )
+        return Ite(substitute(e.cond, current, nxt), substitute(e.then, current, nxt),
+                   substitute(e.other, current, nxt), line=e.line, col=e.col)
     if isinstance(e, InSet):
-        return InSet(
-            rename_refs(e.operand, mapping, current=current, nxt=nxt),
-            tuple(rename_refs(m, mapping, current=current, nxt=nxt) for m in e.members),
-            line=e.line,
-            col=e.col,
-        )
-    return e
-
-
-def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Replace plain Name references by expressions (used for template effects)."""
-    if isinstance(e, Name):
-        return mapping.get(e.name, e)
-    if isinstance(e, Next):
-        return e
-    if isinstance(e, UnOp):
-        return UnOp(e.op, substitute(e.operand, mapping), line=e.line, col=e.col)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping), line=e.line, col=e.col)
-    if isinstance(e, Ite):
-        return Ite(substitute(e.cond, mapping), substitute(e.then, mapping), substitute(e.other, mapping),
-                   line=e.line, col=e.col)
-    if isinstance(e, InSet):
-        return InSet(substitute(e.operand, mapping), tuple(substitute(m, mapping) for m in e.members),
+        return InSet(substitute(e.operand, current, nxt), tuple(substitute(m, current, nxt) for m in e.members),
                      line=e.line, col=e.col)
     return e
 

@@ -106,6 +106,13 @@ class TokenStream:
             return True
         return False
 
+    def items(self, item) -> list:
+        """One or more ``item()`` results separated by commas."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
     def expect(self, text: str) -> Token:
         if not self.at(text):
             self.fail(f"expected {text!r}, found {self.cur.text!r}")
@@ -186,9 +193,7 @@ def _parse_rel(ts: TokenStream) -> Expr:
     if ts.at("in"):
         t = ts.advance()
         ts.expect("{")
-        members = [_parse_atom(ts)]
-        while ts.accept(","):
-            members.append(_parse_atom(ts))
+        members = ts.items(lambda: _parse_atom(ts))
         ts.expect("}")
         return InSet(left, tuple(members), line=t.line, col=t.col)
     return left
@@ -257,9 +262,7 @@ def _parse_type(ts: TokenStream) -> TypeSpec:
     if ts.accept("boolean"):
         return BoolType()
     if ts.accept("{"):
-        lits = [ts.expect_ident("enumeration literal").text]
-        while ts.accept(","):
-            lits.append(ts.expect_ident("enumeration literal").text)
+        lits = ts.items(lambda: ts.expect_ident("enumeration literal").text)
         ts.expect("}")
         if len(set(lits)) != len(lits):
             ts.fail("duplicate enumeration literal")

@@ -9,12 +9,9 @@ from __future__ import annotations
 from mbsa.sts.model import (
     BinOp,
     BoolConst,
-    BoolType,
-    EnumType,
     Expr,
     InSet,
     IntConst,
-    IntRangeType,
     Ite,
     Name,
     Next,
@@ -88,22 +85,12 @@ def print_expr(e: Expr) -> str:
     raise AssertionError(f"unhandled node {e!r}")
 
 
-def _print_type(ty) -> str:
-    if isinstance(ty, BoolType):
-        return "boolean"
-    if isinstance(ty, EnumType):
-        return "{" + ", ".join(ty.literals) + "}"
-    if isinstance(ty, IntRangeType):
-        return f"{ty.lo}..{ty.hi}"
-    raise AssertionError(f"unhandled type {ty!r}")
-
-
 def print_model(m: SymbolicModel) -> str:
     lines = [f"MODULE {m.name}"]
     if m.variables:
         lines.append("VAR")
         for name, ty in m.variables:
-            lines.append(f"  {name} : {_print_type(ty)};")
+            lines.append(f"  {name} : {ty};")
     if m.defines:
         lines.append("DEFINE")
         for name, body in m.defines:

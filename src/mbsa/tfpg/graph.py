@@ -111,9 +111,7 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
         word = t.text if t.kind == "ident" else None
         if word == "modes":
             ts.advance()
-            modes.append(ts.expect_ident("mode literal").text)
-            while ts.accept(","):
-                modes.append(ts.expect_ident("mode literal").text)
+            modes += ts.items(lambda: ts.expect_ident("mode literal").text)
             ts.expect(";")
         elif word in ("failure", "or", "and"):
             kind = t.text
@@ -147,10 +145,7 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
             if ts.accept("*"):
                 edge_modes: frozenset[str] | None = None
             else:
-                names = [ts.expect_ident("mode literal").text]
-                while ts.accept(","):
-                    names.append(ts.expect_ident("mode literal").text)
-                edge_modes = frozenset(names)
+                edge_modes = frozenset(ts.items(lambda: ts.expect_ident("mode literal").text))
             ts.expect("}")
             ts.expect(";")
             edges.append(TfpgEdge(src, dst, tmin, tmax, edge_modes))
@@ -216,6 +211,8 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
     nodes_el = root.find("nodes")
     for el in nodes_el if nodes_el is not None else []:
         nid = el.get("id", "")
+        if nid in nodes:
+            raise _err(f"duplicate node {nid!r}", filename=filename)
         if el.tag == "failure":
             nodes[nid] = "failure"
         elif el.tag == "discrepancy":
@@ -228,15 +225,17 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
     edges: list[TfpgEdge] = []
     edges_el = root.find("edges")
     for el in edges_el if edges_el is not None else []:
-        tmax_text = el.get("tmax", "inf")
+        src, dst = el.get("src", ""), el.get("dst", "")
+        tmin_text, tmax_text = el.get("tmin", "0"), el.get("tmax", "inf")
         modes_text = el.get("modes", "*")
-        edges.append(TfpgEdge(
-            el.get("src", ""),
-            el.get("dst", ""),
-            int(el.get("tmin", "0")),
-            None if tmax_text == "inf" else int(tmax_text),
-            None if modes_text == "*" else frozenset(modes_text.split()),
-        ))
+        try:
+            tmin = int(tmin_text)
+            tmax = None if tmax_text == "inf" else int(tmax_text)
+        except ValueError:
+            raise _err(f"edge {src}->{dst} has a non-integer bound in [{tmin_text},{tmax_text}]",
+                       filename=filename) from None
+        edges.append(TfpgEdge(src, dst, tmin, tmax,
+                              None if modes_text == "*" else frozenset(modes_text.split())))
     g = Tfpg(tuple(modes), nodes, tuple(edges))
     g.check(filename)
     return g

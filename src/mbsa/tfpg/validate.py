@@ -4,9 +4,10 @@ Complete means every model trace (up to the step bound) abstracts to an
 activation trace the TFPG admits.  Instead of enumerating traces, validation
 runs a deterministic admission monitor in lockstep with the breadth-first
 product search of :mod:`mbsa.tfpg.product`: the monitor state per edge is a
-saturated elapsed counter plus a window-hit flag and a passed-deadline bit,
-which is exactly the information the per-node admission conditions need
-(counters never decrease, so a passed deadline stays passed).  The
+saturated elapsed counter and a passed-deadline bit, which is exactly the
+information the per-node admission conditions need (counters never
+decrease, so a passed deadline stays passed, and a counter at or past
+``tmin`` has met its window once, as it grows by at most one per step).  The
 monitor step is a function of (monitor state, observation), so the search
 takes it once per distinct pair.  It is generated once per TFPG as
 straight-line Python, every edge and node check unrolled with its bits,
@@ -60,10 +61,10 @@ class AdmissionMonitor:
     Bit i of a mask is ``node_order[i]``; bits of nodes outside the TFPG are
     ignored.  A monitor state is (activated TFPG nodes, edges past their
     deadline, edge slots), the first two as masks.  An edge's slot holds its
-    saturated elapsed counter and a window-hit flag while the edge is
-    pending and its destination inactive; None otherwise.  Feeding the
-    observations of a trace prefix rejects exactly the prefixes whose
-    activation traces the TFPG does not admit.
+    saturated elapsed counter while the edge is pending and its destination
+    inactive; None otherwise.  Feeding the observations of a trace prefix
+    rejects exactly the prefixes whose activation traces the TFPG does not
+    admit.
 
     ``advance(mstate, mask, mode)`` processes one step and returns (new
     state, violated node | None); on a violation the new state is
@@ -98,8 +99,8 @@ def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
     violating discrepancy in name order.  Deadline checks see the counters
     before this step.  An activation check views each incoming edge as its
     slot, or, when it has none and its source is active, as a fresh slot
-    ``(0, tmin == 0)``; an OR node needs one view inside its window, an
-    AND node a view per edge, each hit or inside its window, and one inside.
+    0; an OR node needs one view inside its window, an AND node a view per
+    edge, each at ``tmin`` or past it, and one inside its window.
     Then edges into activated nodes are discharged, edges from newly active
     sources opened, and every pending counter counts this step if its modes
     allow, saturating past the deadline (late) or past ``tmin`` when there
@@ -131,15 +132,14 @@ def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
             checks.append(f"            return mstate, {n!r}")
             continue
         for i, e in incoming[n]:
-            checks.append(f"            v{i} = s{i} if s{i} is not None else "
-                          f"{(0, e.tmin == 0)!r} if seen & {bit[e.src]} else None")
-        inside = [(i, _window(f"v{i}[0]", e.tmin, e.tmax)) for i, e in incoming[n]]
+            checks.append(f"            v{i} = s{i} if s{i} is not None else 0 if seen & {bit[e.src]} else None")
+        inside = [(i, _window(f"v{i}", e.tmin, e.tmax)) for i, e in incoming[n]]
         if tfpg.nodes[n] == "or":
             some = " or ".join(f"v{i} is not None and {w}" for i, w in inside)
             checks.append(f"            if not ({some}): return mstate, {n!r}")
         else:
             missing = " or ".join(f"v{i} is None" for i, _ in inside)
-            every = " and ".join(f"(v{i}[1] or {w})" for i, w in inside)
+            every = " and ".join(_window(f"v{i}", e.tmin, None) for i, e in incoming[n])
             some = " or ".join(w for _, w in inside)
             checks.append(f"            if {missing}: return mstate, {n!r}")
             checks.append(f"            if not ({every} and ({some})): return mstate, {n!r}")
@@ -152,23 +152,18 @@ def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
         src += [f"    if act & {bit[e.dst]} or s{i} is None and not act & {bit[e.src]}:",
                 f"        t{i} = None",
                 "    else:",
-                f"        c, hit = s{i} or {(0, e.tmin == 0)!r}"]
+                f"        c = s{i} or 0"]
         if e.modes is None:
             src.append("        c += 1")
         elif e.modes:
             src.append(f"        if mode in {{{', '.join(map(repr, sorted(e.modes)))}}}: c += 1")
-        # below the deadline a counter never decreases, so it has hit its
-        # window exactly when it is at tmin or past it
-        hit = _window("c", e.tmin, None)
         if e.tmax is not None:
             src += [f"        if c > {e.tmax}:",
                     f"            late |= {1 << i}",
-                    f"            t{i} = ({e.tmax + 1}, hit)",
-                    "        else:",
-                    f"            t{i} = (c, {hit})"]
+                    f"            c = {e.tmax + 1}"]
         else:
-            src += [f"        if c > {e.tmin}: c = {max(e.tmin, 1)}",
-                    f"        t{i} = (c, {hit})"]
+            src.append(f"        if c > {e.tmin}: c = {max(e.tmin, 1)}")
+        src.append(f"        t{i} = c")
     news = "".join(f"t{i}, " for i in range(len(edges)))
     src.append(f"    return (act, late, ({news})), None")
     return "\n".join(src) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from mbsa.analysis import brute_force_mcs, compute_cut_sequences, compute_mcs, cutsets_to_tsv
-from mbsa.cca import dependency_groups, parse_cca
+from mbsa.cca import parse_cca
 from mbsa.fault_tree import (
     Gate,
     ProbabilityAssignment,
@@ -145,8 +145,7 @@ def test_criterion_05_cca_conditioning():
     from mbsa.cca import apply_cca
     specs = parse_cca("cc burst: members {f1, f2}, pattern simultaneous, prob 0.05;")
     ft = build_fault_tree(compute_mcs(xm, checked_expr(xm, "a & b"), 2))
-    pa = ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")},
-                               dependency_groups(specs))
+    pa = ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}, specs)
     value = evaluate_probability(ft, pa)[ft.root]
     assert abs(value - Fraction("0.0595")) <= Fraction(1, 10**12)
     woven = apply_cca(xm, specs)

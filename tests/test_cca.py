@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mbsa.analysis import brute_force_mcs, compute_mcs, witness
-from mbsa.cca import Cascading, CcaError, Simultaneous, apply_cca, dependency_groups, parse_cca
+from mbsa.cca import Cascading, CcaError, Simultaneous, apply_cca, parse_cca
 from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability, symbolic_probability
 from mbsa.sts.engine import Engine
 
@@ -160,28 +160,28 @@ def test_worked_conditioning_example(pair):
     # AND(f1, f2) with member probability 0.1 each, simultaneous cc 0.05:
     # P = 0.05 * 1 + 0.95 * 0.01 = 0.0595
     ft = _pair_tree(pair)
-    groups = dependency_groups(parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.05;"))
+    groups = parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.05;")
     pa = ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}, groups)
     assert evaluate_probability(ft, pa)[ft.root] == Fraction("0.0595")
 
 
 def test_cc_probability_zero_reduces_to_independent(pair):
     ft = _pair_tree(pair)
-    groups = dependency_groups(parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0;"))
+    groups = parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0;")
     pa = ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}, groups)
     assert evaluate_probability(ft, pa)[ft.root] == Fraction("0.01")
 
 
 def test_cc_probability_one_forces_tree(pair):
     ft = _pair_tree(pair)
-    groups = dependency_groups(parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 1;"))
+    groups = parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 1;")
     pa = ProbabilityAssignment({"f1": Fraction("0.1"), "f2": Fraction("0.1")}, groups)
     assert evaluate_probability(ft, pa)[ft.root] == 1
 
 
 def test_symbolic_includes_cc_symbol(pair):
     ft = _pair_tree(pair)
-    groups = dependency_groups(parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.05;"))
+    groups = parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.05;")
     sp = symbolic_probability(ft, groups)
     assert sp.symbols == ("f1", "f2", "g")
     env = {"f1": Fraction("0.1"), "f2": Fraction("0.1"), "g": Fraction("0.05")}
@@ -192,6 +192,6 @@ def test_group_member_absent_from_tree(pair):
     from mbsa.fault_tree import FaultTreeError
     result = compute_mcs(pair, checked_expr(pair, "a"), 1)
     ft = build_fault_tree(result)  # only f1 appears
-    groups = dependency_groups(parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.5;"))
+    groups = parse_cca("cc g: members {f1, f2}, pattern simultaneous, prob 0.5;")
     with pytest.raises(FaultTreeError):
         evaluate_probability(ft, ProbabilityAssignment({"f1": Fraction(1, 2)}, groups))

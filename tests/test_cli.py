@@ -20,12 +20,15 @@ BIND = str(FIXTURES / "battery_sensor.bind")
 # search; mcs, ft --dynamic and fmea --dynamic artifacts recorded before
 # reachability and cut sequences shared one breadth-first search; static
 # fmea, ftprob --cca --dynamic and fmea --dynamic --cca artifacts recorded
-# before restrictions became mask tests over per-state fault labels
+# before restrictions became mask tests over per-state fault labels; extend
+# artifacts recorded before model extension had one expression rewriter
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 PROPS = str(GOLDENS / "fixture.props")
 PAIR = ("--model", str(GOLDENS / "pair.smx"), "--fei", str(GOLDENS / "pair.fei"),
         "--cca", str(GOLDENS / "burst.cca"))
 PAIR_PROPS = str(GOLDENS / "pair.props")
+WEAVE = ("--model", str(GOLDENS / "weave.smx"), "--flib", str(GOLDENS / "weave.flib"),
+         "--fei", str(GOLDENS / "weave.fei"), "--cca", str(GOLDENS / "weave.cca"))
 
 
 def run(*argv):
@@ -164,6 +167,39 @@ def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('tmin="5"', 'tmin="5.5"', "edge B1_LOW->B1_DEAD has a non-integer bound in [5.5,10]"),
+    ('tmax="10"', 'tmax="1e1"', "edge B1_LOW->B1_DEAD has a non-integer bound in [5,1e1]"),
+    ('<failure id="G1_Off" />', '<failure id="G1_Off" /><discrepancy id="G1_Off" semantics="or" />',
+     "duplicate node 'G1_Off'"),
+], ids=["tmin", "tmax", "duplicate-node"])
+@pytest.mark.parametrize("command", [("convert",), ("check", "--model", MODEL, "--fei", FEI, "--bind", BIND)],
+                         ids=["convert", "check"])
+def test_bad_tfpg_xml_exits_2(tmp_path, capsys, old, new, message, command):
+    # a non-integer bound ended in a ValueError traceback; a repeated node id
+    # silently replaced the earlier node
+    xml = tmp_path / "g.xml"
+    assert run("tfpg", "convert", TFPG, str(xml)) == 0
+    xml.write_text(xml.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    if command[0] == "convert":
+        argv = ("convert", str(xml), str(tmp_path / "g.tfpg"))
+    else:
+        argv = (*command, "--tfpg", str(xml), "--out-dir", str(tmp_path / "out"))
+    assert run("tfpg", *argv) == 2
+    assert capsys.readouterr().err == f"{xml}:0:0: error: {message}\n"
+
+
+def test_random_on_an_unbounded_define_exits_2(tmp_path, capsys):
+    # random made a choice variable of abstract integer type: a TypeError traceback
+    (tmp_path / "m.smx").write_text("MODULE m VAR x : 0..5; DEFINE d := x + 1; INIT x = 0; TRANS next(x) = x;")
+    (tmp_path / "m.fei").write_text("fault b: target d, template random, dynamics permanent, prob 0.1;")
+    assert run("extend", "--model", str(tmp_path / "m.smx"), "--fei", str(tmp_path / "m.fei"),
+               "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == ("<input>:0:0: error: random needs a target with a finite domain; "
+                                       "'d' has type integer (event b)\n")
 
 
 def test_tfpg_synth_matches_golden(tmp_path):
@@ -445,6 +481,8 @@ def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
     ("fmea_fixture", ("fmea", "--model", MODEL, "--fei", FEI, "--props", PROPS, "--formats", "tsv,xml")),
     ("ftprob_dynamic_burst", ("ftprob", *PAIR, "--tle", "a & b", "--dynamic")),
     ("fmea_dynamic_burst", ("fmea", *PAIR, "--props", PAIR_PROPS, "--dynamic", "--formats", "tsv,xml")),
+    ("extend_fixture", ("extend", "--model", MODEL, "--fei", FEI)),
+    ("extend_weave", ("extend", *WEAVE)),
 ])
 def test_search_artifacts_match_goldens(tmp_path, golden, argv):
     assert run(*argv, "--out-dir", str(tmp_path)) == 0

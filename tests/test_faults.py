@@ -8,6 +8,7 @@ from mbsa.faults import (
     parse_fei,
 )
 from mbsa.sts.check import type_check
+from mbsa.sts.model import IntRangeType
 from mbsa.sts.engine import Engine
 from mbsa.sts.parse import parse_model
 from mbsa.sts.pretty import print_model
@@ -292,3 +293,32 @@ def test_disjoint_extension_is_compositional():
     staged = extend_model(
         extend_model(_tm(NOMINAL), lib, parse_fei(fei_a)).typed, lib, parse_fei(fei_b))
     assert both.model == staged.model
+
+
+INT_TARGET = "MODULE m VAR x : 0..5; DEFINE d := x + 1; INIT x = 0; TRANS next(x) = x;"
+
+
+def test_composed_instructions_keep_the_declared_integer_range():
+    # after the first wrap x is a define of abstract integer type; the later
+    # instructions still see 0..5 (random crashed, ramp_down and a 'for int'
+    # template were rejected)
+    xm = build_extended(INT_TARGET,
+                        "fault a: target x, template stuck_at(4), dynamics permanent, prob 0.1;"
+                        "fault b: target x, template random, dynamics permanent, prob 0.1;")
+    assert dict(xm.model.variables)["choice#b"] == IntRangeType(0, 5)
+    for template in ("ramp_down(1)", "drift(1)"):
+        xm = build_extended(INT_TARGET,
+                            "fault a: target x, template stuck_at(4), dynamics permanent, prob 0.1;"
+                            f"fault b: target x, template {template}, dynamics permanent, prob 0.1;",
+                            "template drift(p : value) for int := nominal - p;")
+        assert sorted(xm.events) == ["a", "b"]
+    eng = Engine(xm.typed)
+    x = eng.compile(checked_expr(xm, "x"))
+    levels = {x(s) for s in eng.reachable_tuples()}
+    assert levels == {-1, 0, 3, 4}  # drift(1) over stuck_at(4) over x = 0
+
+
+def test_random_needs_a_finite_domain():
+    with pytest.raises(ExtensionError) as err:
+        build_extended(INT_TARGET, "fault b: target d, template random, dynamics permanent, prob 0.1;")
+    assert "random needs a target with a finite domain; 'd' has type integer (event b)" in str(err.value)

@@ -207,21 +207,28 @@ def test_generated_monitor_step_equals_reference_on_random_walks():
         # a bit of a node outside the graph is ignored
         order = tuple(sorted([*g.nodes, "X"]))
         compiled, reference = AdmissionMonitor(g, order), ReferenceMonitor(g, order)
-        state = compiled.initial()
-        assert state == reference.initial()
+        tmins = [e.tmin for e in g.sorted_edges()]
+        state, ref_state = compiled.initial(), reference.initial()
+        assert state == ref_state
         mask = 0
         for _ in range(40):
             # activations mostly accumulate, sometimes drop out
             mask |= sum(1 << i for i in range(len(order)) if rng.random() < 0.1)
             mask &= ~sum(1 << i for i in range(len(order)) if rng.random() < 0.05)
             mode = rng.choice(g.modes)
-            got, want = compiled.advance(state, mask, mode), reference.advance(state, mask, mode)
-            assert repr(got) == repr(want), (g, state, mask, mode)
+            got, want = compiled.advance(state, mask, mode), reference.advance(ref_state, mask, mode)
+            # a generated slot is the reference's counter; the reference's
+            # window-hit flag is whether that counter reached tmin
+            (act, late, slots), bad = want
+            for slot, tmin in zip(slots, tmins):
+                assert slot is None or slot[1] == (slot[0] >= tmin), (g, slots)
+            counters = tuple(None if slot is None else slot[0] for slot in slots)
+            assert got == ((act, late, counters), bad), (g, state, mask, mode)
             # (step accepted, some deadline passed); a rejected step's walk
             # goes on from the state before it
-            outcomes.add((want[1] is None, bool(want[0][1])))
-            if want[1] is None:
-                state = got[0]
+            outcomes.add((bad is None, bool(late)))
+            if bad is None:
+                state, ref_state = got[0], want[0]
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
     edges = [e for g in graphs for e in g.edges]
     assert any(e.tmax is None for e in edges) and any(e.tmin == 0 for e in edges)
