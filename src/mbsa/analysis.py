@@ -4,11 +4,12 @@ Restricting an extended model so that "only the events in C may occur"
 conjoins the registry's suppression predicates of all other events as INVAR
 constraints.  The analyzer's engine carries them as guards, and a search
 passes the mask of the forbidden events, so a forbidden fault branch is
-pruned where it is chosen.  First occurrences, read only by the cut-sequence
-search, are a label: the registry's occurrence predicates compiled into one
-function, memoized per distinct state in a ``Labels`` bank.  ``compute_mcs``
-prunes supersets of discovered cut sets; ``brute_force_mcs`` enumerates every
-subset with no pruning.
+pruned where it is chosen.  ``compute_mcs`` prunes supersets of discovered
+cut sets; ``brute_force_mcs`` enumerates every subset with no pruning.  The
+cut-sequence search runs once per event set over (state id, first-occurrence
+partition) keys, its states in a ``StateStore`` labelled by the registry's
+occurrence predicates, and tests a vector of targets at once: the order-aware
+query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from xml.etree import ElementTree as ET
 
-from mbsa.sts.engine import Labels, Trace, _engine, breadth_first
+from mbsa.sts.engine import StateStore, Trace, _engine, breadth_first
 from mbsa.sts.model import Expr
 from mbsa.sts.pretty import print_expr
 from mbsa.faults import ExtendedModel
@@ -56,10 +57,10 @@ class Analyzer:
     """Shared compiled machinery for cut-set queries on one extended model.
 
     With the events in sorted-name order, guard k of ``engine`` is the k-th
-    event's suppression predicate, and bit k of ``labels[s]`` is set when its
-    occurrence predicate holds in state ``s``.  The engine and the bank are
-    shared by every analyzer of the same model, cap and registry (a registry
-    is not modified once built).
+    event's suppression predicate, and bit k of ``label(s)`` is set when its
+    occurrence predicate holds in state ``s``.  The engine and the label
+    function are shared by every analyzer of the same model, cap and registry
+    (a registry is not modified once built).
     """
 
     def __init__(self, xm: ExtendedModel, cap: int | None = None):
@@ -68,8 +69,7 @@ class Analyzer:
         self.full = (1 << len(self.events)) - 1
         infos = [xm.events[name] for name in self.events]
         self.engine = _engine(xm.typed, cap, [i.suppression for i in infos])
-        fn = self.engine.compile_mask([i.occurrence for i in infos])
-        self.labels = vars(self.engine).setdefault("_label_banks", {}).setdefault(fn, Labels(fn))
+        self.label = self.engine.compile_mask([i.occurrence for i in infos])
 
     def mask(self, names) -> int:
         """The bits of the registered events among ``names``."""
@@ -100,7 +100,7 @@ def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
 def brute_force_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
                     step_bound: int | None = None, cap: int | None = None) -> CutSetResult:
     """Exhaustive subset enumeration with no pruning: a reference for the
-    pruning of ``compute_mcs``, not for the label bank both use."""
+    pruning of ``compute_mcs``, not for the guarded engine both use."""
     return _mcs(xm, tle, max_card, step_bound, cap, prune=False)
 
 
@@ -110,7 +110,6 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
         raise ValueError("max_card must be >= 1")
     ana = Analyzer(xm, cap)
     target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
-    events = sorted(xm.events)
 
     if ana.explains(frozenset(), target_fn, step_bound) is not None:
         # reachable with zero faults: report the empty cut set and warn
@@ -119,8 +118,8 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
 
     found: list[frozenset[str]] = []
     explaining: list[frozenset[str]] = []
-    for card in range(1, min(max_card, len(events)) + 1):
-        for combo in itertools.combinations(events, card):
+    for card in range(1, min(max_card, len(ana.events)) + 1):
+        for combo in itertools.combinations(ana.events, card):
             cand = frozenset(combo)
             if prune and any(m <= cand for m in found):
                 continue
@@ -128,7 +127,7 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
                 (found if prune else explaining).append(cand)
     if not prune:
         found = [c for c in explaining if not any(o < c for o in explaining)]
-    complete = step_bound is None and max_card >= len(events)
+    complete = step_bound is None and max_card >= len(ana.events)
     return CutSetResult(tle, _sorted_mcs(found), max_card, step_bound, complete)
 
 
@@ -159,14 +158,14 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
     """For each cut set, the total orders realizable as first-occurrence orders
     of some witness trace (with only that cut set's events allowed)."""
     ana = Analyzer(xm, cap)
-    target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
+    target = ana.engine.compile_mask([xm.typed.check_predicate(tle)])
     out: list[CutSequence] = []
     for base in result.mcs:
         if not base:
             out.append(CutSequence(base, ((),)))
             continue
         orders: dict[tuple[str, ...], Trace] = {}
-        for partition, path in _sequence_partitions(ana, base, target_fn, step_bound):
+        for _, partition, path in _sequence_partitions(ana, base, target, 1, step_bound):
             # the first witness of an order is kept
             new = [order for order in _interleavings(partition) if order not in orders]
             if new:
@@ -176,38 +175,40 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
     return out
 
 
-def _sequence_partitions(ana: Analyzer, base: frozenset[str], target_fn, step_bound: int | None):
-    """Search over (state, occurrence partition) keys, a partition being a
-    tuple of event masks; yields each partition of first occurrences realized
-    by a TLE witness, as sorted name tuples, with one witness path."""
-    labels, eng = ana.labels, ana.engine
+def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: int, step_bound: int | None):
+    """Search over (state id, partition of first occurrences as event masks)
+    keys with only ``base`` allowed.  For each partition of all of ``base``
+    that first reaches some bits of ``wanted`` in ``targets`` (a
+    ``compile_mask`` function), yields those bits, the partition as sorted
+    name tuples and the witness path of states."""
     want = ana.mask(base)
-    forbidden = ana.full ^ want
-    reported: set[tuple] = set()
+    store = StateStore(ana.engine, ana.label, ana.full ^ want)
+    labels, states = store.labels, store.states
+    pending: dict[tuple, int] = {}  # partition -> wanted targets not yet witnessed with it
 
-    def expand(node):
-        if node is None:
-            states, part = eng.init_tuples(forbidden), ()
-        else:
-            states, part = eng.succ_tuples(node[0], forbidden), node[1]
+    def expand(key):
+        sid, part = (None, ()) if key is None else key
         missing = want
         for group in part:
             missing ^= group
         children, stops = [], []
-        for t in states:
-            new = labels[t] & missing
-            child = (t, part + (new,) if new else part)
+        for c in store.children(sid):
+            new = labels[c] & missing
+            child = (c, part + (new,) if new else part)
             children.append(child)
-            # a stored key was tested when it was first a child: its
-            # partition, if a witness one, is already reported
-            if new == missing and child[1] not in reported and target_fn(t):
-                reported.add(child[1])
-                stops.append(child)
+            # a stored key was tested when it was first a child: the
+            # targets it witnesses are no longer pending for its partition
+            if new == missing:
+                todo = pending.get(child[1], wanted)
+                if todo and (bits := targets(states[c]) & todo):
+                    pending[child[1]] = todo ^ bits
+                    stops.append((*child, bits))
         return children, stops
 
-    for path, _ in breadth_first(expand, step_bound, eng.cap, "cut-sequence states"):
+    for path, _ in breadth_first(expand, step_bound, ana.engine.cap, "cut-sequence states"):
         if path is not None:
-            yield tuple(ana.names(g) for g in path[-1][1]), [s for s, _ in path]
+            _, part, bits = path[-1]
+            yield bits, tuple(ana.names(g) for g in part), [states[key[0]] for key in path]
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,15 @@ class Cascading:
 
 
 class CommonCauseSpec:
-    __slots__ = ("id", "members", "pattern", "probability")
+    __slots__ = ("id", "members", "pattern", "probability", "where")
 
     def __init__(self, id: str, members: frozenset[str], pattern: Simultaneous | Cascading,
-                 probability: Fraction):
-        self.id, self.members, self.pattern, self.probability = id, members, pattern, probability
+                 probability: Fraction, where: tuple[str, int, int] = ("<input>", 0, 0)):
+        self.id, self.members, self.pattern, self.probability, self.where = id, members, pattern, probability, where
+
+    def error(self, message: str) -> CcaError:
+        filename, line, col = self.where
+        return CcaError([Diagnostic(message, line, col, filename=filename)])
 
 
 def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
@@ -121,7 +125,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
             raise CcaError([Diagnostic(f"probability {p_tok.text} outside [0,1]",
                                        p_tok.line, p_tok.col, filename=filename)])
         ts.expect(";")
-        out.append(CommonCauseSpec(id_tok.text, frozenset(members), pattern, prob))
+        out.append(CommonCauseSpec(id_tok.text, frozenset(members), pattern, prob, (filename, id_tok.line, id_tok.col)))
     return out
 
 
@@ -165,17 +169,16 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
     ids: set[str] = set()
     for spec in specs:
         if spec.id in xm.events or spec.id in ids:
-            raise CcaError([Diagnostic(f"common cause id {spec.id!r} clashes with a registered event")])
+            raise spec.error(f"common cause id {spec.id!r} clashes with a registered event")
         ids.add(spec.id)
         for m in sorted(spec.members):
             if m not in xm.events:
-                raise CcaError([Diagnostic(f"common cause {spec.id!r} references unknown event {m!r}")])
+                raise spec.error(f"common cause {spec.id!r} references unknown event {m!r}")
             if xm.events[m].mode_var is None:
-                raise CcaError([Diagnostic(f"common cause member {m!r} is not a fault event")])
+                raise spec.error(f"common cause member {m!r} is not a fault event")
             if m in governed:
-                raise CcaError([Diagnostic(
-                    f"event {m!r} is governed by both {governed[m]!r} and {spec.id!r}; "
-                    "overlapping common causes are rejected")])
+                raise spec.error(f"event {m!r} is governed by both {governed[m]!r} and {spec.id!r}; "
+                                 "overlapping common causes are rejected")
             governed[m] = spec.id
 
     model = xm.model

@@ -72,19 +72,20 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Config supplies defaults; explicit flags win.  A value is converted
-    like the flag's own argument."""
-    if not getattr(args, "config", None):
-        return
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None):
+    """Config supplies defaults; flags on the command line win, even one that
+    repeats its default.  A value is converted like the flag's own argument."""
     config = _load_config(args.config)
-    actions = {a.dest: a for a in parser._actions}
+    actions = {a.dest: a for a in args._subparser._actions}
+    for a in actions.values():
+        a.default = argparse.SUPPRESS  # so the parse below sets only the flags argv gives
+    given = vars(parser.parse_args(argv))
     for key, value in config.items():
         dest = key.replace("-", "_")
         if dest not in actions or not hasattr(args, dest):
             raise InputError([Diagnostic(f"unknown config key {key!r}", filename=args.config)])
-        if parser.get_default(dest) == getattr(args, dest):
-            convert = _boolean if isinstance(parser.get_default(dest), bool) else actions[dest].type
+        if dest not in given:
+            convert = _boolean if actions[dest].nargs == 0 else actions[dest].type  # a switch has nargs 0
             if convert is not None:
                 try:
                     value = convert(value)
@@ -215,7 +216,7 @@ def cmd_ftprob(args) -> int:
     ft = _build_tree(args, xm)
     # a member outside the tree cannot change any node's probability
     events = ft.basic_events()
-    groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability)
+    groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability, g.where)
               for g in specs]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
@@ -415,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, getattr(args, "_subparser", parser))
+            _apply_config(args, parser, argv)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

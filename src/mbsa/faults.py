@@ -85,12 +85,16 @@ class FaultLibrary:
 
 
 class ExtensionInstruction:
-    __slots__ = ("event", "target", "template", "args", "dynamics", "probability")
+    __slots__ = ("event", "target", "template", "args", "dynamics", "probability", "where")
 
     def __init__(self, event: str, target: str, template: str, args: tuple[Expr, ...], dynamics: str,
-                 probability: Fraction):
+                 probability: Fraction, where: tuple[str, int, int]):
         self.event, self.target, self.template, self.args = event, target, template, args
-        self.dynamics, self.probability = dynamics, probability
+        self.dynamics, self.probability, self.where = dynamics, probability, where
+
+    def error(self, message: str) -> ExtensionError:
+        filename, line, col = self.where
+        return ExtensionError([Diagnostic(f"{message} (event {self.event})", line, col, filename=filename)])
 
 
 class EventInfo:
@@ -286,7 +290,8 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
             raise FaultDefinitionError([Diagnostic(
                 f"probability {prob_tok.text} outside [0,1]", prob_tok.line, prob_tok.col, filename=filename)])
         ts.expect(";")
-        out.append(ExtensionInstruction(ev.text, target, template, tuple(args), dynamics, prob))
+        where = (filename, ev.line, ev.col)
+        out.append(ExtensionInstruction(ev.text, target, template, tuple(args), dynamics, prob, where))
     return out
 
 
@@ -355,28 +360,23 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
             if target_ty is None:
                 target_ty = cur_tm.check_expr(defines[define_names[ins.target]][1]).ty
         else:
-            raise ExtensionError([Diagnostic(
-                f"unknown extension target {ins.target!r} (event {ins.event})")])
+            raise ins.error(f"unknown extension target {ins.target!r}")
         target_ty = target_types.setdefault(ins.target, target_ty)
 
         template = library.templates.get(ins.template)
         if template is None:
-            raise ExtensionError([Diagnostic(f"unknown fault template {ins.template!r} (event {ins.event})")])
+            raise ins.error(f"unknown fault template {ins.template!r}")
         dyn = library.dynamics.get(ins.dynamics)
         if dyn is None:
-            raise ExtensionError([Diagnostic(f"unknown dynamics {ins.dynamics!r} (event {ins.event})")])
+            raise ins.error(f"unknown dynamics {ins.dynamics!r}")
         if not _applicable(template.applies_to, target_ty):
-            raise ExtensionError([Diagnostic(
-                f"template {ins.template!r} does not apply to {ins.target!r} of type {target_ty} "
-                f"(event {ins.event})")])
+            raise ins.error(f"template {ins.template!r} does not apply to {ins.target!r} of type {target_ty}")
         if len(ins.args) != len(template.params):
-            raise ExtensionError([Diagnostic(
-                f"template {ins.template!r} takes {len(template.params)} argument(s), "
-                f"got {len(ins.args)} (event {ins.event})")])
+            raise ins.error(f"template {ins.template!r} takes {len(template.params)} argument(s), "
+                            f"got {len(ins.args)}")
         for param, arg in zip(template.params, ins.args):
             if param.kind == "value" and not isinstance(arg, (BoolConst, IntConst, Name)):
-                raise ExtensionError([Diagnostic(
-                    f"argument for value parameter {param.name!r} must be a literal (event {ins.event})")])
+                raise ins.error(f"argument for value parameter {param.name!r} must be a literal")
 
         # (a) displace the defining occurrence of the target
         carrier = _fresh(f"{ins.target}#nominal", taken)
@@ -395,7 +395,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
         # (b) mode variable with the requested dynamics
         mode_var = f"mode#{ins.event}"
         if mode_var in taken:
-            raise ExtensionError([Diagnostic(f"duplicate event name {ins.event!r}")])
+            raise ins.error("duplicate event name")
         variables.append((mode_var, _MODE_TYPE))
         init.append(BinOp("=", Name(mode_var), Name("nominal")))
         dyn_constraint = substitute(dyn.constraint, {"mode": Name(mode_var)}, {"mode": mode_var})
@@ -425,19 +425,17 @@ def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carr
                         target_ty, variables: list, init: list, trans: list, taken: set[str]) -> Expr:
     if template.name == "random" and template.builtin:
         if isinstance(target_ty, IntType):
-            raise ExtensionError([Diagnostic(
-                f"random needs a target with a finite domain; {ins.target!r} has type {target_ty} "
-                f"(event {ins.event})")])
+            raise ins.error(f"random needs a target with a finite domain; {ins.target!r} has type {target_ty}")
         rnd = _fresh(f"choice#{ins.event}", taken)
         taken.add(rnd)
         variables.append((rnd, target_ty))  # unconstrained: a fresh value every step
         return Name(rnd)
     if template.name == "ramp_down" and template.builtin:
         if not isinstance(target_ty, IntRangeType):
-            raise ExtensionError([Diagnostic(f"ramp_down applies to bounded integers (event {ins.event})")])
+            raise ins.error("ramp_down applies to bounded integers")
         step = ins.args[0]
         if not isinstance(step, IntConst) or step.value <= 0:
-            raise ExtensionError([Diagnostic(f"ramp_down step must be a positive integer (event {ins.event})")])
+            raise ins.error("ramp_down step must be a positive integer")
         span = target_ty.hi - target_ty.lo
         drop = _fresh(f"drop#{ins.event}", taken)
         taken.add(drop)

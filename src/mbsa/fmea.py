@@ -6,16 +6,16 @@ candidate fault sets are those minimal for at least one property.  The
 ``max_card``, so C violates p exactly when some cut set of p is a subset of
 C (a nominal property's only cut set is empty): a static row is a candidate
 with every property it violates by that subset test.  A dynamic row is one
-admissible first-occurrence order of a candidate; a candidate that contains
-no cut set of p has no witness for p, so only the candidates that contain
-one go to p's cut-sequence search.
+admissible first-occurrence order of a candidate; one cut-sequence search per
+nonempty candidate asks for every property one of whose cut sets it contains
+(no other property has a witness).
 """
 
 from __future__ import annotations
 
 from xml.etree import ElementTree as ET
 
-from mbsa.analysis import CutSetResult, _sorted_mcs, compute_cut_sequences, compute_mcs
+from mbsa.analysis import Analyzer, _interleavings, _sequence_partitions, _sorted_mcs, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
@@ -71,15 +71,17 @@ def generate_dynamic_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]],
     """Dynamic FMEA: one row per (fault set, admissible order), with the
     properties for which that order is witnessed."""
     results, candidates = _join(xm, properties, max_card, step_bound, cap)
-    witnessed: dict[frozenset[str], dict[tuple[str, ...], set[str]]] = {c: {} for c in candidates if c}
-    for (label, expr), result in zip(properties, results):
-        mine = CutSetResult(result.tle, [c for c in witnessed if _violates(c, result)], result.max_card,
-                            result.step_bound, result.complete, result.nominal_warning)
-        for seq in compute_cut_sequences(xm, expr, mine, step_bound, cap):
-            for order in seq.orders:
-                witnessed[seq.base].setdefault(order, set()).add(label)
-    rows = [FmeaRow(faults, tuple(sorted(labels)), order)
-            for faults, orders in witnessed.items() for order, labels in sorted(orders.items())]
+    ana = Analyzer(xm, cap)
+    targets = ana.engine.compile_mask([xm.typed.check_predicate(expr) for _, expr in properties])
+    rows = []
+    for cand in filter(None, candidates):
+        wanted = sum(1 << k for k, r in enumerate(results) if _violates(cand, r))
+        witnessed: dict[tuple[str, ...], int] = {}  # order -> property bits
+        for bits, partition, _ in _sequence_partitions(ana, cand, targets, wanted, step_bound):
+            for order in _interleavings(partition):
+                witnessed[order] = witnessed.get(order, 0) | bits
+        rows += [FmeaRow(cand, tuple(sorted(label for k, (label, _) in enumerate(properties) if bits >> k & 1)),
+                         order) for order, bits in sorted(witnessed.items())]
     return FmeaTable(tuple(properties), rows, max_card, step_bound, dynamic=True)
 
 

@@ -24,18 +24,18 @@ a forbidden branch is cut at its loop level.  The cut-set restriction of
 ``Engine.compile`` builds a function of one state from the same compiler,
 and ``Engine.compile_mask`` one function that evaluates a vector of
 current-state predicates into the bits of one int, a state's label; both are
-compiled once per engine and expression.  :class:`Labels` memoizes a label
-function per distinct state, behind the fault labels of
-:mod:`mbsa.analysis`.  The TFPG product search of :mod:`mbsa.tfpg.product`
-keeps its binding labels by interned state instead, next to each state's
-successors.
+compiled once per engine and expression.  :class:`StateStore` is the state
+store a search owns: it interns each state to an int id, labels it when first
+seen, and keeps its successor ids under the search's ``forbidden`` mask from
+its first expansion.  The cut-sequence search labels states by fault
+occurrence, the TFPG product search by the binding's observations.
 
 :func:`breadth_first` is the one search of the package.  It owns the
 frontier, the step bound, the parent map, the cap check and shortest-path
 reconstruction; a caller supplies only the children of a key.  Reachability
-searches states (``Engine.reach_tuples``), the cut-sequence search of
-:mod:`mbsa.analysis` (state, first-occurrence partition) pairs, and the TFPG
-product of :mod:`mbsa.tfpg.product` (state, abstract state) pairs.
+searches states (``Engine.reach_tuples``), the cut-sequence search (state
+id, first-occurrence partition) pairs, and the TFPG product (state id,
+abstract state id) pairs.
 
 Iteration order is fixed (declaration order, canonical value order), so every
 result is reproducible bit for bit.  Models are immutable and engines only
@@ -68,18 +68,31 @@ class Trace:
         return self.states[i]
 
 
-class Labels(dict):
-    """A label function memoized per distinct state: ``labels[s]``."""
+class StateStore:
+    """The states one search has seen: state id ``i`` has the value tuple
+    ``states[i]`` (``ids`` maps it back), the label ``labels[i]`` and, once
+    expanded, the successor ids ``succs[i]`` (the initial ones under None)."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("engine", "label_fn", "forbidden", "ids", "states", "labels", "succs")
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
+    def __init__(self, engine: Engine, label_fn, forbidden: int = 0):
+        self.engine, self.label_fn, self.forbidden = engine, label_fn, forbidden
+        self.ids, self.states, self.labels, self.succs = {}, [], [], {}
 
-    def __missing__(self, s):
-        label = self[s] = self.fn(s)
-        return label
+    def children(self, sid: int | None) -> list[int]:
+        """The ids of the initial states (``sid`` None) or of the successors of ``sid``."""
+        kids = self.succs.get(sid)
+        if kids is None:
+            eng, ids, r = self.engine, self.ids, self.forbidden
+            kids = self.succs[sid] = []
+            for t in eng.init_tuples(r) if sid is None else eng.succ_tuples(self.states[sid], r):
+                i = ids.get(t)
+                if i is None:
+                    i = ids[t] = len(self.states)
+                    self.states.append(t)
+                    self.labels.append(self.label_fn(t))
+                kids.append(i)
+        return kids
 
 
 class Engine:

@@ -204,13 +204,18 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
         raise _err(f"malformed XML: {exc}", filename=filename)
     if root.tag != "tfpg":
         raise _err(f"expected <tfpg> document, found <{root.tag}>", filename=filename)
-    modes: list[str] = []
-    for m in root.find("modes") if root.find("modes") is not None else []:
-        modes.append(m.get("name", ""))
+
+    def attr(el, name: str) -> str:
+        if name not in el.attrib:
+            raise _err(f"<{el.tag}> lacks the attribute {name!r}", filename=filename)
+        return el.attrib[name]
+
+    modes_el = root.find("modes")
+    modes = [attr(m, "name") for m in (modes_el if modes_el is not None else [])]
     nodes: dict[str, str] = {}
     nodes_el = root.find("nodes")
     for el in nodes_el if nodes_el is not None else []:
-        nid = el.get("id", "")
+        nid = attr(el, "id")
         if nid in nodes:
             raise _err(f"duplicate node {nid!r}", filename=filename)
         if el.tag == "failure":
@@ -225,9 +230,7 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
     edges: list[TfpgEdge] = []
     edges_el = root.find("edges")
     for el in edges_el if edges_el is not None else []:
-        src, dst = el.get("src", ""), el.get("dst", "")
-        tmin_text, tmax_text = el.get("tmin", "0"), el.get("tmax", "inf")
-        modes_text = el.get("modes", "*")
+        src, dst, tmin_text, tmax_text, modes_text = (attr(el, a) for a in ("src", "dst", "tmin", "tmax", "modes"))
         try:
             tmin = int(tmin_text)
             tmax = None if tmax_text == "inf" else int(tmax_text)

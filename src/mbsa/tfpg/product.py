@@ -8,13 +8,10 @@ over (state id, abstract state id) keys; this module supplies the children
 of a key.  Everything that depends on only one half of a product state is
 computed once:
 
-* a model state is interned to a small int the first time it is seen, and
-  stored once with its label (``BindingEvaluator.observe``: activation bits
-  over the binding's node order, then mode bits), so ``observe`` runs once
-  per distinct state;
-* the successors of a state are generated on its first expansion and kept
-  as a list of state ids, so ``Engine.succ_tuples`` runs once per expanded
-  distinct state;
+* the model half lives in the search's :class:`mbsa.sts.engine.StateStore`,
+  labelled by ``BindingEvaluator.observe`` (activation bits over the
+  binding's node order, then mode bits), so ``observe`` runs once per
+  distinct state and ``Engine.succ_tuples`` once per expanded one;
 * the abstract step, one table entry per (abstract id, label), the label
   decoded once per entry: on the fixture at step bound 60, 9,560 entries
   serve check's 26,651 transitions, which reach 5,200 distinct model states.
@@ -24,7 +21,7 @@ States are turned back into value tuples only on the path that is returned.
 
 from __future__ import annotations
 
-from mbsa.sts.engine import Engine, breadth_first
+from mbsa.sts.engine import Engine, StateStore, breadth_first
 from mbsa.tfpg.activation import BindingEvaluator
 
 
@@ -42,20 +39,8 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     stopping one included.  Storing more than the engine's cap raises
     ``ResourceCapError("stored <what> states exceed cap N")``.
     """
-    ids: dict[tuple, int] = {}  # model state -> state id
-    states: list[tuple] = []  # state id -> model state
-    labels: list[int] = []  # state id -> label
-    succs: list[list[int] | None] = []  # state id -> successor ids, once expanded
-
-    def intern(t: tuple) -> int:
-        sid = ids.get(t)
-        if sid is None:
-            sid = ids[t] = len(states)
-            states.append(t)
-            labels.append(ev.observe(t))
-            succs.append(None)
-        return sid
-
+    store = StateStore(engine, ev.observe)
+    labels = store.labels
     abstract = [start]
     abstract_ids = {start: 0}
     table: list[dict[int, tuple[int, object]]] = [{}]  # abstract id -> label -> (id, stop)
@@ -66,20 +51,13 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
         if na == len(abstract):
             abstract.append(nstate)
             table.append({})
-        hit = table[a][label] = (na, stop)
-        return hit
+        return table[a].setdefault(label, (na, stop))
 
     def expand(key):
-        if key is None:  # the root is the start before the initial states
-            a, kids = 0, [intern(t) for t in engine.init_tuples()]
-        else:
-            sid, a = key
-            kids = succs[sid]
-            if kids is None:
-                kids = succs[sid] = [intern(t) for t in engine.succ_tuples(states[sid])]
+        sid, a = (None, 0) if key is None else key  # the root is the start before the initial states
         row = table[a]
         children = []
-        for c in kids:
+        for c in store.children(sid):
             label = labels[c]
             na, stop = row.get(label) or move(a, label)
             if stop is not None:
@@ -90,4 +68,4 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     path, stored = next(breadth_first(expand, step_bound, engine.cap, f"{what} states"))
     if path is None:
         return None, len(stored)
-    return [states[sid] for sid, _ in path], len(stored) + 1
+    return [store.states[sid] for sid, _ in path], len(stored) + 1

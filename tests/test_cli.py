@@ -174,7 +174,12 @@ def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
     ('tmax="10"', 'tmax="1e1"', "edge B1_LOW->B1_DEAD has a non-integer bound in [5,1e1]"),
     ('<failure id="G1_Off" />', '<failure id="G1_Off" /><discrepancy id="G1_Off" semantics="or" />',
      "duplicate node 'G1_Off'"),
-], ids=["tmin", "tmax", "duplicate-node"])
+    # a missing attribute was read as "", 0, inf or all modes
+    ('<mode name="S1" />', '<mode />', "<mode> lacks the attribute 'name'"),
+    ('<failure id="G1_Off" />', '<failure />', "<failure> lacks the attribute 'id'"),
+    *((f' {a}="{v}"', "", f"<edge> lacks the attribute {a!r}")
+      for a, v in (("src", "B1_DEAD"), ("dst", "S1_NO"), ("tmin", "0"), ("tmax", "1"), ("modes", "P S1"))),
+], ids=["tmin", "tmax", "duplicate-node", "mode-name", "node-id", "src", "dst", "edge-tmin", "edge-tmax", "modes"])
 @pytest.mark.parametrize("command", [("convert",), ("check", "--model", MODEL, "--fei", FEI, "--bind", BIND)],
                          ids=["convert", "check"])
 def test_bad_tfpg_xml_exits_2(tmp_path, capsys, old, new, message, command):
@@ -198,8 +203,34 @@ def test_random_on_an_unbounded_define_exits_2(tmp_path, capsys):
     (tmp_path / "m.fei").write_text("fault b: target d, template random, dynamics permanent, prob 0.1;")
     assert run("extend", "--model", str(tmp_path / "m.smx"), "--fei", str(tmp_path / "m.fei"),
                "--out-dir", str(tmp_path)) == 2
-    assert capsys.readouterr().err == ("<input>:0:0: error: random needs a target with a finite domain; "
-                                       "'d' has type integer (event b)\n")
+    assert capsys.readouterr().err == (f"{tmp_path / 'm.fei'}:1:7: error: random needs a target with a "
+                                       "finite domain; 'd' has type integer (event b)\n")
+
+
+@pytest.mark.parametrize("fei, cca, where, message", [
+    ("fault e1: target z, template inverted, dynamics permanent, prob 0.1;", "", "fei:2:7",
+     "unknown extension target 'z' (event e1)"),
+    ("fault e1: target y, template invert, dynamics permanent, prob 0.1;", "", "fei:2:7",
+     "unknown fault template 'invert' (event e1)"),
+    ("fault e1: target y, template inverted, dynamics forever, prob 0.1;", "", "fei:2:7",
+     "unknown dynamics 'forever' (event e1)"),
+    ("fault e1: target y, template stuck_at, dynamics permanent, prob 0.1;", "", "fei:2:7",
+     "template 'stuck_at' takes 1 argument(s), got 0 (event e1)"),
+    (None, "cc c2: members {e8, e7}, pattern simultaneous, prob 0.1;", "cca:2:4",
+     "common cause 'c2' references unknown event 'e7'"),
+    (None, "cc c2: members {e1, e0}, pattern simultaneous, prob 0.1;", "cca:2:4",
+     "event 'e0' is governed by both 'c1' and 'c2'; overlapping common causes are rejected"),
+], ids=["target", "template", "dynamics", "arguments", "member", "overlap"])
+def test_extension_and_weaving_errors_give_the_instruction_position(tmp_path, capsys, fei, cca, where, message):
+    # each was reported at <input>:0:0
+    (tmp_path / "m.smx").write_text("MODULE m VAR x : boolean; y : boolean; INIT !x & !y; "
+                                    "TRANS next(x) = x & next(y) = y;")
+    (tmp_path / "m.fei").write_text("fault e0: target x, template inverted, dynamics permanent, prob 0.1;\n"
+                                    + (fei or "fault e1: target y, template inverted, dynamics permanent, prob 0.1;"))
+    (tmp_path / "m.cca").write_text(f"cc c1: members {{e0, e1}}, pattern simultaneous, prob 0.1;\n{cca}")
+    argv = ["--model", str(tmp_path / "m.smx"), "--fei", str(tmp_path / "m.fei"), "--out-dir", str(tmp_path)]
+    assert run("extend", *argv, *(("--cca", str(tmp_path / "m.cca")) if cca else ())) == 2
+    assert capsys.readouterr().err == f"{tmp_path / 'm'}.{where}: error: {message}\n"
 
 
 def test_tfpg_synth_matches_golden(tmp_path):
@@ -370,6 +401,16 @@ out_dir = {tmp_path}
     # flags win over the config value
     assert run("mcs", "--config", str(config), "--max-card", "2") == 0
     assert len((tmp_path / "mcs.tsv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("line, flag, attribute", [
+    ("max-card = 1", ("--max-card", "4"), 'max-card="4"'),
+    ("step-bound = 3", ("--step-bound", "0"), 'step-bound="unbounded"'),
+])
+def test_explicit_flag_equal_to_its_default_wins_over_config(tmp_path, line, flag, attribute):
+    # a flag that repeated its default was taken as not given
+    assert run("mcs", "--config", _conf(tmp_path, line), *flag, "--formats", "xml") == 0
+    assert attribute in (tmp_path / "mcs.xml").read_text()
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -545,6 +586,21 @@ def test_cut_sequence_search_honours_cap(tmp_path, capsys, argv):
     assert run("mcs", *m, "--tle", "sys_dead") == 0
     assert run(*argv, *m) == 3
     assert "resource cap exceeded: stored cut-sequence states exceed cap 500" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ft", "--tle", "sys_dead", "--dynamic"),
+    ("fmea", "--props", PROPS, "--dynamic"),
+])
+def test_cut_sequence_search_smallest_passing_cap(tmp_path, argv):
+    # the most keys one cut-sequence search stores on the fixture; the cut-set
+    # searches of mcs and fmea store at most 462
+    m = ("--model", MODEL, "--fei", FEI, "--out-dir", str(tmp_path))
+    assert run(*argv, *m, "--cap", "1396") == 0
+    assert run(*argv, *m, "--cap", "1395") == 3
+    assert run("mcs", *m, "--tle", "sys_dead", "--cap", "462") == 0
+    assert run("fmea", *m, "--props", PROPS, "--cap", "462") == 0
+    assert run("mcs", *m, "--tle", "sys_dead", "--cap", "461") == 3
 
 
 def _pairs(tmp_path, k):

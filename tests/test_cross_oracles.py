@@ -259,14 +259,14 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
 
 
 def _check_labels(xm):
-    """Every bit of the occurrence label bank on every reachable state, and
+    """Every bit of the occurrence label on every reachable state, and
     the analyzer's guards, against the registry."""
     ana = Analyzer(xm)
     tm = xm.typed
     assert ana.engine.guards == tuple(xm.events[name].suppression for name in ana.events)
     states = ana.engine.reachable_tuples()
     for s in states:
-        assert ana.labels[s] == sum(1 << k for k, name in enumerate(ana.events)
+        assert ana.label(s) == sum(1 << k for k, name in enumerate(ana.events)
                                     if _eval(tm, xm.events[name].occurrence, s)), s
     return ana, states
 
@@ -305,8 +305,8 @@ def test_label_bank_bits_equal_predicates():
             seen["activates"] += mask != 0
             seen["second mode"] += mode != binding.mode_literals()[0]
         for s in states:
-            seen["occurs"] += ana.labels[s] != 0
-            seen["nominal"] += ana.labels[s] == 0
+            seen["occurs"] += ana.label(s) != 0
+            seen["nominal"] += ana.label(s) == 0
     assert all(seen[k] for k in ("occurs", "nominal", "activates", "second mode"))
 
 
@@ -319,16 +319,16 @@ def test_cca_woven_registry_gets_its_own_bank():
         woven = apply_cca(xm, parse_cca(f"cc cause: members {{{', '.join(members)}}}, "
                                         "pattern simultaneous, prob 0.01;"))
         assert Analyzer(xm).engine is Analyzer(xm, None).engine
-        assert Analyzer(xm).labels is Analyzer(xm, None).labels
-        assert Analyzer(woven).labels is not Analyzer(xm).labels
+        assert Analyzer(xm).label is Analyzer(xm, None).label
+        assert Analyzer(woven).label is not Analyzer(xm).label
         # the woven model under the registry before weaving: the same model,
         # but the members' suppressions lack the cause's allowance, so the
-        # guard vector, and with it the engine and the bank, are its own
+        # guard vector, and with it the engine and the label function, are its own
         unwoven = ExtendedModel(woven.typed, {**woven.events, **{m: xm.events[m] for m in members}})
         ana, states = _check_labels(unwoven)
         woven_ana, _ = _check_labels(woven)
         assert ana.engine.tm is woven_ana.engine.tm
-        assert ana.engine is not woven_ana.engine and ana.labels is not woven_ana.labels
+        assert ana.engine is not woven_ana.engine and ana.label is not woven_ana.label
         # only the cause may occur: the woven guards admit the members it forces
         only_cause = ana.full ^ ana.mask({"cause"})
         differs += any(ana.engine.succ_tuples(s, only_cause) != woven_ana.engine.succ_tuples(s, only_cause)

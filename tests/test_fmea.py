@@ -2,7 +2,8 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from mbsa.analysis import compute_mcs
+from mbsa import analysis, fmea
+from mbsa.analysis import compute_cut_sequences, compute_mcs
 from mbsa.fmea import (
     FmeaError,
     FmeaRow,
@@ -13,9 +14,43 @@ from mbsa.fmea import (
     generate_dynamic_fmea,
     generate_fmea,
 )
+from mbsa.sts.engine import Engine
 from mbsa.sts.parse import parse_expr_text
 
 from conftest import checked_expr
+
+
+def test_one_cut_sequence_search_per_candidate_expands_each_state_once(monkeypatch, battery_sensor):
+    # a search stores a state with many partitions, and expands it once; dynamic
+    # FMEA searches each nonempty candidate once, for all its properties
+    searches, active = [], []
+    search, succ = analysis._sequence_partitions, Engine.succ_tuples
+
+    def counted_search(*args):
+        searches.append([])
+        active.append(searches[-1])
+        try:
+            yield from search(*args)
+        finally:
+            active.pop()
+
+    def succ_tuples(self, s, forbidden=0):
+        if active:
+            active[-1].append(s)
+        return succ(self, s, forbidden)
+
+    monkeypatch.setattr(analysis, "_sequence_partitions", counted_search)
+    monkeypatch.setattr(fmea, "_sequence_partitions", counted_search, raising=False)
+    monkeypatch.setattr(Engine, "succ_tuples", succ_tuples)
+    xm = battery_sensor
+    props = [(label, checked_expr(xm, text)) for label, text in
+             (("dead", "sys_dead"), ("b1low", "b1 <= 5"), ("s1_lost", "!s1_out"))]
+    table = generate_dynamic_fmea(xm, props, 4)
+    assert len(searches) == len({row.faults for row in table.rows}) == 6
+    result = compute_mcs(xm, props[0][1], 4)
+    compute_cut_sequences(xm, props[0][1], result)
+    assert len(searches) == 6 + len(result.mcs)
+    assert all(calls and len(set(calls)) == len(calls) for calls in searches)
 
 
 def test_redundant_pair_single_property(redundant_pair):

@@ -31,3 +31,37 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {str(path.relative_to(SRC)): unused for path in sorted(SRC.rglob("*.py"))
              if path.name != "__init__.py" and (unused := _unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level ``_name`` functions and classes that no top-level statement
+    of any module but their own definition reads or imports."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for i, top in enumerate(ast.parse(source).body):
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            reads.append(((module, i), names))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_") \
+                    and not top.name.startswith("__"):
+                defined.append(((module, i), top.name, top.lineno))
+    return [f"{where[0]}: {name} (line {line})" for where, name, line in defined
+            if not any(name in names for other, names in reads if other != where)]
+
+
+def test_unreferenced_private_definitions_are_caught():
+    sources = {"a.py": "def _dead():\n    _dead()\n\n\ndef _kept():\n    pass\n\n\nclass _Shape:\n    pass\n",
+               "b.py": "from a import _kept\n"}
+    # a recursive call is a read inside the definition itself
+    assert _unreferenced_private_definitions(sources) == ["a.py: _dead (line 1)", "a.py: _Shape (line 9)"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
+    assert _unreferenced_private_definitions(sources) == []
