@@ -339,7 +339,8 @@ def _boolean(text: str) -> bool:
         raise argparse.ArgumentTypeError("expected 1, true, yes, 0, false or no") from None
 
 
-def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = True):
+def _common(sub: argparse.ArgumentParser, *, tle: bool = False, max_card: bool = True,
+            step_bound: bool = True):
     sub.add_argument("--config", help="key = value configuration file; flags win")
     sub.add_argument("--model", default="", help="nominal model (.smx)")
     sub.add_argument("--flib", default="", help="fault library (.flib), merged over built-ins")
@@ -349,8 +350,9 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, bounds: bool = T
     sub.add_argument("--cap", type=_at_least(1), default=None, help="state cap (default 10^7)")
     if tle:
         sub.add_argument("--tle", default="", help="top-level event expression")
-    if bounds:
+    if max_card:
         sub.add_argument("--max-card", type=_at_least(1), default=4, help="cut set cardinality bound")
+    if step_bound:
         sub.add_argument("--step-bound", type=_at_least(0), default=0, help="step bound (0 = unbounded)")
 
 
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("extend", help="extend a nominal model with faults")
-    _common(p, bounds=False)
+    _common(p, max_card=False, step_bound=False)
     p.set_defaults(func=cmd_extend, _subparser=p)
 
     p = subs.add_parser("mcs", help="compute minimal cut sets")
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsubs = p.add_subparsers(dest="tfpg_command", required=True)
 
     pc = tsubs.add_parser("check", help="behavioral validation against a model")
-    _common(pc, bounds=True)
+    _common(pc, max_card=False)
     pc.add_argument("--tfpg", required=True, help="graph file (.tfpg or .xml)")
     pc.add_argument("--bind", required=True, help="node bindings (.bind)")
     pc.set_defaults(func=cmd_tfpg, _subparser=pc)
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_tfpg, _subparser=pv)
 
     ps = tsubs.add_parser("synth", help="synthesize graph structure from a model")
-    _common(ps, bounds=True)
+    _common(ps, max_card=False)
     ps.add_argument("--bind", required=True, help="node bindings (.bind)")
     ps.add_argument("--outfile", required=True, help="output .tfpg path")
     ps.set_defaults(func=cmd_tfpg, _subparser=ps)

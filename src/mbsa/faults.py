@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
-from mbsa.sts.check import TypeError_, TypedModel, type_check
+from mbsa.sts.check import TypeError_, TypedModel, _compatible, type_check
 from mbsa.sts.model import (
     BinOp,
     BoolConst,
@@ -340,25 +340,18 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
     # a target keeps the type it had when first resolved: after a wrap a
     # target of a finite integer range is a define of abstract integer type
     target_types: dict[str, TypeSpec] = {}
+    typed = nominal  # the model as extended so far, checked
 
     for ins in instructions:
         taken = {n for n, _ in variables} | {n for n, _ in defines}
-        # resolve target and its type against the evolving model
-        current = SymbolicModel(model.name, tuple(variables), tuple(defines),
-                                tuple(init), tuple(trans), tuple(invar))
-        try:
-            cur_tm = type_check(current)
-        except TypeError_ as exc:  # pragma: no cover - earlier instruction produced bad model
-            raise ExtensionError(exc.diagnostics)
-
         var_names = {n: i for i, (n, _) in enumerate(variables)}
         define_names = {n: i for i, (n, _) in enumerate(defines)}
         if ins.target in var_names:
             target_ty = variables[var_names[ins.target]][1]
         elif ins.target in define_names:
-            target_ty = cur_tm.defines[ins.target].ty
+            target_ty = typed.defines[ins.target].ty
             if target_ty is None:
-                target_ty = cur_tm.check_expr(defines[define_names[ins.target]][1]).ty
+                target_ty = typed.check_expr(defines[define_names[ins.target]][1]).ty
         else:
             raise ins.error(f"unknown extension target {ins.target!r}")
         target_ty = target_types.setdefault(ins.target, target_ty)
@@ -412,12 +405,15 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
         suppression = BinOp("=", Name(mode_var), Name("nominal"))
         events[ins.event] = EventInfo(ins.event, mode_var, occurrence, ins.probability, suppression)
 
-    extended = SymbolicModel(model.name, tuple(variables), tuple(defines),
-                             tuple(init), tuple(trans), tuple(invar))
-    try:
-        typed = type_check(extended)
-    except TypeError_ as exc:
-        raise ExtensionError(exc.diagnostics)
+        # the model type-checked before this instruction, so a type error is this one's
+        try:
+            typed = type_check(SymbolicModel(model.name, tuple(variables), tuple(defines),
+                                             tuple(init), tuple(trans), tuple(invar)))
+        except TypeError_ as exc:
+            if effect.ty is not None and not _compatible(effect.ty, target_ty):
+                raise ins.error(f"template {ins.template!r} gives {effect.ty} "
+                                f"for {ins.target!r} of type {target_ty}") from None
+            raise ins.error(f"template {ins.template!r}: {exc.diagnostics[0].message}") from None
     return ExtendedModel(typed, events)
 
 

@@ -357,15 +357,6 @@ class Engine:
         path, _ = next(breadth_first(expand, bound, self.cap, "states"))
         return path
 
-    def reachable_tuples(self, bound: int | None = None) -> set[tuple]:
-        """All states reachable within ``bound`` steps (all, when unbounded)."""
-
-        def expand(s):
-            return self.init_tuples() if s is None else self.succ_tuples(s), ()
-
-        _, stored = next(breadth_first(expand, bound, self.cap, "states"))
-        return set(stored)
-
 
 def breadth_first(expand, bound: int | None, cap: int, what: str):
     """The breadth-first search behind every analysis, over hashable keys.

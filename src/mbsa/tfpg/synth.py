@@ -10,9 +10,9 @@ and the active mode m.  S and L form the direct group: the nodes with
 direct-precedence evidence for v in that instance.  The search is the
 product search of :mod:`mbsa.tfpg.product` with (activated, last burst)
 node masks as its abstract state; an instance depends on that state and
-the observation only, so it is recorded once per distinct pair, and the
-masks become sets of node names once, at the end.  Each node's instances
-are ordered by their sorted names, each distinct set sorted once.
+the observation only, so it is recorded once per distinct pair.  Every node
+set is a mask over the nodes in sorted-name order, so an index tie-break is
+a name tie-break; names appear only when the edges are emitted.
 
 Parent selection per node:
 
@@ -42,6 +42,7 @@ edge uniquely explains (falling back to all direct witnesses).
 from __future__ import annotations
 
 import functools
+import operator
 
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import _engine
@@ -53,12 +54,12 @@ from mbsa.tfpg.product import explore
 def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int | None,
                        cap: int | None):
     """Product search over (state, acted mask, last-burst mask), recording
-    one instance per distinct (v, A, sim, last, mode)."""
+    each discrepancy's distinct instances (A, S, L, mode), with A, S and L
+    node masks over the evaluator's ``node_order``."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
-    order = ev.node_order
-    discrepancies = [(1 << i, n) for i, n in enumerate(order) if binding.kinds[n] != "failure"]
-    found: dict[str, set[tuple]] = {n: set() for n in order}
+    discrepancies = [(1 << i, n) for i, n in enumerate(ev.node_order) if binding.kinds[n] != "failure"]
+    found: dict[str, set[tuple]] = {n: set() for n in ev.node_order}
 
     def step(state, mask: int, mode: str):
         acted, last = state
@@ -71,50 +72,50 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
         return (acted | newly, newly), None
 
     explore(engine, ev, (0, 0), step, step_bound, "synthesis")
-    names = functools.cache(lambda m: frozenset(n for i, n in enumerate(order) if m >> i & 1))
-    return {v: {(names(a), names(sim), names(last), mode) for a, sim, last, mode in insts}
-            for v, insts in found.items()}
+    return found
 
 
-def _rank_key(u: str, pool, kinds):
-    a_count = sum(1 for a, _, _, _ in pool if u in a)
-    g_count = sum(1 for _, sim, last, _ in pool if u in sim or u in last)
-    kind_rank = 0 if kinds.get(u) != "failure" else 1
-    return (-g_count, -a_count, kind_rank, u)
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _cover_parents(insts: list[tuple], kinds: dict[str, str], failures: frozenset[str],
-                   exclude: frozenset[str] = frozenset(),
-                   preset: tuple[str, ...] = ()) -> list[str]:
+def _union(masks) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _rank_key(u: int, pool, failures: int):
+    a_count = sum(a >> u & 1 for a, _, _ in pool)
+    g_count = sum(direct >> u & 1 for _, direct, _ in pool)
+    return (-g_count, -a_count, failures >> u & 1, u)
+
+
+def _cover_parents(insts: list[tuple], failures: int, exclude: int = 0, preset: int = 0) -> int:
     """Greedy instance cover for an OR discrepancy (see module docstring).
 
     ``preset`` parents are kept as given; ``exclude`` bars candidates (used
     by cycle repair to stay acyclic)."""
-    candidates = sorted({u for _, sim, last, _ in insts for u in sim | last} - set(exclude))
-    parents: list[str] = list(preset)
-    uncovered = [i for i in insts if not any(p in i[0] for p in parents)]
+    candidates = _union(direct for _, direct, _ in insts) & ~exclude
+    parents = preset
+    uncovered = [i for i in insts if not i[0] & parents]
     while uncovered:
-        fault_sets = {frozenset(a & failures) for a, _, _, _ in uncovered}
-        minimal = [f for f in fault_sets if not any(g < f for g in fault_sets)]
-        focus = [i for i in uncovered if frozenset(i[0] & failures) in minimal]
+        fault_sets = {a & failures for a, _, _ in uncovered}
+        minimal = {f for f in fault_sets if not any(g != f and g & ~f == 0 for g in fault_sets)}
+        focus = [i for i in uncovered if i[0] & failures in minimal]
 
-        viable = [u for u in candidates if u not in parents
-                  and any(u in (sim | last) for _, sim, last, _ in focus)]
+        free = candidates & ~parents
+        viable = free & _union(direct for _, direct, _ in focus)
         if not viable:
-            viable = [u for u in candidates if u not in parents
-                      and any(u in a for a, _, _, _ in focus)]
+            viable = free & _union(a for a, _, _ in focus)
         if not viable:
-            viable = [u for u in candidates if u not in parents
-                      and any(u in a for a, _, _, _ in uncovered)]
+            viable = free & _union(a for a, _, _ in uncovered)
             focus = uncovered
         if not viable:
             break  # uncaused activations remain; nothing more to learn
-        necessary = [u for u in viable if all(u in a for a, _, _, _ in focus)]
-        pool = necessary if necessary else viable
-        best = min(pool, key=lambda u: _rank_key(u, focus, kinds))
-        parents.append(best)
-        uncovered = [i for i in uncovered if best not in i[0]]
-    return sorted(parents)
+        necessary = viable & functools.reduce(operator.and_, (a for a, _, _ in focus))
+        best = min(_bits(necessary or viable), key=lambda u: _rank_key(u, focus, failures))
+        parents |= 1 << best
+        uncovered = [i for i in uncovered if not i[0] >> best & 1]
+    return parents
 
 
 def synthesize_structure(xm: ExtendedModel, binding: NodeBinding, step_bound: int | None,
@@ -125,101 +126,67 @@ def synthesize_structure(xm: ExtendedModel, binding: NodeBinding, step_bound: in
     inferred; failure nodes acquire no incoming edges; bounds are [0, inf).
     """
     instances = _collect_instances(xm, binding, step_bound, cap)
-    kinds = dict(binding.kinds)
-    failures = frozenset(n for n, k in kinds.items() if k == "failure")
+    order = sorted(binding.kinds)  # the evaluator's node order: bit i is order[i]
+    kinds = [binding.kinds[n] for n in order]
+    failures = _union(1 << i for i, k in enumerate(kinds) if k == "failure")
     modes = binding.mode_literals()
     all_modes = frozenset(modes)
 
-    ordered = functools.cache(lambda names: tuple(sorted(names)))  # once per distinct name set
-    sorted_insts: dict[str, list[tuple]] = {}
-    parent_map: dict[str, list[str]] = {}
-    for v in sorted(binding.kinds):
-        if kinds[v] == "failure":
-            continue
-        insts = sorted(instances[v], key=lambda i: (ordered(i[0]), ordered(i[1]), ordered(i[2]), i[3]))
-        sorted_insts[v] = insts
-        if not insts:
-            parent_map[v] = []
-        elif kinds[v] == "and":
-            parent_map[v] = sorted(frozenset.intersection(*(a for a, _, _, _ in insts)))
-        else:
-            parent_map[v] = _cover_parents(insts, kinds, failures)
+    # per instance: activated nodes, direct group (co-activations | last burst), mode
+    insts = [[(a, sim | last, m) for a, sim, last, m in instances[n]] for n in order]
+    parents = [0] * len(order)  # bit u of parents[v]: edge u -> v
+    for v, k in enumerate(kinds):
+        if k == "and" and insts[v]:
+            parents[v] = functools.reduce(operator.and_, (a for a, _, _ in insts[v]))
+        elif k == "or" and insts[v]:
+            parents[v] = _cover_parents(insts[v], failures)
 
-    def reaches(src: str, dst: str) -> bool:
-        """dst reachable from src following parent->child edges."""
-        stack, seen = [src], {src}
-        while stack:
-            cur = stack.pop()
-            for w, ps in parent_map.items():
-                if cur in ps:
-                    if w == dst:
-                        return True
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return False
+    def below(roots: int) -> int:
+        """The nodes one or more parent->child steps below a node of ``roots``."""
+        found = 0
+        while roots:
+            roots = _union(1 << w for w, ps in enumerate(parents) if ps & roots) & ~found
+            found |= roots
+        return found
 
     # causal repair: replace cyclic explanations by acyclic covers
-    cyclic = [(u, v) for v in sorted(parent_map) if kinds[v] == "or"
-              for u in parent_map[v] if kinds.get(u) != "failure" and reaches(v, u)]
+    cyclic = [(u, v) for v, k in enumerate(kinds) if k == "or"
+              for u in _bits(parents[v] & ~failures) if below(1 << v) >> u & 1]
     for u, v in cyclic:
-        if u not in parent_map[v]:
+        if not parents[v] >> u & 1:
             continue
-        kept = tuple(p for p in parent_map[v] if p != u)
-        ancestors = frozenset(w for w in parent_map if reaches(v, w)) | {v, u}
-        repaired = _cover_parents(sorted_insts[v], kinds, failures,
-                                  exclude=ancestors, preset=kept)
-        covered = all(any(p in a for p in repaired) for a, _, _, _ in sorted_insts[v])
-        if covered:
-            parent_map[v] = repaired
+        downstream = below(1 << v) | 1 << v | 1 << u
+        repaired = _cover_parents(insts[v], failures, exclude=downstream, preset=parents[v] & ~(1 << u))
+        if all(a & repaired for a, _, _ in insts[v]):
+            parents[v] = repaired
 
     # coverage-preserving transitive reduction (OR destinations only)
-    children: dict[str, set[str]] = {}
-    for v, parents in parent_map.items():
-        for u in parents:
-            children.setdefault(u, set()).add(v)
-
-    def spanned(u: str, v: str) -> bool:
-        stack = [w for w in children.get(u, ()) if w != v]
-        seen = set(stack)
-        while stack:
-            cur = stack.pop()
-            if v in children.get(cur, ()):
-                return True
-            for w in children.get(cur, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    for v in sorted(parent_map):
-        for u in sorted(parent_map[v]):
-            others = [p for p in parent_map[v] if p != u]
+    for v, k in enumerate(kinds):
+        for u in _bits(parents[v]):
+            others = parents[v] & ~(1 << u)
             if not others:
                 continue
-            if kinds[v] == "or":
+            if k == "or":
                 # an OR loses behavior when a parent goes: keep coverage intact
-                if not all(any(p in a for p in others) for a, _, _, _ in sorted_insts[v]):
+                if not all(a & others for a, _, _ in insts[v]):
                     continue
             # an AND only gets weaker without a parent, which cannot hurt
             # completeness, so spanning alone justifies the removal
-            if spanned(u, v):
-                parent_map[v] = others
-                children[u].discard(v)
+            # spanned: v lies below another child of u
+            other_children = _union(1 << w for w, ps in enumerate(parents) if w != v and ps >> u & 1)
+            if below(other_children) >> v & 1:
+                parents[v] = others
 
     edges: list[TfpgEdge] = []
-    for v in sorted(parent_map):
-        insts = sorted_insts[v]
-        chosen = set(parent_map[v])
-        for u in parent_map[v]:
-            unique = {m for a, sim, last, m in insts
-                      if u in (sim | last) and len(chosen & (sim | last)) == 1}
+    for v, chosen in enumerate(parents):
+        for u in _bits(chosen):
+            unique = {m for _, direct, m in insts[v] if direct & chosen == 1 << u}
             witnessed = (unique
-                         or {m for a, sim, last, m in insts if u in (sim | last)}
-                         or {m for a, _, _, m in insts if u in a})
+                         or {m for _, direct, m in insts[v] if direct >> u & 1}
+                         or {m for a, _, m in insts[v] if a >> u & 1})
             mode_set = frozenset(witnessed)
-            edges.append(TfpgEdge(u, v, 0, None, None if mode_set >= all_modes else mode_set))
+            edges.append(TfpgEdge(order[u], order[v], 0, None, None if mode_set >= all_modes else mode_set))
 
-    g = Tfpg(modes, {n: kinds[n] for n in sorted(kinds)}, tuple(edges))
+    g = Tfpg(modes, dict(zip(order, kinds)), tuple(edges))
     g.check()
     return g

@@ -10,6 +10,7 @@ settings.load_profile("deterministic")
 
 from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.sts.check import type_check
+from mbsa.sts.engine import breadth_first
 from mbsa.sts.parse import parse_expr_text, parse_model
 from mbsa.tfpg import parse_binding, parse_tfpg
 
@@ -20,6 +21,17 @@ def build_extended(model_text: str, fei_text: str, flib_text: str = ""):
     typed = type_check(parse_model(model_text))
     library = load_fault_library(flib_text)
     return extend_model(typed, library, parse_fei(fei_text))
+
+
+def reachable_tuples(engine):
+    """Every state ``engine`` reaches, by the breadth-first search of the
+    analyses under the engine's state cap."""
+
+    def expand(s):
+        return engine.init_tuples() if s is None else engine.succ_tuples(s), ()
+
+    _, stored = next(breadth_first(expand, None, engine.cap, "states"))
+    return set(stored)
 
 
 def checked_expr(xm, text: str):

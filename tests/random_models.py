@@ -182,3 +182,54 @@ def random_stutter_model(rng: random.Random):
     graph = Tfpg(tuple(modes), kinds, tuple(edges))
     graph.check()
     return xm, graph, binding
+
+
+def random_binding_and_graph(xm, rng: random.Random):
+    """A random graph over the model's fault events plus derived discrepancies."""
+    from mbsa.tfpg import Tfpg, TfpgEdge
+    from mbsa.tfpg.activation import NodeBinding
+
+    def checked(text):
+        expr = parse_expr_text(text)
+        xm.typed.check_expr(expr)
+        return expr
+
+    kinds, activations, failure_events = {}, {}, {}
+    for e in sorted(xm.events):
+        kinds[f"F_{e}"] = "failure"
+        activations[f"F_{e}"] = xm.events[e].occurrence
+        failure_events[f"F_{e}"] = e
+    nominal_vars = [n for n, _ in xm.model.variables if "#" not in n]
+    disc_names = []
+    for i, v in enumerate(rng.sample(nominal_vars, min(2, len(nominal_vars)))):
+        name = f"D{i}"
+        kinds[name] = rng.choice(["or", "and"])
+        activations[name] = checked(v if rng.random() < 0.5 else f"!{v}")
+        disc_names.append(name)
+    binding = NodeBinding(kinds, activations, {"ON": checked("TRUE")}, failure_events)
+
+    edges = []
+    for dst in disc_names:
+        for src in rng.sample(sorted(kinds), rng.randint(0, 2)):
+            if src == dst:
+                continue
+            tmin = rng.randint(0, 1)
+            tmax = rng.choice([None, tmin, tmin + 2])
+            edges.append(TfpgEdge(src, dst, tmin, tmax, None))
+    graph = Tfpg(("ON",), kinds, tuple(edges))
+    graph.check()
+    return graph, binding
+
+
+def random_synthesis_cases():
+    """The 24 seeded ``(xm, binding, step_bound)`` inputs of the synthesis
+    checks: random extended models with a random binding, alternating with
+    stuttering models, each at a bound of 1 to 3 steps."""
+    rng = random.Random(11)
+    for i in range(24):
+        if i % 2:
+            xm, _, binding = random_stutter_model(rng)
+        else:
+            xm, _ = random_extended_model(rng)
+            _, binding = random_binding_and_graph(xm, rng)
+        yield xm, binding, rng.randint(1, 3)

@@ -36,7 +36,7 @@ from mbsa.tfpg import (
 )
 from mbsa.tfpg.activation import activation_trace_of
 
-from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr
+from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr, reachable_tuples
 from probability_references import evaluate
 from random_models import random_extended_model
 from test_fault_tree import _indicator_oracle
@@ -56,7 +56,7 @@ def test_criterion_01_mcs_oracle_equivalence():
         xm, tle = random_extended_model(rng)
         n_events = len(xm.events)
         assert n_events <= 12
-        assert len(Engine(xm.typed).reachable_tuples()) <= 10_000
+        assert len(reachable_tuples(Engine(xm.typed))) <= 10_000
         fast = compute_mcs(xm, tle, n_events)
         slow = brute_force_mcs(xm, tle, n_events)
         assert fast.as_sets() == slow.as_sets()

@@ -7,7 +7,7 @@ from mbsa.cca import Cascading, CcaError, Simultaneous, apply_cca, parse_cca
 from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability, symbolic_probability
 from mbsa.sts.engine import Engine
 
-from conftest import build_extended, checked_expr
+from conftest import build_extended, checked_expr, reachable_tuples
 from probability_references import evaluate
 
 PAIR_SMX = """MODULE pair
@@ -86,7 +86,7 @@ def test_simultaneous_trigger_fires_same_step(pair):
     cc_i = xm.typed.var_index["cc#burst"]
     m1 = xm.typed.var_index["mode#f1"]
     m2 = xm.typed.var_index["mode#f2"]
-    for s in eng.reachable_tuples():
+    for s in reachable_tuples(eng):
         for t in eng.succ_tuples(s):
             if not s[cc_i] and t[cc_i]:
                 assert t[m1] == "faulty" and t[m2] == "faulty"
@@ -97,7 +97,7 @@ def test_cc_occurs_at_most_once(pair):
     xm = apply_cca(pair, specs)
     eng = Engine(xm.typed)
     cc_i = xm.typed.var_index["cc#burst"]
-    for s in eng.reachable_tuples():
+    for s in reachable_tuples(eng):
         if s[cc_i]:
             assert all(t[cc_i] for t in eng.succ_tuples(s))  # latched
 
@@ -113,7 +113,7 @@ def test_cascading_window_exact(pair):
     m2 = xm.typed.var_index["mode#f2"]
     suppress = [eng.compile(info.suppression) for name, info in xm.events.items() if name != "casc"]
     seen_cc = False
-    for s in eng.reachable_tuples():
+    for s in reachable_tuples(eng):
         if not all(fn(s) for fn in suppress):
             continue
         if s[cc_i]:

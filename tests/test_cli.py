@@ -207,6 +207,22 @@ def test_random_on_an_unbounded_define_exits_2(tmp_path, capsys):
                                        "finite domain; 'd' has type integer (event b)\n")
 
 
+@pytest.mark.parametrize("template, flib, message", [
+    ("stuck_at(3)", "", "template 'stuck_at' gives integer for 'x' of type boolean"),
+    ("bump", "template bump() for any := nominal + 1;", "template 'bump' gives integer for 'x' of type boolean"),
+    ("bad", "template bad() for boolean := nominal & 3;",
+     "template 'bad': operand of & must be boolean, got integer"),
+], ids=["builtin", "user", "ill-typed"])
+def test_mistyped_template_effect_is_reported_at_its_instruction(tmp_path, capsys, template, flib, message):
+    # each was reported at <input>:0:0 and at the model's TRANS
+    (tmp_path / "m.smx").write_text("MODULE m VAR x : boolean; INIT !x; TRANS next(x) = x;")
+    (tmp_path / "m.flib").write_text(flib)
+    (tmp_path / "m.fei").write_text(f"fault e0: target x, template {template}, dynamics permanent, prob 0.1;")
+    assert run("extend", "--model", str(tmp_path / "m.smx"), "--flib", str(tmp_path / "m.flib"),
+               "--fei", str(tmp_path / "m.fei"), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"{tmp_path / 'm.fei'}:1:7: error: {message} (event e0)\n"
+
+
 @pytest.mark.parametrize("fei, cca, where, message", [
     ("fault e1: target z, template inverted, dynamics permanent, prob 0.1;", "", "fei:2:7",
      "unknown extension target 'z' (event e1)"),
@@ -473,6 +489,21 @@ def test_max_card_below_one_exits_2(tmp_path, capsys, card):
             "--out-dir", str(tmp_path))
     assert exc.value.code == 2
     assert "argument --max-card: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "check"])
+def test_tfpg_has_no_max_card(tmp_path, capsys, command):
+    # the flag was accepted and never read
+    target = ("--outfile", str(tmp_path / "g.tfpg")) if command == "synth" else ("--tfpg", TFPG)
+    argv = ("tfpg", command, "--model", MODEL, "--fei", FEI, "--bind", BIND, *target, "--out-dir", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--max-card", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-card 2" in capsys.readouterr().err
+    config = tmp_path / "tfpg.conf"
+    config.write_text("max-card = 2\n")
+    assert run(*argv, "--config", str(config)) == 2
+    assert capsys.readouterr().err == f"{config}:0:0: error: unknown config key 'max-card'\n"
 
 
 @pytest.mark.parametrize("argv, flag, value, low", [

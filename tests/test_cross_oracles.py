@@ -25,13 +25,13 @@ from mbsa.faults import ExtendedModel
 from mbsa.fmea import generate_dynamic_fmea, generate_fmea
 from mbsa.sts.engine import Engine, Trace, reach, replay_ok
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
-from mbsa.tfpg import Tfpg, TfpgEdge, admits, validate_behavioral
-from mbsa.tfpg.activation import BindingEvaluator, NodeBinding, activation_trace_of
+from mbsa.tfpg import admits, validate_behavioral
+from mbsa.tfpg.activation import BindingEvaluator, activation_trace_of
 from mbsa.tfpg.synth import _collect_instances
-from mbsa.sts.parse import parse_expr_text
 
-from conftest import build_extended, checked_expr
-from random_models import random_cca_model, random_extended_model, random_stutter_model, random_typed_model
+from conftest import build_extended, checked_expr, reachable_tuples
+from random_models import (random_binding_and_graph, random_cca_model, random_extended_model,
+                           random_stutter_model, random_synthesis_cases, random_typed_model)
 
 _OPS = {
     "&": lambda a, b: a and b,
@@ -264,7 +264,7 @@ def _check_labels(xm):
     ana = Analyzer(xm)
     tm = xm.typed
     assert ana.engine.guards == tuple(xm.events[name].suppression for name in ana.events)
-    states = ana.engine.reachable_tuples()
+    states = reachable_tuples(ana.engine)
     for s in states:
         assert ana.label(s) == sum(1 << k for k, name in enumerate(ana.events)
                                     if _eval(tm, xm.events[name].occurrence, s)), s
@@ -278,7 +278,7 @@ def _check_observations(xm, binding):
     ev = BindingEvaluator(xm, binding)
     tm = xm.typed
     decoded = set()
-    for s in ev.engine.reachable_tuples():
+    for s in reachable_tuples(ev.engine):
         label = ev.observe(s)
         acts = [bool(_eval(tm, binding.activations[n], s)) for n in ev.node_order]
         modes = [bool(_eval(tm, e, s)) for e in binding.mode_exprs.values()]
@@ -299,7 +299,7 @@ def test_label_bank_bits_equal_predicates():
         else:
             xm, _, binding = random_stutter_model(rng)
         if i % 3 != 2:
-            _, binding = _random_binding_and_graph(xm, rng)
+            _, binding = random_binding_and_graph(xm, rng)
         ana, states = _check_labels(xm)
         for mask, mode in _check_observations(xm, binding):
             seen["activates"] += mask != 0
@@ -380,7 +380,7 @@ def test_guarded_generator_equals_filtered_lists():
             seen["sampled"] += 1
         for m in masks:
             assert ana.engine.init_tuples(m) == [t for t in plain.init_tuples() if not fails(t) & m], m
-        for s in plain.reachable_tuples():
+        for s in reachable_tuples(plain):
             succ = plain.succ_tuples(s)
             for m in masks:
                 guarded = ana.engine.succ_tuples(s, m)
@@ -470,40 +470,6 @@ def test_dynamic_fmea_equals_naive_orders_of_every_pair(redundant_pair, latch_mo
     assert all(seen[k] for k in ("no cut set", "non-minimal row", "row")), seen
 
 
-def _random_binding_and_graph(xm, rng):
-    """A random graph over the model's fault events plus derived discrepancies."""
-    events = sorted(xm.events)
-    kinds = {}
-    activations = {}
-    failure_events = {}
-    for e in events:
-        kinds[f"F_{e}"] = "failure"
-        activations[f"F_{e}"] = xm.events[e].occurrence
-        failure_events[f"F_{e}"] = e
-    nominal_vars = [n for n, _ in xm.model.variables if "#" not in n]
-    disc_names = []
-    for i, v in enumerate(rng.sample(nominal_vars, min(2, len(nominal_vars)))):
-        name = f"D{i}"
-        kinds[name] = rng.choice(["or", "and"])
-        expr = parse_expr_text(v if rng.random() < 0.5 else f"!{v}")
-        xm.typed.check_expr(expr)
-        activations[name] = expr
-        disc_names.append(name)
-    binding = NodeBinding(kinds, activations, {"ON": checked_expr(xm, "TRUE")}, failure_events)
-
-    edges = []
-    for dst in disc_names:
-        for src in rng.sample(sorted(kinds), rng.randint(0, 2)):
-            if src == dst:
-                continue
-            tmin = rng.randint(0, 1)
-            tmax = rng.choice([None, tmin, tmin + 2])
-            edges.append(TfpgEdge(src, dst, tmin, tmax, None))
-    graph = Tfpg(("ON",), kinds, tuple(edges))
-    graph.check()
-    return graph, binding
-
-
 def _verdict_equals_per_trace_admission(xm, graph, binding, bound: int) -> bool:
     """Validation at ``bound`` against admits() on every trace up to it;
     returns whether the verdict is complete."""
@@ -534,7 +500,7 @@ def test_validation_verdict_equals_per_trace_admission():
     verdicts = []
     for _ in range(10):
         xm, _ = random_extended_model(rng)
-        graph, binding = _random_binding_and_graph(xm, rng)
+        graph, binding = random_binding_and_graph(xm, rng)
         verdicts.append(_verdict_equals_per_trace_admission(xm, graph, binding, 4))
     assert set(verdicts) == {True, False}  # both verdicts exercised
 
@@ -594,19 +560,21 @@ def _naive_instances(xm, binding, step_bound):
     return instances
 
 
+def _named_instances(xm, binding, step_bound):
+    """``_collect_instances`` with each node mask read as the set of node
+    names its bits stand for, in the evaluator's node order."""
+    order = BindingEvaluator(xm, binding).node_order
+    names = lambda mask: frozenset(n for i, n in enumerate(order) if mask >> i & 1)
+    return {v: {(names(a), names(sim), names(last), mode) for a, sim, last, mode in insts}
+            for v, insts in _collect_instances(xm, binding, step_bound, None).items()}
+
+
 def test_synthesis_instances_equal_naive_search(battery_sensor, battery_binding):
     for bound in (60, None):
-        assert _collect_instances(battery_sensor, battery_binding, bound, None) == \
+        assert _named_instances(battery_sensor, battery_binding, bound) == \
             _naive_instances(battery_sensor, battery_binding, bound)
-    rng = random.Random(11)
-    for i in range(24):
-        if i % 2:
-            xm, _, binding = random_stutter_model(rng)
-        else:
-            xm, _ = random_extended_model(rng)
-            _, binding = _random_binding_and_graph(xm, rng)
-        bound = rng.randint(1, 3)
-        assert _collect_instances(xm, binding, bound, None) == _naive_instances(xm, binding, bound)
+    for xm, binding, bound in random_synthesis_cases():
+        assert _named_instances(xm, binding, bound) == _naive_instances(xm, binding, bound)
 
 
 def test_fmea_rows_are_witnessed(redundant_pair):

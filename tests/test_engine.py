@@ -8,6 +8,7 @@ from mbsa.sts.check import type_check
 from mbsa.sts.engine import Engine, Trace, initial_states, reach, replay_ok, successors
 from mbsa.sts.parse import parse_expr_text, parse_model
 
+from conftest import reachable_tuples
 from test_cross_oracles import _naive_inits, _naive_successors
 
 
@@ -98,14 +99,14 @@ TRANS next(x) = (fast ? (x + 2 > 7 ? 7 : x + 2) : (x + 1 > 7 ? 7 : x + 1));
 def test_state_graph_enumeration_terminates():
     tm = _tm("MODULE m VAR x : 0..3; y : boolean;")
     eng = Engine(tm)
-    assert len(eng.reachable_tuples()) == 8
+    assert len(reachable_tuples(eng)) == 8
 
 
 def test_resource_cap():
     tm = _tm("MODULE m VAR x : 0..200; INIT x = 0; TRANS next(x) = (x < 200 ? x + 1 : x);")
     eng = Engine(tm, cap=10)
     with pytest.raises(ResourceCapError):
-        eng.reachable_tuples()
+        reachable_tuples(eng)
 
 
 def test_determinism_of_orders():
@@ -235,7 +236,7 @@ def test_layer_hooks_stay_on_the_class(monkeypatch):
         orig = Engine.__dict__[name]
         monkeypatch.setattr(Engine, name, lambda self, *a, _o=orig, _n=name: calls.append(_n) or _o(self, *a))
     eng = Engine(_tm(COUNTER))
-    assert len(eng.reachable_tuples()) == 4
+    assert len(reachable_tuples(eng)) == 4
     assert calls.count("init_tuples") == 1 and calls.count("succ_tuples") == 4
     assert not {"succ_tuples", "init_tuples", "reach_tuples"} & set(vars(eng))
 

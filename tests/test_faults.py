@@ -13,7 +13,7 @@ from mbsa.sts.engine import Engine
 from mbsa.sts.parse import parse_model
 from mbsa.sts.pretty import print_model
 
-from conftest import build_extended, checked_expr
+from conftest import build_extended, checked_expr, reachable_tuples
 
 
 def _tm(text):
@@ -181,7 +181,7 @@ def test_transient_never_two_consecutive_faulty_steps():
                                  "dynamics transient, prob 0.01;")
     eng = Engine(xm.typed)
     occ = eng.compile(xm.events["glitch"].occurrence)
-    for s in eng.reachable_tuples():
+    for s in reachable_tuples(eng):
         if occ(s):
             assert all(not occ(t) for t in eng.succ_tuples(s))
 
@@ -203,7 +203,7 @@ def test_conditional_template():
     occ = eng.compile(xm.events["cond"].occurrence)
     k_i = xm.typed.var_index["k"]
     s_nom = xm.typed.var_index["s#nominal"]
-    for state in eng.reachable_tuples():
+    for state in reachable_tuples(eng):
         if occ(state) and state[k_i] == 0:
             assert s_val(state) is False
         elif state[k_i] != 0:
@@ -241,7 +241,7 @@ def test_composition_order_later_wraps_earlier():
     s_val = eng.compile(checked_expr(xm, "s"))
     occ1 = eng.compile(xm.events["first"].occurrence)
     occ2 = eng.compile(xm.events["second"].occurrence)
-    for state in eng.reachable_tuples():
+    for state in reachable_tuples(eng):
         if occ2(state):
             assert s_val(state) is False  # the later wrap wins
         elif occ1(state):
@@ -314,7 +314,7 @@ def test_composed_instructions_keep_the_declared_integer_range():
         assert sorted(xm.events) == ["a", "b"]
     eng = Engine(xm.typed)
     x = eng.compile(checked_expr(xm, "x"))
-    levels = {x(s) for s in eng.reachable_tuples()}
+    levels = {x(s) for s in reachable_tuples(eng)}
     assert levels == {-1, 0, 3, 4}  # drift(1) over stuck_at(4) over x = 0
 
 

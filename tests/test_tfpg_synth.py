@@ -1,7 +1,14 @@
-from mbsa.tfpg import Tfpg, TfpgEdge, synthesize_structure, validate_behavioral
+from pathlib import Path
+
+import pytest
+
+from mbsa.tfpg import Tfpg, TfpgEdge, synthesize_structure, validate_behavioral, write_tfpg
 from mbsa.tfpg.activation import parse_binding
 
 from conftest import build_extended
+from random_models import random_synthesis_cases
+
+CASES = Path(__file__).resolve().parent / "goldens" / "tfpg_synth_cases"
 
 
 def test_fixture_edge_set_recovered(battery_sensor, battery_binding, battery_tfpg):
@@ -105,5 +112,18 @@ mode ON : TRUE;
 def test_synthesis_deterministic(battery_sensor, battery_binding):
     a = synthesize_structure(battery_sensor, battery_binding, step_bound=60)
     b = synthesize_structure(battery_sensor, battery_binding, step_bound=60)
-    from mbsa.tfpg import write_tfpg
     assert write_tfpg(a) == write_tfpg(b)
+
+
+# Pinned bytes of synthesized graphs.  Between them these inputs exercise
+# cycle repair, AND parents and mode-labelled edges.
+@pytest.mark.parametrize("bound", [5, 10, 20])
+def test_fixture_synthesis_matches_golden(battery_sensor, battery_binding, bound):
+    g = synthesize_structure(battery_sensor, battery_binding, step_bound=bound)
+    assert write_tfpg(g) == (CASES / f"fixture_{bound}.tfpg").read_text(encoding="utf-8")
+
+
+def test_random_synthesis_matches_goldens():
+    for i, (xm, binding, bound) in enumerate(random_synthesis_cases()):
+        g = synthesize_structure(xm, binding, step_bound=bound)
+        assert write_tfpg(g) == (CASES / f"random_{i:02d}.tfpg").read_text(encoding="utf-8"), i
