@@ -180,7 +180,9 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: i
     keys with only ``base`` allowed.  For each partition of all of ``base``
     that first reaches some bits of ``wanted`` in ``targets`` (a
     ``compile_mask`` function), yields those bits, the partition as sorted
-    name tuples and the witness path of states."""
+    name tuples and the witness path of states.  A key whose partition holds
+    all of ``base`` and no longer waits for a wanted target is not expanded:
+    the keys below it carry the same partition."""
     want = ana.mask(base)
     store = StateStore(ana.engine, ana.label, ana.full ^ want)
     labels, states = store.labels, store.states
@@ -191,6 +193,8 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: i
         missing = want
         for group in part:
             missing ^= group
+        if not missing and not pending.get(part, wanted):
+            return (), ()  # every key below has this partition, and it has nothing left to report
         children, stops = [], []
         for c in store.children(sid):
             new = labels[c] & missing

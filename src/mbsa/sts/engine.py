@@ -71,7 +71,8 @@ class Trace:
 class StateStore:
     """The states one search has seen: state id ``i`` has the value tuple
     ``states[i]`` (``ids`` maps it back), the label ``labels[i]`` and, once
-    expanded, the successor ids ``succs[i]`` (the initial ones under None)."""
+    expanded, the successor ids ``succs[i]`` (the initial ones under None),
+    a tuple built once, at the first expansion."""
 
     __slots__ = ("engine", "label_fn", "forbidden", "ids", "states", "labels", "succs")
 
@@ -79,19 +80,20 @@ class StateStore:
         self.engine, self.label_fn, self.forbidden = engine, label_fn, forbidden
         self.ids, self.states, self.labels, self.succs = {}, [], [], {}
 
-    def children(self, sid: int | None) -> list[int]:
+    def children(self, sid: int | None) -> tuple[int, ...]:
         """The ids of the initial states (``sid`` None) or of the successors of ``sid``."""
         kids = self.succs.get(sid)
         if kids is None:
             eng, ids, r = self.engine, self.ids, self.forbidden
-            kids = self.succs[sid] = []
+            row = []
             for t in eng.init_tuples(r) if sid is None else eng.succ_tuples(self.states[sid], r):
                 i = ids.get(t)
                 if i is None:
                     i = ids[t] = len(self.states)
                     self.states.append(t)
                     self.labels.append(self.label_fn(t))
-                kids.append(i)
+                row.append(i)
+            kids = self.succs[sid] = tuple(row)
         return kids
 
 
@@ -366,7 +368,8 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
     root's children are the initial keys, at depth 0), and the keys at which
     a path ends.  Each child not yet stored is stored, with ``key`` as its
     parent; storing more than ``cap`` keys raises
-    ``ResourceCapError("stored <what> exceed cap N")``.  Keys at depth
+    ``ResourceCapError("stored <what> exceed cap N at depth D")``, D the
+    depth of the key that did not fit.  Keys at depth
     ``bound`` or deeper are not expanded; the root always is, so the initial
     keys are stored under every bound, a negative one too.
 
@@ -380,7 +383,7 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
     frontier = [None]
     depth = -1  # the root's
     while frontier and (bound is None or depth < max(bound, 0)):
-        depth += 1
+        depth += 1  # the children's
         nxt = []
         for key in frontier:
             children, stops = expand(key)
@@ -388,7 +391,7 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
                 if child in parents:
                     continue
                 if len(parents) >= cap:
-                    raise ResourceCapError(f"stored {what} exceed cap {cap}")
+                    raise ResourceCapError(f"stored {what} exceed cap {cap} at depth {depth}")
                 parents[child] = key
                 nxt.append(child)
             for stop in stops:

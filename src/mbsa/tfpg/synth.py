@@ -55,11 +55,18 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
                        cap: int | None):
     """Product search over (state, acted mask, last-burst mask), recording
     each discrepancy's distinct instances (A, S, L, mode), with A, S and L
-    node masks over the evaluator's ``node_order``."""
+    node masks over the evaluator's ``node_order``.
+
+    With n nodes, the search records an instance as the one int
+    ``A | S << n | L << 2n | k << 3n``, k the mode's index in ``ev.modes``,
+    and decodes these into tuples once it has returned and its states are
+    freed."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
-    discrepancies = [(1 << i, n) for i, n in enumerate(ev.node_order) if binding.kinds[n] != "failure"]
-    found: dict[str, set[tuple]] = {n: set() for n in ev.node_order}
+    n = len(ev.node_order)
+    discrepancies = [(1 << i, i) for i, v in enumerate(ev.node_order) if binding.kinds[v] != "failure"]
+    mode_bits = {m: k << 3 * n for k, m in enumerate(ev.modes)}
+    found: list[set[int]] = [set() for _ in ev.node_order]
 
     def step(state, mask: int, mode: str):
         acted, last = state
@@ -68,11 +75,13 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
             return state, None
         for b, v in discrepancies:
             if newly & b:
-                found[v].add(((acted | newly) & ~b, newly & ~b, last, mode))
+                found[v].add((acted | newly) & ~b | (newly & ~b) << n | last << 2 * n | mode_bits[mode])
         return (acted | newly, newly), None
 
     explore(engine, ev, (0, 0), step, step_bound, "synthesis")
-    return found
+    full = (1 << n) - 1
+    return {v: {(x & full, x >> n & full, x >> 2 * n & full, ev.modes[x >> 3 * n]) for x in insts}
+            for v, insts in zip(ev.node_order, found)}
 
 
 def _bits(mask: int) -> list[int]:

@@ -627,11 +627,29 @@ def test_cut_sequence_search_smallest_passing_cap(tmp_path, argv):
     # the most keys one cut-sequence search stores on the fixture; the cut-set
     # searches of mcs and fmea store at most 462
     m = ("--model", MODEL, "--fei", FEI, "--out-dir", str(tmp_path))
-    assert run(*argv, *m, "--cap", "1396") == 0
-    assert run(*argv, *m, "--cap", "1395") == 3
+    assert run(*argv, *m, "--cap", "1132") == 0
+    assert run(*argv, *m, "--cap", "1131") == 3
     assert run("mcs", *m, "--tle", "sys_dead", "--cap", "462") == 0
     assert run("fmea", *m, "--props", PROPS, "--cap", "462") == 0
     assert run("mcs", *m, "--tle", "sys_dead", "--cap", "461") == 3
+
+
+@pytest.mark.parametrize("argv, cap, message", [
+    (("mcs", "--tle", "sys_dead"), 100, "stored states exceed cap 100 at depth 6"),
+    (("ft", "--tle", "sys_dead", "--dynamic"), 500, "stored cut-sequence states exceed cap 500 at depth 9"),
+    (("tfpg", "check", "--tfpg", TFPG, "--bind", BIND), 500, "stored product states exceed cap 500 at depth 4"),
+    (("tfpg", "synth", "--bind", BIND), 500, "stored synthesis states exceed cap 500 at depth 3"),
+], ids=["mcs", "ft-dynamic", "tfpg-check", "tfpg-synth"])
+def test_cap_error_names_the_depth(tmp_path, capsys, argv, cap, message):
+    out = ("--outfile", str(tmp_path / "synth.tfpg")) if argv[1] == "synth" else ("--out-dir", str(tmp_path))
+    m = ("--model", MODEL, "--fei", FEI, "--cap", str(cap), *out)
+    assert run(*argv, *m) == 3
+    assert capsys.readouterr().err.strip().endswith(message)
+    if argv[0] == "tfpg":
+        # one search: every key above the named depth fits under the cap
+        depth = message.rsplit(" ", 1)[1]
+        assert run(*argv, *m, "--step-bound", str(int(depth) - 1)) == 0
+        assert run(*argv, *m, "--step-bound", depth) == 3
 
 
 def _pairs(tmp_path, k):

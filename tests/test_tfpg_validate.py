@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 
 from mbsa.sts.engine import Engine, Trace, replay_ok
 from mbsa.tfpg import (Tfpg, TfpgEdge, admits, parse_binding, parse_tfpg, synthesize_structure,
                        validate_behavioral)
+from mbsa.tfpg import synth, validate
 from mbsa.tfpg.activation import BindingEvaluator, activation_trace_of
+from mbsa.tfpg.product import explore
 from mbsa.tfpg.validate import Inconsistency
 
 from conftest import build_extended
@@ -93,14 +96,17 @@ def test_determinism(battery_tfpg, battery_binding, battery_sensor):
     assert a.counterexamples[0][0].states == b.counterexamples[0][0].states
 
 
-@pytest.mark.parametrize("job, explored, expansions, labels", [
-    ("check", 5200, 5200, 5200), ("refute", 4872, 4134, 4879), ("synth", None, 5200, 5200)])
+@pytest.mark.parametrize("job, explored, expansions, labels, steps", [
+    ("check", 5200, 5200, 5200, 9560), ("refute", 4872, 4134, 4879, 7969),
+    ("synth", None, 5200, 5200, 5224)])
 def test_product_search_expands_and_observes_each_model_state_once(
-        monkeypatch, battery_tfpg, battery_binding, battery_sensor, job, explored, expansions, labels):
+        monkeypatch, battery_tfpg, battery_binding, battery_sensor, job, explored, expansions, labels,
+        steps):
     # many product states share a model state: its successors are generated
-    # once, when it is first expanded, and its label once, when it is first seen
+    # once, when it is first expanded, and its label once, when it is first
+    # seen; the abstract step is taken once per (abstract state, label)
     init, succ, observe = Engine.init_tuples, Engine.succ_tuples, BindingEvaluator.observe
-    seen, expanded, observed = set(), [], {}
+    seen, expanded, observed, stepped = set(), [], {}, []
 
     def init_tuples(self, forbidden=0):
         states = init(self, forbidden)
@@ -117,9 +123,17 @@ def test_product_search_expands_and_observes_each_model_state_once(
         observed.setdefault(self, []).append(s)
         return observe(self, s)
 
+    def explore_counted(engine, ev, start, step, *rest):
+        def step_counted(*args):
+            stepped.append(args)
+            return step(*args)
+        return explore(engine, ev, start, step_counted, *rest)
+
     monkeypatch.setattr(Engine, "init_tuples", init_tuples)
     monkeypatch.setattr(Engine, "succ_tuples", succ_tuples)
     monkeypatch.setattr(BindingEvaluator, "observe", observe_state)
+    for module in (validate, synth):
+        monkeypatch.setattr(module, "explore", explore_counted)
     if job == "synth":
         synthesize_structure(battery_sensor, battery_binding, step_bound=60)
     else:
@@ -131,8 +145,30 @@ def test_product_search_expands_and_observes_each_model_state_once(
     searched = next(iter(observed.values()))  # the search's evaluator comes first
     assert len(set(searched)) == len(searched) == labels
     assert set(searched) == seen
+    assert len(set(stepped)) == len(stepped) == steps
     if job == "refute":
         assert replay_ok(battery_sensor.typed, report.counterexamples[0][0])
+
+
+@pytest.mark.parametrize("job, bound_mib", [("check", 2.7), ("synth", 4.4)])
+def test_product_search_peak_memory(battery_tfpg, battery_binding, battery_sensor, job, bound_mib):
+    # the search keeps its keys, table entries and synthesis instances as
+    # small ints and its successor rows as tuples.  Each bound lies between
+    # the traced peak of this search (check 2.30 MiB, synth 3.51) and that
+    # of one with tuple keys, (id, stop) entries, list rows and tuple
+    # instances (3.12, 5.28)
+    if job == "check":
+        run = lambda: validate_behavioral(battery_tfpg, battery_binding, battery_sensor, step_bound=60)
+    else:
+        run = lambda: synthesize_structure(battery_sensor, battery_binding, step_bound=60)
+    run()  # builds the engine and its generated functions
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_binding_totality_checked(battery_tfpg, battery_binding, battery_sensor):
