@@ -53,9 +53,6 @@ class FaultTree:
     def basic_events(self) -> dict[str, BasicEvent]:
         return {i: n for i, n in self.nodes.items() if isinstance(n, BasicEvent)}
 
-    def gates(self) -> dict[str, Gate]:
-        return {i: n for i, n in self.nodes.items() if isinstance(n, Gate)}
-
 
 class ProbabilityAssignment:
     """Per-event probabilities plus the dependency groups that break independence.
@@ -221,8 +218,8 @@ def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -
     one per common cause group.
 
     Canonical form: one Shannon combination per node of the root's BDD
-    (group symbols first, then the other events in sorted order), hash-consed
-    and constant-folded so no duplicate subterms remain.  Evaluating at any
+    (group symbols first, then the other events in sorted order), with each
+    subterm built once (see :meth:`Bdd.to_pnode`).  Evaluating at any
     assignment equals :func:`evaluate_probability`'s root value exactly.
     """
     bdd, compiled, names = _compile(ft, dependency_groups or [])
@@ -276,11 +273,9 @@ def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
             el.set("id", nid)
             if node.label:
                 el.set("label", node.label)
-            if with_probabilities:
-                if node.probability is None:
-                    raise FaultTreeError(f"basic event {nid!r} has no probability to export")
-                el.set("probability", prob_str(node.probability))
-            elif node.probability is not None:
+            if with_probabilities and node.probability is None:
+                raise FaultTreeError(f"basic event {nid!r} has no probability to export")
+            if node.probability is not None:
                 el.set("probability", prob_str(node.probability))
     ET.indent(root)
     return ET.tostring(root, encoding="unicode") + "\n"

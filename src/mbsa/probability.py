@@ -3,10 +3,9 @@ independent variables, and probability expressions over their symbols.
 
 :class:`Bdd` (Bryant 1986; Rauzy 1993 for fault trees) gives exact
 probabilities in one bottom-up pass and renders a closed form with one
-Shannon combination per node.  Expressions are a hash-consed DAG over
-constants, symbols, +, -, *, built through :class:`PBuilder`, which interns
-structurally equal subterms and folds constants.  Evaluation is exact over
-``fractions.Fraction``.
+Shannon combination per node.  The closed form is a DAG over the constants
+0 and 1, symbols, +, - and *, in which each subterm is built once; it is
+rendered as infix text and as straight-line scripts.
 """
 
 from __future__ import annotations
@@ -44,75 +43,6 @@ class PBin(PNode):
 
     def __init__(self, op: str, left: PNode, right: PNode):
         self.op, self.left, self.right = op, left, right  # op: "+", "-", "*"
-
-
-class PBuilder:
-    """Interning constructor; within one builder, equal structure is one node."""
-
-    def __init__(self):
-        self._consts: dict[Fraction, PConst] = {}
-        self._syms: dict[str, PSym] = {}
-        self._bins: dict[tuple, PBin] = {}
-
-    def const(self, v) -> PConst:
-        v = Fraction(v)
-        node = self._consts.get(v)
-        if node is None:
-            node = PConst(v)
-            self._consts[v] = node
-        return node
-
-    def sym(self, name: str) -> PSym:
-        node = self._syms.get(name)
-        if node is None:
-            node = PSym(name)
-            self._syms[name] = node
-        return node
-
-    def _bin(self, op: str, left: PNode, right: PNode) -> PNode:
-        if isinstance(left, PConst) and isinstance(right, PConst):
-            if op == "+":
-                return self.const(left.value + right.value)
-            if op == "-":
-                return self.const(left.value - right.value)
-            return self.const(left.value * right.value)
-        key = (op, id(left), id(right))
-        node = self._bins.get(key)
-        if node is None:
-            node = PBin(op, left, right)
-            self._bins[key] = node
-        return node
-
-    def add(self, left: PNode, right: PNode) -> PNode:
-        if isinstance(left, PConst) and left.value == 0:
-            return right
-        if isinstance(right, PConst) and right.value == 0:
-            return left
-        return self._bin("+", left, right)
-
-    def sub(self, left: PNode, right: PNode) -> PNode:
-        if isinstance(right, PConst) and right.value == 0:
-            return left
-        return self._bin("-", left, right)
-
-    def mul(self, left: PNode, right: PNode) -> PNode:
-        if isinstance(left, PConst):
-            if left.value == 0:
-                return left
-            if left.value == 1:
-                return right
-        if isinstance(right, PConst):
-            if right.value == 0:
-                return right
-            if right.value == 1:
-                return left
-        return self._bin("*", left, right)
-
-    def mix(self, p: PNode, hi: PNode, lo: PNode) -> PNode:
-        """Shannon combination p*hi + (1-p)*lo; collapses when both branches agree."""
-        if hi is lo:
-            return hi
-        return self.add(self.mul(p, hi), self.mul(self.sub(self.const(1), p), lo))
 
 
 class ProbabilityExpr:
@@ -202,8 +132,12 @@ class Bdd:
         return out
 
     def to_pnode(self, root: int, names: list[str]) -> PNode:
-        """Closed form of ``root``'s probability: one ``mix`` over the symbol
-        ``names[var]`` per node reachable from ``root``."""
+        """Closed form of ``root``'s probability: ``p*H + (1-p)*L`` over the
+        symbol ``p`` of ``names[var]`` per node reachable from ``root``, or
+        ``p*H`` alone when ``lo == 0``, where ``p*H`` is ``p`` when ``hi == 1``.
+        ``var`` and ``apply`` build only monotone functions, so no node has
+        ``hi == 0`` or ``lo == 1``, and those cases are not handled.  Each
+        ``1-p``, ``p*H`` and ``(1-p)*L`` is built once."""
         reachable: set[int] = set()
         stack = [root]
         while stack:
@@ -211,11 +145,22 @@ class Bdd:
             if u > 1 and u not in reachable:
                 reachable.add(u)
                 stack.extend(self.nodes[u][1:])
-        b = PBuilder()
-        out: dict[int, PNode] = {0: b.const(0), 1: b.const(1)}
+        one = PConst(Fraction(1))
+        out: dict[int, PNode] = {0: PConst(Fraction(0)), 1: one}
+        syms = [PSym(name) for name in names]
+        negated: dict[int, PNode] = {}  # var -> 1-p
+        high: dict[tuple[int, int], PNode] = {}  # (var, hi) -> p*H
+        low: dict[tuple[int, int], PNode] = {}  # (var, lo) -> (1-p)*L
         for u in sorted(reachable):
             var, hi, lo = self.nodes[u]
-            out[u] = b.mix(b.sym(names[var]), out[hi], out[lo])
+            p = syms[var]
+            if (var, hi) not in high:
+                high[var, hi] = p if hi == 1 else PBin("*", p, out[hi])
+            if lo and (var, lo) not in low:
+                if var not in negated:
+                    negated[var] = PBin("-", one, p)
+                low[var, lo] = PBin("*", negated[var], out[lo])
+            out[u] = PBin("+", high[var, hi], low[var, lo]) if lo else high[var, hi]
         return out[root]
 
 
@@ -243,19 +188,18 @@ def prob_str(v: Fraction) -> str:
     return repr(float(v))
 
 
-def _sanitize(name: str) -> str:
-    out = "".join(ch if ch.isalnum() else "_" for ch in name)
-    if not out or out[0].isdigit():
-        out = "_" + out
-    return out
-
-
 def symbol_params(symbols: tuple[str, ...]) -> list[str]:
-    """Deterministic, collision-free parameter names ``p_<event>``."""
+    """Deterministic, collision-free parameter names ``p_<event>``: every
+    character other than a letter or digit becomes ``_``, an empty name or
+    one that starts with a digit gets a leading ``_``, and a name already
+    taken gets the first free numbered suffix 2, 3, ..."""
     params: list[str] = []
     used: set[str] = set()
     for s in symbols:
-        base = "p_" + _sanitize(s)
+        text = "".join(ch if ch.isalnum() else "_" for ch in s)
+        if not text or text[0].isdigit():
+            text = "_" + text
+        base = "p_" + text
         cand = base
         i = 2
         while cand in used:
@@ -264,12 +208,6 @@ def symbol_params(symbols: tuple[str, ...]) -> list[str]:
         used.add(cand)
         params.append(cand)
     return params
-
-
-def _literal(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return repr(float(v))
 
 
 def _ssa(root: PNode) -> list[PBin]:
@@ -294,6 +232,7 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
     Raises ``ResourceCapError`` once a subterm's text exceeds ``TEXT_CAP``
     characters."""
     prec = {"+": 1, "-": 1, "*": 2}
+    sym_to_param = dict(zip(expr.symbols, symbol_params(expr.symbols)))
     order = _ssa(expr.root)
     text: dict[int, str] = {}  # compound node -> its text, built once, children first
     # parents not yet built, per node: a text is dropped after its last use
@@ -301,9 +240,9 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
 
     def operand(n: PNode, parent: int) -> str:
         if isinstance(n, PConst):
-            return _literal(n.value)
+            return str(n.value)
         if isinstance(n, PSym):
-            return "p_" + _sanitize(n.name)
+            return sym_to_param[n.name]
         return f"({text[id(n)]})" if prec[n.op] < parent else text[id(n)]
 
     for n in order:
@@ -339,7 +278,7 @@ def render_prob_script(expr: ProbabilityExpr, dialect: str, function_name: str =
 
     def operand(n: PNode) -> str:
         if isinstance(n, PConst):
-            return _literal(n.value)
+            return str(n.value)
         if isinstance(n, PSym):
             return sym_to_param[n.name]
         return names[id(n)]

@@ -1,0 +1,12 @@
+# generated by mbsa 0.1.0; do not edit
+
+def tle_probability(p_e00, p_e01):
+    t0 = 1 - p_e00
+    t1 = t0 * p_e01
+    t2 = p_e00 + t1
+    return t2
+
+
+if __name__ == "__main__":
+    import sys
+    print(tle_probability(*map(float, sys.argv[1:])))

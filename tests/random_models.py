@@ -1,8 +1,12 @@
-"""Seeded random extended models for oracle-equivalence checks."""
+"""Seeded random extended models and cut-set results for oracle-equivalence
+and golden checks."""
 
+import itertools
 import random
+from fractions import Fraction
 
-from mbsa.cca import apply_cca, parse_cca
+from mbsa.analysis import CutSequence, CutSetResult
+from mbsa.cca import CommonCauseSpec, Simultaneous, apply_cca, parse_cca
 from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.sts.check import type_check
 from mbsa.sts.parse import parse_expr_text, parse_model
@@ -233,3 +237,36 @@ def random_synthesis_cases():
             xm, _ = random_extended_model(rng)
             _, binding = random_binding_and_graph(xm, rng)
         yield xm, binding, rng.randint(1, 3)
+
+
+def random_cut_set_cases():
+    """The 20 seeded ``(result, sequences, probabilities, groups)`` inputs of
+    the ``ftprob`` golden checks.
+
+    Case 0 has no cut set, so its top-level probability is the constant 0.
+    Odd cases have one to three simultaneous dependency groups.  In every
+    fourth case the first group id may also be a basic event of the tree; it
+    is in cases 5 and 17.  Every third case has cut sequences, so PAND and
+    OR-of-PAND gates appear.
+    """
+    rng = random.Random(13)
+    for i in range(20):
+        group_ids = [f"g{j}" for j in range(rng.randint(1, 3))] if i % 2 else []
+        plain = [f"e{j:02d}" for j in range(rng.randint(2, 12))]
+        pool = plain + group_ids[:1] if i % 4 == 1 else plain
+        cuts: set[frozenset[str]] = set()
+        for _ in range(rng.randint(1, 10) if i else 0):
+            cuts.add(frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
+        mcs = sorted((c for c in cuts if not any(d < c for d in cuts)), key=lambda c: (len(c), tuple(sorted(c))))
+        sequences = None
+        if i % 3 == 2:
+            sequences = []
+            for cut in mcs:
+                orders = list(itertools.permutations(sorted(cut)))
+                sequences.append(CutSequence(cut, tuple(sorted(rng.sample(orders, rng.randint(1, len(orders)))))))
+        events = sorted({e for c in mcs for e in c} - set(group_ids))
+        probs = {e: Fraction(rng.randint(0, 1000), 1000) if rng.random() < 0.8 else Fraction(1, rng.randint(3, 9))
+                 for e in plain + group_ids}
+        groups = [CommonCauseSpec(g, frozenset(rng.sample(events, rng.randint(1, min(3, len(events))))),
+                                  Simultaneous(), probs[g]) for g in group_ids if events]
+        yield CutSetResult(parse_expr_text("tle"), mcs, 4, None, True), sequences, probs, groups

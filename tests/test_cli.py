@@ -573,6 +573,18 @@ def test_ftprob_cca_member_outside_tree(tmp_path):
     assert (tmp_path / "tle_probability.txt").read_text().startswith("symbols: burst, f1\n")
 
 
+def test_ftprob_names_colliding_symbols_alike_in_text_and_scripts(tmp_path):
+    # a#b and a_b both sanitize to a_b: the text must not multiply one symbol by itself
+    (tmp_path / "m.fei").write_text(
+        "fault a#b: target a, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n"
+        "fault a_b: target b, template stuck_at(TRUE), dynamics permanent, prob 0.2;\n")
+    assert run("ftprob", "--model", str(GOLDENS / "pair.smx"), "--fei", str(tmp_path / "m.fei"),
+               "--tle", "a & b", "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "tle_probability.txt").read_text() == "symbols: a#b, a_b\np_a_b * p_a_b2\n"
+    assert "def tle_probability(p_a_b, p_a_b2):" in (tmp_path / "tle_probability.py").read_text()
+    assert "function p = tle_probability(p_a_b, p_a_b2)" in (tmp_path / "tle_probability.m").read_text()
+
+
 def test_user_library_and_cca_paths(tmp_path):
     (tmp_path / "m.smx").write_text(
         "MODULE m VAR a : boolean; b : boolean; lvl : 0..4;\n"

@@ -2,15 +2,29 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability, symbolic_probability
-from mbsa.probability import PBuilder, pexpr_to_text, prob_str, render_prob_script
+from mbsa.fault_tree import (
+    ProbabilityAssignment,
+    build_fault_tree,
+    evaluate_probability,
+    rare_event_approximation,
+    symbolic_probability,
+)
+from mbsa.probability import pexpr_to_text, prob_str, render_prob_script
 from mbsa.analysis import CutSetResult
 from mbsa.sts.parse import parse_expr_text
 
 from probability_references import evaluate
+from random_models import random_cut_set_cases
+
+# ftprob artifacts of seeded random cut-set results, recorded before the
+# closed form was built straight from the BDD
+CASES = Path(__file__).resolve().parent / "goldens" / "ftprob_cases"
+CUT_SET_CASES = list(random_cut_set_cases())
+ARTIFACTS = ("ft_probabilities.tsv", "tle_probability.txt", "tle_probability.py", "tle_probability.m")
 
 
 def _tree(mcs):
@@ -101,12 +115,23 @@ def test_pexpr_to_text_parses_as_python():
                                             abs=1e-12)
 
 
-def test_builder_folds_and_interns():
-    b = PBuilder()
-    one = b.const(1)
-    assert b.add(b.const(Fraction(1, 2)), b.const(Fraction(1, 2))) is one
-    x = b.sym("x")
-    assert b.mul(one, x) is x
-    assert b.mul(b.const(0), x).value == 0
-    assert b.add(x, b.const(0)) is x
-    assert b.mix(x, b.sym("y"), b.sym("y")) is b.sym("y")
+def _ftprob_artifacts(result, sequences, probs, groups) -> dict[str, str]:
+    """The probability artifacts of ``mbsa ftprob`` for one cut-set result,
+    through the library calls that ``cmd_ftprob`` makes."""
+    ft = build_fault_tree(result, sequences, tle_label="tle", probabilities=probs)
+    pa = ProbabilityAssignment(probs, groups)
+    node_probs = evaluate_probability(ft, pa)
+    symbolic = symbolic_probability(ft, groups)
+    lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
+    lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
+    texts = ("\n".join(lines) + "\n",
+             "symbols: " + ", ".join(symbolic.symbols) + "\n" + pexpr_to_text(symbolic) + "\n",
+             render_prob_script(symbolic, "python"),
+             render_prob_script(symbolic, "matlab"))
+    return dict(zip(ARTIFACTS, texts))
+
+
+@pytest.mark.parametrize("index", range(len(CUT_SET_CASES)))
+def test_random_cut_sets_match_goldens(index):
+    for name, text in _ftprob_artifacts(*CUT_SET_CASES[index]).items():
+        assert text.encode("utf-8") == (CASES / f"random_{index:02d}" / name).read_bytes(), name
