@@ -81,12 +81,11 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
     ts = TokenStream(tokenize(text, filename), filename)
     out: list[CommonCauseSpec] = []
     seen: set[str] = set()
-    while ts.cur.kind != "eof":
+    while not ts.at_end():
         ts.expect_word("cc")
         id_tok = ts.expect_ident("common cause id")
         if id_tok.text in seen:
-            raise CcaError([Diagnostic(f"duplicate common cause id {id_tok.text!r}",
-                                       id_tok.line, id_tok.col, filename=filename)])
+            raise ts.error(id_tok, f"duplicate common cause id {id_tok.text!r}", CcaError)
         seen.add(id_tok.text)
         ts.expect(":")
         ts.expect_word("members")
@@ -94,18 +93,14 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         members = ts.items(lambda: ts.expect_ident("member event").text)
         ts.expect("}")
         if len(set(members)) != len(members):
-            raise CcaError([Diagnostic(f"duplicate member in common cause {id_tok.text!r}",
-                                       id_tok.line, id_tok.col, filename=filename)])
+            raise ts.error(id_tok, f"duplicate member in common cause {id_tok.text!r}", CcaError)
         if len(members) < 2:
-            raise CcaError([Diagnostic(f"common cause {id_tok.text!r} needs at least 2 members",
-                                       id_tok.line, id_tok.col, filename=filename)])
+            raise ts.error(id_tok, f"common cause {id_tok.text!r} needs at least 2 members", CcaError)
         ts.expect(",")
         ts.expect_word("pattern")
-        if ts.cur.kind == "ident" and ts.cur.text == "simultaneous":
-            ts.advance()
+        if ts.accept_word("simultaneous"):
             pattern: Simultaneous | Cascading = Simultaneous()
-        elif ts.cur.kind == "ident" and ts.cur.text == "cascading":
-            ts.advance()
+        elif ts.accept_word("cascading"):
             ts.expect("(")
             windows = []
             if not ts.at(")"):
@@ -116,14 +111,7 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
             ts.fail(f"expected 'simultaneous' or 'cascading', found {ts.cur.text!r}")
         ts.expect(",")
         ts.expect_word("prob")
-        p_tok = ts.cur
-        if p_tok.kind not in ("num", "real"):
-            ts.fail(f"expected probability literal, found {p_tok.text!r}")
-        ts.advance()
-        prob = Fraction(p_tok.text)
-        if not (0 <= prob <= 1):
-            raise CcaError([Diagnostic(f"probability {p_tok.text} outside [0,1]",
-                                       p_tok.line, p_tok.col, filename=filename)])
+        prob = ts.probability(CcaError)
         ts.expect(";")
         out.append(CommonCauseSpec(id_tok.text, frozenset(members), pattern, prob, (filename, id_tok.line, id_tok.col)))
     return out
@@ -133,21 +121,15 @@ def _parse_window(ts: TokenStream, members: list[str]) -> tuple[str, int, int]:
     m = ts.expect_ident("member event")
     ts.expect(":")
     ts.expect("[")
-    lo_tok = ts.cur
-    if lo_tok.kind != "num":
-        ts.fail("expected window lower bound")
-    lo = int(ts.advance().text)
+    lo = ts.number("expected window lower bound")
     ts.expect(",")
     hi_tok = ts.cur
-    if hi_tok.kind != "num":
-        ts.fail("expected window upper bound")
-    hi = int(ts.advance().text)
+    hi = ts.number("expected window upper bound")
     ts.expect("]")
     if lo > hi:
-        raise CcaError([Diagnostic(f"window [{lo},{hi}] has lo > hi", hi_tok.line, hi_tok.col,
-                                   filename=ts.filename)])
+        raise ts.error(hi_tok, f"window [{lo},{hi}] has lo > hi", CcaError)
     if m.text not in members:
-        raise CcaError([Diagnostic(f"window names non-member {m.text!r}", m.line, m.col, filename=ts.filename)])
+        raise ts.error(m, f"window names non-member {m.text!r}", CcaError)
     return m.text, lo, hi
 
 

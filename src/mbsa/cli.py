@@ -227,7 +227,8 @@ def cmd_ftprob(args) -> int:
     lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
     _write(out / "ft.ftx", export_ft(ft, "xml", with_probabilities=True))
-    _write(out / "tle_probability.txt", "symbols: " + ", ".join(symbolic.symbols) + "\n" + text + "\n")
+    header = "symbols: " + ", ".join(symbolic.symbols) if symbolic.symbols else "symbols:"
+    _write(out / "tle_probability.txt", header + "\n" + text + "\n")
     _write(out / "tle_probability.py", render_prob_script(symbolic, "python", version=__version__))
     _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab", version=__version__))
     return EXIT_OK
@@ -243,14 +244,13 @@ def cmd_fmea(args) -> int:
         # a label is one identifier, lexed as in the model, so that it cannot
         # make a TSV cell ambiguous; every diagnostic gives its real line and column
         ts = TokenStream(tokenize(raw, args.props, lineno), args.props)
-        if ts.cur.kind == "eof":
+        if ts.at_end():
             continue  # a blank or comment line
         if ts.at(":"):
             ts.fail("empty property label")
         label = ts.expect_ident("property label")
         if label.text in dict(properties):
-            raise InputError([Diagnostic(f"duplicate property label {label.text!r}", label.line, label.col,
-                                         filename=args.props)])
+            raise ts.error(label, f"duplicate property label {label.text!r}", InputError)
         if not ts.at(":"):
             ts.fail(f"expected ':' after property label {label.text!r}, found {ts.cur.text!r}")
         colon = ts.cur.col

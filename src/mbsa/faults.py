@@ -169,50 +169,41 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
     """
     lib = _builtin_library()
     ts = TokenStream(tokenize(text, filename), filename)
-    while ts.cur.kind != "eof":
-        t = ts.cur
-        if t.kind == "ident" and t.text == "template":
-            ts.advance()
+    while not ts.at_end():
+        if ts.accept_word("template"):
             name_tok = ts.expect_ident("template name")
             params: list[TemplateParam] = []
             if ts.accept("("):
                 if not ts.at(")"):
                     params = ts.items(lambda: _parse_param(ts))
                 ts.expect(")")
-            if not (ts.cur.kind == "ident" and ts.cur.text == "for"):
+            if not ts.accept_word("for"):
                 ts.fail("expected 'for <boolean|int|enum|any>'")
-            ts.advance()
-            kind = ts.cur
-            if not ((kind.kind in ("ident", "kw")) and kind.text in _KINDS):
+            applies_to = ts.word()  # `boolean` is a model keyword, the other kinds identifiers
+            if applies_to not in _KINDS:
                 ts.fail(f"applicability must be one of {_KINDS}")
             ts.advance()
             ts.expect(":=")
             effect = parse_expr(ts)
             ts.expect(";")
-            _validate_template(name_tok, params, effect, lib, filename)
-            lib.templates[name_tok.text] = FaultTemplate(
-                name_tok.text, tuple(params), kind.text, effect)
-        elif t.kind == "ident" and t.text == "dynamics":
-            ts.advance()
+            _validate_template(ts, name_tok, params, effect, lib)
+            lib.templates[name_tok.text] = FaultTemplate(name_tok.text, tuple(params), applies_to, effect)
+        elif ts.accept_word("dynamics"):
             name_tok = ts.expect_ident("dynamics name")
             ts.expect(":=")
             constraint = parse_expr(ts)
             ts.expect(";")
             if name_tok.text in lib.dynamics and lib.dynamics[name_tok.text].builtin:
-                raise FaultDefinitionError([Diagnostic(
-                    f"cannot redefine built-in dynamics {name_tok.text!r}",
-                    name_tok.line, name_tok.col, filename=filename)])
+                raise ts.error(name_tok, f"cannot redefine built-in dynamics {name_tok.text!r}", FaultDefinitionError)
             for node in walk(constraint):
                 if isinstance(node, Name) and node.name not in ("mode", "nominal", "faulty"):
-                    raise FaultDefinitionError([Diagnostic(
-                        f"dynamics may only reference 'mode' and the literals nominal/faulty, found {node.name!r}",
-                        node.line, node.col, filename=filename)])
+                    raise ts.error(node, "dynamics may only reference 'mode' and the literals nominal/faulty, "
+                                   f"found {node.name!r}", FaultDefinitionError)
                 if isinstance(node, Next) and node.name != "mode":
-                    raise FaultDefinitionError([Diagnostic(
-                        "dynamics may only apply next() to 'mode'", node.line, node.col, filename=filename)])
+                    raise ts.error(node, "dynamics may only apply next() to 'mode'", FaultDefinitionError)
             lib.dynamics[name_tok.text] = DynamicsTemplate(name_tok.text, constraint)
         else:
-            ts.fail(f"expected 'template' or 'dynamics', found {t.text!r}")
+            ts.fail(f"expected 'template' or 'dynamics', found {ts.cur.text!r}")
     return lib
 
 
@@ -225,19 +216,15 @@ def _parse_param(ts: TokenStream) -> TemplateParam:
     return TemplateParam(p.text, kind_tok.text)
 
 
-def _validate_template(name_tok: Token, params: list[TemplateParam], effect: Expr,
-                       lib: FaultLibrary, filename: str):
+def _validate_template(ts: TokenStream, name_tok: Token, params: list[TemplateParam], effect: Expr,
+                       lib: FaultLibrary):
     if name_tok.text in lib.templates and lib.templates[name_tok.text].builtin:
-        raise FaultDefinitionError([Diagnostic(
-            f"cannot redefine built-in template {name_tok.text!r}", name_tok.line, name_tok.col,
-            filename=filename)])
+        raise ts.error(name_tok, f"cannot redefine built-in template {name_tok.text!r}", FaultDefinitionError)
     if len({p.name for p in params}) != len(params):
-        raise FaultDefinitionError([Diagnostic(
-            "duplicate template parameter", name_tok.line, name_tok.col, filename=filename)])
+        raise ts.error(name_tok, "duplicate template parameter", FaultDefinitionError)
     for node in walk(effect):
         if isinstance(node, Next):
-            raise FaultDefinitionError([Diagnostic(
-                "template effects are current-state expressions", node.line, node.col, filename=filename)])
+            raise ts.error(node, "template effects are current-state expressions", FaultDefinitionError)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +245,11 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
     ts = TokenStream(tokenize(text, filename), filename)
     out: list[ExtensionInstruction] = []
     seen: set[str] = set()
-    while ts.cur.kind != "eof":
+    while not ts.at_end():
         ts.expect_word("fault")
         ev = ts.expect_ident("event name")
         if ev.text in seen:
-            raise FaultDefinitionError([Diagnostic(
-                f"duplicate event name {ev.text!r}", ev.line, ev.col, filename=filename)])
+            raise ts.error(ev, f"duplicate event name {ev.text!r}", FaultDefinitionError)
         seen.add(ev.text)
         ts.expect(":")
         ts.expect_word("target")
@@ -281,14 +267,7 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
         dynamics = ts.expect_ident("dynamics name").text
         ts.expect(",")
         ts.expect_word("prob")
-        prob_tok = ts.cur
-        if prob_tok.kind not in ("num", "real"):
-            ts.fail(f"expected probability literal, found {prob_tok.text!r}")
-        ts.advance()
-        prob = Fraction(prob_tok.text)
-        if not (0 <= prob <= 1):
-            raise FaultDefinitionError([Diagnostic(
-                f"probability {prob_tok.text} outside [0,1]", prob_tok.line, prob_tok.col, filename=filename)])
+        prob = ts.probability(FaultDefinitionError)
         ts.expect(";")
         where = (filename, ev.line, ev.col)
         out.append(ExtensionInstruction(ev.text, target, template, tuple(args), dynamics, prob, where))

@@ -260,11 +260,10 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
 _DIALECTS = ("python", "matlab")
 
 
-def render_prob_script(expr: ProbabilityExpr, dialect: str, function_name: str = "tle_probability",
-                       version: str = "0.1.0") -> str:
+def render_prob_script(expr: ProbabilityExpr, dialect: str, version: str = "0.1.0") -> str:
     """Emit a self-contained evaluation script for the probability expression.
 
-    ``python`` emits a module defining ``function_name`` plus a small CLI that
+    ``python`` emits a module defining ``tle_probability`` plus a small CLI that
     reads one probability per argument; ``matlab`` emits an Octave-compatible
     function file.  Executing either at a probability vector reproduces the
     exact evaluation up to floating-point rounding.
@@ -292,7 +291,7 @@ def render_prob_script(expr: ProbabilityExpr, dialect: str, function_name: str =
     if dialect == "python":
         out = [f"# generated by mbsa {version}; do not edit",
                "",
-               f"def {function_name}({', '.join(params)}):"]
+               f"def tle_probability({', '.join(params)}):"]
         for name, rhs in lines:
             out.append(f"    {name} = {rhs}")
         out.append(f"    return {result}")
@@ -301,13 +300,13 @@ def render_prob_script(expr: ProbabilityExpr, dialect: str, function_name: str =
             "",
             'if __name__ == "__main__":',
             "    import sys",
-            f"    print({function_name}(*map(float, sys.argv[1:])))",
+            "    print(tle_probability(*map(float, sys.argv[1:])))",
             "",
         ])
         return "\n".join(out)
 
     out = [f"% generated by mbsa {version}; do not edit",
-           f"function p = {function_name}({', '.join(params)})"]
+           f"function p = tle_probability({', '.join(params)})"]
     for name, rhs in lines:
         out.append(f"  {name} = {rhs};")
     out.append(f"  p = {result};")

@@ -369,9 +369,12 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
     a path ends.  Each child not yet stored is stored, with ``key`` as its
     parent; storing more than ``cap`` keys raises
     ``ResourceCapError("stored <what> exceed cap N at depth D")``, D the
-    depth of the key that did not fit.  Keys at depth
-    ``bound`` or deeper are not expanded; the root always is, so the initial
-    keys are stored under every bound, a negative one too.
+    depth of the key that did not fit.  A ``ResourceCapError`` that
+    ``expand`` raises (the engine's enumeration cap) is raised again with
+    the prefix ``"searching <what> at depth D: "``, D the depth of the
+    children it was listing.  Keys at depth ``bound`` or deeper are not
+    expanded; the root always is, so the initial keys are stored under
+    every bound, a negative one too.
 
     After the children of ``key`` are stored, each stop yields
     ``(path, stored)``: the shortest path of keys from depth 0 through
@@ -386,7 +389,10 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
         depth += 1  # the children's
         nxt = []
         for key in frontier:
-            children, stops = expand(key)
+            try:
+                children, stops = expand(key)
+            except ResourceCapError as exc:
+                raise ResourceCapError(f"searching {what} at depth {depth}: {exc}") from None
             for child in children:
                 if child in parents:
                     continue

@@ -2,12 +2,17 @@
 
 The same lexer and expression grammar back every textual front end in the
 toolkit (models, fault libraries, extension instructions, common causes,
-bindings), so positions and error formats are uniform.
+TFPG graphs, bindings and property files), so positions and error formats
+are uniform.  This module owns the lexical forms they share: identifiers,
+``--`` comments, integer and probability literals, and the definition
+languages' keywords, which are lexed as identifiers.  Readers go through
+:class:`TokenStream` for each of them, and for every positioned diagnostic.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import (
@@ -52,7 +57,7 @@ class Token:
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # "num" | "ident" | "op" | "kw" | "eof"
+        self.kind = kind  # "num" | "real" | "ident" | "op" | "kw" | "eof"
         self.text, self.line, self.col = text, line, col
 
 
@@ -97,11 +102,26 @@ class TokenStream:
             self.i += 1
         return t
 
+    def at_end(self) -> bool:
+        return self.cur.kind == "eof"
+
     def at(self, text: str) -> bool:
         return self.cur.text == text and self.cur.kind in ("op", "kw")
 
     def accept(self, text: str) -> bool:
         if self.at(text):
+            self.advance()
+            return True
+        return False
+
+    def word(self) -> str | None:
+        """The current token's text if it is a word (an identifier or a
+        keyword), else None.  A definition language's own keywords are
+        lexed as identifiers."""
+        return self.cur.text if self.cur.kind in ("ident", "kw") else None
+
+    def accept_word(self, word: str) -> bool:
+        if self.word() == word:
             self.advance()
             return True
         return False
@@ -118,20 +138,40 @@ class TokenStream:
             self.fail(f"expected {text!r}, found {self.cur.text!r}")
         return self.advance()
 
-    def expect_word(self, word: str) -> Token:
-        """A keyword of a definition language, lexed as an identifier."""
-        if not (self.cur.kind == "ident" and self.cur.text == word):
+    def expect_word(self, word: str):
+        if not self.accept_word(word):
             self.fail(f"expected {word!r}, found {self.cur.text!r}")
-        return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         if self.cur.kind != "ident":
             self.fail(f"expected {what}, found {self.cur.text!r}")
         return self.advance()
 
-    def fail(self, message: str):
+    def number(self, message: str) -> int:
+        """An unsigned integer literal; anything else fails with ``message``."""
+        if self.cur.kind != "num":
+            self.fail(message)
+        return int(self.advance().text)
+
+    def probability(self, cls: type[InputError]) -> Fraction:
+        """A probability literal, integer or real, in [0,1]; a value outside
+        raises ``cls``, positioned at the literal."""
         t = self.cur
-        raise ParseError([Diagnostic(message, t.line, t.col, filename=self.filename)])
+        if t.kind not in ("num", "real"):
+            self.fail(f"expected probability literal, found {t.text!r}")
+        self.advance()
+        p = Fraction(t.text)
+        if not 0 <= p <= 1:
+            raise self.error(t, f"probability {t.text} outside [0,1]", cls)
+        return p
+
+    def error(self, tok, message: str, cls: type[InputError] = ParseError) -> InputError:
+        """``cls`` with one diagnostic at ``tok`` (a token, or an expression
+        node, which has a position too) in this stream's file."""
+        return cls([Diagnostic(message, tok.line, tok.col, filename=self.filename)])
+
+    def fail(self, message: str):
+        raise self.error(self.cur, message)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +290,7 @@ def parse_expr_text(text: str, filename: str = "<expr>", line: int = 1, col: int
     e = parse_expr(ts)
     if end:
         ts.accept(end)
-    if ts.cur.kind != "eof":
+    if not ts.at_end():
         ts.fail(f"trailing input after expression: {ts.cur.text!r}")
     return e
 
@@ -268,19 +308,14 @@ def _parse_type(ts: TokenStream) -> TypeSpec:
             ts.fail("duplicate enumeration literal")
         return EnumType(tuple(lits))
     neg = ts.accept("-")
-    if ts.cur.kind == "num":
-        lo = int(ts.advance().text) * (-1 if neg else 1)
-        ts.expect("..")
-        neg2 = ts.accept("-")
-        hi_tok = ts.cur
-        if hi_tok.kind != "num":
-            ts.fail("expected integer range bound")
-        hi = int(ts.advance().text) * (-1 if neg2 else 1)
-        if lo > hi:
-            raise ParseError([Diagnostic(f"empty integer range {lo}..{hi}", hi_tok.line, hi_tok.col,
-                                         filename=ts.filename)])
-        return IntRangeType(lo, hi)
-    ts.fail(f"expected a type, found {ts.cur.text!r}")
+    lo = ts.number(f"expected a type, found {ts.cur.text!r}") * (-1 if neg else 1)
+    ts.expect("..")
+    neg = ts.accept("-")
+    hi_tok = ts.cur
+    hi = ts.number("expected integer range bound") * (-1 if neg else 1)
+    if lo > hi:
+        raise ts.error(hi_tok, f"empty integer range {lo}..{hi}")
+    return IntRangeType(lo, hi)
 
 
 _SECTION_KEYWORDS = {"VAR", "DEFINE", "INIT", "TRANS", "INVAR"}
@@ -306,11 +341,10 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
 
     def declare(tok: Token):
         if tok.text in declared:
-            raise ParseError([Diagnostic(f"duplicate declaration of {tok.text!r}", tok.line, tok.col,
-                                         filename=filename)])
+            raise ts.error(tok, f"duplicate declaration of {tok.text!r}")
         declared[tok.text] = tok
 
-    while ts.cur.kind != "eof":
+    while not ts.at_end():
         if ts.accept("VAR"):
             while ts.cur.kind == "ident":
                 vtok = ts.advance()

@@ -25,14 +25,12 @@ class BindingError(InputError):
 
 
 class NodeBinding:
-    __slots__ = ("kinds", "activations", "mode_exprs", "failure_events")
+    __slots__ = ("kinds", "activations", "mode_exprs")
 
-    def __init__(self, kinds: dict[str, str], activations: dict[str, Expr], mode_exprs: dict[str, Expr],
-                 failure_events: dict[str, str] | None = None):
+    def __init__(self, kinds: dict[str, str], activations: dict[str, Expr], mode_exprs: dict[str, Expr]):
         self.kinds = kinds  # node id -> "failure" | "and" | "or"
         self.activations = activations  # node id -> activation predicate
         self.mode_exprs = mode_exprs  # mode literal -> predicate
-        self.failure_events = {} if failure_events is None else failure_events  # failure node -> event name
 
     def mode_literals(self) -> tuple[str, ...]:
         return tuple(self.mode_exprs)
@@ -57,44 +55,37 @@ def parse_binding(text: str, xm: ExtendedModel, filename: str = "<bind>") -> Nod
     """
     ts = TokenStream(tokenize(text, filename), filename)
     binding = NodeBinding({}, {}, {})
-    while ts.cur.kind != "eof":
-        t = ts.cur
-        word = t.text if t.kind == "ident" else None
+    while not ts.at_end():
+        word = ts.word()
         if word in ("failure", "or", "and"):
             ts.advance()
             node = ts.expect_ident("node id")
             ts.expect(":")
             if node.text in binding.kinds:
-                raise BindingError([Diagnostic(f"duplicate binding for node {node.text!r}",
-                                               node.line, node.col, filename=filename)])
+                raise ts.error(node, f"duplicate binding for node {node.text!r}", BindingError)
             if word == "failure":
                 ev = ts.expect_ident("fault event name")
                 info = xm.events.get(ev.text)
                 if info is None:
-                    raise BindingError([Diagnostic(f"unknown fault event {ev.text!r}",
-                                                   ev.line, ev.col, filename=filename)])
-                binding.kinds[node.text] = "failure"
-                binding.activations[node.text] = info.occurrence
-                binding.failure_events[node.text] = ev.text
+                    raise ts.error(ev, f"unknown fault event {ev.text!r}", BindingError)
+                expr = info.occurrence
             else:
                 expr = parse_expr(ts)
                 xm.typed.check_predicate(expr, filename=filename)
-                binding.kinds[node.text] = word
-                binding.activations[node.text] = expr
+            binding.kinds[node.text] = word
+            binding.activations[node.text] = expr
             ts.expect(";")
-        elif word == "mode":
-            ts.advance()
+        elif ts.accept_word("mode"):
             lit = ts.expect_ident("mode literal")
             ts.expect(":")
             expr = parse_expr(ts)
             xm.typed.check_predicate(expr, filename=filename)
             if lit.text in binding.mode_exprs:
-                raise BindingError([Diagnostic(f"duplicate mode binding {lit.text!r}",
-                                               lit.line, lit.col, filename=filename)])
+                raise ts.error(lit, f"duplicate mode binding {lit.text!r}", BindingError)
             binding.mode_exprs[lit.text] = expr
             ts.expect(";")
         else:
-            ts.fail(f"expected 'failure', 'or', 'and', or 'mode', found {t.text!r}")
+            ts.fail(f"expected 'failure', 'or', 'and', or 'mode', found {ts.cur.text!r}")
     return binding
 
 

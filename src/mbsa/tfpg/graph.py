@@ -19,8 +19,8 @@ class TfpgError(InputError):
     pass
 
 
-def _err(message: str, line: int = 0, col: int = 0, filename: str = "<tfpg>") -> TfpgError:
-    return TfpgError([Diagnostic(message, line, col, filename=filename)])
+def _err(message: str, filename: str) -> TfpgError:
+    return TfpgError([Diagnostic(message, filename=filename)])
 
 
 class TfpgEdge(Record):
@@ -106,40 +106,26 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
     modes: list[str] = []
     nodes: dict[str, str] = {}
     edges: list[TfpgEdge] = []
-    while ts.cur.kind != "eof":
-        t = ts.cur
-        word = t.text if t.kind == "ident" else None
-        if word == "modes":
-            ts.advance()
+    while not ts.at_end():
+        word = ts.word()
+        if ts.accept_word("modes"):
             modes += ts.items(lambda: ts.expect_ident("mode literal").text)
             ts.expect(";")
         elif word in ("failure", "or", "and"):
-            kind = t.text
             ts.advance()
             node = ts.expect_ident("node id")
             if node.text in nodes:
-                raise _err(f"duplicate node {node.text!r}", node.line, node.col, filename)
-            nodes[node.text] = kind
+                raise ts.error(node, f"duplicate node {node.text!r}", TfpgError)
+            nodes[node.text] = word
             ts.expect(";")
-        elif word == "edge":
-            ts.advance()
+        elif ts.accept_word("edge"):
             src = ts.expect_ident("source node").text
             ts.expect("->")
             dst = ts.expect_ident("destination node").text
             ts.expect("[")
-            lo_tok = ts.cur
-            if lo_tok.kind != "num":
-                ts.fail("expected tmin")
-            tmin = int(ts.advance().text)
+            tmin = ts.number("expected tmin")
             ts.expect(",")
-            hi_tok = ts.cur
-            if hi_tok.kind == "num":
-                tmax: int | None = int(ts.advance().text)
-            elif hi_tok.kind == "ident" and hi_tok.text == "inf":
-                ts.advance()
-                tmax = None
-            else:
-                ts.fail("expected tmax or 'inf'")
+            tmax = None if ts.accept_word("inf") else ts.number("expected tmax or 'inf'")
             ts.expect("]")
             ts.expect("{")
             if ts.accept("*"):
@@ -150,7 +136,7 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
             ts.expect(";")
             edges.append(TfpgEdge(src, dst, tmin, tmax, edge_modes))
         else:
-            ts.fail(f"expected 'modes', 'failure', 'or', 'and', or 'edge', found {t.text!r}")
+            ts.fail(f"expected 'modes', 'failure', 'or', 'and', or 'edge', found {ts.cur.text!r}")
     g = Tfpg(tuple(modes), nodes, tuple(edges))
     g.check(filename)
     return g

@@ -159,18 +159,17 @@ def random_stutter_model(rng: random.Random):
         xm.typed.check_expr(expr)
         return expr
 
-    kinds, activations, failure_events = {}, {}, {}
+    kinds, activations = {}, {}
     for e in sorted(xm.events):
         kinds[f"F_{e}"] = "failure"
         activations[f"F_{e}"] = xm.events[e].occurrence
-        failure_events[f"F_{e}"] = e
     failures = sorted(kinds)
     discrepancies = [f"D{i}" for i in range(rng.randint(1, 2))]
     for d in discrepancies:
         kinds[d] = rng.choice(["or", "or", "and"])
         activations[d] = checked(rng.choice(["never", "never", *names, *(f"!{n}" for n in names)]))
     modes = {"UP": checked("v0"), "DOWN": checked("!v0")} if rng.random() < 0.5 else {"ON": checked("TRUE")}
-    binding = NodeBinding(kinds, activations, modes, failure_events)
+    binding = NodeBinding(kinds, activations, modes)
 
     edges = []
     for d in discrepancies:
@@ -198,11 +197,10 @@ def random_binding_and_graph(xm, rng: random.Random):
         xm.typed.check_expr(expr)
         return expr
 
-    kinds, activations, failure_events = {}, {}, {}
+    kinds, activations = {}, {}
     for e in sorted(xm.events):
         kinds[f"F_{e}"] = "failure"
         activations[f"F_{e}"] = xm.events[e].occurrence
-        failure_events[f"F_{e}"] = e
     nominal_vars = [n for n, _ in xm.model.variables if "#" not in n]
     disc_names = []
     for i, v in enumerate(rng.sample(nominal_vars, min(2, len(nominal_vars)))):
@@ -210,7 +208,7 @@ def random_binding_and_graph(xm, rng: random.Random):
         kinds[name] = rng.choice(["or", "and"])
         activations[name] = checked(v if rng.random() < 0.5 else f"!{v}")
         disc_names.append(name)
-    binding = NodeBinding(kinds, activations, {"ON": checked("TRUE")}, failure_events)
+    binding = NodeBinding(kinds, activations, {"ON": checked("TRUE")})
 
     edges = []
     for dst in disc_names:

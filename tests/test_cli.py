@@ -106,7 +106,7 @@ def test_tle_reachable_with_no_faults_has_probability_one(tmp_path, capsys, dyna
     assert run("ftprob", *dynamic, "--model", MODEL, "--fei", FEI, "--tle", "TRUE", "--out-dir", str(tmp_path)) == 0
     assert capsys.readouterr().err == "warning: top-level event is reachable with no faults\n"
     assert (tmp_path / "ft_probabilities.tsv").read_text() == "#0\t1\n#1\t1\nrare-event-sum\t1\n"
-    assert (tmp_path / "tle_probability.txt").read_text() == "symbols: \n1\n"
+    assert (tmp_path / "tle_probability.txt").read_text() == "symbols:\n1\n"
     script = {}
     exec((tmp_path / "tle_probability.py").read_text(), script)
     assert script["tle_probability"]() == 1
@@ -662,6 +662,20 @@ def test_cap_error_names_the_depth(tmp_path, capsys, argv, cap, message):
         depth = message.rsplit(" ", 1)[1]
         assert run(*argv, *m, "--step-bound", str(int(depth) - 1)) == 0
         assert run(*argv, *m, "--step-bound", depth) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mcs", "--tle", "sys_dead"), "searching states at depth 1"),
+    (("ft", "--tle", "sys_dead", "--dynamic"), "searching states at depth 1"),
+    (("tfpg", "check", "--tfpg", TFPG, "--bind", BIND), "searching product states at depth 1"),
+    (("tfpg", "synth", "--bind", BIND), "searching synthesis states at depth 1"),
+], ids=["mcs", "ft-dynamic", "tfpg-check", "tfpg-synth"])
+def test_enumeration_cap_error_names_the_search_and_depth(tmp_path, capsys, argv, message):
+    # a cap below a state's 12 candidate successors stops the engine, not the search
+    out = ("--outfile", str(tmp_path / "synth.tfpg")) if argv[1] == "synth" else ("--out-dir", str(tmp_path))
+    assert run(*argv, "--model", MODEL, "--fei", FEI, "--cap", "10", *out) == 3
+    assert capsys.readouterr().err == \
+        f"resource cap exceeded: {message}: enumeration of 12+ candidate states exceeds cap 10\n"
 
 
 def _pairs(tmp_path, k):

@@ -125,7 +125,8 @@ def _ftprob_artifacts(result, sequences, probs, groups) -> dict[str, str]:
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
     texts = ("\n".join(lines) + "\n",
-             "symbols: " + ", ".join(symbolic.symbols) + "\n" + pexpr_to_text(symbolic) + "\n",
+             ("symbols: " + ", ".join(symbolic.symbols) if symbolic.symbols else "symbols:") + "\n"
+             + pexpr_to_text(symbolic) + "\n",
              render_prob_script(symbolic, "python"),
              render_prob_script(symbolic, "matlab"))
     return dict(zip(ARTIFACTS, texts))

@@ -65,3 +65,37 @@ def test_unreferenced_private_definitions_are_caught():
 def test_every_private_definition_is_referenced():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
     assert _unreferenced_private_definitions(sources) == []
+
+
+TOKEN_KINDS = {"num", "real", "ident", "kw", "op", "eof"}
+
+
+def _token_kind_tests(source: str) -> list[int]:
+    """Lines that compare a ``.kind`` attribute with a token kind of
+    ``mbsa.sts.parse``, alone or in a collection."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            constants = {c.value for o in operands for c in ast.walk(o) if isinstance(c, ast.Constant)}
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands) \
+                    and constants & TOKEN_KINDS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_token_kind_tests_are_caught():
+    source = ('if t.kind == "eof":\n    pass\n'
+              'word = t.text if t.kind == "ident" else None\n'
+              'ok = tok.kind not in ("num", "real")\n'
+              'gate = node.kind == "or" or param.kind != "value"\n')
+    # gate and template-parameter kinds are not token kinds
+    assert _token_kind_tests(source) == [1, 3, 4]
+
+
+def test_only_the_parser_reads_token_kinds():
+    # the lexical decisions of every reader live in sts/parse.py's TokenStream
+    found = {str(path.relative_to(SRC)): lines for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() != "sts/parse.py"
+             and (lines := _token_kind_tests(path.read_text(encoding="utf-8")))}
+    assert found == {}
