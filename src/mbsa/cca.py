@@ -156,8 +156,6 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
         for m in sorted(spec.members):
             if m not in xm.events:
                 raise spec.error(f"common cause {spec.id!r} references unknown event {m!r}")
-            if xm.events[m].mode_var is None:
-                raise spec.error(f"common cause member {m!r} is not a fault event")
             if m in governed:
                 raise spec.error(f"event {m!r} is governed by both {governed[m]!r} and {spec.id!r}; "
                                  "overlapping common causes are rejected")
@@ -165,7 +163,6 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
 
     model = xm.model
     variables = list(model.variables)
-    defines = list(model.defines)
     init = list(model.init)
     trans = list(model.trans)
     invar = list(model.invar)
@@ -176,17 +173,8 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
         variables.append((cc, BoolType()))
         init.append(UnOp("!", Name(cc)))
         trans.append(BinOp("->", Name(cc), Next(cc)))  # latched: at most one occurrence
-
-        if isinstance(spec.pattern, Simultaneous):
-            rising = BinOp("&", UnOp("!", Name(cc)), Next(cc))
-            for m in sorted(spec.members):
-                mode_var = events[m].mode_var
-                trans.append(BinOp("->", rising, BinOp("=", Next(mode_var), Name("faulty"))))
-                allowance = Name(cc)
-                info = events[m]
-                events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
-                                      BinOp("|", info.suppression, allowance))
-        else:
+        if isinstance(spec.pattern, Cascading):
+            # steps since the latch rose, saturating one past the widest window
             cap = max((hi for _, _, hi in spec.pattern.windows), default=0) + 1
             age = f"age#{spec.id}"
             variables.append((age, IntRangeType(0, cap)))
@@ -197,17 +185,22 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
                 Ite(Next(cc),
                     Ite(Name(cc), Ite(BinOp(">", inc, IntConst(cap)), IntConst(cap), inc), IntConst(0)),
                     IntConst(0))))
-            for m in sorted(spec.members):
+
+        for m in sorted(spec.members):
+            info = events[m]
+            if isinstance(spec.pattern, Simultaneous):
+                # faulty the step the latch rises
+                trans.append(BinOp("->", BinOp("&", UnOp("!", Name(cc)), Next(cc)),
+                                   BinOp("=", Next(info.mode_var), Name("faulty"))))
+                allowance = Name(cc)
+            else:
                 lo, hi = spec.pattern.window(m)
-                mode_var = events[m].mode_var
                 # forced by the window's upper bound
-                invar.append(BinOp(
-                    "->", BinOp("&", Name(cc), BinOp("=", Name(age), IntConst(hi))),
-                    BinOp("=", Name(mode_var), Name("faulty"))))
+                invar.append(BinOp("->", BinOp("&", Name(cc), BinOp("=", Name(age), IntConst(hi))),
+                                   BinOp("=", Name(info.mode_var), Name("faulty"))))
                 allowance = BinOp("&", Name(cc), BinOp(">=", Name(age), IntConst(lo)))
-                info = events[m]
-                events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
-                                      BinOp("|", info.suppression, allowance))
+            events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
+                                  BinOp("|", info.suppression, allowance))
 
         events[spec.id] = EventInfo(
             name=spec.id,
@@ -217,7 +210,7 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
             suppression=UnOp("!", Name(cc)),
         )
 
-    woven = SymbolicModel(model.name, tuple(variables), tuple(defines),
+    woven = SymbolicModel(model.name, tuple(variables), model.defines,
                           tuple(init), tuple(trans), tuple(invar))
     try:
         typed = type_check(woven)

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 
 class Diagnostic:
-    """One reported problem, formatted as ``file:line:col: severity: message``."""
+    """One reported problem, formatted as ``file:line:col: error: message``."""
 
-    __slots__ = ("message", "line", "col", "severity", "filename")
+    __slots__ = ("message", "line", "col", "filename")
 
-    def __init__(self, message: str, line: int = 0, col: int = 0, severity: str = "error",
-                 filename: str = "<input>"):
-        self.message, self.line, self.col = message, line, col
-        self.severity, self.filename = severity, filename
+    def __init__(self, message: str, line: int = 0, col: int = 0, filename: str = "<input>"):
+        self.message, self.line, self.col, self.filename = message, line, col, filename
 
     def __str__(self) -> str:
-        return f"{self.filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.filename}:{self.line}:{self.col}: error: {self.message}"
 
 
 class MbsaError(Exception):

@@ -282,24 +282,39 @@ def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
 
 
 def ft_from_xml(text: str) -> FaultTree:
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise FaultTreeError(f"malformed XML: {exc}") from None
     if root.tag != "fault-tree":
         raise FaultTreeError(f"expected <fault-tree> document, found <{root.tag}>")
+
+    def attr(el, name: str) -> str:
+        if name not in el.attrib:
+            raise FaultTreeError(f"<{el.tag}> lacks the attribute {name!r}")
+        return el.attrib[name]
+
     nodes: dict[str, BasicEvent | Gate] = {}
     for el in root:
+        if el.tag not in ("gate", "basic-event"):
+            raise FaultTreeError(f"unexpected element <{el.tag}> in fault tree")
+        nid = attr(el, "id")
+        if nid in nodes:
+            raise FaultTreeError(f"duplicate node {nid!r}")
         if el.tag == "gate":
-            kind = el.get("kind", "")
+            kind = attr(el, "kind")
             if kind not in ("and", "or", "pand"):
                 raise FaultTreeError(f"unknown gate kind {kind!r}")
-            children = tuple(c.get("ref", "") for c in el if c.tag == "child")
-            nodes[el.get("id", "")] = Gate(kind, children, el.get("label", ""))
-        elif el.tag == "basic-event":
-            p = el.get("probability")
-            nodes[el.get("id", "")] = BasicEvent(
-                el.get("id", ""), Fraction(p) if p is not None else None, el.get("label", ""))
+            children = tuple(attr(c, "ref") for c in el if c.tag == "child")
+            nodes[nid] = Gate(kind, children, el.get("label", ""))
         else:
-            raise FaultTreeError(f"unexpected element <{el.tag}> in fault tree")
-    tree = FaultTree(root.get("root", ""), nodes)
+            p = el.get("probability")
+            try:
+                probability = None if p is None else Fraction(p)
+            except (ValueError, ZeroDivisionError):
+                raise FaultTreeError(f"basic event {nid!r} has a malformed probability {p!r}") from None
+            nodes[nid] = BasicEvent(nid, probability, el.get("label", ""))
+    tree = FaultTree(attr(root, "root"), nodes)
     if tree.root not in nodes:
         raise FaultTreeError(f"root node {tree.root!r} is not declared")
     for nid, node in nodes.items():

@@ -107,7 +107,7 @@ class EventInfo:
 
     __slots__ = ("name", "mode_var", "occurrence", "probability", "suppression")
 
-    def __init__(self, name: str, mode_var: str | None, occurrence: Expr, probability: Fraction,
+    def __init__(self, name: str, mode_var: str, occurrence: Expr, probability: Fraction,
                  suppression: Expr):
         self.name, self.mode_var, self.occurrence = name, mode_var, occurrence
         self.probability, self.suppression = probability, suppression
@@ -329,8 +329,6 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
             target_ty = variables[var_names[ins.target]][1]
         elif ins.target in define_names:
             target_ty = typed.defines[ins.target].ty
-            if target_ty is None:
-                target_ty = typed.check_expr(defines[define_names[ins.target]][1]).ty
         else:
             raise ins.error(f"unknown extension target {ins.target!r}")
         target_ty = target_types.setdefault(ins.target, target_ty)

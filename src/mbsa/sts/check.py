@@ -31,10 +31,19 @@ class TypeError_(InputError):
 
 _BOOL = BoolType()
 _INT = IntType()
+_INTS = (IntType, IntRangeType)
+
+# operator -> (operand types, their name in diagnostics, result type); "=" and
+# "!=" take any two compatible operands instead, see _Checker._infer_equality
+_SIGNATURES = {
+    **dict.fromkeys(("!", "&", "|", "->", "<->"), ((BoolType,), "boolean", _BOOL)),
+    **dict.fromkeys(("<", "<=", ">", ">="), (_INTS, "integer", _BOOL)),
+    **dict.fromkeys(("unary -", "+", "-"), (_INTS, "integer", _INT)),
+}
 
 
 def _is_int(ty) -> bool:
-    return isinstance(ty, (IntType, IntRangeType))
+    return isinstance(ty, _INTS)
 
 
 def _compatible(a, b) -> bool:
@@ -162,27 +171,19 @@ class _Checker:
             self.error(e, f"unknown identifier {e.name!r}")
             return _BOOL
         if isinstance(e, UnOp):
-            if e.op == "!":
-                t = self.infer(e.operand, allow_next=allow_next)
-                if not isinstance(t, BoolType):
-                    self.error(e, f"operand of ! must be boolean, got {t}")
-                return _BOOL
-            t = self.infer(e.operand, allow_next=allow_next)
-            if not _is_int(t):
-                self.error(e, f"operand of unary - must be integer, got {t}")
-            return _INT
+            return self._apply_signature("unary -" if e.op == "-" else "!",
+                                         ((e, self.infer(e.operand, allow_next=allow_next)),))
         if isinstance(e, BinOp):
-            return self._infer_binop(e, allow_next)
+            if e.op in ("=", "!="):
+                return self._infer_equality(e, allow_next)
+            return self._apply_signature(e.op, ((e.left, self.infer(e.left, allow_next=allow_next)),
+                                                (e.right, self.infer(e.right, allow_next=allow_next))))
         if isinstance(e, Ite):
             ct = self.infer(e.cond, allow_next=allow_next)
             if not isinstance(ct, BoolType):
                 self.error(e.cond, f"condition of ?: must be boolean, got {ct}")
             tt = self.infer(e.then, allow_next=allow_next, expected=expected)
-            et = self.infer(e.other, allow_next=allow_next, expected=tt if tt else expected)
-            if isinstance(tt, EnumType) or isinstance(et, EnumType):
-                # retry literal branches against the resolved side
-                if not _compatible(tt, et):
-                    et = self.infer(e.other, allow_next=allow_next, expected=tt)
+            et = self.infer(e.other, allow_next=allow_next, expected=tt)
             if not _compatible(tt, et):
                 self.error(e, f"branches of ?: have incompatible types {tt} and {et}")
                 return tt
@@ -195,7 +196,7 @@ class _Checker:
                 if not isinstance(m, (Name, IntConst, BoolConst)):
                     self.error(m, "set members must be literal constants")
                     continue
-                if isinstance(m, Name) and m.name in self.tm.var_index or isinstance(m, Name) and m.name in self.tm.defines:
+                if isinstance(m, Name) and (m.name in self.tm.var_index or m.name in self.tm.defines):
                     self.error(m, f"set member {m.name!r} must be a literal constant, not a variable")
                     continue
                 mt = self.infer(m, allow_next=False, expected=ot)
@@ -204,45 +205,28 @@ class _Checker:
             return _BOOL
         raise AssertionError(f"unhandled node {e!r}")
 
-    def _infer_binop(self, e: BinOp, allow_next: bool):
-        op = e.op
-        if op in ("&", "|", "->", "<->"):
-            lt = self.infer(e.left, allow_next=allow_next)
+    def _apply_signature(self, op: str, operands: tuple):
+        """The result type of an operator of ``_SIGNATURES``, reporting each
+        (site, type) operand of the wrong type; every operand is inferred
+        before the first such report."""
+        accepted, name, result = _SIGNATURES[op]
+        for site, t in operands:
+            if not isinstance(t, accepted):
+                self.error(site, f"operand of {op} must be {name}, got {t}")
+        return result
+
+    def _infer_equality(self, e: BinOp, allow_next: bool):
+        # resolve enumeration literals against the other side; when the
+        # left side is itself an ambiguous literal, type the right first
+        if self._needs_context(e.left):
             rt = self.infer(e.right, allow_next=allow_next)
-            if not isinstance(lt, BoolType):
-                self.error(e.left, f"operand of {op} must be boolean, got {lt}")
-            if not isinstance(rt, BoolType):
-                self.error(e.right, f"operand of {op} must be boolean, got {rt}")
-            return _BOOL
-        if op in ("=", "!="):
-            # resolve enumeration literals against the other side; when the
-            # left side is itself an ambiguous literal, type the right first
-            if self._needs_context(e.left):
-                rt = self.infer(e.right, allow_next=allow_next)
-                lt = self.infer(e.left, allow_next=allow_next, expected=rt)
-            else:
-                lt = self.infer(e.left, allow_next=allow_next)
-                rt = self.infer(e.right, allow_next=allow_next, expected=lt)
-            if not _compatible(lt, rt):
-                self.error(e, f"cannot compare {lt} with {rt}")
-            return _BOOL
-        if op in ("<", "<=", ">", ">="):
+            lt = self.infer(e.left, allow_next=allow_next, expected=rt)
+        else:
             lt = self.infer(e.left, allow_next=allow_next)
-            rt = self.infer(e.right, allow_next=allow_next)
-            if not _is_int(lt):
-                self.error(e.left, f"operand of {op} must be integer, got {lt}")
-            if not _is_int(rt):
-                self.error(e.right, f"operand of {op} must be integer, got {rt}")
-            return _BOOL
-        if op in ("+", "-"):
-            lt = self.infer(e.left, allow_next=allow_next)
-            rt = self.infer(e.right, allow_next=allow_next)
-            if not _is_int(lt):
-                self.error(e.left, f"operand of {op} must be integer, got {lt}")
-            if not _is_int(rt):
-                self.error(e.right, f"operand of {op} must be integer, got {rt}")
-            return _INT
-        raise AssertionError(f"unhandled operator {op}")
+            rt = self.infer(e.right, allow_next=allow_next, expected=lt)
+        if not _compatible(lt, rt):
+            self.error(e, f"cannot compare {lt} with {rt}")
+        return _BOOL
 
     def _needs_context(self, e: Expr) -> bool:
         """An enumeration literal shared by several types resolves only
@@ -259,51 +243,29 @@ def type_check(model: SymbolicModel, filename: str = "<input>") -> TypedModel:
     Verifies name resolution, expression typing, DEFINE acyclicity, and the
     placement rule that ``next()`` appears only inside TRANS.
     """
-    diagnostics: list[Diagnostic] = []
-    var_index: dict[str, int] = {}
-    var_types: list[TypeSpec] = []
-    for i, (name, ty) in enumerate(model.variables):
-        var_index[name] = i
-        var_types.append(ty)
-
+    var_index = {name: i for i, (name, _) in enumerate(model.variables)}
+    var_types = tuple(ty for _, ty in model.variables)
     defines = dict(model.defines)
     enum_literals: dict[str, list[EnumType]] = {}
-    for _, ty in model.variables:
+    for ty in var_types:
         if isinstance(ty, EnumType):
             for lit in ty.literals:
                 owners = enum_literals.setdefault(lit, [])
                 if ty not in owners:
                     owners.append(ty)
-    for lit in enum_literals:
-        if lit in var_index or lit in defines:
-            diagnostics.append(Diagnostic(
-                f"enumeration literal {lit!r} clashes with a declared name", filename=filename))
-    if diagnostics:
-        raise TypeError_(diagnostics)
+    clashes = [Diagnostic(f"enumeration literal {lit!r} clashes with a declared name", filename=filename)
+               for lit in enum_literals if lit in var_index or lit in defines]
+    if clashes:
+        raise TypeError_(clashes)
 
-    tm = TypedModel(
-        model=model,
-        var_index=var_index,
-        var_types=tuple(var_types),
-        domains=tuple(type_values(t) for t in var_types),
-        defines=defines,
-        enum_literals=enum_literals,
-    )
-
+    tm = TypedModel(model, var_index, var_types, tuple(type_values(t) for t in var_types), defines, enum_literals)
     checker = _Checker(tm, filename)
     for name in defines:
         checker.define_type(name)
-    for e in model.init:
-        t = checker.infer(e, allow_next=False)
-        if not isinstance(t, BoolType):
-            checker.error(e, f"INIT constraint must be boolean, got {t}")
-    for e in model.invar:
-        t = checker.infer(e, allow_next=False)
-        if not isinstance(t, BoolType):
-            checker.error(e, f"INVAR constraint must be boolean, got {t}")
-    for e in model.trans:
-        t = checker.infer(e, allow_next=True)
-        if not isinstance(t, BoolType):
-            checker.error(e, f"TRANS constraint must be boolean, got {t}")
+    for section, constraints in (("INIT", model.init), ("INVAR", model.invar), ("TRANS", model.trans)):
+        for e in constraints:
+            t = checker.infer(e, allow_next=section == "TRANS")
+            if not isinstance(t, BoolType):
+                checker.error(e, f"{section} constraint must be boolean, got {t}")
     checker.raise_if_failed()
     return tm

@@ -209,14 +209,12 @@ class Engine:
 
         # dependency order among assigned variables (through defines)
         order: list[str] = []
-        placed: set[str] = set()
         pending = dict(candidates)
         while pending:
             progress = False
             for v in [n for n, _ in self.tm.model.variables if n in pending]:
-                if self._refs(pending[v], nxt)[0] & set(pending) <= placed:
+                if not self._refs(pending[v], nxt)[0] & pending.keys():
                     order.append(v)
-                    placed.add(v)
                     del pending[v]
                     progress = True
             if not progress:

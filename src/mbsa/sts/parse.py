@@ -344,9 +344,13 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
             raise ts.error(tok, f"duplicate declaration of {tok.text!r}")
         declared[tok.text] = tok
 
+    def declaring() -> bool:
+        # two identifiers in a row start no declaration: the first is an unknown section word
+        return ts.cur.kind == "ident" and ts.tokens[ts.i + 1].kind != "ident"
+
     while not ts.at_end():
         if ts.accept("VAR"):
-            while ts.cur.kind == "ident":
+            while declaring():
                 vtok = ts.advance()
                 declare(vtok)
                 ts.expect(":")
@@ -354,7 +358,7 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
                 ts.expect(";")
                 variables.append((vtok.text, vty))
         elif ts.accept("DEFINE"):
-            while ts.cur.kind == "ident":
+            while declaring():
                 dtok = ts.advance()
                 declare(dtok)
                 ts.expect(":=")

@@ -29,6 +29,7 @@ _LEVEL = {
     "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5, "in": 5,
     "+": 6, "-": 6,
 }
+_LEFT_ASSOC = {"<->", "|", "&", "+", "-"}
 _ATOM = 8
 
 
@@ -66,17 +67,10 @@ def print_expr(e: Expr) -> str:
             return f"-{_wrap(e.operand, 7)}"
         return f"!{_wrap(e.operand, 6)}"
     if isinstance(e, BinOp):
+        # an associative chain keeps its inner side unparenthesized at equal
+        # level: the left side of a left-associative operator, the right of ->
         lvl = _LEVEL[e.op]
-        # left-assoc chains keep the left side unparenthesized at equal level
-        if e.op in ("<->", "|", "&", "+", "-"):
-            left = print_expr(e.left) if _level(e.left) >= lvl else f"({print_expr(e.left)})"
-        else:
-            left = _wrap(e.left, lvl)
-        if e.op == "->":
-            right = print_expr(e.right) if _level(e.right) >= lvl else f"({print_expr(e.right)})"
-        else:
-            right = _wrap(e.right, lvl)
-        return f"{left} {e.op} {right}"
+        return f"{_wrap(e.left, lvl - (e.op in _LEFT_ASSOC))} {e.op} {_wrap(e.right, lvl - (e.op == '->'))}"
     if isinstance(e, Ite):
         return f"{_wrap(e.cond, 0)} ? {_wrap(e.then, 0)} : {_wrap(e.other, 0)}"
     if isinstance(e, InSet):

@@ -34,9 +34,6 @@ class AdmitResult(Record):
     def __init__(self, ok: bool, node: str | None = None, reason: str | None = None, step: int | None = None):
         self.ok, self.node, self.reason, self.step = ok, node, reason, step
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 class _EdgeView:
     """Per-trace view of one pending edge."""

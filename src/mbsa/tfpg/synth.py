@@ -55,7 +55,8 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
                        cap: int | None):
     """Product search over (state, acted mask, last-burst mask), recording
     each discrepancy's distinct instances (A, S, L, mode), with A, S and L
-    node masks over the evaluator's ``node_order``.
+    node masks over the evaluator's ``node_order``.  Returns that order and
+    the per-node instance sets in it.
 
     With n nodes, the search records an instance as the one int
     ``A | S << n | L << 2n | k << 3n``, k the mode's index in ``ev.modes``,
@@ -80,8 +81,8 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
 
     explore(engine, ev, (0, 0), step, step_bound, "synthesis")
     full = (1 << n) - 1
-    return {v: {(x & full, x >> n & full, x >> 2 * n & full, ev.modes[x >> 3 * n]) for x in insts}
-            for v, insts in zip(ev.node_order, found)}
+    return ev.node_order, [{(x & full, x >> n & full, x >> 2 * n & full, ev.modes[x >> 3 * n]) for x in insts}
+                           for insts in found]
 
 
 def _bits(mask: int) -> list[int]:
@@ -134,15 +135,14 @@ def synthesize_structure(xm: ExtendedModel, binding: NodeBinding, step_bound: in
     Node kinds (failure/AND/OR) are taken from the binding declaration, never
     inferred; failure nodes acquire no incoming edges; bounds are [0, inf).
     """
-    instances = _collect_instances(xm, binding, step_bound, cap)
-    order = sorted(binding.kinds)  # the evaluator's node order: bit i is order[i]
+    order, instances = _collect_instances(xm, binding, step_bound, cap)  # bit i of a mask is order[i]
     kinds = [binding.kinds[n] for n in order]
     failures = _union(1 << i for i, k in enumerate(kinds) if k == "failure")
     modes = binding.mode_literals()
     all_modes = frozenset(modes)
 
     # per instance: activated nodes, direct group (co-activations | last burst), mode
-    insts = [[(a, sim | last, m) for a, sim, last, m in instances[n]] for n in order]
+    insts = [[(a, sim | last, m) for a, sim, last, m in node_instances] for node_instances in instances]
     parents = [0] * len(order)  # bit u of parents[v]: edge u -> v
     for v, k in enumerate(kinds):
         if k == "and" and insts[v]:

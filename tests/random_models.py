@@ -76,6 +76,15 @@ def random_cca_model(rng: random.Random):
     return apply_cca(xm, parse_cca(spec)), tle
 
 
+def random_extend_cases():
+    """The 20 seeded extended models of the ``extend`` golden checks:
+    ``random_extended_model`` in even cases, ``random_cca_model`` in odd
+    ones, five of them simultaneous and five cascading."""
+    rng = random.Random(18)
+    for i in range(20):
+        yield (random_cca_model if i % 2 else random_extended_model)(rng)[0]
+
+
 def random_typed_model(rng: random.Random):
     """A small random model over integer ranges, an enum and booleans.
 

@@ -563,10 +563,10 @@ def _naive_instances(xm, binding, step_bound):
 def _named_instances(xm, binding, step_bound):
     """``_collect_instances`` with each node mask read as the set of node
     names its bits stand for, in the evaluator's node order."""
-    order = BindingEvaluator(xm, binding).node_order
+    order, instances = _collect_instances(xm, binding, step_bound, None)
     names = lambda mask: frozenset(n for i, n in enumerate(order) if mask >> i & 1)
     return {v: {(names(a), names(sim), names(last), mode) for a, sim, last, mode in insts}
-            for v, insts in _collect_instances(xm, binding, step_bound, None).items()}
+            for v, insts in zip(order, instances)}
 
 
 def test_synthesis_instances_equal_naive_search(battery_sensor, battery_binding):

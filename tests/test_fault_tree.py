@@ -365,6 +365,38 @@ def test_xml_round_trip_fixpoint():
     assert again == xml
 
 
+def _xml(*elements: str) -> str:
+    return '<fault-tree root="top">' + "".join(elements) + "</fault-tree>"
+
+
+TOP = '<gate id="top" kind="or"><child ref="a"/></gate>'
+
+
+def test_xml_child_without_ref_is_rejected():
+    with pytest.raises(FaultTreeError, match="<child> lacks the attribute 'ref'"):
+        ft_from_xml(_xml('<gate id="top" kind="or"><child/></gate>', '<basic-event id="a"/>'))
+
+
+def test_xml_node_without_id_is_rejected():
+    with pytest.raises(FaultTreeError, match="<basic-event> lacks the attribute 'id'"):
+        ft_from_xml(_xml(TOP, '<basic-event id="a"/>', '<basic-event probability="0.1"/>'))
+
+
+def test_xml_duplicate_node_is_rejected():
+    with pytest.raises(FaultTreeError, match="duplicate node 'a'"):
+        ft_from_xml(_xml(TOP, '<basic-event id="a" probability="0.1"/>', '<basic-event id="a" probability="0.9"/>'))
+
+
+def test_xml_malformed_document_is_rejected():
+    with pytest.raises(FaultTreeError, match="malformed XML: "):
+        ft_from_xml(_xml(TOP, '<basic-event id="a">'))
+
+
+def test_xml_malformed_probability_is_rejected():
+    with pytest.raises(FaultTreeError, match="basic event 'a' has a malformed probability 'x'"):
+        ft_from_xml(_xml(TOP, '<basic-event id="a" probability="x"/>'))
+
+
 def test_dot_export_shapes(battery_sensor):
     xm = battery_sensor
     tle = checked_expr(xm, "sys_dead")

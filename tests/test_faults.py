@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from mbsa.cli import _registry_json
 from mbsa.faults import (
     ExtensionError,
     FaultDefinitionError,
@@ -14,6 +17,12 @@ from mbsa.sts.parse import parse_model
 from mbsa.sts.pretty import print_model
 
 from conftest import build_extended, checked_expr, reachable_tuples
+from random_models import random_extend_cases
+
+# extended models and registries of seeded random models, recorded before the
+# checker and the common-cause weaving were rewritten
+EXTEND_CASES = Path(__file__).resolve().parent / "goldens" / "extend_cases"
+EXTENDED = list(random_extend_cases())
 
 
 def _tm(text):
@@ -322,3 +331,10 @@ def test_random_needs_a_finite_domain():
     with pytest.raises(ExtensionError) as err:
         build_extended(INT_TARGET, "fault b: target d, template random, dynamics permanent, prob 0.1;")
     assert "random needs a target with a finite domain; 'd' has type integer (event b)" in str(err.value)
+
+
+@pytest.mark.parametrize("index", range(len(EXTENDED)))
+def test_random_extensions_match_goldens(index):
+    xm = EXTENDED[index]
+    for name, text in (("extended.smx", print_model(xm.model)), ("events.json", _registry_json(xm))):
+        assert text.encode("utf-8") == (EXTEND_CASES / f"random_{index:02d}" / name).read_bytes(), name

@@ -90,6 +90,7 @@ CASES = {
     "smx_empty_range": ("smx", "MODULE m\nVAR x : 5..-1;\n"),
     "smx_duplicate": ("smx", "MODULE m\nVAR x : boolean;\nDEFINE\n  x := TRUE;\n"),
     "smx_unknown_section": ("smx", "MODULE m\nVAR x : boolean;\n  TRUE;\n"),
+    "smx_assign_section": ("smx", "MODULE m\nVAR x : boolean;\nASSIGN x := TRUE;\n"),
     "flib_missing_for": ("flib", "template t(v : value) int := v;\n"),
     "flib_bad_applicability": ("flib", "template t for real := nominal;\n"),
     "flib_for_boolean": ("flib", "template t for boolean := !nominal;\n"),

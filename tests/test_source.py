@@ -99,3 +99,14 @@ def test_only_the_parser_reads_token_kinds():
              if path.relative_to(SRC).as_posix() != "sts/parse.py"
              and (lines := _token_kind_tests(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def test_checker_printer_and_code_generator_name_the_same_binary_operators():
+    from mbsa.sts import check, codegen, pretty
+
+    # the checker types "=" and "!=" outside its signature table, the code
+    # generator compiles "->" on its own, and the printer also ranks "?:" and "in"
+    checked = set(check._SIGNATURES) - {"!", "unary -"} | {"=", "!="}
+    printed = set(pretty._LEVEL) - {"?:", "in"}
+    compiled = set(codegen._BINOPS) | {"->"}
+    assert checked == printed == compiled
