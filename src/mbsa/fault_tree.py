@@ -305,14 +305,18 @@ def ft_from_xml(text: str) -> FaultTree:
             kind = attr(el, "kind")
             if kind not in ("and", "or", "pand"):
                 raise FaultTreeError(f"unknown gate kind {kind!r}")
-            children = tuple(attr(c, "ref") for c in el if c.tag == "child")
-            nodes[nid] = Gate(kind, children, el.get("label", ""))
+            for c in el:
+                if c.tag != "child":
+                    raise FaultTreeError(f"unexpected element <{c.tag}> in gate {nid!r}")
+            nodes[nid] = Gate(kind, tuple(attr(c, "ref") for c in el), el.get("label", ""))
         else:
             p = el.get("probability")
             try:
                 probability = None if p is None else Fraction(p)
             except (ValueError, ZeroDivisionError):
                 raise FaultTreeError(f"basic event {nid!r} has a malformed probability {p!r}") from None
+            if probability is not None and not 0 <= probability <= 1:
+                raise FaultTreeError(f"basic event {nid!r} has probability {p} outside [0,1]")
             nodes[nid] = BasicEvent(nid, probability, el.get("label", ""))
     tree = FaultTree(attr(root, "root"), nodes)
     if tree.root not in nodes:

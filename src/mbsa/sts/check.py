@@ -115,12 +115,15 @@ class _Checker:
 
     # -- resolution helpers -------------------------------------------------
 
-    def define_type(self, name: str):
+    def define_type(self, name: str, ref: Name | Next | None = None):
+        """The type of DEFINE ``name``, reached through the reference ``ref``
+        (None from the top level), where a cycle is reported."""
         if name in self._define_types:
             return self._define_types[name]
         if name in self._define_stack:
             cycle = " -> ".join(self._define_stack + [name])
-            raise TypeError_(self.diagnostics + [Diagnostic(f"cyclic DEFINE: {cycle}", filename=self.filename)])
+            raise TypeError_(self.diagnostics + [Diagnostic(f"cyclic DEFINE: {cycle}", ref.line, ref.col,
+                                                            filename=self.filename)])
         self._define_stack.append(name)
         try:
             ty = self.infer(self.tm.defines[name], allow_next=False)
@@ -134,7 +137,7 @@ class _Checker:
         if name in self.tm.var_index:
             return self.tm.var_types[self.tm.var_index[name]]
         if name in self.tm.defines:
-            return self.define_type(name)
+            return self.define_type(name, node)
         candidates = self.tm.enum_literals.get(name)
         if candidates:
             if isinstance(expected, EnumType) and expected in candidates:
@@ -167,7 +170,7 @@ class _Checker:
                 return self.tm.var_types[self.tm.var_index[e.name]]
             if e.name in self.tm.defines:
                 self.error(e, f"next() applies to state variables, not DEFINE {e.name!r}")
-                return self.define_type(e.name)
+                return self.define_type(e.name, e)
             self.error(e, f"unknown identifier {e.name!r}")
             return _BOOL
         if isinstance(e, UnOp):

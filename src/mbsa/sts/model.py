@@ -175,6 +175,22 @@ class InSet(_Node):
 
 Expr = BoolConst | IntConst | Name | Next | UnOp | BinOp | Ite | InSet
 
+# Operator binding, loosest level first: each level's operators and how a
+# chain of them groups, "left", "right" or None (they do not chain).  "?"
+# opens ``c ? a : b``; prefix "!" and "-" bind tighter than every level.  The
+# parser climbs this table and the printer parenthesizes from it.
+OPERATOR_LEVELS = (
+    (("?",), "right"),
+    (("<->",), "left"),
+    (("->",), "right"),
+    (("|",), "left"),
+    (("&",), "left"),
+    (("=", "!=", "<", "<=", ">", ">=", "in"), None),
+    (("+", "-"), "left"),
+)
+UNARY_LEVEL = len(OPERATOR_LEVELS)
+BINDING = {op: (level, grouping) for level, (ops, grouping) in enumerate(OPERATOR_LEVELS) for op in ops}
+
 
 def conjuncts(e: Expr) -> list[Expr]:
     """Flatten a tree of ``&`` into its conjuncts."""

@@ -1,4 +1,8 @@
-"""Recursive-descent parser for the model language (see docs/model-language.md).
+"""Parser for the model language (see docs/model-language.md).
+
+Expressions are parsed by precedence climbing over
+:data:`mbsa.sts.model.OPERATOR_LEVELS`, the one statement of how tightly each
+operator binds and which way a chain of it groups.
 
 The same lexer and expression grammar back every textual front end in the
 toolkit (models, fault libraries, extension instructions, common causes,
@@ -16,6 +20,8 @@ from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import (
+    OPERATOR_LEVELS,
+    UNARY_LEVEL,
     BinOp,
     BoolConst,
     BoolType,
@@ -176,85 +182,38 @@ class TokenStream:
 
 # ---------------------------------------------------------------------------
 # Expressions
-#
-# Precedence, loosest first:  ?:   <->   ->   |   &   (= != < <= > >= in)
-# then + -, then unary ! -, then atoms.
 
 def parse_expr(ts: TokenStream) -> Expr:
-    cond = _parse_iff(ts)
-    if ts.accept("?"):
-        then = parse_expr(ts)
-        ts.expect(":")
-        other = parse_expr(ts)
-        return Ite(cond, then, other, line=cond.line, col=cond.col)
-    return cond
+    return _parse_level(ts, 0)
 
 
-def _parse_iff(ts: TokenStream) -> Expr:
-    left = _parse_implies(ts)
-    while ts.at("<->"):
-        t = ts.advance()
-        right = _parse_implies(ts)
-        left = BinOp("<->", left, right, line=t.line, col=t.col)
-    return left
-
-
-def _parse_implies(ts: TokenStream) -> Expr:
-    left = _parse_or(ts)
-    if ts.at("->"):
-        t = ts.advance()
-        right = _parse_implies(ts)  # right associative
-        return BinOp("->", left, right, line=t.line, col=t.col)
-    return left
-
-
-def _parse_or(ts: TokenStream) -> Expr:
-    left = _parse_and(ts)
-    while ts.at("|"):
-        t = ts.advance()
-        left = BinOp("|", left, _parse_and(ts), line=t.line, col=t.col)
-    return left
-
-
-def _parse_and(ts: TokenStream) -> Expr:
-    left = _parse_rel(ts)
-    while ts.at("&"):
-        t = ts.advance()
-        left = BinOp("&", left, _parse_rel(ts), line=t.line, col=t.col)
-    return left
-
-
-def _parse_rel(ts: TokenStream) -> Expr:
-    left = _parse_add(ts)
-    for op in ("=", "!=", "<=", ">=", "<", ">"):
-        if ts.at(op):
+def _parse_level(ts: TokenStream, level: int) -> Expr:
+    """An expression whose operators bind at ``level`` of OPERATOR_LEVELS or
+    tighter."""
+    if level == UNARY_LEVEL:
+        if ts.at("!") or ts.at("-"):
             t = ts.advance()
-            return BinOp(op, left, _parse_add(ts), line=t.line, col=t.col)
-    if ts.at("in"):
+            return UnOp(t.text, _parse_level(ts, level), line=t.line, col=t.col)
+        return _parse_atom(ts)
+    ops, grouping = OPERATOR_LEVELS[level]
+    right = level + (grouping != "right")  # the level a right operand climbs from
+    left = _parse_level(ts, level + 1)
+    while ts.cur.text in ops:
         t = ts.advance()
-        ts.expect("{")
-        members = ts.items(lambda: _parse_atom(ts))
-        ts.expect("}")
-        return InSet(left, tuple(members), line=t.line, col=t.col)
+        if t.text == "in":
+            ts.expect("{")
+            members = ts.items(lambda: _parse_atom(ts))
+            ts.expect("}")
+            left = InSet(left, tuple(members), line=t.line, col=t.col)
+        elif t.text == "?":
+            then = parse_expr(ts)
+            ts.expect(":")
+            left = Ite(left, then, _parse_level(ts, right), line=left.line, col=left.col)
+        else:
+            left = BinOp(t.text, left, _parse_level(ts, right), line=t.line, col=t.col)
+        if grouping != "left":
+            break
     return left
-
-
-def _parse_add(ts: TokenStream) -> Expr:
-    left = _parse_unary(ts)
-    while ts.at("+") or ts.at("-"):
-        t = ts.advance()
-        left = BinOp(t.text, left, _parse_unary(ts), line=t.line, col=t.col)
-    return left
-
-
-def _parse_unary(ts: TokenStream) -> Expr:
-    if ts.at("!"):
-        t = ts.advance()
-        return UnOp("!", _parse_unary(ts), line=t.line, col=t.col)
-    if ts.at("-"):
-        t = ts.advance()
-        return UnOp("-", _parse_unary(ts), line=t.line, col=t.col)
-    return _parse_atom(ts)
 
 
 def _parse_atom(ts: TokenStream) -> Expr:
@@ -318,9 +277,6 @@ def _parse_type(ts: TokenStream) -> TypeSpec:
     return IntRangeType(lo, hi)
 
 
-_SECTION_KEYWORDS = {"VAR", "DEFINE", "INIT", "TRANS", "INVAR"}
-
-
 def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
     """Parse model text into a :class:`SymbolicModel`.
 
@@ -334,53 +290,27 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
 
     variables: list[tuple[str, TypeSpec]] = []
     defines: list[tuple[str, Expr]] = []
-    init: list[Expr] = []
-    trans: list[Expr] = []
-    invar: list[Expr] = []
-    declared: dict[str, Token] = {}
-
-    def declare(tok: Token):
-        if tok.text in declared:
-            raise ts.error(tok, f"duplicate declaration of {tok.text!r}")
-        declared[tok.text] = tok
-
-    def declaring() -> bool:
-        # two identifiers in a row start no declaration: the first is an unknown section word
-        return ts.cur.kind == "ident" and ts.tokens[ts.i + 1].kind != "ident"
-
+    # section keyword -> (separator, parser of the declared type or body, declarations)
+    declarations = {"VAR": (":", _parse_type, variables), "DEFINE": (":=", parse_expr, defines)}
+    constraints: dict[str, list[Expr]] = {"INIT": [], "TRANS": [], "INVAR": []}
+    declared: set[str] = set()
     while not ts.at_end():
-        if ts.accept("VAR"):
-            while declaring():
-                vtok = ts.advance()
-                declare(vtok)
-                ts.expect(":")
-                vty = _parse_type(ts)
+        if ts.cur.text in declarations:
+            separator, parse, declared_here = declarations[ts.advance().text]
+            # two identifiers in a row start no declaration: the first is an unknown section word
+            while ts.cur.kind == "ident" and ts.tokens[ts.i + 1].kind != "ident":
+                tok = ts.advance()
+                if tok.text in declared:
+                    raise ts.error(tok, f"duplicate declaration of {tok.text!r}")
+                declared.add(tok.text)
+                ts.expect(separator)
+                declared_here.append((tok.text, parse(ts)))
                 ts.expect(";")
-                variables.append((vtok.text, vty))
-        elif ts.accept("DEFINE"):
-            while declaring():
-                dtok = ts.advance()
-                declare(dtok)
-                ts.expect(":=")
-                defines.append((dtok.text, parse_expr(ts)))
-                ts.expect(";")
-        elif ts.accept("INIT"):
-            init.append(parse_expr(ts))
-            ts.expect(";")
-        elif ts.accept("TRANS"):
-            trans.append(parse_expr(ts))
-            ts.expect(";")
-        elif ts.accept("INVAR"):
-            invar.append(parse_expr(ts))
+        elif ts.cur.text in constraints:
+            constraints[ts.advance().text].append(parse_expr(ts))
             ts.expect(";")
         else:
-            ts.fail(f"expected one of {sorted(_SECTION_KEYWORDS)}, found {ts.cur.text!r}")
+            ts.fail(f"expected one of {sorted([*declarations, *constraints])}, found {ts.cur.text!r}")
 
-    return SymbolicModel(
-        name=name,
-        variables=tuple(variables),
-        defines=tuple(defines),
-        init=tuple(init),
-        trans=tuple(trans),
-        invar=tuple(invar),
-    )
+    return SymbolicModel(name, tuple(variables), tuple(defines), init=tuple(constraints["INIT"]),
+                         trans=tuple(constraints["TRANS"]), invar=tuple(constraints["INVAR"]))

@@ -2,11 +2,16 @@
 
 Printing is the inverse of parsing up to structural equality, which the
 round-trip tests rely on, and printed output is byte-stable for a given tree.
+Parentheses follow :data:`mbsa.sts.model.OPERATOR_LEVELS`: an operand takes
+them when it binds no tighter than its operator, except on the side that the
+operator's chains group to.
 """
 
 from __future__ import annotations
 
 from mbsa.sts.model import (
+    BINDING,
+    UNARY_LEVEL,
     BinOp,
     BoolConst,
     Expr,
@@ -19,30 +24,17 @@ from mbsa.sts.model import (
     UnOp,
 )
 
-# Binding strength, loosest first; unary and atoms handled separately.
-_LEVEL = {
-    "?:": 0,
-    "<->": 1,
-    "->": 2,
-    "|": 3,
-    "&": 4,
-    "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5, "in": 5,
-    "+": 6, "-": 6,
-}
-_LEFT_ASSOC = {"<->", "|", "&", "+", "-"}
-_ATOM = 8
-
 
 def _level(e: Expr) -> int:
-    if isinstance(e, Ite):
-        return _LEVEL["?:"]
     if isinstance(e, BinOp):
-        return _LEVEL[e.op]
+        return BINDING[e.op][0]
+    if isinstance(e, Ite):
+        return BINDING["?"][0]
     if isinstance(e, InSet):
-        return _LEVEL["in"]
+        return BINDING["in"][0]
     if isinstance(e, UnOp):
-        return 7
-    return _ATOM
+        return UNARY_LEVEL
+    return UNARY_LEVEL + 1  # an atom
 
 
 def _wrap(e: Expr, parent_level: int) -> str:
@@ -50,6 +42,13 @@ def _wrap(e: Expr, parent_level: int) -> str:
     if _level(e) <= parent_level:
         return f"({text})"
     return text
+
+
+def _operand_levels(op: str) -> tuple[int, int]:
+    """The levels at and below which the left and the right operand of
+    ``op`` take parentheses; a chain needs none on the side it groups to."""
+    level, grouping = BINDING[op]
+    return level - (grouping == "left"), level - (grouping == "right")
 
 
 def print_expr(e: Expr) -> str:
@@ -62,20 +61,18 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, Next):
         return f"next({e.name})"
     if isinstance(e, UnOp):
-        if e.op == "-":
-            # parenthesize unary operands so "- -x" never prints as a comment
-            return f"-{_wrap(e.operand, 7)}"
-        return f"!{_wrap(e.operand, 6)}"
+        # a unary operand needs parentheses only where "- -x" would lex as a comment
+        return f"{e.op}{_wrap(e.operand, UNARY_LEVEL - (e.op == '!'))}"
     if isinstance(e, BinOp):
-        # an associative chain keeps its inner side unparenthesized at equal
-        # level: the left side of a left-associative operator, the right of ->
-        lvl = _LEVEL[e.op]
-        return f"{_wrap(e.left, lvl - (e.op in _LEFT_ASSOC))} {e.op} {_wrap(e.right, lvl - (e.op == '->'))}"
+        left, right = _operand_levels(e.op)
+        return f"{_wrap(e.left, left)} {e.op} {_wrap(e.right, right)}"
     if isinstance(e, Ite):
-        return f"{_wrap(e.cond, 0)} ? {_wrap(e.then, 0)} : {_wrap(e.other, 0)}"
+        # a nested ?: always takes parentheses
+        level = BINDING["?"][0]
+        return f"{_wrap(e.cond, level)} ? {_wrap(e.then, level)} : {_wrap(e.other, level)}"
     if isinstance(e, InSet):
         members = ", ".join(print_expr(m) for m in e.members)
-        return f"{_wrap(e.operand, 5)} in {{{members}}}"
+        return f"{_wrap(e.operand, _operand_levels('in')[0])} in {{{members}}}"
     raise AssertionError(f"unhandled node {e!r}")
 
 

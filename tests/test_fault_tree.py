@@ -397,6 +397,22 @@ def test_xml_malformed_probability_is_rejected():
         ft_from_xml(_xml(TOP, '<basic-event id="a" probability="x"/>'))
 
 
+def test_xml_unknown_gate_element_is_rejected():
+    with pytest.raises(FaultTreeError, match="unexpected element <kid> in gate 'top'"):
+        ft_from_xml(_xml('<gate id="top" kind="or"><kid ref="a"/></gate>', '<basic-event id="a"/>'))
+
+
+def test_xml_probability_outside_unit_interval_is_rejected():
+    with pytest.raises(FaultTreeError, match=r"basic event 'a' has probability 2 outside \[0,1\]"):
+        ft_from_xml(_xml(TOP, '<basic-event id="a" probability="2"/>'))
+
+
+def test_xml_childless_gate_loads():
+    # build_fault_tree writes one for the empty cut set and for a TLE without cut sets
+    ft = ft_from_xml(_xml('<gate id="top" kind="or"/>'))
+    assert ft.nodes["top"].children == ()
+
+
 def test_dot_export_shapes(battery_sensor):
     xm = battery_sensor
     tle = checked_expr(xm, "sys_dead")

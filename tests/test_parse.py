@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,3 +241,68 @@ def test_record_semantics(a, b, equal):
 def test_empty_or_repeated_type_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+# -- the grammar, pinned --------------------------------------------------------
+#
+# goldens/grammar_cases.json maps each input to the tree it parses to (every
+# node's kind, position and fields) and its printed text, or to the parse
+# diagnostics.  A change to any operator's level or grouping changes an entry.
+
+GRAMMAR_GOLDEN = Path(__file__).resolve().parent / "goldens" / "grammar_cases.json"
+
+BINARY = ["<->", "->", "|", "&", "=", "!=", "<", "<=", ">", ">=", "+", "-"]
+# the 14 operator forms, each with a left and a right operand hole
+FORMS = [f"{{}} {op} {{}}" for op in BINARY] + ["{} in {{{}}}", "{} ? p : {}"]
+MALFORMED = [
+    "a = b = c", "a < b > c", "a in {x} = b", "a = b in {x}", "a in {x} in {y}", "a in {}", "a in {x y}",
+    "a in {-1}", "a ? b", "a ? b : c : d", "? a : b", "a ? : b", "a &", "(a", "a)", "next(a", "next(a & b)",
+    "--a", "a\n  <-> b\n  <->", "a ->\n  b -> c",
+]
+
+
+def grammar_cases() -> list[str]:
+    cases = []
+    for outer in FORMS:
+        for inner in FORMS:
+            cases += [outer.format(inner.format("a", "b"), "c"), outer.format(f"({inner.format('a', 'b')})", "c"),
+                      outer.format("a", inner.format("b", "c")), outer.format("a", f"({inner.format('b', 'c')})")]
+    cases += [f"a {x} b {y} c {z} d" for x in BINARY for y in BINARY for z in BINARY]
+    cases += [form.format(*operands) for form in FORMS for u in "!-" for operands in ((u + "a", "b"), ("a", u + "b"))]
+    cases += ["!!a", "- -a", "-!a", "!-a", "!(a & b)", "-(a + b)", "!next(a) = -1"]
+    return list(dict.fromkeys(cases + MALFORMED))
+
+
+def _tree(e) -> str:
+    parts = [f"{type(e).__name__}@{e.line}:{e.col}"]
+    for field in e._fields:
+        v = getattr(e, field)
+        parts.append("{" + " ".join(map(_tree, v)) + "}" if isinstance(v, tuple)
+                     else _tree(v) if isinstance(v, _Node) else str(v))
+    return f"({' '.join(parts)})"
+
+
+def observe_grammar(text: str) -> dict:
+    try:
+        e = parse_expr_text(text)
+    except ParseError as exc:
+        return {"diagnostics": [[d.message, d.line, d.col] for d in exc.diagnostics]}
+    return {"tree": _tree(e), "printed": print_expr(e)}
+
+
+def render_grammar_golden() -> str:
+    """The golden's text: one case per line."""
+    lines = [f" {json.dumps(text)}: {json.dumps(observe_grammar(text), sort_keys=True)}"
+             for text in sorted(grammar_cases())]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def test_grammar_matches_golden():
+    golden = json.loads(GRAMMAR_GOLDEN.read_text())
+    assert sorted(golden) == sorted(grammar_cases())
+    assert {text: observed for text in golden if (observed := observe_grammar(text)) != golden[text]} == {}
+
+
+if __name__ == "__main__":
+    # re-record the grammar golden: PYTHONPATH=src python tests/test_parse.py
+    GRAMMAR_GOLDEN.write_text(render_grammar_golden())

@@ -102,11 +102,13 @@ def test_only_the_parser_reads_token_kinds():
 
 
 def test_checker_printer_and_code_generator_name_the_same_binary_operators():
-    from mbsa.sts import check, codegen, pretty
+    from mbsa.sts import check, codegen
+    from mbsa.sts.model import BINDING
 
     # the checker types "=" and "!=" outside its signature table, the code
-    # generator compiles "->" on its own, and the printer also ranks "?:" and "in"
+    # generator compiles "->" on its own, and the operator table, which the
+    # parser and the printer read, also ranks "?" and "in"
     checked = set(check._SIGNATURES) - {"!", "unary -"} | {"=", "!="}
-    printed = set(pretty._LEVEL) - {"?:", "in"}
+    bound = set(BINDING) - {"?", "in"}
     compiled = set(codegen._BINOPS) | {"->"}
-    assert checked == printed == compiled
+    assert checked == bound == compiled
