@@ -1,5 +1,11 @@
 """Fault library, extension instructions, and automatic model extension.
 
+The built-in library is library text, :data:`BUILTIN_LIBRARY`, read by the
+same reader as a user ``.flib``; only ``random`` and ``ramp_down``, which add
+state variables, are built in code (:func:`_instantiate_effect`).  A name the
+built-ins define cannot be redefined, and :data:`KINDS` maps each ``for``
+kind to the target types it admits.
+
 Extension displaces a target symbol ``t`` to a fresh carrier ``t#nominal``
 that keeps the nominal dynamics, adds a per-event mode variable with the
 requested temporal dynamics, and redefines ``t`` as the faulty wrap
@@ -33,11 +39,10 @@ from mbsa.sts.model import (
     Next,
     SymbolicModel,
     TypeSpec,
-    UnOp,
     substitute,
     walk,
 )
-from mbsa.sts.parse import Token, TokenStream, parse_expr, tokenize
+from mbsa.sts.parse import TokenStream, parse_expr, tokenize
 
 
 class FaultDefinitionError(InputError):
@@ -58,23 +63,21 @@ class TemplateParam:
 class FaultTemplate:
     """A parameterized fault effect over the reserved symbol ``nominal``."""
 
-    __slots__ = ("name", "params", "applies_to", "effect", "builtin")
+    __slots__ = ("name", "params", "applies_to", "effect")
 
-    def __init__(self, name: str, params: tuple[TemplateParam, ...], applies_to: str, effect: Expr | None,
-                 builtin: bool = False):
+    def __init__(self, name: str, params: tuple[TemplateParam, ...], applies_to: str, effect: Expr | None):
         self.name, self.params = name, params
-        self.applies_to = applies_to  # "boolean" | "int" | "enum" | "any"
-        self.effect = effect  # None for built-ins that need auxiliary state
-        self.builtin = builtin
+        self.applies_to = applies_to  # a key of KINDS
+        self.effect = effect  # None for the built-ins that add state variables
 
 
 class DynamicsTemplate:
     """How a fault's mode variable may evolve, as a TRANS schema over ``mode``."""
 
-    __slots__ = ("name", "constraint", "builtin")
+    __slots__ = ("name", "constraint")
 
-    def __init__(self, name: str, constraint: Expr, builtin: bool = False):
-        self.name, self.constraint, self.builtin = name, constraint, builtin
+    def __init__(self, name: str, constraint: Expr):
+        self.name, self.constraint = name, constraint
 
 
 class FaultLibrary:
@@ -126,37 +129,28 @@ class ExtendedModel:
 
 
 # ---------------------------------------------------------------------------
-# Built-in library
+# Fault library
 
-def _builtin_library() -> FaultLibrary:
-    nominal = Name("nominal")
-    templates = {
-        "stuck_at": FaultTemplate("stuck_at", (TemplateParam("v", "value"),), "any", Name("v"), builtin=True),
-        "inverted": FaultTemplate("inverted", (), "boolean", UnOp("!", nominal), builtin=True),
-        "random": FaultTemplate("random", (), "any", None, builtin=True),
-        "conditional": FaultTemplate(
-            "conditional",
-            (TemplateParam("guard", "expr"), TemplateParam("effect", "expr")),
-            "any",
-            Ite(Name("guard"), Name("effect"), nominal),
-            builtin=True,
-        ),
-        "ramp_down": FaultTemplate("ramp_down", (TemplateParam("step", "value"),), "int", None, builtin=True),
-    }
-    mode = Name("mode")
-    faulty = Name("faulty")
-    dynamics = {
-        "permanent": DynamicsTemplate(
-            "permanent", BinOp("->", BinOp("=", mode, faulty), BinOp("=", Next("mode"), faulty)), builtin=True),
-        "sporadic": DynamicsTemplate("sporadic", BoolConst(True), builtin=True),
-        "transient": DynamicsTemplate(
-            "transient", BinOp("->", BinOp("=", mode, faulty), BinOp("=", Next("mode"), Name("nominal"))),
-            builtin=True),
-    }
-    return FaultLibrary(templates, dynamics)
+# a template's `for` kind -> the target types it applies to
+KINDS = {"boolean": BoolType, "int": IntRangeType, "enum": EnumType, "any": object}
 
+_MODE_TYPE = EnumType(("nominal", "faulty"))
 
-_KINDS = ("boolean", "int", "enum", "any")
+# the built-in templates with an effect, and the built-in dynamics
+BUILTIN_LIBRARY = """\
+template stuck_at(v : value) for any := v;
+template inverted for boolean := !nominal;
+template conditional(guard : expr, effect : expr) for any := guard ? effect : nominal;
+dynamics permanent := mode = faulty -> next(mode) = faulty;
+dynamics sporadic := TRUE;
+dynamics transient := mode = faulty -> next(mode) = nominal;
+"""
+
+# the built-in templates that add state variables; _instantiate_effect builds them
+_STATE_TEMPLATES = (
+    FaultTemplate("random", (), "any", None),
+    FaultTemplate("ramp_down", (TemplateParam("step", "value"),), "int", None),
+)
 
 
 def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary:
@@ -164,10 +158,20 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
 
     User text declares ``template name(p : value, q : expr) for kind := effect;``
     and ``dynamics name := constraint;`` entries.  Redefining a built-in is an
-    error; effects are fully type-checked at instantiation time against the
-    concrete target.
+    error.  A dynamics constraint is type-checked here, over
+    ``mode : {nominal, faulty}``; an effect is fully type-checked at
+    instantiation time against the concrete target.
     """
-    lib = _builtin_library()
+    lib = FaultLibrary({t.name: t for t in _STATE_TEMPLATES}, {})
+    _read_library(lib, BUILTIN_LIBRARY, "<built-in>")  # fresh nodes for every library
+    _read_library(lib, text, filename)
+    return lib
+
+
+def _read_library(lib: FaultLibrary, text: str, filename: str):
+    """Add the definitions of ``text`` to ``lib``, whose names are the
+    built-ins that ``text`` may not redefine."""
+    builtin_templates, builtin_dynamics = set(lib.templates), set(lib.dynamics)
     ts = TokenStream(tokenize(text, filename), filename)
     while not ts.at_end():
         if ts.accept_word("template"):
@@ -178,22 +182,28 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
                     params = ts.items(lambda: _parse_param(ts))
                 ts.expect(")")
             if not ts.accept_word("for"):
-                ts.fail("expected 'for <boolean|int|enum|any>'")
+                ts.fail(f"expected 'for <{'|'.join(KINDS)}>'")
             applies_to = ts.word()  # `boolean` is a model keyword, the other kinds identifiers
-            if applies_to not in _KINDS:
-                ts.fail(f"applicability must be one of {_KINDS}")
+            if applies_to not in KINDS:
+                ts.fail(f"applicability must be one of {tuple(KINDS)}")
             ts.advance()
             ts.expect(":=")
             effect = parse_expr(ts)
             ts.expect(";")
-            _validate_template(ts, name_tok, params, effect, lib)
+            if name_tok.text in builtin_templates:
+                raise ts.error(name_tok, f"cannot redefine built-in template {name_tok.text!r}", FaultDefinitionError)
+            if len({p.name for p in params}) != len(params):
+                raise ts.error(name_tok, "duplicate template parameter", FaultDefinitionError)
+            for node in walk(effect):
+                if isinstance(node, Next):
+                    raise ts.error(node, "template effects are current-state expressions", FaultDefinitionError)
             lib.templates[name_tok.text] = FaultTemplate(name_tok.text, tuple(params), applies_to, effect)
         elif ts.accept_word("dynamics"):
             name_tok = ts.expect_ident("dynamics name")
             ts.expect(":=")
             constraint = parse_expr(ts)
             ts.expect(";")
-            if name_tok.text in lib.dynamics and lib.dynamics[name_tok.text].builtin:
+            if name_tok.text in builtin_dynamics:
                 raise ts.error(name_tok, f"cannot redefine built-in dynamics {name_tok.text!r}", FaultDefinitionError)
             for node in walk(constraint):
                 if isinstance(node, Name) and node.name not in ("mode", "nominal", "faulty"):
@@ -201,10 +211,13 @@ def load_fault_library(text: str = "", filename: str = "<flib>") -> FaultLibrary
                                    f"found {node.name!r}", FaultDefinitionError)
                 if isinstance(node, Next) and node.name != "mode":
                     raise ts.error(node, "dynamics may only apply next() to 'mode'", FaultDefinitionError)
+            try:
+                type_check(SymbolicModel("dynamics", (("mode", _MODE_TYPE),), (), (), (constraint,), ()), filename)
+            except TypeError_ as exc:
+                raise FaultDefinitionError(exc.diagnostics) from None
             lib.dynamics[name_tok.text] = DynamicsTemplate(name_tok.text, constraint)
         else:
             ts.fail(f"expected 'template' or 'dynamics', found {ts.cur.text!r}")
-    return lib
 
 
 def _parse_param(ts: TokenStream) -> TemplateParam:
@@ -214,17 +227,6 @@ def _parse_param(ts: TokenStream) -> TemplateParam:
     if kind_tok.text not in ("value", "expr"):
         ts.fail(f"parameter kind must be 'value' or 'expr', got {kind_tok.text!r}")
     return TemplateParam(p.text, kind_tok.text)
-
-
-def _validate_template(ts: TokenStream, name_tok: Token, params: list[TemplateParam], effect: Expr,
-                       lib: FaultLibrary):
-    if name_tok.text in lib.templates and lib.templates[name_tok.text].builtin:
-        raise ts.error(name_tok, f"cannot redefine built-in template {name_tok.text!r}", FaultDefinitionError)
-    if len({p.name for p in params}) != len(params):
-        raise ts.error(name_tok, "duplicate template parameter", FaultDefinitionError)
-    for node in walk(effect):
-        if isinstance(node, Next):
-            raise ts.error(node, "template effects are current-state expressions", FaultDefinitionError)
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +279,14 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
 # ---------------------------------------------------------------------------
 # Model extension
 
-_MODE_TYPE = EnumType(("nominal", "faulty"))
-
-
 def _fresh(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _applicable(kind: str, ty) -> bool:
-    if kind == "any":
-        return True
-    if kind == "boolean":
-        return isinstance(ty, BoolType)
-    if kind == "int":
-        return isinstance(ty, IntRangeType)
-    if kind == "enum":
-        return isinstance(ty, EnumType)
-    return False
+    """``base``, or ``base`` with the first free suffix from 2 on; the name
+    returned is added to ``taken``."""
+    name, i = base, 2
+    while name in taken:
+        name, i = f"{base}{i}", i + 1
+    taken.add(name)
+    return name
 
 
 def extend_model(nominal: TypedModel, library: FaultLibrary,
@@ -339,7 +327,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
         dyn = library.dynamics.get(ins.dynamics)
         if dyn is None:
             raise ins.error(f"unknown dynamics {ins.dynamics!r}")
-        if not _applicable(template.applies_to, target_ty):
+        if not isinstance(target_ty, KINDS[template.applies_to]):
             raise ins.error(f"template {ins.template!r} does not apply to {ins.target!r} of type {target_ty}")
         if len(ins.args) != len(template.params):
             raise ins.error(f"template {ins.template!r} takes {len(template.params)} argument(s), "
@@ -350,7 +338,6 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
 
         # (a) displace the defining occurrence of the target
         carrier = _fresh(f"{ins.target}#nominal", taken)
-        taken.add(carrier)
         if ins.target in var_names:
             idx = var_names[ins.target]
             variables[idx] = (carrier, target_ty)
@@ -373,7 +360,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
             trans.append(dyn_constraint)
 
         # (c) the faulty wrap
-        effect = _instantiate_effect(template, ins, carrier, target_ty, variables, init, trans, taken)
+        effect = _instantiate_effect(template, ins, carrier, mode_var, target_ty, variables, init, trans, taken)
         wrap = Ite(BinOp("=", Name(mode_var), Name("faulty")), effect, Name(carrier))
         defines.append((ins.target, wrap))
 
@@ -394,37 +381,33 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
     return ExtendedModel(typed, events)
 
 
-def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carrier: str,
+def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carrier: str, mode_var: str,
                         target_ty, variables: list, init: list, trans: list, taken: set[str]) -> Expr:
-    if template.name == "random" and template.builtin:
+    if template.effect is not None:
+        binding = {p.name: a for p, a in zip(template.params, ins.args)}
+        binding["nominal"] = Name(carrier)
+        return substitute(template.effect, binding)
+    if template.name == "random":
         if isinstance(target_ty, IntType):
             raise ins.error(f"random needs a target with a finite domain; {ins.target!r} has type {target_ty}")
         rnd = _fresh(f"choice#{ins.event}", taken)
-        taken.add(rnd)
         variables.append((rnd, target_ty))  # unconstrained: a fresh value every step
         return Name(rnd)
-    if template.name == "ramp_down" and template.builtin:
-        if not isinstance(target_ty, IntRangeType):
-            raise ins.error("ramp_down applies to bounded integers")
-        step = ins.args[0]
-        if not isinstance(step, IntConst) or step.value <= 0:
-            raise ins.error("ramp_down step must be a positive integer")
-        span = target_ty.hi - target_ty.lo
-        drop = _fresh(f"drop#{ins.event}", taken)
-        taken.add(drop)
-        variables.append((drop, IntRangeType(0, span)))
-        init.append(BinOp("=", Name(drop), IntConst(0)))
-        mode_var = f"mode#{ins.event}"
-        # the drop accumulates while faulty and saturates once it pins the
-        # effect to the lower bound; it never resets
-        inc = BinOp("+", Name(drop), IntConst(step.value))
-        trans.append(BinOp(
-            "=", Next(drop),
-            Ite(BinOp("=", Next(mode_var), Name("faulty")),
-                Ite(BinOp(">", inc, IntConst(span)), IntConst(span), inc),
-                Name(drop))))
-        diff = BinOp("-", Name(carrier), Name(drop))
-        return Ite(BinOp("<", diff, IntConst(target_ty.lo)), IntConst(target_ty.lo), diff)
-    binding = {p.name: a for p, a in zip(template.params, ins.args)}
-    binding["nominal"] = Name(carrier)
-    return substitute(template.effect, binding)
+    # ramp_down, on a bounded integer: `for int` admits nothing else
+    step = ins.args[0]
+    if not isinstance(step, IntConst) or step.value <= 0:
+        raise ins.error("ramp_down step must be a positive integer")
+    span = target_ty.hi - target_ty.lo
+    drop = _fresh(f"drop#{ins.event}", taken)
+    variables.append((drop, IntRangeType(0, span)))
+    init.append(BinOp("=", Name(drop), IntConst(0)))
+    # the drop accumulates while faulty and saturates once it pins the
+    # effect to the lower bound; it never resets
+    inc = BinOp("+", Name(drop), IntConst(step.value))
+    trans.append(BinOp(
+        "=", Next(drop),
+        Ite(BinOp("=", Next(mode_var), Name("faulty")),
+            Ite(BinOp(">", inc, IntConst(span)), IntConst(span), inc),
+            Name(drop))))
+    diff = BinOp("-", Name(carrier), Name(drop))
+    return Ite(BinOp("<", diff, IntConst(target_ty.lo)), IntConst(target_ty.lo), diff)

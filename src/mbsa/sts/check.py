@@ -72,10 +72,6 @@ class TypedModel:
         self.enum_literals = {} if enum_literals is None else enum_literals
         self._engines: dict = {}
 
-    @property
-    def name(self) -> str:
-        return self.model.name
-
     def var_names(self) -> list[str]:
         return self.model.var_names()
 

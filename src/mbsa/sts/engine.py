@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
-from mbsa.sts.model import BinOp, BoolConst, BoolType, Expr, Name, Next, UnOp, conjuncts, walk
+from mbsa.sts.model import BinOp, BoolConst, Expr, Name, Next, UnOp, conjuncts, walk
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -194,13 +194,10 @@ class Engine:
                     rhs = c.left
             elif nxt and isinstance(c, Next):
                 var, rhs = c.name, BoolConst(True)
-            elif not nxt and isinstance(c, Name) and c.name in tm.var_index and isinstance(tm.var_types[tm.var_index[c.name]], BoolType):
+            elif not nxt and isinstance(c, Name) and c.name in tm.var_index:
                 var, rhs = c.name, BoolConst(True)
             elif isinstance(c, UnOp) and c.op == "!":
-                inner = c.operand
-                v = target_of(inner) if isinstance(inner, (Next, Name)) else None
-                if v is not None and isinstance(tm.var_types[tm.var_index[v]], BoolType):
-                    var, rhs = v, BoolConst(False)
+                var, rhs = target_of(c.operand), BoolConst(False)
             if var is None or var in candidates:
                 checks.append(c)
             else:

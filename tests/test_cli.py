@@ -179,7 +179,14 @@ def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
     ('<failure id="G1_Off" />', '<failure />', "<failure> lacks the attribute 'id'"),
     *((f' {a}="{v}"', "", f"<edge> lacks the attribute {a!r}")
       for a, v in (("src", "B1_DEAD"), ("dst", "S1_NO"), ("tmin", "0"), ("tmax", "1"), ("modes", "P S1"))),
-], ids=["tmin", "tmax", "duplicate-node", "mode-name", "node-id", "src", "dst", "edge-tmin", "edge-tmax", "modes"])
+    ('<mode name="P" />', '<mode name=P />', "malformed XML: not well-formed (invalid token): line 3, column 15"),
+    ("<tfpg>", '<tfpg xmlns="urn:x">', "expected <tfpg> document, found <{urn:x}tfpg>"),
+    ('semantics="and"', 'semantics="xor"', "discrepancy 'Sys_DEAD' has unknown semantics 'xor'"),
+    ('<failure id="G1_Off" />', '<sensor id="G1_Off" />', "unexpected node element <sensor>"),
+    ('tmin="5"', 'tmin="-1"', "edge B1_LOW->B1_DEAD has negative tmin"),
+    ('modes="*"', 'modes=""', "edge G1_Off->G1_DEAD has an empty mode set"),
+], ids=["tmin", "tmax", "duplicate-node", "mode-name", "node-id", "src", "dst", "edge-tmin", "edge-tmax", "modes",
+        "malformed", "root-element", "semantics", "node-element", "negative-tmin", "empty-modes"])
 @pytest.mark.parametrize("command", [("convert",), ("check", "--model", MODEL, "--fei", FEI, "--bind", BIND)],
                          ids=["convert", "check"])
 def test_bad_tfpg_xml_exits_2(tmp_path, capsys, old, new, message, command):
@@ -223,6 +230,17 @@ def test_mistyped_template_effect_is_reported_at_its_instruction(tmp_path, capsy
     assert capsys.readouterr().err == f"{tmp_path / 'm.fei'}:1:7: error: {message} (event e0)\n"
 
 
+def test_ill_typed_dynamics_is_reported_in_the_library(tmp_path, capsys):
+    # it was reported at the instruction, as a type error of its template
+    (tmp_path / "m.smx").write_text("MODULE m VAR x : boolean; INIT !x; TRANS next(x) = x;")
+    (tmp_path / "m.flib").write_text("dynamics bad := mode;\n")
+    (tmp_path / "m.fei").write_text("fault e: target x, template stuck_at(FALSE), dynamics bad, prob 0.1;")
+    assert run("extend", "--model", str(tmp_path / "m.smx"), "--flib", str(tmp_path / "m.flib"),
+               "--fei", str(tmp_path / "m.fei"), "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (f"{tmp_path / 'm.flib'}:1:17: error: "
+                                       "TRANS constraint must be boolean, got {nominal, faulty}\n")
+
+
 @pytest.mark.parametrize("fei, cca, where, message", [
     ("fault e1: target z, template inverted, dynamics permanent, prob 0.1;", "", "fei:2:7",
      "unknown extension target 'z' (event e1)"),
@@ -236,10 +254,17 @@ def test_mistyped_template_effect_is_reported_at_its_instruction(tmp_path, capsy
      "common cause 'c2' references unknown event 'e7'"),
     (None, "cc c2: members {e1, e0}, pattern simultaneous, prob 0.1;", "cca:2:4",
      "event 'e0' is governed by both 'c1' and 'c2'; overlapping common causes are rejected"),
-], ids=["target", "template", "dynamics", "arguments", "member", "overlap"])
+    ("fault e1: target y, template stuck_at(!x), dynamics permanent, prob 0.1;", "", "fei:2:7",
+     "argument for value parameter 'v' must be a literal (event e1)"),
+    ("fault e1: target n, template ramp_down(0), dynamics permanent, prob 0.1;", "", "fei:2:7",
+     "ramp_down step must be a positive integer (event e1)"),
+    (None, "cc e1: members {e8, e9}, pattern simultaneous, prob 0.1;", "cca:2:4",
+     "common cause id 'e1' clashes with a registered event"),
+], ids=["target", "template", "dynamics", "arguments", "member", "overlap", "value-argument", "ramp-step",
+        "cause-id"])
 def test_extension_and_weaving_errors_give_the_instruction_position(tmp_path, capsys, fei, cca, where, message):
     # each was reported at <input>:0:0
-    (tmp_path / "m.smx").write_text("MODULE m VAR x : boolean; y : boolean; INIT !x & !y; "
+    (tmp_path / "m.smx").write_text("MODULE m VAR x : boolean; y : boolean; n : 0..3; INIT !x & !y; "
                                     "TRANS next(x) = x & next(y) = y;")
     (tmp_path / "m.fei").write_text("fault e0: target x, template inverted, dynamics permanent, prob 0.1;\n"
                                     + (fei or "fault e1: target y, template inverted, dynamics permanent, prob 0.1;"))
@@ -380,6 +405,35 @@ def test_empty_format_list_exits_2(tmp_path, capsys, formats):
     assert not list(tmp_path.iterdir())
 
 
+def test_unknown_format_exits_2(tmp_path, capsys):
+    assert run("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--formats", "tsv,bogus",
+               "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "<input>:0:0: error: unknown format 'bogus' (expected one of tsv, xml)\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("mcs", "a top-level event is required (--tle)"),
+    ("fmea", "a property file is required (--props)"),
+])
+def test_missing_required_input_exits_2(tmp_path, capsys, command, message):
+    assert run(command, "--model", MODEL, "--fei", FEI, "--out-dir", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"<input>:0:0: error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("failure G1_Off : G1_Off;", "or G1_Off : !gen1;", "node 'G1_Off' bound as 'or' but declared 'failure'"),
+    ("mode S2 : mode = S2;", "", "mode 'S2' has no binding"),
+], ids=["kind", "mode"])
+def test_binding_not_total_exits_2(tmp_path, capsys, old, new, message):
+    bind = _edited_bind(tmp_path, old, new)
+    assert run("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", TFPG, "--bind", bind,
+               "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"<input>:0:0: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_tfpg_convert_round_trip(tmp_path):
     xml = tmp_path / "g.xml"
     back = tmp_path / "g.tfpg"
@@ -458,6 +512,12 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line):
     assert run("mcs", "--config", config) == 2
     err = capsys.readouterr().err
     assert err.startswith(config + ":") and repr(line.split(" = ")[1]) in err
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    config = _conf(tmp_path, "max-card 3")
+    assert run("mcs", "--config", config) == 2
+    assert capsys.readouterr().err == f"{config}:5:0: error: expected 'key = value'\n"
 
 
 def _fmea_conf(tmp_path, dynamic):

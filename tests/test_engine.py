@@ -40,6 +40,18 @@ def test_successors_unconstrained_boolean():
     assert len(succ) == 2 and {s["v"] for s in succ} == {False, True}
 
 
+def test_assignment_with_next_on_the_right():
+    # `x = next(y)` and `1 = next(n)` assign y and n as `next(y) = x` would
+    tm = _tm("MODULE m VAR x : boolean; y : boolean; n : 0..2; INIT !x & n = 0; "
+             "TRANS x = next(y) & 1 = next(n) & next(x) = !x;")
+    eng = Engine(tm)
+    assert [tm.var_names()[i] for i, _, _ in eng._trans_assign] == ["x", "y", "n"]
+    states = reachable_tuples(eng)
+    assert len(states) == 4
+    for s in states:
+        assert eng.succ_tuples(s) == _naive_successors(eng, s)
+
+
 def test_out_of_range_next_is_deadlock():
     tm = _tm(COUNTER)
     assert successors(tm, {"x": 3}) == []

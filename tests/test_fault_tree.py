@@ -295,6 +295,12 @@ def test_missing_probability():
         evaluate_probability(ft, _pa())
 
 
+def test_probability_outside_unit_interval():
+    ft = build_fault_tree(_result([{"fa"}]))
+    with pytest.raises(FaultTreeError, match=r"^probability of 'fa' outside \[0,1\]$"):
+        evaluate_probability(ft, _pa(fa="1.5"))
+
+
 def test_rare_event_approximation_upper_bounds():
     ft = build_fault_tree(_result([{"fa"}, {"fb"}]))
     pa = _pa(fa="0.5", fb="0.5")
@@ -357,6 +363,13 @@ def test_single_event_tree_has_two_tsv_rows():
     assert rows[1] == "fa\tevent\t0.1\tfa"
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "xml"])
+def test_export_with_probabilities_needs_every_probability(fmt):
+    ft = build_fault_tree(_result([{"fa"}]))
+    with pytest.raises(FaultTreeError, match="^basic event 'fa' has no probability to export$"):
+        export_ft(ft, fmt, with_probabilities=True)
+
+
 def test_xml_round_trip_fixpoint():
     ft = build_fault_tree(_result([{"fc"}, {"fa", "fb"}]), probabilities={
         "fa": Fraction("0.1"), "fb": Fraction("0.2"), "fc": Fraction("0.001")})
@@ -405,6 +418,19 @@ def test_xml_unknown_gate_element_is_rejected():
 def test_xml_probability_outside_unit_interval_is_rejected():
     with pytest.raises(FaultTreeError, match=r"basic event 'a' has probability 2 outside \[0,1\]"):
         ft_from_xml(_xml(TOP, '<basic-event id="a" probability="2"/>'))
+
+
+@pytest.mark.parametrize("xml, message", [
+    ('<tree root="top"/>', "expected <fault-tree> document, found <tree>"),
+    (_xml('<gate id="top" kind="or"/>', "<note/>"), "unexpected element <note> in fault tree"),
+    (_xml('<gate id="top" kind="xor"/>'), "unknown gate kind 'xor'"),
+    (_xml('<gate id="g" kind="or"/>'), "root node 'top' is not declared"),
+    (_xml('<gate id="top" kind="or"><child ref="b"/></gate>'), "gate 'top' references undeclared child 'b'"),
+], ids=["root-element", "top-level-element", "gate-kind", "undeclared-root", "undeclared-child"])
+def test_xml_structure_errors_are_rejected(xml, message):
+    with pytest.raises(FaultTreeError) as info:
+        ft_from_xml(xml)
+    assert str(info.value) == message
 
 
 def test_xml_childless_gate_loads():

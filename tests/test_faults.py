@@ -4,6 +4,8 @@ import pytest
 
 from mbsa.cli import _registry_json
 from mbsa.faults import (
+    BUILTIN_LIBRARY,
+    KINDS,
     ExtensionError,
     FaultDefinitionError,
     extend_model,
@@ -11,7 +13,7 @@ from mbsa.faults import (
     parse_fei,
 )
 from mbsa.sts.check import type_check
-from mbsa.sts.model import IntRangeType
+from mbsa.sts.model import BinOp, BoolConst, IntRangeType, Ite, Name, Next, UnOp, walk
 from mbsa.sts.engine import Engine
 from mbsa.sts.parse import parse_model
 from mbsa.sts.pretty import print_model
@@ -23,6 +25,7 @@ from random_models import random_extend_cases
 # checker and the common-cause weaving were rewritten
 EXTEND_CASES = Path(__file__).resolve().parent / "goldens" / "extend_cases"
 EXTENDED = list(random_extend_cases())
+FEI_DOC = Path(__file__).resolve().parent.parent / "docs" / "fei-language.md"
 
 
 def _tm(text):
@@ -35,6 +38,55 @@ def test_builtin_library():
     lib = load_fault_library()
     assert sorted(lib.templates) == ["conditional", "inverted", "ramp_down", "random", "stuck_at"]
     assert sorted(lib.dynamics) == ["permanent", "sporadic", "transient"]
+
+
+def test_builtin_definitions():
+    lib = load_fault_library()
+    mode, faulty, nominal = Name("mode"), Name("faulty"), Name("nominal")
+    templates = {n: (tuple((p.name, p.kind) for p in t.params), t.applies_to, t.effect)
+                 for n, t in lib.templates.items()}
+    assert templates == {
+        "stuck_at": ((("v", "value"),), "any", Name("v")),
+        "inverted": ((), "boolean", UnOp("!", nominal)),
+        "random": ((), "any", None),
+        "conditional": ((("guard", "expr"), ("effect", "expr")), "any", Ite(Name("guard"), Name("effect"), nominal)),
+        "ramp_down": ((("step", "value"),), "int", None),
+    }
+    assert {n: d.constraint for n, d in lib.dynamics.items()} == {
+        "permanent": BinOp("->", BinOp("=", mode, faulty), BinOp("=", Next("mode"), faulty)),
+        "sporadic": BoolConst(True),
+        "transient": BinOp("->", BinOp("=", mode, faulty), BinOp("=", Next("mode"), nominal)),
+    }
+
+
+def test_libraries_share_no_expression_node():
+    def nodes(lib):
+        roots = [t.effect for t in lib.templates.values() if t.effect is not None]
+        return {id(n) for e in roots + [d.constraint for d in lib.dynamics.values()] for n in walk(e)}
+
+    first, second = load_fault_library(), load_fault_library()
+    assert not nodes(first) & nodes(second)
+
+
+def _doc_table(text, heading):
+    """First-column names of the markdown table whose header starts with ``heading``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {heading} "))
+    names = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return names
+        names.append(line.split("|")[1].strip().strip("`").split("(")[0])
+    return names
+
+
+def test_documented_builtins_are_the_library_builtins():
+    doc = FEI_DOC.read_text()
+    lib = load_fault_library()
+    assert sorted(_doc_table(doc, "Template")) == sorted(lib.templates)
+    assert sorted(_doc_table(doc, "Dynamics")) == sorted(lib.dynamics)
+    assert _doc_table(doc, "Kind") == list(KINDS)
+    assert f"```\n{BUILTIN_LIBRARY}```\n" in doc
 
 
 def test_user_template_merges():
@@ -269,6 +321,35 @@ def test_define_target_extension():
                                  "dynamics permanent, prob 0.01;")
     names = xm.model.define_names()
     assert "out#nominal" in names and "out" in names
+
+
+SET_TESTS = """MODULE m
+VAR x : 0..3; y : boolean;
+INIT x in {0, 1};
+INVAR x in {0, 1, 2};
+TRANS next(x) in {0, 1, 2} & (x in {2} -> next(x) = 0);
+TRANS next(y) = (x in {1});
+"""
+
+
+def test_target_read_in_a_set_test():
+    # INIT and INVAR set tests and next(x) move to the carrier; the current
+    # reads in TRANS keep observing the wrap
+    xm = build_extended(SET_TESTS, "fault e: target x, template stuck_at(3), dynamics permanent, prob 0.1;")
+    assert print_model(xm.model) == """MODULE m
+VAR
+  x#nominal : 0..3;
+  y : boolean;
+  mode#e : {nominal, faulty};
+DEFINE
+  x := mode#e = faulty ? 3 : x#nominal;
+INIT x#nominal in {0, 1};
+INIT mode#e = nominal;
+TRANS next(x#nominal) in {0, 1, 2} & (x in {2} -> next(x#nominal) = 0);
+TRANS next(y) = (x in {1});
+TRANS mode#e = faulty -> next(mode#e) = faulty;
+INVAR x#nominal in {0, 1, 2};
+"""
 
 
 def test_unknown_target_template_dynamics():

@@ -82,6 +82,7 @@ CASES = {
     "tfpg_inf": ("tfpg", GRAPH + "edge F -> D [0,inf] {P};\n"),
     "tfpg_duplicate_node": ("tfpg", GRAPH + "and F;\n"),
     "tfpg_unknown_word": ("tfpg", GRAPH + "node X;\n"),
+    "tfpg_duplicate_mode": ("tfpg", "modes P, P;\nfailure F;\n"),
     "bind_duplicate_node": ("bind", "failure G1_Off : G1_Off;\nor G1_Off : !gen1;\n"),
     "bind_unknown_event": ("bind", "failure G1_Off : G9_Off;\n"),
     "bind_duplicate_mode": ("bind", "mode P : mode = P;\n  mode P : mode = S1;\n"),
@@ -91,6 +92,7 @@ CASES = {
     "smx_duplicate": ("smx", "MODULE m\nVAR x : boolean;\nDEFINE\n  x := TRUE;\n"),
     "smx_unknown_section": ("smx", "MODULE m\nVAR x : boolean;\n  TRUE;\n"),
     "smx_assign_section": ("smx", "MODULE m\nVAR x : boolean;\nASSIGN x := TRUE;\n"),
+    "smx_duplicate_literal": ("smx", "MODULE m\nVAR x : {a, b, a};\n"),
     "flib_missing_for": ("flib", "template t(v : value) int := v;\n"),
     "flib_bad_applicability": ("flib", "template t for real := nominal;\n"),
     "flib_for_boolean": ("flib", "template t for boolean := !nominal;\n"),
@@ -98,6 +100,7 @@ CASES = {
     "flib_redefine_dynamics": ("flib", "dynamics permanent := TRUE;\n"),
     "flib_dynamics_name": ("flib", "dynamics d := mode = faulty -> next(mode) = broken;\n"),
     "flib_dynamics_next": ("flib", "dynamics d :=\n  next(nominal) = faulty;\n"),
+    "flib_dynamics_not_boolean": ("flib", "dynamics d := mode;\n"),
     "flib_next_in_effect": ("flib", "template t for any := next(nominal);\n"),
     "flib_duplicate_parameter": ("flib", "template t(a : value, a : expr) for any := a;\n"),
     "flib_parameter_kind": ("flib", "template t(a : int) for any := a;\n"),

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from mbsa.tfpg import Tfpg, TfpgEdge, admits
 from mbsa.tfpg.activation import ActivationTrace
 from mbsa.tfpg.validate import AdmissionMonitor
@@ -38,6 +40,13 @@ def test_empty_activation_admitted():
     at = _at(g, {})
     assert admits(g, at).ok
     assert admits_by_search(g, at)
+
+
+def test_unknown_mode_literal_is_rejected():
+    g = full_scale_graph()
+    with pytest.raises(ValueError) as info:
+        admits(g, _at(g, {}, length=2, modes=("P", "X")))
+    assert str(info.value) == "activation trace uses unknown mode literals ['X']"
 
 
 def test_cross_propagation_after_mode_switch():
