@@ -14,6 +14,18 @@ The library is organized around a small pipeline:
 * ``mbsa.tfpg`` -- timed failure propagation graphs: formats, trace
   admission, behavioral validation, structure synthesis.
 * ``mbsa.cli`` -- batch command-line front end.
+
+Every run is a fresh process, so imports are part of every run's cost.
+Importing ``mbsa.fault_tree``, ``mbsa.probability``, ``mbsa.analysis``,
+``mbsa.cca`` or ``mbsa.sts.model`` loads no model-checking layer (the
+``mbsa.sts`` parser, checker, engine and printer, or ``mbsa.faults``): a
+probability stage that starts from cut sets never compiles them.  ``analysis``
+and ``cca`` import those layers inside the functions that need them.
+Importing ``faults`` loads the parser and checker, and importing ``fmea`` or
+``tfpg`` loads the engine too.  ``mbsa.cli`` still imports every layer when it
+is imported, because the benchmark's layer tracer wraps only the functions of
+modules already loaded at that point: a layer loaded later would be reported
+as never called.
 """
 
 __version__ = "0.1.0"

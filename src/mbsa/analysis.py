@@ -17,10 +17,12 @@ from __future__ import annotations
 import itertools
 from xml.etree import ElementTree as ET
 
-from mbsa.sts.engine import StateStore, Trace, _engine, breadth_first
 from mbsa.sts.model import Expr
-from mbsa.sts.pretty import print_expr
-from mbsa.faults import ExtendedModel
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from mbsa.faults import ExtendedModel
+    from mbsa.sts.engine import Trace
 
 
 class CutSetResult:
@@ -64,6 +66,10 @@ class Analyzer:
     """
 
     def __init__(self, xm: ExtendedModel, cap: int | None = None):
+        # the engine is imported on first use, not at the top: the fault-tree
+        # and probability layers import this module for its records only
+        from mbsa.sts.engine import _engine
+
         self.xm = xm
         self.events = sorted(xm.events)
         self.full = (1 << len(self.events)) - 1
@@ -134,6 +140,8 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
 def witness(xm: ExtendedModel, events: frozenset[str], tle: Expr,
             step_bound: int | None = None, cap: int | None = None) -> Trace | None:
     """A replayable trace reaching the TLE with only ``events`` occurring."""
+    from mbsa.sts.engine import Trace
+
     ana = Analyzer(xm, cap)
     target_fn = ana.engine.compile(xm.typed.check_predicate(tle))
     path = ana.explains(events, target_fn, step_bound)
@@ -157,6 +165,8 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
                           step_bound: int | None = None, cap: int | None = None) -> list[CutSequence]:
     """For each cut set, the total orders realizable as first-occurrence orders
     of some witness trace (with only that cut set's events allowed)."""
+    from mbsa.sts.engine import Trace
+
     ana = Analyzer(xm, cap)
     target = ana.engine.compile_mask([xm.typed.check_predicate(tle)])
     out: list[CutSequence] = []
@@ -183,6 +193,8 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: i
     name tuples and the witness path of states.  A key whose partition holds
     all of ``base`` and no longer waits for a wanted target is not expanded:
     the keys below it carry the same partition."""
+    from mbsa.sts.engine import StateStore, breadth_first
+
     want = ana.mask(base)
     store = StateStore(ana.engine, ana.label, ana.full ^ want)
     labels, states = store.labels, store.states
@@ -225,6 +237,8 @@ def cutsets_to_tsv(result: CutSetResult) -> str:
 
 
 def cutsets_to_xml(result: CutSetResult) -> str:
+    from mbsa.sts.pretty import print_expr
+
     root = ET.Element("cut-sets")
     root.set("tle", print_expr(result.tle))
     root.set("max-card", str(result.max_card))

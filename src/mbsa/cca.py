@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
-from mbsa.faults import EventInfo, ExtendedModel
-from mbsa.sts.check import TypeError_, type_check
 from mbsa.sts.model import (
     BinOp,
     BoolType,
@@ -30,7 +28,11 @@ from mbsa.sts.model import (
     SymbolicModel,
     UnOp,
 )
-from mbsa.sts.parse import TokenStream, tokenize
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from mbsa.faults import ExtendedModel
+    from mbsa.sts.parse import TokenStream
 
 
 class CcaError(InputError):
@@ -78,6 +80,10 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
     Member resolution against an extended model is deferred to
     :func:`apply_cca`.
     """
+    # the reader, extension and checker are imported on use, not at the top:
+    # the probability stage imports this module for its records only
+    from mbsa.sts.parse import TokenStream, tokenize
+
     ts = TokenStream(tokenize(text, filename), filename)
     out: list[CommonCauseSpec] = []
     seen: set[str] = set()
@@ -147,6 +153,9 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
     """
     if not specs:
         return xm
+    from mbsa.faults import EventInfo, ExtendedModel
+    from mbsa.sts.check import TypeError_, type_check
+
     governed: dict[str, str] = {}
     ids: set[str] = set()
     for spec in specs:

@@ -351,8 +351,10 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
 
         # (b) mode variable with the requested dynamics
         mode_var = f"mode#{ins.event}"
-        if mode_var in taken:
+        if ins.event in events:
             raise ins.error("duplicate event name")
+        if mode_var in taken:
+            raise ins.error(f"{mode_var!r}, the mode variable of this event, is already declared")
         variables.append((mode_var, _MODE_TYPE))
         init.append(BinOp("=", Name(mode_var), Name("nominal")))
         dyn_constraint = substitute(dyn.constraint, {"mode": Name(mode_var)}, {"mode": mode_var})

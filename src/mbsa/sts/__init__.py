@@ -1,50 +1,30 @@
-"""Finite-state synchronous transition systems: language, checker, engine."""
+"""Finite-state synchronous transition systems: language, checker, engine.
 
-from mbsa.sts.model import (
-    BoolType,
-    EnumType,
-    IntRangeType,
-    Expr,
-    BoolConst,
-    IntConst,
-    Name,
-    Next,
-    UnOp,
-    BinOp,
-    Ite,
-    InSet,
-    SymbolicModel,
-)
-from mbsa.sts.parse import parse_model, parse_expr_text, ParseError
-from mbsa.sts.check import type_check, TypedModel, TypeError_
-from mbsa.sts.engine import initial_states, successors, reach, Trace, replay_ok
-from mbsa.sts.pretty import print_model, print_expr
+The names below are re-exported from their home submodules on first access
+(PEP 562), so importing one submodule -- ``mbsa.sts.model`` for the fault-tree
+and probability layers -- does not compile the parser, checker, engine and
+printer as well.
+"""
 
-__all__ = [
-    "BoolType",
-    "EnumType",
-    "IntRangeType",
-    "Expr",
-    "BoolConst",
-    "IntConst",
-    "Name",
-    "Next",
-    "UnOp",
-    "BinOp",
-    "Ite",
-    "InSet",
-    "SymbolicModel",
-    "parse_model",
-    "parse_expr_text",
-    "ParseError",
-    "type_check",
-    "TypedModel",
-    "TypeError_",
-    "initial_states",
-    "successors",
-    "reach",
-    "Trace",
-    "replay_ok",
-    "print_model",
-    "print_expr",
-]
+import importlib
+
+# re-exported name -> its home submodule
+_HOME = {name: f"mbsa.sts.{module}" for module, names in {
+    "model": ("BoolType", "EnumType", "IntRangeType", "Expr", "BoolConst", "IntConst", "Name", "Next", "UnOp",
+              "BinOp", "Ite", "InSet", "SymbolicModel"),
+    "parse": ("parse_model", "parse_expr_text", "ParseError"),
+    "check": ("type_check", "TypedModel", "TypeError_"),
+    "engine": ("initial_states", "successors", "reach", "Trace", "replay_ok"),
+    "pretty": ("print_model", "print_expr"),
+}.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -1,6 +1,7 @@
 """Diagnostics of the seven input readers, pinned against a golden.
 
-Each case is one input file in one language.  It runs through the CLI (exit
+Each case is one input file in one language ("extension" is the fault
+extension of an FEI file against a fixed model).  It runs through the CLI (exit
 code and stderr lines) and through the reader's library function (exception
 class and positioned diagnostics); both must match
 ``goldens/reader_diagnostics.json``.  A case that the reader accepts records
@@ -31,6 +32,11 @@ def _fixture_model():
     return build_extended(Path(MODEL).read_text(), Path(FEI).read_text())
 
 
+# the model of the "extension" cases, written next to each case file: it
+# already declares the mode variable that a fault named e would add
+MODE_CLASH_SMX = "MODULE m\nVAR\n  x : boolean;\n  mode#e : boolean;\n"
+
+
 def _props(text, path):
     # the props reader lives in the fmea command; run the command without main's handlers
     args = build_parser().parse_args(LANGUAGES["props"][1](path))
@@ -40,6 +46,8 @@ def _props(text, path):
 # language -> (file name, CLI argv for that file, library reader of (text, file name))
 LANGUAGES = {
     "fei": ("bad.fei", lambda f: ["extend", "--model", MODEL, "--fei", f, "--out-dir", "out"], parse_fei),
+    "extension": ("bad.fei", lambda f: ["extend", "--model", "clash.smx", "--fei", f, "--out-dir", "out"],
+                  lambda text, f: build_extended(MODE_CLASH_SMX, text)),
     "cca": ("bad.cca", lambda f: ["extend", "--model", MODEL, "--fei", FEI, "--cca", f, "--out-dir", "out"],
             parse_cca),
     "tfpg": ("bad.tfpg", lambda f: ["tfpg", "convert", f, "out.tfpg"], parse_tfpg),
@@ -66,6 +74,8 @@ CASES = {
                                    "dynamics permanent, prob 1e-3;\n"),
     "fei_duplicate_event": ("fei", FAULT + FAULT.replace("gen1", "gen2")),
     "fei_missing_word": ("fei", "fault G1_Off: gen1;\n"),
+    "extension_mode_variable_declared": ("extension", "fault e: target x, template stuck_at(TRUE), "
+                                                      "dynamics permanent, prob 0.1;\n"),
     "cca_prob_not_literal": ("cca", CC + "simultaneous,\n  prob x;\n"),
     "cca_prob_outside": ("cca", CC + "simultaneous, prob 1.5;\n"),
     "cca_window_lower": ("cca", CC + "cascading (G1_Off: [x,2]), prob 0.1;\n"),
@@ -116,6 +126,7 @@ def observe(case: str, directory: Path, capsys) -> dict:
     language, text = CASES[case]
     name, argv, read = LANGUAGES[language]
     (directory / name).write_text(text)
+    (directory / "clash.smx").write_text(MODE_CLASH_SMX)
     capsys.readouterr()
     code = main(argv(name))
     stderr = capsys.readouterr().err.splitlines()

@@ -1,9 +1,15 @@
 """Checks on the source text of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mbsa"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mbsa"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -112,3 +118,52 @@ def test_checker_printer_and_code_generator_name_the_same_binary_operators():
     bound = set(BINDING) - {"?", "in"}
     compiled = set(codegen._BINOPS) | {"->"}
     assert checked == bound == compiled
+
+
+def _loaded_modules(imports: str) -> set[str]:
+    """The ``mbsa`` modules a fresh process has loaded after ``imports``."""
+    code = f"{imports}\nimport sys\nprint('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'mbsa'))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_probability_stage_loads_no_model_checking_layer():
+    # the imports of the benchmark's fault-tree job, which works on cut sets
+    # it reads from files and never parses, checks, explores or extends a model
+    tree = ast.parse((ROOT / "perfbench" / "trees_job.py").read_text(encoding="utf-8"))
+    imports = "\n".join(ast.unparse(node) for node in tree.body
+                        if isinstance(node, ast.Import)
+                        or isinstance(node, ast.ImportFrom) and node.module != "__future__")
+    assert "mbsa.fault_tree" in imports
+    checker = {"mbsa.sts.parse", "mbsa.sts.check", "mbsa.sts.engine", "mbsa.sts.pretty", "mbsa.sts.codegen",
+               "mbsa.faults"}
+    assert _loaded_modules(imports) & checker == set()
+
+
+def test_the_cli_loads_every_layer_the_tracer_wraps():
+    # the tracer wraps the layers that importing mbsa.cli has loaded: a layer
+    # loaded later, on first use, would be reported as never called
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    tables = {target.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED")}
+    wrapped = {module for table in tables.values() for module, _, _ in table}
+    assert set(tables) == {"SPANNED", "COUNTED"} and "mbsa.sts.engine" in wrapped
+    assert wrapped - _loaded_modules("import mbsa.cli") == set()
+
+
+def test_sts_re_exports_the_objects_of_their_home_modules():
+    import importlib
+
+    import mbsa.sts
+
+    for name in mbsa.sts.__all__:
+        home = importlib.import_module(mbsa.sts._HOME[name])
+        assert getattr(mbsa.sts, name) is getattr(home, name), name
+    namespace: dict = {}
+    exec("from mbsa.sts import *", namespace)
+    assert {name: namespace[name] for name in mbsa.sts.__all__} == {
+        name: getattr(mbsa.sts, name) for name in mbsa.sts.__all__}
+    with pytest.raises(AttributeError, match="no attribute 'parse_modle'"):
+        mbsa.sts.parse_modle
