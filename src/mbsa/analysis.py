@@ -15,7 +15,6 @@ query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).
 from __future__ import annotations
 
 import itertools
-from xml.etree import ElementTree as ET
 
 from mbsa.sts.model import Expr
 
@@ -237,6 +236,8 @@ def cutsets_to_tsv(result: CutSetResult) -> str:
 
 
 def cutsets_to_xml(result: CutSetResult) -> str:
+    from xml.etree import ElementTree as ET
+
     from mbsa.sts.pretty import print_expr
 
     root = ET.Element("cut-sets")

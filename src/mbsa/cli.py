@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 negative analysis verdict (an incomplete TFPG),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -134,6 +133,8 @@ def _write(path: Path, text: str):
 
 
 def _registry_json(xm) -> str:
+    import json
+
     payload = {
         "model": xm.model.name,
         "events": [

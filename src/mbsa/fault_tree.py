@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from xml.etree import ElementTree as ET
 
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
@@ -256,6 +255,8 @@ def ft_to_tsv(ft: FaultTree, with_probabilities: bool = False) -> str:
 
 
 def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
+    from xml.etree import ElementTree as ET
+
     root = ET.Element("fault-tree")
     root.set("root", ft.root)
     for nid in _node_order(ft):
@@ -282,6 +283,8 @@ def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
 
 
 def ft_from_xml(text: str) -> FaultTree:
+    from xml.etree import ElementTree as ET
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

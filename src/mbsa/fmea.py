@@ -13,8 +13,6 @@ nonempty candidate asks for every property one of whose cut sets it contains
 
 from __future__ import annotations
 
-from xml.etree import ElementTree as ET
-
 from mbsa.analysis import Analyzer, _interleavings, _sequence_partitions, _sorted_mcs, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
@@ -103,6 +101,8 @@ def fmea_to_tsv(table: FmeaTable) -> str:
 
 
 def fmea_to_xml(table: FmeaTable) -> str:
+    from xml.etree import ElementTree as ET
+
     root = ET.Element("fmea")
     root.set("dynamic", "true" if table.dynamic else "false")
     root.set("max-card", str(table.max_card))

@@ -70,19 +70,22 @@ class Trace:
 
 class StateStore:
     """The states one search has seen: state id ``i`` has the value tuple
-    ``states[i]`` (``ids`` maps it back), the label ``labels[i]`` and, once
-    expanded, the successor ids ``succs[i]`` (the initial ones under None),
-    a tuple built once, at the first expansion."""
+    ``states[i]`` (``ids`` maps it back), the label ``labels[i]`` and the
+    successor ids ``succs[i]``, None until the state is expanded and then a
+    tuple built once, at its first expansion.  ``initial`` holds the ids of
+    the initial states the same way.  Ids follow first-seen order, so the
+    per-id lists need no keys of their own."""
 
-    __slots__ = ("engine", "label_fn", "forbidden", "ids", "states", "labels", "succs")
+    __slots__ = ("engine", "label_fn", "forbidden", "ids", "states", "labels", "succs", "initial")
 
     def __init__(self, engine: Engine, label_fn, forbidden: int = 0):
         self.engine, self.label_fn, self.forbidden = engine, label_fn, forbidden
-        self.ids, self.states, self.labels, self.succs = {}, [], [], {}
+        self.ids, self.states, self.labels, self.succs = {}, [], [], []
+        self.initial = None
 
     def children(self, sid: int | None) -> tuple[int, ...]:
         """The ids of the initial states (``sid`` None) or of the successors of ``sid``."""
-        kids = self.succs.get(sid)
+        kids = self.initial if sid is None else self.succs[sid]
         if kids is None:
             eng, ids, r = self.engine, self.ids, self.forbidden
             row = []
@@ -92,8 +95,13 @@ class StateStore:
                     i = ids[t] = len(self.states)
                     self.states.append(t)
                     self.labels.append(self.label_fn(t))
+                    self.succs.append(None)
                 row.append(i)
-            kids = self.succs[sid] = tuple(row)
+            kids = tuple(row)
+            if sid is None:
+                self.initial = kids
+            else:
+                self.succs[sid] = kids
         return kids
 
 

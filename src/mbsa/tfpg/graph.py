@@ -8,8 +8,6 @@ ordering (nodes by id, edges by (src, dst)), so output is byte-stable.
 
 from __future__ import annotations
 
-from xml.etree import ElementTree as ET
-
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import Record
 from mbsa.sts.parse import TokenStream, tokenize
@@ -158,6 +156,8 @@ def write_tfpg(g: Tfpg) -> str:
 # XML format
 
 def tfpg_to_xml(g: Tfpg) -> str:
+    from xml.etree import ElementTree as ET
+
     root = ET.Element("tfpg")
     modes_el = ET.SubElement(root, "modes")
     for m in g.modes:
@@ -184,6 +184,8 @@ def tfpg_to_xml(g: Tfpg) -> str:
 
 
 def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
+    from xml.etree import ElementTree as ET
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

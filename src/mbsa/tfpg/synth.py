@@ -58,16 +58,19 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
     node masks over the evaluator's ``node_order``.  Returns that order and
     the per-node instance sets in it.
 
-    With n nodes, the search records an instance as the one int
-    ``A | S << n | L << 2n | k << 3n``, k the mode's index in ``ev.modes``,
-    and decodes these into tuples once it has returned and its states are
-    freed."""
+    With n nodes, the search appends an instance to its node's list as the
+    one int ``A | S << n | L << 2n | k << 3n``, k the mode's index in
+    ``ev.modes``.  A list may hold an instance more than once (it is recorded
+    once per distinct abstract state and observation); a list entry costs a
+    pointer where a set entry costs a hash slot.  Once the search has
+    returned and its states are freed, each list is decoded into a set of
+    tuples, which drops the repeats."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding, engine)
     n = len(ev.node_order)
     discrepancies = [(1 << i, i) for i, v in enumerate(ev.node_order) if binding.kinds[v] != "failure"]
     mode_bits = {m: k << 3 * n for k, m in enumerate(ev.modes)}
-    found: list[set[int]] = [set() for _ in ev.node_order]
+    found: list[list[int]] = [[] for _ in ev.node_order]
 
     def step(state, mask: int, mode: str):
         acted, last = state
@@ -76,7 +79,7 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
             return state, None
         for b, v in discrepancies:
             if newly & b:
-                found[v].add((acted | newly) & ~b | (newly & ~b) << n | last << 2 * n | mode_bits[mode])
+                found[v].append((acted | newly) & ~b | (newly & ~b) << n | last << 2 * n | mode_bits[mode])
         return (acted | newly, newly), None
 
     explore(engine, ev, (0, 0), step, step_bound, "synthesis")

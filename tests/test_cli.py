@@ -771,12 +771,52 @@ def test_ftprob_text_over_cap_exits_3_before_any_artifact(tmp_path, capsys, monk
     "mbsa.cli",
     "mbsa.analysis, mbsa.cca, mbsa.fault_tree, mbsa.probability, mbsa.sts.model",
 ], ids=["cli", "trees_job"])
-def test_start_up_imports_neither_dataclasses_nor_inspect(modules):
+def test_start_up_loads_no_dataclasses_inspect_or_format_library(modules):
     # every CLI run is a fresh process: creating dataclasses, and importing
-    # dataclasses with inspect, ast and dis behind it, cost each run ~50 ms
+    # dataclasses with inspect, ast and dis behind it, cost each run ~50 ms;
+    # json and ElementTree load only in the functions that write or read
+    # those formats, so a job that writes neither keeps their memory
     src = Path(__file__).resolve().parent.parent / "src"
-    code = f"import sys, {modules}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    banned = {"dataclasses", "inspect", "json", "xml.etree.ElementTree"}
+    code = f"import sys, {modules}; print(sorted({banned!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_format_writers_and_readers_in_a_fresh_process(tmp_path):
+    # json and ElementTree are imported inside the functions that write or
+    # read those formats; in-process tests always find both already loaded,
+    # so the same steps run once in a fresh process and once here
+    common = ("--model", MODEL, "--fei", FEI)
+    steps = [
+        ("extend", *common),
+        ("mcs", *common, "--tle", "sys_dead", "--formats", "xml"),
+        ("ft", *common, "--tle", "sys_dead", "--formats", "xml"),
+        ("fmea", *common, "--props", PROPS, "--formats", "xml"),
+    ]
+    body = f"""
+from mbsa.cli import main
+from mbsa.fault_tree import ft_from_xml, ft_to_tsv
+for argv in {steps!r}:
+    assert main([*argv, "--out-dir", str(out)]) == 0, argv
+assert main(["tfpg", "convert", {TFPG!r}, str(out / "g.xml")]) == 0
+assert main(["tfpg", "convert", str(out / "g.xml"), str(out / "g.tfpg")]) == 0
+tree = ft_from_xml((out / "ft.ftx").read_text())
+(out / "reloaded.fttsv").write_text(ft_to_tsv(tree, with_probabilities=True))
+"""
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys\nfrom pathlib import Path\nimport mbsa.cli, mbsa.fault_tree\n"
+              "assert not {'json', 'xml.etree.ElementTree'} & set(sys.modules)\nout = Path(sys.argv[1])\n" + body)
+    proc = subprocess.run([sys.executable, "-c", script, str(fresh)], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exec(body, {"out": here})
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert {"battery_sensor_events.json", "mcs.xml", "ft.ftx", "fmea.xml", "g.xml", "g.tfpg",
+            "reloaded.fttsv"} <= set(names)
+    for name in names:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes(), name

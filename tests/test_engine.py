@@ -5,7 +5,7 @@ import pytest
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import type_check
-from mbsa.sts.engine import Engine, Trace, initial_states, reach, replay_ok, successors
+from mbsa.sts.engine import Engine, StateStore, Trace, initial_states, reach, replay_ok, successors
 from mbsa.sts.parse import parse_expr_text, parse_model
 
 from conftest import reachable_tuples
@@ -251,6 +251,35 @@ def test_layer_hooks_stay_on_the_class(monkeypatch):
     assert len(reachable_tuples(eng)) == 4
     assert calls.count("init_tuples") == 1 and calls.count("succ_tuples") == 4
     assert not {"succ_tuples", "init_tuples", "reach_tuples"} & set(vars(eng))
+
+
+def test_state_store_lists_each_state_once_and_memoizes_its_children(monkeypatch):
+    # the product searches ask for a model state's children once per
+    # abstract state it is paired with: the store enumerates them once
+    calls = []
+    for name in ("succ_tuples", "init_tuples"):
+        orig = Engine.__dict__[name]
+        monkeypatch.setattr(Engine, name, lambda self, *a, _o=orig, _n=name: calls.append(_n) or _o(self, *a))
+    eng = Engine(_tm("MODULE m VAR x : 0..2; b : boolean; INIT x = 0; TRANS next(x) = (x < 2 ? x + 1 : 0);"))
+    labelled = []
+    store = StateStore(eng, lambda t: labelled.append(t) or len(labelled))
+    first_seen = []
+    queue = [None]
+    for sid in queue:
+        before = len(calls)
+        kids = store.children(sid)
+        for _ in range(3):
+            assert store.children(sid) is kids
+        assert calls[before:] == ["init_tuples" if sid is None else "succ_tuples"]  # enumerated once
+        outs = eng.init_tuples() if sid is None else eng.succ_tuples(store.states[sid])
+        assert [store.states[i] for i in kids] == outs
+        for t in outs:
+            if t not in first_seen:
+                first_seen.append(t)
+                queue.append(store.ids[t])
+    assert store.states == first_seen == labelled and len(first_seen) == 6
+    assert store.ids == {t: i for i, t in enumerate(first_seen)}
+    assert store.labels == list(range(1, 7))  # labelled once each, in id order
 
 
 def test_cap_of_one_call_does_not_stick():
