@@ -25,7 +25,6 @@ from mbsa.sts.model import (
     Ite,
     Name,
     Next,
-    SymbolicModel,
     UnOp,
 )
 
@@ -46,14 +45,8 @@ class Simultaneous:
 class Cascading:
     __slots__ = ("windows",)
 
-    def __init__(self, windows: tuple[tuple[str, int, int], ...]):
-        self.windows = windows  # (member, lo, hi), sorted by member
-
-    def window(self, member: str) -> tuple[int, int]:
-        for m, lo, hi in self.windows:
-            if m == member:
-                return lo, hi
-        return 0, 0  # members without an explicit window trigger immediately
+    def __init__(self, windows: dict[str, tuple[int, int]]):
+        self.windows = windows  # member -> (lo, hi); a member without one triggers at once
 
 
 class CommonCauseSpec:
@@ -108,11 +101,11 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
             pattern: Simultaneous | Cascading = Simultaneous()
         elif ts.accept_word("cascading"):
             ts.expect("(")
-            windows = []
+            windows: dict[str, tuple[int, int]] = {}
             if not ts.at(")"):
-                windows = ts.items(lambda: _parse_window(ts, members))
+                ts.items(lambda: _parse_window(ts, members, windows))
             ts.expect(")")
-            pattern = Cascading(tuple(sorted(windows)))
+            pattern = Cascading(windows)
         else:
             ts.fail(f"expected 'simultaneous' or 'cascading', found {ts.cur.text!r}")
         ts.expect(",")
@@ -123,7 +116,8 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
     return out
 
 
-def _parse_window(ts: TokenStream, members: list[str]) -> tuple[str, int, int]:
+def _parse_window(ts: TokenStream, members: list[str], windows: dict[str, tuple[int, int]]):
+    """Read ``EVENT : [LO,HI]`` into ``windows``."""
     m = ts.expect_ident("member event")
     ts.expect(":")
     ts.expect("[")
@@ -136,7 +130,9 @@ def _parse_window(ts: TokenStream, members: list[str]) -> tuple[str, int, int]:
         raise ts.error(hi_tok, f"window [{lo},{hi}] has lo > hi", CcaError)
     if m.text not in members:
         raise ts.error(m, f"window names non-member {m.text!r}", CcaError)
-    return m.text, lo, hi
+    if m.text in windows:
+        raise ts.error(m, f"member {m.text!r} has more than one window", CcaError)
+    windows[m.text] = lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +141,16 @@ def _parse_window(ts: TokenStream, members: list[str]) -> tuple[str, int, int]:
 def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
     """Weave common cause events into an extended model.
 
-    Per spec: a boolean latch variable occurs nondeterministically at most
-    once and is registered as a basic event; simultaneous members turn faulty
-    the same step the latch rises; cascading members turn faulty within their
-    window after the latch rises (forced by the upper bound).  Overlapping
-    member sets are rejected: their composition is undefined.
+    Per spec: a boolean latch variable ``cc#<id>``, which the model must not
+    declare, occurs nondeterministically at most once and is registered as a
+    basic event; simultaneous members turn faulty the same step the latch
+    rises; cascading members turn faulty within their window after the latch
+    rises (forced by the upper bound), counted by a fresh ``age#<id>``.
+    Overlapping member sets are rejected: their composition is undefined.
     """
     if not specs:
         return xm
-    from mbsa.faults import EventInfo, ExtendedModel
-    from mbsa.sts.check import TypeError_, type_check
+    from mbsa.faults import EventInfo, ExtendedModel, ModelBuilder
 
     governed: dict[str, str] = {}
     ids: set[str] = set()
@@ -170,26 +166,24 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
                                  "overlapping common causes are rejected")
             governed[m] = spec.id
 
-    model = xm.model
-    variables = list(model.variables)
-    init = list(model.init)
-    trans = list(model.trans)
-    invar = list(model.invar)
+    b = ModelBuilder(xm.model)
     events: dict[str, EventInfo] = dict(xm.events)
 
     for spec in specs:
         cc = f"cc#{spec.id}"
-        variables.append((cc, BoolType()))
-        init.append(UnOp("!", Name(cc)))
-        trans.append(BinOp("->", Name(cc), Next(cc)))  # latched: at most one occurrence
+        if not b.claim(cc):
+            raise spec.error(f"{cc!r}, the latch variable of common cause {spec.id!r}, is already declared")
+        b.variables.append((cc, BoolType()))
+        b.init.append(UnOp("!", Name(cc)))
+        b.trans.append(BinOp("->", Name(cc), Next(cc)))  # latched: at most one occurrence
         if isinstance(spec.pattern, Cascading):
             # steps since the latch rose, saturating one past the widest window
-            cap = max((hi for _, _, hi in spec.pattern.windows), default=0) + 1
-            age = f"age#{spec.id}"
-            variables.append((age, IntRangeType(0, cap)))
-            init.append(BinOp("=", Name(age), IntConst(0)))
+            cap = max((hi for _, hi in spec.pattern.windows.values()), default=0) + 1
+            age = b.fresh(f"age#{spec.id}")
+            b.variables.append((age, IntRangeType(0, cap)))
+            b.init.append(BinOp("=", Name(age), IntConst(0)))
             inc = BinOp("+", Name(age), IntConst(1))
-            trans.append(BinOp(
+            b.trans.append(BinOp(
                 "=", Next(age),
                 Ite(Next(cc),
                     Ite(Name(cc), Ite(BinOp(">", inc, IntConst(cap)), IntConst(cap), inc), IntConst(0)),
@@ -199,14 +193,14 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
             info = events[m]
             if isinstance(spec.pattern, Simultaneous):
                 # faulty the step the latch rises
-                trans.append(BinOp("->", BinOp("&", UnOp("!", Name(cc)), Next(cc)),
-                                   BinOp("=", Next(info.mode_var), Name("faulty"))))
+                b.trans.append(BinOp("->", BinOp("&", UnOp("!", Name(cc)), Next(cc)),
+                                     BinOp("=", Next(info.mode_var), Name("faulty"))))
                 allowance = Name(cc)
             else:
-                lo, hi = spec.pattern.window(m)
+                lo, hi = spec.pattern.windows.get(m, (0, 0))
                 # forced by the window's upper bound
-                invar.append(BinOp("->", BinOp("&", Name(cc), BinOp("=", Name(age), IntConst(hi))),
-                                   BinOp("=", Name(info.mode_var), Name("faulty"))))
+                b.invar.append(BinOp("->", BinOp("&", Name(cc), BinOp("=", Name(age), IntConst(hi))),
+                                     BinOp("=", Name(info.mode_var), Name("faulty"))))
                 allowance = BinOp("&", Name(cc), BinOp(">=", Name(age), IntConst(lo)))
             events[m] = EventInfo(info.name, info.mode_var, info.occurrence, info.probability,
                                   BinOp("|", info.suppression, allowance))
@@ -218,12 +212,4 @@ def apply_cca(xm: ExtendedModel, specs: list[CommonCauseSpec]) -> ExtendedModel:
             probability=spec.probability,
             suppression=UnOp("!", Name(cc)),
         )
-
-    woven = SymbolicModel(model.name, tuple(variables), model.defines,
-                          tuple(init), tuple(trans), tuple(invar))
-    try:
-        typed = type_check(woven)
-    except TypeError_ as exc:
-        raise CcaError(exc.diagnostics)
-    return ExtendedModel(typed, events)
-
+    return ExtendedModel(b.check(), events)

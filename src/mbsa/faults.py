@@ -17,6 +17,9 @@ reads) observes the possibly-faulted value, while the constraints that drive
 ``t`` (its INIT occurrences and ``next(t)`` occurrences in TRANS) keep
 driving the displaced nominal carrier.  Multiple instructions on one target
 compose in instruction order; later wraps displace earlier ones.
+
+Common-cause weaving (:mod:`mbsa.cca`) builds through the same
+:class:`ModelBuilder`, so both add names by one rule.
 """
 
 from __future__ import annotations
@@ -279,14 +282,38 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
 # ---------------------------------------------------------------------------
 # Model extension
 
-def _fresh(base: str, taken: set[str]) -> str:
-    """``base``, or ``base`` with the first free suffix from 2 on; the name
-    returned is added to ``taken``."""
-    name, i = base, 2
-    while name in taken:
-        name, i = f"{base}{i}", i + 1
-    taken.add(name)
-    return name
+class ModelBuilder:
+    """A model being woven: its five sections as lists, ``taken`` (every
+    declared variable and define name) and :meth:`check` of the result.
+    Extension and common-cause weaving both build through it: a name of
+    fixed form (``mode#``, ``cc#``) is claimed, any other made fresh."""
+
+    __slots__ = ("name", "variables", "defines", "init", "trans", "invar", "taken")
+
+    def __init__(self, model: SymbolicModel):
+        self.name, self.variables, self.defines = model.name, list(model.variables), list(model.defines)
+        self.init, self.trans, self.invar = list(model.init), list(model.trans), list(model.invar)
+        self.taken = {n for n, _ in self.variables} | {n for n, _ in self.defines}
+
+    def claim(self, name: str) -> bool:
+        """Take ``name``; False, and nothing taken, if it is already declared."""
+        if name in self.taken:
+            return False
+        self.taken.add(name)
+        return True
+
+    def fresh(self, base: str) -> str:
+        """Take ``base``, or ``base`` with the first free suffix from 2 on."""
+        name, i = base, 2
+        while name in self.taken:
+            name, i = f"{base}{i}", i + 1
+        self.taken.add(name)
+        return name
+
+    def check(self) -> TypedModel:
+        """The current sections as one model, type-checked."""
+        return type_check(SymbolicModel(self.name, tuple(self.variables), tuple(self.defines),
+                                        tuple(self.init), tuple(self.trans), tuple(self.invar)))
 
 
 def extend_model(nominal: TypedModel, library: FaultLibrary,
@@ -297,25 +324,18 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
     mode variable stays nominal, its projection onto the nominal variables is
     exactly the nominal trace set.
     """
-    model = nominal.model
-    variables = list(model.variables)
-    defines = list(model.defines)
-    init = list(model.init)
-    trans = list(model.trans)
-    invar = list(model.invar)
+    b = ModelBuilder(nominal.model)
     events: dict[str, EventInfo] = {}
     # a target keeps the type it had when first resolved: after a wrap a
     # target of a finite integer range is a define of abstract integer type
     target_types: dict[str, TypeSpec] = {}
-    typed = nominal  # the model as extended so far, checked
+    typed = nominal  # the model as extended so far, checked: its var_index indexes b.variables
 
     for ins in instructions:
-        taken = {n for n, _ in variables} | {n for n, _ in defines}
-        var_names = {n: i for i, (n, _) in enumerate(variables)}
-        define_names = {n: i for i, (n, _) in enumerate(defines)}
-        if ins.target in var_names:
-            target_ty = variables[var_names[ins.target]][1]
-        elif ins.target in define_names:
+        idx = typed.var_index.get(ins.target)
+        if idx is not None:
+            target_ty = typed.var_types[idx]
+        elif ins.target in typed.defines:
             target_ty = typed.defines[ins.target].ty
         else:
             raise ins.error(f"unknown extension target {ins.target!r}")
@@ -337,34 +357,32 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
                 raise ins.error(f"argument for value parameter {param.name!r} must be a literal")
 
         # (a) displace the defining occurrence of the target
-        carrier = _fresh(f"{ins.target}#nominal", taken)
-        if ins.target in var_names:
-            idx = var_names[ins.target]
-            variables[idx] = (carrier, target_ty)
+        carrier = b.fresh(f"{ins.target}#nominal")
+        if idx is not None:
+            b.variables[idx] = (carrier, target_ty)
             ren = {ins.target: Name(carrier)}
-            init = [substitute(e, ren) for e in init]
-            invar = [substitute(e, ren) for e in invar]
-            trans = [substitute(e, {}, {ins.target: carrier}) for e in trans]
+            b.init = [substitute(e, ren) for e in b.init]
+            b.invar = [substitute(e, ren) for e in b.invar]
+            b.trans = [substitute(e, {}, {ins.target: carrier}) for e in b.trans]
         else:
-            idx = define_names[ins.target]
-            defines[idx] = (carrier, defines[idx][1])
+            b.defines = [(carrier, e) if n == ins.target else (n, e) for n, e in b.defines]
 
         # (b) mode variable with the requested dynamics
         mode_var = f"mode#{ins.event}"
         if ins.event in events:
             raise ins.error("duplicate event name")
-        if mode_var in taken:
+        if not b.claim(mode_var):
             raise ins.error(f"{mode_var!r}, the mode variable of this event, is already declared")
-        variables.append((mode_var, _MODE_TYPE))
-        init.append(BinOp("=", Name(mode_var), Name("nominal")))
+        b.variables.append((mode_var, _MODE_TYPE))
+        b.init.append(BinOp("=", Name(mode_var), Name("nominal")))
         dyn_constraint = substitute(dyn.constraint, {"mode": Name(mode_var)}, {"mode": mode_var})
         if not isinstance(dyn_constraint, BoolConst) or not dyn_constraint.value:
-            trans.append(dyn_constraint)
+            b.trans.append(dyn_constraint)
 
         # (c) the faulty wrap
-        effect = _instantiate_effect(template, ins, carrier, mode_var, target_ty, variables, init, trans, taken)
+        effect = _instantiate_effect(template, ins, carrier, mode_var, target_ty, b)
         wrap = Ite(BinOp("=", Name(mode_var), Name("faulty")), effect, Name(carrier))
-        defines.append((ins.target, wrap))
+        b.defines.append((ins.target, wrap))
 
         # (d) registry
         occurrence = BinOp("=", Name(mode_var), Name("faulty"))
@@ -373,8 +391,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
 
         # the model type-checked before this instruction, so a type error is this one's
         try:
-            typed = type_check(SymbolicModel(model.name, tuple(variables), tuple(defines),
-                                             tuple(init), tuple(trans), tuple(invar)))
+            typed = b.check()
         except TypeError_ as exc:
             if effect.ty is not None and not _compatible(effect.ty, target_ty):
                 raise ins.error(f"template {ins.template!r} gives {effect.ty} "
@@ -384,7 +401,7 @@ def extend_model(nominal: TypedModel, library: FaultLibrary,
 
 
 def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carrier: str, mode_var: str,
-                        target_ty, variables: list, init: list, trans: list, taken: set[str]) -> Expr:
+                        target_ty, b: ModelBuilder) -> Expr:
     if template.effect is not None:
         binding = {p.name: a for p, a in zip(template.params, ins.args)}
         binding["nominal"] = Name(carrier)
@@ -392,21 +409,21 @@ def _instantiate_effect(template: FaultTemplate, ins: ExtensionInstruction, carr
     if template.name == "random":
         if isinstance(target_ty, IntType):
             raise ins.error(f"random needs a target with a finite domain; {ins.target!r} has type {target_ty}")
-        rnd = _fresh(f"choice#{ins.event}", taken)
-        variables.append((rnd, target_ty))  # unconstrained: a fresh value every step
+        rnd = b.fresh(f"choice#{ins.event}")
+        b.variables.append((rnd, target_ty))  # unconstrained: a fresh value every step
         return Name(rnd)
     # ramp_down, on a bounded integer: `for int` admits nothing else
     step = ins.args[0]
     if not isinstance(step, IntConst) or step.value <= 0:
         raise ins.error("ramp_down step must be a positive integer")
     span = target_ty.hi - target_ty.lo
-    drop = _fresh(f"drop#{ins.event}", taken)
-    variables.append((drop, IntRangeType(0, span)))
-    init.append(BinOp("=", Name(drop), IntConst(0)))
+    drop = b.fresh(f"drop#{ins.event}")
+    b.variables.append((drop, IntRangeType(0, span)))
+    b.init.append(BinOp("=", Name(drop), IntConst(0)))
     # the drop accumulates while faulty and saturates once it pins the
     # effect to the lower bound; it never resets
     inc = BinOp("+", Name(drop), IntConst(step.value))
-    trans.append(BinOp(
+    b.trans.append(BinOp(
         "=", Next(drop),
         Ite(BinOp("=", Next(mode_var), Name("faulty")),
             Ite(BinOp(">", inc, IntConst(span)), IntConst(span), inc),

@@ -59,13 +59,14 @@ def _compatible(a, b) -> bool:
 class TypedModel:
     """A checked model plus the symbol information the engine needs.
 
-    ``_engines`` holds the model's engines, one per key (see ``sts.engine._engine``).
+    ``_engines`` holds the model's engines, one per key, and the predicates
+    they compile (see ``sts.engine._engine``).
     """
 
     __slots__ = ("model", "var_index", "var_types", "domains", "defines", "enum_literals", "_engines")
 
     def __init__(self, model: SymbolicModel, var_index: dict[str, int], var_types: tuple[TypeSpec, ...],
-                 domains: tuple[tuple, ...], defines: dict[str, Expr],
+                 domains: tuple[tuple | range, ...], defines: dict[str, Expr],
                  enum_literals: dict[str, list[EnumType]] | None = None):
         self.model, self.var_index, self.var_types = model, var_index, var_types
         self.domains, self.defines = domains, defines
@@ -239,9 +240,15 @@ class _Checker:
 def type_check(model: SymbolicModel, filename: str = "<input>") -> TypedModel:
     """Check a parsed model; returns a :class:`TypedModel` or raises TypeError_.
 
-    Verifies name resolution, expression typing, DEFINE acyclicity, and the
-    placement rule that ``next()`` appears only inside TRANS.
+    Verifies that each name is declared once, name resolution, expression
+    typing, DEFINE acyclicity, and the placement rule that ``next()``
+    appears only inside TRANS.
     """
+    declared: set[str] = set()
+    for name, _ in (*model.variables, *model.defines):
+        if name in declared:
+            raise TypeError_([Diagnostic(f"duplicate declaration of {name!r}", filename=filename)])
+        declared.add(name)
     var_index = {name: i for i, (name, _) in enumerate(model.variables)}
     var_types = tuple(ty for _, ty in model.variables)
     defines = dict(model.defines)

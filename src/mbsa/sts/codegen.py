@@ -97,7 +97,7 @@ class Source:
         text = self.expr(e, ctx, _NOT)
         self.line(f"if {f'r & {gate} and ' if gate else ''}not {text}: {prune}")
 
-    def loop(self, i: int, domain: tuple):
+    def loop(self, i: int, domain: tuple | range):
         """Bind next-state variable ``i`` to each value of ``domain`` in turn."""
         if self.loops == _MAX_LOOPS:
             # continue in a new function that receives every local bound so far
@@ -106,7 +106,7 @@ class Source:
             self.line(f"{name}({args})")
             self.funcs.append([f"def {name}({args}):"])
             self.indent, self.loops = 1, 0
-        self.line(f"for n{i} in {domain!r}:")
+        self.line(f"for n{i} in {tuple(domain)!r}:")
         self.indent += 1
         self.loops += 1
         self.names.append(f"n{i}")

@@ -24,7 +24,7 @@ a forbidden branch is cut at its loop level.  The cut-set restriction of
 ``Engine.compile`` builds a function of one state from the same compiler,
 and ``Engine.compile_mask`` one function that evaluates a vector of
 current-state predicates into the bits of one int, a state's label; both are
-compiled once per engine and expression.  :class:`StateStore` is the state
+compiled once per model and expression.  :class:`StateStore` is the state
 store a search owns: it interns each state to an int id, labels it when first
 seen, and keeps its successor ids under the search's ``forbidden`` mask from
 its first expansion.  The cut-sequence search labels states by fault
@@ -113,8 +113,6 @@ class Engine:
         self.cap = cap
         self.guards = tuple(guards)
         self.nvars = len(tm.var_types)
-        # id(expr) -> (expr, function); a tuple of ids -> (exprs, mask function)
-        self._compile_cache: dict[int | tuple, tuple] = {}
         self._succ_fn = None
         self._init_fn = None
 
@@ -131,9 +129,9 @@ class Engine:
 
     def compile(self, e: Expr):
         """Compile a current-state expression to a function of a state."""
-        # a cache entry keeps its nodes alive: id() keys are only stable
-        # while the objects are
-        hit = self._compile_cache.get(id(e))
+        # memoized next to the model's engines (whose keys are tuples); the
+        # entry keeps the node alive: id() keys are only stable while it is
+        hit = self.tm._engines.get(id(e))
         if hit is not None:
             return hit[1]
         from mbsa.sts.codegen import PRED, Source  # on first use: see _generate
@@ -142,16 +140,16 @@ class Engine:
         text = g.expr(e, PRED)
         g.line(f"return {text}")
         fn = g.build()
-        self._compile_cache[id(e)] = (e, fn)
+        self.tm._engines[id(e)] = (e, fn)
         return fn
 
     def compile_mask(self, preds: list[Expr]):
         """Compile current-state predicates into one function of a state whose
         result has bit k set iff ``preds[k]`` holds there; each define is
-        evaluated once per call.  The same predicate objects get the same
-        function."""
-        key = tuple(map(id, preds))
-        hit = self._compile_cache.get(key)
+        evaluated once per call.  Every engine of the model gets the same
+        function for the same predicate objects."""
+        key = ("mask", *map(id, preds))  # an engine key starts with its cap
+        hit = self.tm._engines.get(key)
         if hit is not None:
             return hit[1]
         from mbsa.sts.codegen import STEP, Source
@@ -165,7 +163,7 @@ class Engine:
             g.line(f"if {text}: m |= {1 << k}")
         g.line("return m")
         fn = g.build()
-        self._compile_cache[key] = (tuple(preds), fn)
+        self.tm._engines[key] = (tuple(preds), fn)
         return fn
 
     # -- functional-assignment extraction ------------------------------------
@@ -417,7 +415,8 @@ def breadth_first(expand, bound: int | None, cap: int, what: str):
 def _engine(tm: TypedModel, cap: int | None = None, guards=()) -> Engine:
     """The model's engine for a state cap (``DEFAULT_STATE_CAP`` when None)
     and guard objects (kept alive by the engine, so their ids are stable):
-    its generated functions and compiled predicates are built once per key."""
+    its generated functions are built once per key, and its compiled
+    predicates once per model."""
     key = (DEFAULT_STATE_CAP if cap is None else cap, *map(id, guards))
     engines = tm._engines
     if key not in engines:

@@ -81,14 +81,15 @@ class IntType(Record):
         return "integer"
 
 
-def type_values(ty: TypeSpec) -> tuple:
-    """Domain of a variable type, in canonical enumeration order."""
+def type_values(ty: TypeSpec) -> tuple | range:
+    """Domain of a variable type, in canonical enumeration order; an integer
+    range stays a ``range``, which costs memory only where it is enumerated."""
     if isinstance(ty, BoolType):
         return (False, True)
     if isinstance(ty, EnumType):
         return tuple(ty.literals)
     if isinstance(ty, IntRangeType):
-        return tuple(range(ty.lo, ty.hi + 1))
+        return range(ty.lo, ty.hi + 1)
     raise TypeError(f"not a variable type: {ty}")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError
 from mbsa.faults import ExtendedModel
-from mbsa.sts.engine import Engine, Trace, _engine
+from mbsa.sts.engine import Trace, _engine
 from mbsa.sts.model import Expr
 from mbsa.sts.parse import TokenStream, parse_expr, tokenize
 from mbsa.tfpg.graph import Tfpg
@@ -114,8 +114,8 @@ class BindingEvaluator:
     declaration order.
     """
 
-    def __init__(self, xm: ExtendedModel, binding: NodeBinding, engine: Engine | None = None):
-        self.engine = engine if engine is not None else _engine(xm.typed)
+    def __init__(self, xm: ExtendedModel, binding: NodeBinding):
+        self.engine = _engine(xm.typed)
         self.node_order = tuple(sorted(binding.kinds))
         self.modes = binding.mode_literals()
         self._label = self.engine.compile_mask([binding.activations[n] for n in self.node_order]

@@ -66,7 +66,7 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
     returned and its states are freed, each list is decoded into a set of
     tuples, which drops the repeats."""
     engine = _engine(xm.typed, cap)
-    ev = BindingEvaluator(xm, binding, engine)
+    ev = BindingEvaluator(xm, binding)
     n = len(ev.node_order)
     discrepancies = [(1 << i, i) for i, v in enumerate(ev.node_order) if binding.kinds[v] != "failure"]
     mode_bits = {m: k << 3 * n for k, m in enumerate(ev.modes)}

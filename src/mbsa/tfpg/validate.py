@@ -179,7 +179,7 @@ def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,
     tfpg.check()
     check_binding_total(tfpg, binding)
     engine = _engine(xm.typed, cap)
-    ev = BindingEvaluator(xm, binding, engine)
+    ev = BindingEvaluator(xm, binding)
     mon = AdmissionMonitor(tfpg, ev.node_order)
     path, stored = explore(engine, ev, mon.initial(), mon.advance, step_bound, "product")
     if path is None:

@@ -4,8 +4,11 @@ import pytest
 
 from mbsa.analysis import brute_force_mcs, compute_mcs, witness
 from mbsa.cca import Cascading, CcaError, Simultaneous, apply_cca, parse_cca
+from mbsa.cli import main
 from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability, symbolic_probability
+from mbsa.sts.check import type_check
 from mbsa.sts.engine import Engine
+from mbsa.sts.parse import parse_model
 
 from conftest import build_extended, checked_expr, reachable_tuples
 from probability_references import evaluate
@@ -45,8 +48,7 @@ def test_parse_empty():
 def test_parse_cascading_windows():
     (spec,) = parse_cca("cc c: members {f1, f2}, pattern cascading(f2: [1,3]), prob 0.01;")
     assert isinstance(spec.pattern, Cascading)
-    assert spec.pattern.window("f2") == (1, 3)
-    assert spec.pattern.window("f1") == (0, 0)  # default for unlisted members
+    assert spec.pattern.windows == {"f2": (1, 3)}  # an unlisted member triggers at once
 
 
 def test_parse_errors():
@@ -147,6 +149,41 @@ def test_overlapping_specs_rejected(pair):
     with pytest.raises(CcaError) as err:
         apply_cca(pair, specs)
     assert "overlapping" in str(err.value)
+
+
+def _write_pair(directory, declaration, cca):
+    """PAIR_SMX declaring one more variable, PAIR_FEI and ``cca``, as m.smx, m.fei and c.cca."""
+    (directory / "m.smx").write_text(PAIR_SMX.replace("b : boolean;", f"b : boolean; {declaration};"))
+    (directory / "m.fei").write_text(PAIR_FEI)
+    (directory / "c.cca").write_text(cca)
+    return ["--model", "m.smx", "--fei", "m.fei", "--cca", "c.cca"]
+
+
+@pytest.mark.parametrize("declaration", ["cc#burst : boolean", "cc#burst : 0..2"])
+def test_declared_latch_is_reported_at_the_cause(declaration, tmp_path, capsys, monkeypatch):
+    # what re-feeding an extended model with its own .cca does: the latch
+    # the cause adds is declared already, of its own type or another
+    monkeypatch.chdir(tmp_path)
+    files = _write_pair(tmp_path, declaration, "cc burst: members {f1, f2}, pattern simultaneous, prob 0.05;\n")
+    message = "c.cca:1:4: error: 'cc#burst', the latch variable of common cause 'burst', is already declared"
+    for argv in (["extend"], ["mcs", "--tle", "a & b"]):
+        assert main([*argv, *files, "--out-dir", "out"]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
+def test_declared_age_counter_is_freshened(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = _write_pair(tmp_path, "age#casc : boolean",
+                        "cc casc: members {f1, f2}, pattern cascading(f2: [1,2]), prob 0.01;\n")
+    assert main(["extend", *files, "--out-dir", "out"]) == 0
+    extended = (tmp_path / "out" / "m_extended.smx").read_text()
+    assert "  age#casc : boolean;\n" in extended and "  age#casc2 : 0..3;\n" in extended
+    assert main(["extend", "--model", "out/m_extended.smx", "--out-dir", "again"]) == 0  # re-reads
+    assert type_check(parse_model(extended)).var_names() == [
+        "a#nominal", "b#nominal", "age#casc", "mode#f1", "mode#f2", "cc#casc", "age#casc2"]
+    assert main(["mcs", *files, "--tle", "a & b", "--out-dir", "out"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- probability conditioning ---------------------------------------------------

@@ -1,11 +1,13 @@
 import inspect
 import time
+import tracemalloc
 
 import pytest
 
 from mbsa.diagnostics import ResourceCapError
-from mbsa.sts.check import type_check
-from mbsa.sts.engine import Engine, StateStore, Trace, initial_states, reach, replay_ok, successors
+from mbsa.sts.check import TypeError_, type_check
+from mbsa.sts.engine import Engine, StateStore, Trace, _engine, initial_states, reach, replay_ok, successors
+from mbsa.sts.model import BinOp, BoolConst, BoolType, IntRangeType, Name, Next, SymbolicModel
 from mbsa.sts.parse import parse_expr_text, parse_model
 
 from conftest import reachable_tuples
@@ -296,3 +298,47 @@ def test_cap_of_one_call_does_not_stick():
     assert set(compute_mcs(xm, tle, 2).mcs) == GOLDEN_MCS
     with pytest.raises(ResourceCapError, match="exceeds cap 10$"):
         reach(xm.typed, tle, cap=10)
+
+
+@pytest.mark.parametrize("variables, defines, name", [
+    ((("x", BoolType()), ("x", BoolType())), (), "x"),
+    ((("x", BoolType()),), (("d", BoolConst(True)), ("d", BoolConst(False))), "d"),
+    ((("x", BoolType()),), (("x", BoolConst(True)),), "x"),
+])
+def test_type_check_refuses_a_name_declared_twice(variables, defines, name):
+    # the parser reports a duplicate in text at its position; a model built
+    # in code reaches the checker, which would otherwise index one of the two
+    model = SymbolicModel("m", variables, defines, (), (BinOp("=", Next("x"), Name("x")),), ())
+    with pytest.raises(TypeError_) as exc:
+        type_check(model)
+    assert [d.message for d in exc.value.diagnostics] == [f"duplicate declaration of {name!r}"]
+
+
+def test_an_integer_domain_costs_memory_only_where_enumerated():
+    model = parse_model("MODULE m VAR c : 0..2000000; b : boolean; INIT c = 0 & !b;"
+                        " TRANS next(c) = (c < 2000000 ? c + 1 : 0);")
+    tracemalloc.start()
+    try:
+        tm = type_check(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(tm.domains[0]) == 2000001 and list(tm.domains[1]) == [False, True]
+    eng = Engine(tm)
+    assert eng.init_tuples() == [(0, False)]
+    assert eng.succ_tuples((2000000, False)) == [(0, False), (0, True)]
+    free = _tm("MODULE m VAR x : 0..100000000;")
+    with pytest.raises(ResourceCapError, match=r"^enumeration of 100000001\+ candidate states exceeds cap"):
+        Engine(free).init_tuples()
+
+
+def test_engines_of_one_model_share_compiled_predicates():
+    tm = _tm(COUNTER)
+    e, f = tm.check_predicate(parse_expr_text("x = 2")), tm.check_predicate(parse_expr_text("x < 2"))
+    guarded = _engine(tm, 100, [f])
+    assert guarded is not _engine(tm)
+    assert guarded.compile(e) is _engine(tm).compile(e) is Engine(tm).compile(e)
+    assert guarded.compile_mask([e, f]) is _engine(tm).compile_mask([e, f])
+    assert _engine(tm).compile_mask([e, f])((2,)) == 1 and _engine(tm).compile_mask([f, e])((2,)) == 2
+    assert _engine(tm).compile_mask([f]) is not _engine(tm).compile(f)

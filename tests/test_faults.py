@@ -417,5 +417,7 @@ def test_random_needs_a_finite_domain():
 @pytest.mark.parametrize("index", range(len(EXTENDED)))
 def test_random_extensions_match_goldens(index):
     xm = EXTENDED[index]
+    names = xm.model.var_names() + xm.model.define_names()
+    assert len(names) == len(set(names))  # every name declared once
     for name, text in (("extended.smx", print_model(xm.model)), ("events.json", _registry_json(xm))):
         assert text.encode("utf-8") == (EXTEND_CASES / f"random_{index:02d}" / name).read_bytes(), name

@@ -1,9 +1,10 @@
 """Diagnostics of the seven input readers, pinned against a golden.
 
 Each case is one input file in one language ("extension" is the fault
-extension of an FEI file against a fixed model).  It runs through the CLI (exit
-code and stderr lines) and through the reader's library function (exception
-class and positioned diagnostics); both must match
+extension of an FEI file against a fixed model, "weave" the common causes of a
+CCA file woven into that model extended by a fixed FEI file).  It runs through
+the CLI (exit code and stderr lines) and through the reader's library function
+(exception class and positioned diagnostics); both must match
 ``goldens/reader_diagnostics.json``.  A case that the reader accepts records
 exit 0 and no error.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mbsa.cca import parse_cca
+from mbsa.cca import apply_cca, parse_cca
 from mbsa.cli import build_parser, main
 from mbsa.diagnostics import InputError
 from mbsa.faults import load_fault_library, parse_fei
@@ -32,9 +33,13 @@ def _fixture_model():
     return build_extended(Path(MODEL).read_text(), Path(FEI).read_text())
 
 
-# the model of the "extension" cases, written next to each case file: it
-# already declares the mode variable that a fault named e would add
-MODE_CLASH_SMX = "MODULE m\nVAR\n  x : boolean;\n  mode#e : boolean;\n"
+# the model of the "extension" and "weave" cases, written next to each case
+# file: it already declares the mode variable that a fault named e would add
+# and the latch that a common cause named c1 would add
+CLASH_SMX = "MODULE m\nVAR\n  x : boolean;\n  y : boolean;\n  mode#e : boolean;\n  cc#c1 : boolean;\n"
+# the fault extension of the "weave" cases, written next to each case file
+CLASH_FEI = ("fault fx: target x, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n"
+             "fault fy: target y, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n")
 
 
 def _props(text, path):
@@ -47,7 +52,10 @@ def _props(text, path):
 LANGUAGES = {
     "fei": ("bad.fei", lambda f: ["extend", "--model", MODEL, "--fei", f, "--out-dir", "out"], parse_fei),
     "extension": ("bad.fei", lambda f: ["extend", "--model", "clash.smx", "--fei", f, "--out-dir", "out"],
-                  lambda text, f: build_extended(MODE_CLASH_SMX, text)),
+                  lambda text, f: build_extended(CLASH_SMX, text)),
+    "weave": ("bad.cca", lambda f: ["extend", "--model", "clash.smx", "--fei", "clash.fei", "--cca", f,
+                                    "--out-dir", "out"],
+              lambda text, f: apply_cca(build_extended(CLASH_SMX, CLASH_FEI), parse_cca(text, f))),
     "cca": ("bad.cca", lambda f: ["extend", "--model", MODEL, "--fei", FEI, "--cca", f, "--out-dir", "out"],
             parse_cca),
     "tfpg": ("bad.tfpg", lambda f: ["tfpg", "convert", f, "out.tfpg"], parse_tfpg),
@@ -82,11 +90,13 @@ CASES = {
     "cca_window_upper": ("cca", CC + "cascading (G1_Off: [1,\n  x]), prob 0.1;\n"),
     "cca_window_reversed": ("cca", CC + "cascading (G1_Off: [0,1], G2_Off: [3,1]), prob 0.1;\n"),
     "cca_window_non_member": ("cca", CC + "cascading (S1_Off: [0,1]), prob 0.1;\n"),
+    "cca_window_repeated": ("cca", CC + "cascading (G2_Off: [2,3],\n  G2_Off: [0,1]), prob 0.1;\n"),
     "cca_unknown_pattern": ("cca", CC + "burst, prob 0.1;\n"),
     "cca_duplicate_id": ("cca", CC + "simultaneous, prob 0.1;\n"
                                 + CC.replace("G1", "S1") + "simultaneous, prob 0.1;\n"),
     "cca_duplicate_member": ("cca", "cc c1: members {G1_Off, G1_Off}, pattern simultaneous, prob 0.1;\n"),
     "cca_one_member": ("cca", "\ncc c1: members {G1_Off}, pattern simultaneous, prob 0.1;\n"),
+    "weave_latch_declared": ("weave", "cc c1: members {fx, fy}, pattern simultaneous, prob 0.1;\n"),
     "tfpg_tmin": ("tfpg", GRAPH + "edge F -> D [x,1] {*};\n"),
     "tfpg_tmax": ("tfpg", GRAPH + "edge F -> D [0,\n  x] {*};\n"),
     "tfpg_inf": ("tfpg", GRAPH + "edge F -> D [0,inf] {P};\n"),
@@ -126,7 +136,8 @@ def observe(case: str, directory: Path, capsys) -> dict:
     language, text = CASES[case]
     name, argv, read = LANGUAGES[language]
     (directory / name).write_text(text)
-    (directory / "clash.smx").write_text(MODE_CLASH_SMX)
+    (directory / "clash.smx").write_text(CLASH_SMX)
+    (directory / "clash.fei").write_text(CLASH_FEI)
     capsys.readouterr()
     code = main(argv(name))
     stderr = capsys.readouterr().err.splitlines()

@@ -73,6 +73,28 @@ def test_every_private_definition_is_referenced():
     assert _unreferenced_private_definitions(sources) == []
 
 
+def _model_constructions(source: str) -> list[int]:
+    """Lines that call ``SymbolicModel``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "SymbolicModel"
+                                                     or getattr(node.func, "attr", None) == "SymbolicModel"))
+
+
+def test_model_constructions_are_caught():
+    source = ("m = SymbolicModel('m', ())\nn = model.SymbolicModel('n', ())\n"
+              "ty = SymbolicModel\nok = isinstance(m, SymbolicModel)\n")
+    assert _model_constructions(source) == [1, 2]
+
+
+def test_only_the_reader_and_the_weaving_builder_assemble_models():
+    # a model is read from text (sts/parse.py) or woven by faults.ModelBuilder,
+    # which owns the sections, the declared names and the check of the result
+    found = {str(path.relative_to(SRC)): lines for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in ("sts/parse.py", "faults.py")
+             and (lines := _model_constructions(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
 TOKEN_KINDS = {"num", "real", "ident", "kw", "op", "eof"}
 
 
