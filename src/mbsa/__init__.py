@@ -27,11 +27,13 @@ is imported, because the benchmark's layer tracer wraps only the functions of
 modules already loaded at that point: a layer loaded later would be reported
 as never called.
 
-A format library loads where that format is read or written: ``json`` in the
-CLI's event-registry writer, ``xml.etree.ElementTree`` inside each XML reader
-and writer of ``analysis``, ``fault_tree``, ``fmea`` and ``tfpg.graph``.  A
-job that writes neither format, such as a TFPG check, then neither compiles
-them nor keeps their memory resident (about 0.7 MiB).
+A format library loads only where it is needed: ``json`` in the CLI's
+event-registry writer, ``xml.etree.ElementTree`` inside the two XML readers,
+``fault_tree.ft_from_xml`` and ``tfpg.graph.tfpg_from_xml``.  The XML writers
+of ``analysis``, ``fault_tree``, ``fmea`` and ``tfpg.graph`` print their
+elements through ``mbsa.xmlout``, which needs no library.  A job that reads no
+XML, such as any CLI pipeline but ``tfpg`` on an ``.xml`` graph, then neither
+compiles ElementTree nor keeps its memory resident (about 0.7 MiB).
 """
 
 __version__ = "0.1.0"

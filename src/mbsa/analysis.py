@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 
 from mbsa.sts.model import Expr
+from mbsa.xmlout import to_xml
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -75,6 +76,7 @@ class Analyzer:
         infos = [xm.events[name] for name in self.events]
         self.engine = _engine(xm.typed, cap, [i.suppression for i in infos])
         self.label = self.engine.compile_mask([i.occurrence for i in infos])
+        self._names: dict[int, tuple[str, ...]] = {}  # the cut-sequence search asks for few masks, many times
 
     def mask(self, names) -> int:
         """The bits of the registered events among ``names``."""
@@ -82,7 +84,10 @@ class Analyzer:
 
     def names(self, mask: int) -> tuple[str, ...]:
         """The sorted event names of the bits of ``mask``."""
-        return tuple(name for k, name in enumerate(self.events) if mask >> k & 1)
+        names = self._names.get(mask)
+        if names is None:
+            names = self._names[mask] = tuple(name for k, name in enumerate(self.events) if mask >> k & 1)
+        return names
 
     def explains(self, allowed: frozenset[str], target_fn, step_bound: int | None):
         """Witness path (tuples) reaching the target when only ``allowed`` may occur."""
@@ -236,20 +241,12 @@ def cutsets_to_tsv(result: CutSetResult) -> str:
 
 
 def cutsets_to_xml(result: CutSetResult) -> str:
-    from xml.etree import ElementTree as ET
-
     from mbsa.sts.pretty import print_expr
 
-    root = ET.Element("cut-sets")
-    root.set("tle", print_expr(result.tle))
-    root.set("max-card", str(result.max_card))
-    root.set("step-bound", "unbounded" if result.step_bound is None else str(result.step_bound))
-    root.set("complete", "true" if result.complete else "false")
+    attributes = {"tle": print_expr(result.tle), "max-card": str(result.max_card),
+                  "step-bound": "unbounded" if result.step_bound is None else str(result.step_bound),
+                  "complete": "true" if result.complete else "false"}
     if result.nominal_warning:
-        root.set("nominal-warning", "true")
-    for c in result.mcs:
-        cs = ET.SubElement(root, "cut-set")
-        for e in sorted(c):
-            ET.SubElement(cs, "event").set("name", e)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+        attributes["nominal-warning"] = "true"
+    return to_xml(("cut-sets", attributes,
+                   [("cut-set", {}, [("event", {"name": e}, ()) for e in sorted(c)]) for c in result.mcs]))

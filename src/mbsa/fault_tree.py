@@ -21,6 +21,7 @@ from fractions import Fraction
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
 from mbsa.probability import Bdd, ProbabilityExpr, prob_str
+from mbsa.xmlout import to_xml
 
 
 class FaultTreeError(MbsaError):
@@ -255,31 +256,22 @@ def ft_to_tsv(ft: FaultTree, with_probabilities: bool = False) -> str:
 
 
 def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
-    from xml.etree import ElementTree as ET
-
-    root = ET.Element("fault-tree")
-    root.set("root", ft.root)
+    elements = []
     for nid in _node_order(ft):
         node = ft.nodes[nid]
-        if isinstance(node, Gate):
-            el = ET.SubElement(root, "gate")
-            el.set("id", nid)
-            el.set("kind", node.kind)
-            if node.label:
-                el.set("label", node.label)
-            for c in node.children:
-                ET.SubElement(el, "child").set("ref", c)
-        else:
-            el = ET.SubElement(root, "basic-event")
-            el.set("id", nid)
-            if node.label:
-                el.set("label", node.label)
-            if with_probabilities and node.probability is None:
-                raise FaultTreeError(f"basic event {nid!r} has no probability to export")
-            if node.probability is not None:
-                el.set("probability", prob_str(node.probability))
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+        gate = isinstance(node, Gate)
+        attributes = {"id": nid, "kind": node.kind} if gate else {"id": nid}
+        if node.label:
+            attributes["label"] = node.label
+        if gate:
+            elements.append(("gate", attributes, [("child", {"ref": c}, ()) for c in node.children]))
+            continue
+        if with_probabilities and node.probability is None:
+            raise FaultTreeError(f"basic event {nid!r} has no probability to export")
+        if node.probability is not None:
+            attributes["probability"] = prob_str(node.probability)
+        elements.append(("basic-event", attributes, ()))
+    return to_xml(("fault-tree", {"root": ft.root}, elements))
 
 
 def ft_from_xml(text: str) -> FaultTree:

@@ -284,19 +284,21 @@ def parse_fei(text: str, filename: str = "<fei>") -> list[ExtensionInstruction]:
 
 class ModelBuilder:
     """A model being woven: its five sections as lists, ``taken`` (every
-    declared variable and define name) and :meth:`check` of the result.
-    Extension and common-cause weaving both build through it: a name of
-    fixed form (``mode#``, ``cc#``) is claimed, any other made fresh."""
+    declared variable and define name, and the enumeration literals of the
+    model it starts from) and :meth:`check` of the result.  Extension and
+    common-cause weaving both build through it: a name of fixed form
+    (``mode#``, ``cc#``) is claimed, any other made fresh."""
 
     __slots__ = ("name", "variables", "defines", "init", "trans", "invar", "taken")
 
     def __init__(self, model: SymbolicModel):
         self.name, self.variables, self.defines = model.name, list(model.variables), list(model.defines)
         self.init, self.trans, self.invar = list(model.init), list(model.trans), list(model.invar)
-        self.taken = {n for n, _ in self.variables} | {n for n, _ in self.defines}
+        self.taken = {n for n, _ in self.variables} | {n for n, _ in self.defines} | {
+            lit for _, ty in self.variables if isinstance(ty, EnumType) for lit in ty.literals}
 
     def claim(self, name: str) -> bool:
-        """Take ``name``; False, and nothing taken, if it is already declared."""
+        """Take ``name``; False, and nothing taken, if it is already taken."""
         if name in self.taken:
             return False
         self.taken.add(name)

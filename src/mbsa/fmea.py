@@ -18,6 +18,7 @@ from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
 from mbsa.sts.pretty import print_expr
+from mbsa.xmlout import to_xml
 
 
 class FmeaError(MbsaError):
@@ -101,31 +102,16 @@ def fmea_to_tsv(table: FmeaTable) -> str:
 
 
 def fmea_to_xml(table: FmeaTable) -> str:
-    from xml.etree import ElementTree as ET
-
-    root = ET.Element("fmea")
-    root.set("dynamic", "true" if table.dynamic else "false")
-    root.set("max-card", str(table.max_card))
-    root.set("step-bound", "unbounded" if table.step_bound is None else str(table.step_bound))
-    props = ET.SubElement(root, "properties")
-    for label, expr in table.properties:
-        p = ET.SubElement(props, "property")
-        p.set("label", label)
-        p.set("expr", print_expr(expr))
-    rows_el = ET.SubElement(root, "rows")
+    rows = []
     for row in table.rows:
-        r = ET.SubElement(rows_el, "row")
-        for f in sorted(row.faults):
-            ET.SubElement(r, "fault").set("name", f)
-        if row.ordering is not None:
-            for i, f in enumerate(row.ordering):
-                o = ET.SubElement(r, "order")
-                o.set("pos", str(i))
-                o.set("name", f)
-        for v in row.violated:
-            ET.SubElement(r, "violates").set("label", v)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+        children = [("fault", {"name": f}, ()) for f in sorted(row.faults)]
+        children += [("order", {"pos": str(i), "name": f}, ()) for i, f in enumerate(row.ordering or ())]
+        children += [("violates", {"label": v}, ()) for v in row.violated]
+        rows.append(("row", {}, children))
+    properties = [("property", {"label": label, "expr": print_expr(expr)}, ()) for label, expr in table.properties]
+    return to_xml(("fmea", {"dynamic": "true" if table.dynamic else "false", "max-card": str(table.max_card),
+                            "step-bound": "unbounded" if table.step_bound is None else str(table.step_bound)},
+                   [("properties", {}, properties), ("rows", {}, rows)]))
 
 
 def export_fmea(table: FmeaTable, fmt: str) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import Record
 from mbsa.sts.parse import TokenStream, tokenize
+from mbsa.xmlout import to_xml
 
 
 class TfpgError(InputError):
@@ -156,31 +157,14 @@ def write_tfpg(g: Tfpg) -> str:
 # XML format
 
 def tfpg_to_xml(g: Tfpg) -> str:
-    from xml.etree import ElementTree as ET
-
-    root = ET.Element("tfpg")
-    modes_el = ET.SubElement(root, "modes")
-    for m in g.modes:
-        ET.SubElement(modes_el, "mode").set("name", m)
-    nodes_el = ET.SubElement(root, "nodes")
-    for node in sorted(g.nodes):
-        kind = g.nodes[node]
-        if kind == "failure":
-            ET.SubElement(nodes_el, "failure").set("id", node)
-        else:
-            el = ET.SubElement(nodes_el, "discrepancy")
-            el.set("id", node)
-            el.set("semantics", kind)
-    edges_el = ET.SubElement(root, "edges")
-    for e in g.sorted_edges():
-        el = ET.SubElement(edges_el, "edge")
-        el.set("src", e.src)
-        el.set("dst", e.dst)
-        el.set("tmin", str(e.tmin))
-        el.set("tmax", "inf" if e.tmax is None else str(e.tmax))
-        el.set("modes", "*" if e.modes is None else " ".join(sorted(e.modes)))
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
+    nodes = [("failure", {"id": n}, ()) if kind == "failure" else ("discrepancy", {"id": n, "semantics": kind}, ())
+             for n, kind in sorted(g.nodes.items())]
+    edges = [("edge", {"src": e.src, "dst": e.dst, "tmin": str(e.tmin),
+                       "tmax": "inf" if e.tmax is None else str(e.tmax),
+                       "modes": "*" if e.modes is None else " ".join(sorted(e.modes))}, ())
+             for e in g.sorted_edges()]
+    return to_xml(("tfpg", {}, [("modes", {}, [("mode", {"name": m}, ()) for m in g.modes]),
+                                ("nodes", {}, nodes), ("edges", {}, edges)]))
 
 
 def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:

@@ -786,8 +786,8 @@ def test_start_up_loads_no_dataclasses_inspect_or_format_library(modules):
 
 
 def test_format_writers_and_readers_in_a_fresh_process(tmp_path):
-    # json and ElementTree are imported inside the functions that write or
-    # read those formats; in-process tests always find both already loaded,
+    # json is imported inside the event-registry writer and ElementTree inside
+    # the two XML readers; in-process tests always find both already loaded,
     # so the same steps run once in a fresh process and once here
     common = ("--model", MODEL, "--fei", FEI)
     steps = [
@@ -796,12 +796,14 @@ def test_format_writers_and_readers_in_a_fresh_process(tmp_path):
         ("ft", *common, "--tle", "sys_dead", "--formats", "xml"),
         ("fmea", *common, "--props", PROPS, "--formats", "xml"),
     ]
-    body = f"""
+    write = f"""
 from mbsa.cli import main
 from mbsa.fault_tree import ft_from_xml, ft_to_tsv
 for argv in {steps!r}:
     assert main([*argv, "--out-dir", str(out)]) == 0, argv
 assert main(["tfpg", "convert", {TFPG!r}, str(out / "g.xml")]) == 0
+"""
+    read = """
 assert main(["tfpg", "convert", str(out / "g.xml"), str(out / "g.tfpg")]) == 0
 tree = ft_from_xml((out / "ft.ftx").read_text())
 (out / "reloaded.fttsv").write_text(ft_to_tsv(tree, with_probabilities=True))
@@ -809,11 +811,12 @@ tree = ft_from_xml((out / "ft.ftx").read_text())
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\nfrom pathlib import Path\nimport mbsa.cli, mbsa.fault_tree\n"
-              "assert not {'json', 'xml.etree.ElementTree'} & set(sys.modules)\nout = Path(sys.argv[1])\n" + body)
+              "assert not {'json', 'xml.etree.ElementTree'} & set(sys.modules)\nout = Path(sys.argv[1])\n"
+              + write + "assert 'xml.etree.ElementTree' not in sys.modules\n" + read)
     proc = subprocess.run([sys.executable, "-c", script, str(fresh)], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    exec(body, {"out": here})
+    exec(write + read, {"out": here})
     names = sorted(p.name for p in here.iterdir())
     assert names == sorted(p.name for p in fresh.iterdir())
     assert {"battery_sensor_events.json", "mcs.xml", "ft.ftx", "fmea.xml", "g.xml", "g.tfpg",

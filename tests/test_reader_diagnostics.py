@@ -35,8 +35,11 @@ def _fixture_model():
 
 # the model of the "extension" and "weave" cases, written next to each case
 # file: it already declares the mode variable that a fault named e would add
-# and the latch that a common cause named c1 would add
-CLASH_SMX = "MODULE m\nVAR\n  x : boolean;\n  y : boolean;\n  mode#e : boolean;\n  cc#c1 : boolean;\n"
+# and the latch that a common cause named c1 would add, and has as enumeration
+# literals the mode variable of a fault ek, the latch of a cause c2 and the
+# name a fault on z would first give z's nominal carrier
+CLASH_SMX = ("MODULE m\nVAR\n  x : boolean;\n  y : boolean;\n  z : boolean;\n  mode#e : boolean;\n"
+             "  cc#c1 : boolean;\n  k : {mode#ek, cc#c2, z#nominal};\n")
 # the fault extension of the "weave" cases, written next to each case file
 CLASH_FEI = ("fault fx: target x, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n"
              "fault fy: target y, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n")
@@ -84,6 +87,10 @@ CASES = {
     "fei_missing_word": ("fei", "fault G1_Off: gen1;\n"),
     "extension_mode_variable_declared": ("extension", "fault e: target x, template stuck_at(TRUE), "
                                                       "dynamics permanent, prob 0.1;\n"),
+    "extension_mode_variable_literal": ("extension", "fault ek: target x, template stuck_at(TRUE), "
+                                                     "dynamics permanent, prob 0.1;\n"),
+    "extension_carrier_literal": ("extension", "fault ez: target z, template stuck_at(TRUE), "
+                                               "dynamics permanent, prob 0.1;\n"),
     "cca_prob_not_literal": ("cca", CC + "simultaneous,\n  prob x;\n"),
     "cca_prob_outside": ("cca", CC + "simultaneous, prob 1.5;\n"),
     "cca_window_lower": ("cca", CC + "cascading (G1_Off: [x,2]), prob 0.1;\n"),
@@ -97,6 +104,7 @@ CASES = {
     "cca_duplicate_member": ("cca", "cc c1: members {G1_Off, G1_Off}, pattern simultaneous, prob 0.1;\n"),
     "cca_one_member": ("cca", "\ncc c1: members {G1_Off}, pattern simultaneous, prob 0.1;\n"),
     "weave_latch_declared": ("weave", "cc c1: members {fx, fy}, pattern simultaneous, prob 0.1;\n"),
+    "weave_latch_literal": ("weave", "cc c2: members {fx, fy}, pattern simultaneous, prob 0.1;\n"),
     "tfpg_tmin": ("tfpg", GRAPH + "edge F -> D [x,1] {*};\n"),
     "tfpg_tmax": ("tfpg", GRAPH + "edge F -> D [0,\n  x] {*};\n"),
     "tfpg_inf": ("tfpg", GRAPH + "edge F -> D [0,inf] {P};\n"),

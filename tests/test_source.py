@@ -129,6 +129,38 @@ def test_only_the_parser_reads_token_kinds():
     assert found == {}
 
 
+def _xml_imports(source: str) -> list[str]:
+    """The top-level definition (``<module>`` for any other statement) of each
+    import of ``xml`` or one of its submodules."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [getattr(top, "name", "<module>") for m in modules if m.partition(".")[0] == "xml"]
+    return found
+
+
+def test_xml_imports_are_caught():
+    source = ("import xml.etree.ElementTree as ET\n"
+              "def read():\n    from xml.etree import ElementTree\n"
+              "class W:\n    def write(self):\n        import os, xml\n"
+              "def other():\n    from mbsa.xmlout import to_xml\n    from .xml import x\n")
+    assert _xml_imports(source) == ["<module>", "read", "W"]
+
+
+def test_only_the_xml_readers_load_elementtree():
+    # the writers render through mbsa.xmlout, so a job that writes XML and
+    # reads none never loads ElementTree
+    found = [f"{path.relative_to(SRC).as_posix()}: {name}" for path in sorted(SRC.rglob("*.py"))
+             for name in _xml_imports(path.read_text(encoding="utf-8"))]
+    assert found == ["fault_tree.py: ft_from_xml", "tfpg/graph.py: tfpg_from_xml"]
+
+
 def test_checker_printer_and_code_generator_name_the_same_binary_operators():
     from mbsa.sts import check, codegen
     from mbsa.sts.model import BINDING
