@@ -31,7 +31,7 @@ from mbsa.faults import extend_model, load_fault_library, parse_fei
 from mbsa.fmea import export_fmea, generate_dynamic_fmea, generate_fmea
 from mbsa.probability import pexpr_to_text, prob_str, render_prob_script
 from mbsa.sts.check import type_check
-from mbsa.sts.parse import TokenStream, parse_expr_text, parse_model, tokenize
+from mbsa.sts.parse import TokenStream, parse_expr, parse_expr_text, parse_model, tokenize
 from mbsa.sts.pretty import print_expr, print_model
 from mbsa.tfpg import (
     parse_binding,
@@ -222,14 +222,13 @@ def cmd_ftprob(args) -> int:
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
     symbolic = symbolic_probability(ft, groups)
-    text = pexpr_to_text(symbolic)  # may hit its cap: render it before any artifact is written
     out = _out_dir(args)
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
     _write(out / "ft.ftx", export_ft(ft, "xml", with_probabilities=True))
     header = "symbols: " + ", ".join(symbolic.symbols) if symbolic.symbols else "symbols:"
-    _write(out / "tle_probability.txt", header + "\n" + text + "\n")
+    _write(out / "tle_probability.txt", header + "\n" + pexpr_to_text(symbolic) + "\n")
     _write(out / "tle_probability.py", render_prob_script(symbolic, "python", version=__version__))
     _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab", version=__version__))
     return EXIT_OK
@@ -252,10 +251,11 @@ def cmd_fmea(args) -> int:
         label = ts.expect_ident("property label")
         if label.text in dict(properties):
             raise ts.error(label, f"duplicate property label {label.text!r}", InputError)
-        if not ts.at(":"):
+        if not ts.accept(":"):
             ts.fail(f"expected ':' after property label {label.text!r}, found {ts.cur.text!r}")
-        colon = ts.cur.col
-        expr = parse_expr_text(raw[colon:], args.props, lineno, colon + 1, end=";")
+        expr = parse_expr(ts)
+        ts.accept(";")
+        ts.expect_end()
         xm.typed.check_predicate(expr, filename=args.props)
         properties.append((label.text, expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea

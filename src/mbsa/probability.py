@@ -4,20 +4,15 @@ independent variables, and probability expressions over their symbols.
 :class:`Bdd` (Bryant 1986; Rauzy 1993 for fault trees) gives exact
 probabilities in one bottom-up pass and renders a closed form with one
 Shannon combination per node.  The closed form is a DAG over the constants
-0 and 1, symbols, +, - and *, in which each subterm is built once; it is
-rendered as infix text and as straight-line scripts.
+0 and 1, symbols, +, - and *, in which each subterm is built once.  It is
+rendered as straight-line code, linear in the DAG: the scripts name every
+compound subterm, and the infix text only those that two or more terms use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-
-from mbsa.diagnostics import ResourceCapError
-
-# The infix closed form expands shared subterms, so its length can double with
-# every disjoint cut-set pair; rendering stops past this many characters.
-TEXT_CAP = 64 * 2**20
 
 
 class PNode:
@@ -226,35 +221,48 @@ def _ssa(root: PNode) -> list[PBin]:
     return order
 
 
-def pexpr_to_text(expr: ProbabilityExpr) -> str:
-    """Infix rendering of the closed form (shared subterms are expanded).
+def _straight_line(expr: ProbabilityExpr, name_all: bool) -> tuple[list[tuple[str, str]], str]:
+    """The closed form as ``(tI, infix)`` definitions and a result infix.
 
-    Raises ``ResourceCapError`` once a subterm's text exceeds ``TEXT_CAP``
-    characters."""
+    ``I`` is a compound subterm's index in the order of :func:`_ssa`, so
+    ``tI`` is the same value in every rendering.  A compound subterm is
+    defined once and then written ``tI`` when ``name_all`` holds or two or
+    more terms use it; any other is written inline, so the output is linear
+    in the DAG either way."""
     prec = {"+": 1, "-": 1, "*": 2}
     sym_to_param = dict(zip(expr.symbols, symbol_params(expr.symbols)))
     order = _ssa(expr.root)
-    text: dict[int, str] = {}  # compound node -> its text, built once, children first
-    # parents not yet built, per node: a text is dropped after its last use
-    waiting = Counter(id(c) for n in order for c in (n.left, n.right))
+    uses = Counter(id(c) for n in order for c in (n.left, n.right))
+    names: dict[int, str] = {}  # named compound node -> tI
+    text: dict[int, str] = {}  # inline compound node -> its text, until its one use
 
     def operand(n: PNode, parent: int) -> str:
         if isinstance(n, PConst):
             return str(n.value)
         if isinstance(n, PSym):
             return sym_to_param[n.name]
-        return f"({text[id(n)]})" if prec[n.op] < parent else text[id(n)]
+        if id(n) in names:
+            return names[id(n)]
+        inner = text.pop(id(n))
+        return f"({inner})" if prec[n.op] < parent else inner
 
-    for n in order:
+    lines = []
+    for i, n in enumerate(order):
         mine = prec[n.op]
-        text[id(n)] = f"{operand(n.left, mine)} {n.op} {operand(n.right, mine + (1 if n.op == '-' else 0))}"
-        if len(text[id(n)]) > TEXT_CAP:
-            raise ResourceCapError(f"tle_probability.txt: closed form exceeds {TEXT_CAP} characters")
-        for c in (n.left, n.right):
-            waiting[id(c)] -= 1
-            if not waiting[id(c)]:
-                text.pop(id(c), None)
-    return operand(expr.root, 0)
+        infix = f"{operand(n.left, mine)} {n.op} {operand(n.right, mine + (1 if n.op == '-' else 0))}"
+        if name_all or uses[id(n)] > 1:
+            names[id(n)] = f"t{i}"
+            lines.append((f"t{i}", infix))
+        else:
+            text[id(n)] = infix
+    return lines, operand(expr.root, 0)
+
+
+def pexpr_to_text(expr: ProbabilityExpr) -> str:
+    """Infix rendering of the closed form: one ``tI = <infix>`` line per
+    subterm that two or more terms use, then the expression."""
+    lines, result = _straight_line(expr, name_all=False)
+    return "\n".join([f"{name} = {rhs}" for name, rhs in lines] + [result])
 
 
 _DIALECTS = ("python", "matlab")
@@ -271,22 +279,7 @@ def render_prob_script(expr: ProbabilityExpr, dialect: str, version: str = "0.1.
     if dialect not in _DIALECTS:
         raise ValueError(f"unknown script dialect {dialect!r}; expected one of {_DIALECTS}")
     params = symbol_params(expr.symbols)
-    sym_to_param = dict(zip(expr.symbols, params))
-    order = _ssa(expr.root)
-    names: dict[int, str] = {}
-
-    def operand(n: PNode) -> str:
-        if isinstance(n, PConst):
-            return str(n.value)
-        if isinstance(n, PSym):
-            return sym_to_param[n.name]
-        return names[id(n)]
-
-    lines = []
-    for i, n in enumerate(order):
-        names[id(n)] = f"t{i}"
-        lines.append((f"t{i}", f"{operand(n.left)} {n.op} {operand(n.right)}"))
-    result = operand(expr.root)
+    lines, result = _straight_line(expr, name_all=True)
 
     if dialect == "python":
         out = [f"# generated by mbsa {version}; do not edit",

@@ -67,10 +67,11 @@ class Token:
         self.text, self.line, self.col = text, line, col
 
 
-def tokenize(text: str, filename: str = "<input>", line: int = 1, col: int = 1) -> list[Token]:
-    """Tokens of ``text``, positioned as if it started at ``line``:``col``."""
+def tokenize(text: str, filename: str = "<input>", line: int = 1) -> list[Token]:
+    """Tokens of ``text``, positioned as if it started on line ``line``."""
     tokens: list[Token] = []
     pos = 0
+    col = 1
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
@@ -179,6 +180,11 @@ class TokenStream:
     def fail(self, message: str):
         raise self.error(self.cur, message)
 
+    def expect_end(self):
+        """Fail unless the expression just read ends the input."""
+        if not self.at_end():
+            self.fail(f"trailing input after expression: {self.cur.text!r}")
+
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -240,17 +246,11 @@ def _parse_atom(ts: TokenStream) -> Expr:
     ts.fail(f"expected expression, found {t.text!r}")
 
 
-def parse_expr_text(text: str, filename: str = "<expr>", line: int = 1, col: int = 1,
-                    end: str = "") -> Expr:
-    """Parse a standalone expression (properties, top-level events,
-    bindings) that starts at ``line``:``col`` of ``filename``; one ``end``
-    token, if given, may follow it."""
-    ts = TokenStream(tokenize(text, filename, line, col), filename)
+def parse_expr_text(text: str, filename: str = "<expr>") -> Expr:
+    """Parse a standalone expression, such as a top-level event."""
+    ts = TokenStream(tokenize(text, filename), filename)
     e = parse_expr(ts)
-    if end:
-        ts.accept(end)
-    if not ts.at_end():
-        ts.fail(f"trailing input after expression: {ts.cur.text!r}")
+    ts.expect_end()
     return e
 
 

@@ -89,11 +89,8 @@ def admits(tfpg: Tfpg, at: ActivationTrace) -> AdmitResult:
         kind = tfpg.nodes[node]
         t_v = at.times.get(node)
         incoming = tfpg.incoming(node)
-        views = {}
-        for e in incoming:
-            t_src = at.times.get(e.src)
-            if t_src is not None:
-                views[e] = _edge_view(e, t_src, at)
+        # a list, not a dict keyed by edge: two equal parallel edges are two views
+        views = [_edge_view(e, at.times[e.src], at) for e in incoming if at.times.get(e.src) is not None]
 
         if kind == "or":
             v = _check_or(node, t_v, incoming, views)
@@ -111,12 +108,12 @@ def admits(tfpg: Tfpg, at: ActivationTrace) -> AdmitResult:
 def _check_or(node: str, t_v: int | None, incoming, views) -> tuple[int, str, str] | None:
     if t_v is None:
         # never activated: no pending edge may be forced to fire
-        forced = [v for v in views.values() if v.deadline is not None]
+        forced = [v for v in views if v.deadline is not None]
         if forced:
             first = min(v.deadline for v in forced)
             return (first, node, "too-late")
         return None
-    pending = [v for v in views.values() if v.t_src <= t_v]
+    pending = [v for v in views if v.t_src <= t_v]
     if not incoming or not pending:
         return (t_v, node, "missing-cause")
     # a cause must fire exactly at t_v
@@ -136,19 +133,19 @@ def _check_or(node: str, t_v: int | None, incoming, views) -> tuple[int, str, st
 def _check_and(node: str, t_v: int | None, incoming, views) -> tuple[int, str, str] | None:
     if t_v is None:
         # forced only when every source activated and every edge passed its deadline
-        if incoming and len(views) == len(incoming) and all(v.deadline is not None for v in views.values()):
-            return (max(v.deadline for v in views.values()), node, "too-late")
+        if incoming and len(views) == len(incoming) and all(v.deadline is not None for v in views):
+            return (max(v.deadline for v in views), node, "too-late")
         return None
     if not incoming:
         return (t_v, node, "missing-cause")
-    if len(views) != len(incoming) or any(v.t_src > t_v for v in views.values()):
+    if len(views) != len(incoming) or any(v.t_src > t_v for v in views):
         return (t_v, node, "and-incomplete")
     # every edge must have a firing opportunity at or before t_v
-    for v in views.values():
+    for v in views:
         if not any(f <= t_v for f in v.fire_steps):
             return (t_v, node, _classify_blocked(v, t_v))
     # the latest firing lands exactly on t_v
-    if not any(t_v in v.fire_steps for v in views.values()):
+    if not any(t_v in v.fire_steps for v in views):
         return (t_v, node, "too-late")
     return None
 

@@ -182,11 +182,18 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
             raise _err(f"<{el.tag}> lacks the attribute {name!r}", filename=filename)
         return el.attrib[name]
 
-    modes_el = root.find("modes")
-    modes = [attr(m, "name") for m in (modes_el if modes_el is not None else [])]
+    sections: dict[str, list] = {}
+    for el in root:
+        if el.tag not in ("modes", "nodes", "edges") or el.tag in sections:
+            raise _err(f"unexpected element <{el.tag}> in <tfpg>", filename=filename)
+        sections[el.tag] = list(el)
+    for name, tag in (("modes", "mode"), ("edges", "edge")):
+        for el in sections.get(name, ()):
+            if el.tag != tag:
+                raise _err(f"unexpected element <{el.tag}> in <{name}>", filename=filename)
+    modes = [attr(m, "name") for m in sections.get("modes", ())]
     nodes: dict[str, str] = {}
-    nodes_el = root.find("nodes")
-    for el in nodes_el if nodes_el is not None else []:
+    for el in sections.get("nodes", ()):
         nid = attr(el, "id")
         if nid in nodes:
             raise _err(f"duplicate node {nid!r}", filename=filename)
@@ -200,8 +207,7 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
         else:
             raise _err(f"unexpected node element <{el.tag}>", filename=filename)
     edges: list[TfpgEdge] = []
-    edges_el = root.find("edges")
-    for el in edges_el if edges_el is not None else []:
+    for el in sections.get("edges", ()):
         src, dst, tmin_text, tmax_text, modes_text = (attr(el, a) for a in ("src", "dst", "tmin", "tmax", "modes"))
         try:
             tmin = int(tmin_text)

@@ -24,3 +24,25 @@ def evaluate(expr: ProbabilityExpr, env: dict[str, Fraction]) -> Fraction:
         a, b = value(n.left), value(n.right)
         values[id(n)] = a + b if n.op == "+" else a - b if n.op == "-" else a * b
     return value(expr.root)
+
+
+def _straight_line_values(lines: list[str], env: dict[str, Fraction]) -> dict[str, Fraction]:
+    values: dict[str, Fraction] = {}
+    for line in lines:
+        name, rhs = line.split(" = ", 1)
+        values[name] = eval(rhs, {"__builtins__": {}}, {**env, **values})
+    return values
+
+
+def evaluate_text(text: str, env: dict[str, Fraction]) -> tuple[Fraction, dict[str, Fraction]]:
+    """The value of a ``pexpr_to_text`` rendering over ``Fraction`` values of
+    its parameters (``p_<event>``), and the value of each ``tI`` it defines."""
+    *definitions, result = text.splitlines()
+    named = _straight_line_values(definitions, env)
+    return Fraction(eval(result, {"__builtins__": {}}, {**env, **named})), named
+
+
+def script_values(script: str, env: dict[str, Fraction]) -> dict[str, Fraction]:
+    """The value of each ``tI`` that a Python ``tle_probability`` script assigns."""
+    body = [line[4:] for line in script.splitlines() if line.startswith("    t")]
+    return _straight_line_values(body, env)

@@ -63,6 +63,10 @@ def random_cca_model(rng: random.Random):
     events: simultaneous, or cascading with random windows.  Returns
     ``(xm, tle)``."""
     xm, tle = random_extended_model(rng)
+    return _weave_one_cause(xm, rng), tle
+
+
+def _weave_one_cause(xm, rng: random.Random):
     members = rng.sample(sorted(xm.events), 2)
     if rng.random() < 0.5:
         pattern = "simultaneous"
@@ -73,7 +77,48 @@ def random_cca_model(rng: random.Random):
             windows.append(f"{m}: [{lo},{lo + rng.randint(0, 1)}]")
         pattern = f"cascading({', '.join(windows)})"
     spec = f"cc cause: members {{{', '.join(members)}}}, pattern {pattern}, prob 0.01;"
-    return apply_cca(xm, parse_cca(spec)), tle
+    return apply_cca(xm, parse_cca(spec))
+
+
+# the built-in templates that apply to each variable of random_typed_extended_model
+TYPED_TEMPLATES = {
+    "n": ("stuck_at(3)", "random", "conditional(b, 3)", "ramp_down(1)"),
+    "c": ("stuck_at(C)", "random", "conditional(n > 1, B)"),
+    "b": ("stuck_at(TRUE)", "inverted", "random", "conditional(c != A, TRUE)"),
+}
+
+
+def random_typed_extended_model(rng: random.Random):
+    """A small random model over ``n : 0..3``, ``c : {A, B, C}`` and a
+    boolean with two to four fault events, each of a built-in template that
+    applies to its target and at most one of them ``random``, and in about
+    half of the models one common cause woven over two of them.  An event
+    is named after its template (``ramp_down2``).  The top-level event is an
+    OR of ANDs of comparisons and ``in`` tests.  Returns ``(xm, tle)``."""
+    lines = ["MODULE random_typed_extended", "VAR", "  n : 0..3;", "  c : {A, B, C};", "  b : boolean;",
+             "INIT n = 1;", "INIT c = A;", "INIT !b;",
+             rng.choice(["TRANS next(n) = n;", "TRANS next(n) = (b ? 0 : n);"]),
+             rng.choice(["TRANS next(c) = c;", "TRANS next(c) = (b ? B : c);"]),
+             rng.choice(["TRANS next(b) = b;", "TRANS next(b) = b | (n = 3);"])]
+    model = type_check(parse_model("\n".join(lines) + "\n"))
+    fei = []
+    for i in range(rng.randint(2, 4)):
+        target = rng.choice(sorted(TYPED_TEMPLATES))
+        # one random at most: its free choice variable multiplies every step's successors
+        template = rng.choice([t for t in TYPED_TEMPLATES[target]
+                               if t != "random" or not any("random" in f for f in fei)])
+        dynamics = rng.choice(["permanent", "permanent", "sporadic", "transient"])
+        fei.append(f"fault {template.split('(')[0]}{i}: target {target}, template {template}, "
+                   f"dynamics {dynamics}, prob 0.01;")
+    xm = extend_model(model, load_fault_library(), parse_fei("\n".join(fei)))
+    if rng.random() < 0.5:
+        xm = _weave_one_cause(xm, rng)
+    atoms = [f"n >= {rng.randint(2, 3)}", f"n {rng.choice(['<', '!='])} 1", "n = 2",
+             rng.choice(["c in {B, C}", "c in {C}", "!(c in {A, B})"]), "c = B", "b = (c = A)"]
+    terms = ["(" + " & ".join(rng.sample(atoms, rng.randint(1, 2))) + ")" for _ in range(rng.randint(1, 2))]
+    tle = parse_expr_text(" | ".join(terms))
+    xm.typed.check_expr(tle)
+    return xm, tle
 
 
 def random_extend_cases():

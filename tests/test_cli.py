@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from mbsa import probability
 from mbsa.cli import main
 
 from conftest import FIXTURES
@@ -15,7 +14,8 @@ MODEL = str(FIXTURES / "battery_sensor.smx")
 FEI = str(FIXTURES / "battery_sensor.fei")
 TFPG = str(FIXTURES / "battery_sensor.tfpg")
 BIND = str(FIXTURES / "battery_sensor.bind")
-# ftprob artifacts recorded before the probability core became a BDD; tfpg
+# ftprob artifacts recorded before the probability core became a BDD, but
+# for the fixture's text, recorded again when shared subterms got names; tfpg
 # artifacts recorded before validation and synthesis shared one product
 # search; mcs, ft --dynamic and fmea --dynamic artifacts recorded before
 # reachability and cut sequences shared one breadth-first search; static
@@ -185,8 +185,14 @@ def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
     ('<failure id="G1_Off" />', '<sensor id="G1_Off" />', "unexpected node element <sensor>"),
     ('tmin="5"', 'tmin="-1"', "edge B1_LOW->B1_DEAD has negative tmin"),
     ('modes="*"', 'modes=""', "edge G1_Off->G1_DEAD has an empty mode set"),
+    # an element the format does not have was read as a mode or an edge, or ignored
+    ('<mode name="S1" />', '<bogus name="S1" />', "unexpected element <bogus> in <modes>"),
+    ("<edge ", "<junk ", "unexpected element <junk> in <edges>"),
+    ("<nodes>", "<extra /><nodes>", "unexpected element <extra> in <tfpg>"),
+    ("<nodes>", "<modes /><nodes>", "unexpected element <modes> in <tfpg>"),
 ], ids=["tmin", "tmax", "duplicate-node", "mode-name", "node-id", "src", "dst", "edge-tmin", "edge-tmax", "modes",
-        "malformed", "root-element", "semantics", "node-element", "negative-tmin", "empty-modes"])
+        "malformed", "root-element", "semantics", "node-element", "negative-tmin", "empty-modes",
+        "modes-element", "edges-element", "tfpg-element", "repeated-section"])
 @pytest.mark.parametrize("command", [("convert",), ("check", "--model", MODEL, "--fei", FEI, "--bind", BIND)],
                          ids=["convert", "check"])
 def test_bad_tfpg_xml_exits_2(tmp_path, capsys, old, new, message, command):
@@ -738,35 +744,6 @@ def test_enumeration_cap_error_names_the_search_and_depth(tmp_path, capsys, argv
         f"resource cap exceeded: {message}: enumeration of 12+ candidate states exceeds cap 10\n"
 
 
-def _pairs(tmp_path, k):
-    """A model whose top-level event has k disjoint two-fault cut sets."""
-    names = [f"{s}{i}" for i in range(k) for s in "ab"]
-    (tmp_path / "pairs.smx").write_text(
-        "MODULE pairs\nVAR " + " ".join(f"{n} : boolean;" for n in names) + "\n"
-        + "INIT " + " & ".join(f"!{n}" for n in names) + ";\n"
-        + "".join(f"TRANS next({n}) = {n};\n" for n in names))
-    (tmp_path / "pairs.fei").write_text("".join(
-        f"fault f{n}: target {n}, template stuck_at(TRUE), dynamics permanent, prob 0.1;\n" for n in names))
-    return ("--model", str(tmp_path / "pairs.smx"), "--fei", str(tmp_path / "pairs.fei"),
-            "--tle", " | ".join(f"(a{i} & b{i})" for i in range(k)))
-
-
-def test_ftprob_text_over_cap_exits_3_before_any_artifact(tmp_path, capsys, monkeypatch):
-    argv = _pairs(tmp_path, 4)
-    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "free")) == 0
-    free = sorted((tmp_path / "free").iterdir())
-    text = (tmp_path / "free" / "tle_probability.txt").read_text().splitlines()[1]
-    monkeypatch.setattr(probability, "TEXT_CAP", len(text))
-    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "at_cap")) == 0
-    assert [(p.name, p.read_bytes()) for p in free] == \
-        [(p.name, p.read_bytes()) for p in sorted((tmp_path / "at_cap").iterdir())]
-    monkeypatch.setattr(probability, "TEXT_CAP", len(text) - 1)
-    capsys.readouterr()
-    assert run("ftprob", *argv, "--out-dir", str(tmp_path / "over")) == 3
-    assert "tle_probability.txt" in capsys.readouterr().err
-    assert not (tmp_path / "over").exists()
-
-
 @pytest.mark.parametrize("modules", [
     "mbsa.cli",
     "mbsa.analysis, mbsa.cca, mbsa.fault_tree, mbsa.probability, mbsa.sts.model",
@@ -823,3 +800,21 @@ tree = ft_from_xml((out / "ft.ftx").read_text())
             "reloaded.fttsv"} <= set(names)
     for name in names:
         assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [("mcs",), ("ft",), ("ft", "--dynamic"), ("ftprob",), ("ftprob", "--dynamic"),
+                                     ("fmea",), ("fmea", "--dynamic")],
+                         ids=["mcs", "ft", "ft-dynamic", "ftprob", "ftprob-dynamic", "fmea", "fmea-dynamic"])
+@pytest.mark.parametrize("inputs, tle, props", [
+    (PAIR[:4], "a & b", PAIR_PROPS),
+    (PAIR, "a & b", PAIR_PROPS),
+    (("--model", MODEL, "--fei", FEI), "sys_dead", PROPS),
+], ids=["pair", "pair-cca", "fixture"])
+def test_every_analysis_runs_with_and_without_cca_at_each_step_bound(tmp_path, capsys, command, inputs, tle, props):
+    # every supported combination exits 0 without a traceback
+    given = ("--props", props) if command[0] == "fmea" else ("--tle", tle)
+    for bound in ("0", "1", "3"):
+        out = tmp_path / bound
+        assert run(*command, *inputs, *given, "--step-bound", bound, "--out-dir", str(out)) == 0, bound
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(out.iterdir())

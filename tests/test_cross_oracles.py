@@ -30,8 +30,9 @@ from mbsa.tfpg.activation import BindingEvaluator, activation_trace_of
 from mbsa.tfpg.synth import _collect_instances
 
 from conftest import build_extended, checked_expr, reachable_tuples
-from random_models import (random_binding_and_graph, random_cca_model, random_extended_model,
-                           random_stutter_model, random_synthesis_cases, random_typed_model)
+from random_models import (TYPED_TEMPLATES, random_binding_and_graph, random_cca_model, random_extended_model,
+                           random_stutter_model, random_synthesis_cases, random_typed_extended_model,
+                           random_typed_model)
 
 _OPS = {
     "&": lambda a, b: a and b,
@@ -231,6 +232,8 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
     for i in range(12):
         xm, tle = (random_cca_model if i % 2 else random_extended_model)(rng)
         models.append((xm, [tle, "v0", "v1 & v2"]))
+    typed = _typed_extended_models(random.Random(41), 8)
+    models += [(xm, [tle, "n >= 2", "c in {B, C}"]) for xm, tle in typed]
     counts = collections.Counter()
     for i, (xm, exprs) in enumerate(models):
         events = sorted(xm.events)
@@ -246,6 +249,7 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
                 assert result.nominal_warning == (naive[label] == {frozenset()})
                 counts.update(len(c) for c in naive[label])
                 counts["none"] += not naive[label]
+                counts["typed"] += i >= len(models) - len(typed) and any(naive[label])  # a nonempty cut set
             rows = set()
             for c in set().union(*naive.values()):
                 violated = [label for label, _ in props if distance[label][c] is not None
@@ -254,8 +258,18 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
                     rows.add((c, tuple(violated)))
             table = generate_fmea(xm, props, max_card, bound)
             assert {(r.faults, r.violated) for r in table.rows} == rows, (i, bound)
-    # no cut set, the nominal warning, and cut sets of one to three events
-    assert all(counts[k] for k in ("none", 0, 1, 2, 3)), counts
+    # no cut set, the nominal warning, cut sets of one to three events, and
+    # nonempty cut sets of integer and enum models
+    assert all(counts[k] for k in ("none", 0, 1, 2, 3, "typed")), counts
+
+
+def _typed_extended_models(rng, count):
+    """``count`` models of ``random_typed_extended_model``, among which every
+    template of ``TYPED_TEMPLATES`` and a woven common cause occur."""
+    models = [random_typed_extended_model(rng) for _ in range(count)]
+    names = {name.rstrip("0123456789") for xm, _ in models for name in xm.events}
+    assert names == {t.split("(")[0] for ts in TYPED_TEMPLATES.values() for t in ts} | {"cause"}, names
+    return models
 
 
 def _check_labels(xm):
@@ -423,6 +437,8 @@ def test_cut_sequence_orders_equal_trace_enumeration(latch_model):
     rng = random.Random(23)
     models = [(latch_model, checked_expr(latch_model, "armed & y"))]
     models += [(random_cca_model if i % 2 else random_extended_model)(rng) for i in range(12)]
+    typed = _typed_extended_models(random.Random(43), 8)
+    models += typed
     counts = collections.Counter()
     for i, (xm, tle) in enumerate(models):
         events = sorted(xm.events)
@@ -435,7 +451,8 @@ def test_cut_sequence_orders_equal_trace_enumeration(latch_model):
                 for trace in seq.witnesses.values():
                     assert len(trace) <= bound + 1 and replay_ok(xm.typed, trace)
                 counts[len(seq.base), len(seq.orders)] += 1
-    assert counts[2, 0] and counts[2, 1] and counts[2, 2] and counts[1, 1]
+                counts["typed"] += i >= len(models) - len(typed) and bool(seq.orders)
+    assert counts[2, 0] and counts[2, 1] and counts[2, 2] and counts[1, 1] and counts["typed"], counts
 
 
 def test_dynamic_fmea_equals_naive_orders_of_every_pair(redundant_pair, latch_model):

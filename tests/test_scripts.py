@@ -13,15 +13,16 @@ from mbsa.fault_tree import (
     rare_event_approximation,
     symbolic_probability,
 )
-from mbsa.probability import pexpr_to_text, prob_str, render_prob_script
+from mbsa.probability import pexpr_to_text, prob_str, render_prob_script, symbol_params
 from mbsa.analysis import CutSetResult
 from mbsa.sts.parse import parse_expr_text
 
-from probability_references import evaluate
+from probability_references import evaluate, evaluate_text, script_values
 from random_models import random_cut_set_cases
 
 # ftprob artifacts of seeded random cut-set results, recorded before the
-# closed form was built straight from the BDD
+# closed form was built straight from the BDD; the texts with a shared
+# subterm were recorded again when it got a ``tI`` line
 CASES = Path(__file__).resolve().parent / "goldens" / "ftprob_cases"
 CUT_SET_CASES = list(random_cut_set_cases())
 ARTIFACTS = ("ft_probabilities.tsv", "tle_probability.txt", "tle_probability.py", "tle_probability.m")
@@ -136,3 +137,31 @@ def _ftprob_artifacts(result, sequences, probs, groups) -> dict[str, str]:
 def test_random_cut_sets_match_goldens(index):
     for name, text in _ftprob_artifacts(*CUT_SET_CASES[index]).items():
         assert text.encode("utf-8") == (CASES / f"random_{index:02d}" / name).read_bytes(), name
+
+
+def test_text_is_exact_and_names_subterms_as_the_scripts_do():
+    shared = 0
+    for result, sequences, probs, groups in CUT_SET_CASES:
+        ft = build_fault_tree(result, sequences, tle_label="tle", probabilities=probs)
+        symbolic = symbolic_probability(ft, groups)
+        values = {**probs, **{g.id: Fraction(g.probability) for g in groups}}
+        env = {p: values[s] for s, p in zip(symbolic.symbols, symbol_params(symbolic.symbols))}
+        value, named = evaluate_text(pexpr_to_text(symbolic), env)
+        assert value == evaluate_probability(ft, ProbabilityAssignment(probs, groups))[ft.root]
+        in_script = script_values(render_prob_script(symbolic, "python"), env)
+        assert named == {name: in_script[name] for name in named}
+        shared += bool(named)
+    assert shared >= 10
+
+
+def test_text_is_linear_in_disjoint_pairs():
+    # the text once expanded every shared subterm: its length doubled with
+    # each disjoint pair, and 21 pairs hit a 64 MiB cap
+    for k in (9, 21, 40):
+        ft = _tree([{f"e{i:02d}a", f"e{i:02d}b"} for i in range(k)])
+        symbolic = symbolic_probability(ft)
+        text = pexpr_to_text(symbolic)
+        assert len(text.splitlines()) == k
+        assert len(text) < 100 * k
+        half = {p: Fraction(1, 2) for p in symbol_params(symbolic.symbols)}
+        assert evaluate_text(text, half)[0] == 1 - Fraction(3, 4) ** k

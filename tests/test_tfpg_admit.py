@@ -248,3 +248,34 @@ def test_first_inconsistency_is_deterministic():
     g = full_scale_graph()
     at = _at(g, {"G1_Off": 0, "G1_DEAD": 0, "B1_LOW": 50, "B1_DEAD": 70, "S1_NO": 71}, length=80)
     assert admits(g, at) == admits(g, at)
+
+
+def test_two_equal_parallel_edges_into_an_and_node_are_two_edges():
+    # equal edges compare equal: one view per edge value left the AND node
+    # with fewer views than incoming edges, so admits said and-incomplete
+    edge = TfpgEdge("F", "A", 0, None, None)
+    g = Tfpg(("M",), {"F": "failure", "A": "and"}, (edge, edge))
+    g.check()
+    at = ActivationTrace(3, {"F": 0, "A": 1}, ("M", "M", "M"))
+    assert admits(g, at).ok and admits_by_search(g, at) and monitor_run(g, at)
+
+
+def test_admits_equals_search_and_monitor_with_a_repeated_edge():
+    rng = random.Random(46)
+    rejected = into_and = admitted_through_and = 0
+    for _ in range(400):
+        g = _random_graph(rng)
+        edge = rng.choice(g.edges)
+        g = Tfpg(g.modes, dict(g.nodes), (*g.edges, edge))
+        g.check()
+        at = _random_trace(g, rng)
+        analytic = admits(g, at).ok
+        search = admits_by_search(g, at)
+        stepped = monitor_run(g, at)
+        assert analytic == search == stepped, (g, at.times, at.modes, analytic, search, stepped)
+        rejected += not analytic
+        if g.nodes[edge.dst] == "and":
+            into_and += 1
+            # the repeated edge fired into an activated AND node of an admitted trace
+            admitted_through_and += analytic and None not in (at.times[edge.src], at.times[edge.dst])
+    assert 0 < rejected < 400 and into_and >= 100 and admitted_through_and >= 2
