@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 
 from mbsa import __version__
-from mbsa.analysis import compute_cut_sequences, compute_mcs, cutsets_to_tsv, cutsets_to_xml
-from mbsa.cca import CommonCauseSpec, apply_cca, parse_cca
+from mbsa.cca import CommonCauseSpec
+from mbsa.ccaweave import apply_cca, parse_cca
+from mbsa.cutsets import compute_cut_sequences, compute_mcs, cutsets_to_tsv, cutsets_to_xml
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError, ResourceCapError
 from mbsa.fault_tree import (
     ProbabilityAssignment,

@@ -274,6 +274,11 @@ def ft_to_xml(ft: FaultTree, with_probabilities: bool = False) -> str:
     return to_xml(("fault-tree", {"root": ft.root}, elements))
 
 
+# element -> the attributes it may have (any other element is reported as unexpected)
+_XML_ATTRIBUTES = {"fault-tree": {"root"}, "gate": {"id", "kind", "label"}, "child": {"ref"},
+                   "basic-event": {"id", "probability", "label"}}
+
+
 def ft_from_xml(text: str) -> FaultTree:
     from xml.etree import ElementTree as ET
 
@@ -283,6 +288,11 @@ def ft_from_xml(text: str) -> FaultTree:
         raise FaultTreeError(f"malformed XML: {exc}") from None
     if root.tag != "fault-tree":
         raise FaultTreeError(f"expected <fault-tree> document, found <{root.tag}>")
+    for el in root.iter():
+        allowed = _XML_ATTRIBUTES.get(el.tag)
+        extra = None if allowed is None else next((a for a in el.attrib if a not in allowed), None)
+        if extra is not None:
+            raise FaultTreeError(f"unexpected attribute {extra!r} on <{el.tag}>")
 
     def attr(el, name: str) -> str:
         if name not in el.attrib:

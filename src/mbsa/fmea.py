@@ -13,7 +13,7 @@ nonempty candidate asks for every property one of whose cut sets it contains
 
 from __future__ import annotations
 
-from mbsa.analysis import Analyzer, _interleavings, _sequence_partitions, _sorted_mcs, compute_mcs
+from mbsa.cutsets import Analyzer, _interleavings, _sequence_partitions, _sorted_mcs, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr

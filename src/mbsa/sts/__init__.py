@@ -6,7 +6,7 @@ and probability layers -- does not compile the parser, checker, engine and
 printer as well.
 """
 
-import importlib
+from mbsa import reexport
 
 # re-exported name -> its home submodule
 _HOME = {name: f"mbsa.sts.{module}" for module, names in {
@@ -20,11 +20,4 @@ _HOME = {name: f"mbsa.sts.{module}" for module, names in {
 
 __all__ = list(_HOME)
 
-
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+__getattr__ = reexport(globals(), _HOME)

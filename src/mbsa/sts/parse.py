@@ -257,15 +257,20 @@ def parse_expr_text(text: str, filename: str = "<expr>") -> Expr:
 # ---------------------------------------------------------------------------
 # Models
 
-def _parse_type(ts: TokenStream) -> TypeSpec:
+def _parse_type(ts: TokenStream, literals: dict[str, Token]) -> TypeSpec:
+    """A variable's type; the first token of each enumeration literal is kept
+    in ``literals``."""
     if ts.accept("boolean"):
         return BoolType()
     if ts.accept("{"):
-        lits = ts.items(lambda: ts.expect_ident("enumeration literal").text)
+        tokens = ts.items(lambda: ts.expect_ident("enumeration literal"))
         ts.expect("}")
+        lits = tuple(t.text for t in tokens)
         if len(set(lits)) != len(lits):
             ts.fail("duplicate enumeration literal")
-        return EnumType(tuple(lits))
+        for t in tokens:
+            literals.setdefault(t.text, t)
+        return EnumType(lits)
     neg = ts.accept("-")
     lo = ts.number(f"expected a type, found {ts.cur.text!r}") * (-1 if neg else 1)
     ts.expect("..")
@@ -281,7 +286,8 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
     """Parse model text into a :class:`SymbolicModel`.
 
     Declaration problems that are detectable without a symbol table
-    (duplicate names) are reported here; everything else is left to
+    (duplicate names, an enumeration literal spelled like a declared name)
+    are reported here, at the name or the literal; everything else is left to
     :func:`mbsa.sts.check.type_check`.
     """
     ts = TokenStream(tokenize(text, filename), filename)
@@ -290,8 +296,10 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
 
     variables: list[tuple[str, TypeSpec]] = []
     defines: list[tuple[str, Expr]] = []
+    literals: dict[str, Token] = {}
     # section keyword -> (separator, parser of the declared type or body, declarations)
-    declarations = {"VAR": (":", _parse_type, variables), "DEFINE": (":=", parse_expr, defines)}
+    declarations = {"VAR": (":", lambda ts: _parse_type(ts, literals), variables),
+                    "DEFINE": (":=", parse_expr, defines)}
     constraints: dict[str, list[Expr]] = {"INIT": [], "TRANS": [], "INVAR": []}
     declared: set[str] = set()
     while not ts.at_end():
@@ -311,6 +319,10 @@ def parse_model(text: str, filename: str = "<input>") -> SymbolicModel:
             ts.expect(";")
         else:
             ts.fail(f"expected one of {sorted([*declarations, *constraints])}, found {ts.cur.text!r}")
+    # a name may be declared after a literal that spells it
+    clash = next((t for lit, t in literals.items() if lit in declared), None)
+    if clash is not None:
+        raise ts.error(clash, f"enumeration literal {clash.text!r} clashes with a declared name")
 
     return SymbolicModel(name, tuple(variables), tuple(defines), init=tuple(constraints["INIT"]),
                          trans=tuple(constraints["TRANS"]), invar=tuple(constraints["INVAR"]))

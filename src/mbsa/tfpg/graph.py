@@ -103,12 +103,16 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
     """
     ts = TokenStream(tokenize(text, filename), filename)
     modes: list[str] = []
+    repeated = None  # the first repetition of a mode literal
     nodes: dict[str, str] = {}
     edges: list[TfpgEdge] = []
     while not ts.at_end():
         word = ts.word()
         if ts.accept_word("modes"):
-            modes += ts.items(lambda: ts.expect_ident("mode literal").text)
+            for mode in ts.items(lambda: ts.expect_ident("mode literal")):
+                if mode.text in modes:
+                    repeated = repeated or mode
+                modes.append(mode.text)
             ts.expect(";")
         elif word in ("failure", "or", "and"):
             ts.advance()
@@ -136,6 +140,8 @@ def parse_tfpg(text: str, filename: str = "<tfpg>") -> Tfpg:
             edges.append(TfpgEdge(src, dst, tmin, tmax, edge_modes))
         else:
             ts.fail(f"expected 'modes', 'failure', 'or', 'and', or 'edge', found {ts.cur.text!r}")
+    if repeated is not None:
+        raise ts.error(repeated, "duplicate mode literal", TfpgError)
     g = Tfpg(tuple(modes), nodes, tuple(edges))
     g.check(filename)
     return g
@@ -167,6 +173,12 @@ def tfpg_to_xml(g: Tfpg) -> str:
                                 ("nodes", {}, nodes), ("edges", {}, edges)]))
 
 
+# element -> the attributes it may have (any other element is reported as unexpected)
+_XML_ATTRIBUTES = {"tfpg": set(), "modes": set(), "nodes": set(), "edges": set(), "mode": {"name"},
+                   "failure": {"id"}, "discrepancy": {"id", "semantics"},
+                   "edge": {"src", "dst", "tmin", "tmax", "modes"}}
+
+
 def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
     from xml.etree import ElementTree as ET
 
@@ -176,6 +188,11 @@ def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
         raise _err(f"malformed XML: {exc}", filename=filename)
     if root.tag != "tfpg":
         raise _err(f"expected <tfpg> document, found <{root.tag}>", filename=filename)
+    for el in root.iter():
+        allowed = _XML_ATTRIBUTES.get(el.tag)
+        extra = None if allowed is None else next((a for a in el.attrib if a not in allowed), None)
+        if extra is not None:
+            raise _err(f"unexpected attribute {extra!r} on <{el.tag}>", filename=filename)
 
     def attr(el, name: str) -> str:
         if name not in el.attrib:

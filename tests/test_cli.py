@@ -190,9 +190,19 @@ def test_tfpg_check_artifacts_match_goldens(tmp_path, golden, graph, code):
     ("<edge ", "<junk ", "unexpected element <junk> in <edges>"),
     ("<nodes>", "<extra /><nodes>", "unexpected element <extra> in <tfpg>"),
     ("<nodes>", "<modes /><nodes>", "unexpected element <modes> in <tfpg>"),
+    # an attribute the format does not have was ignored
+    ('tmin="5"', 'tmin="5" tmn="3"', "unexpected attribute 'tmn' on <edge>"),
+    ('<mode name="S1" />', '<mode name="S1" label="standby" />', "unexpected attribute 'label' on <mode>"),
+    ('<failure id="G1_Off" />', '<failure id="G1_Off" probability="0.1" />',
+     "unexpected attribute 'probability' on <failure>"),
+    ('semantics="and"', 'semantics="and" kind="and"', "unexpected attribute 'kind' on <discrepancy>"),
+    ("<edges>", '<edges count="14">', "unexpected attribute 'count' on <edges>"),
+    ("<tfpg>", '<tfpg version="2">', "unexpected attribute 'version' on <tfpg>"),
 ], ids=["tmin", "tmax", "duplicate-node", "mode-name", "node-id", "src", "dst", "edge-tmin", "edge-tmax", "modes",
         "malformed", "root-element", "semantics", "node-element", "negative-tmin", "empty-modes",
-        "modes-element", "edges-element", "tfpg-element", "repeated-section"])
+        "modes-element", "edges-element", "tfpg-element", "repeated-section",
+        "edge-attribute", "mode-attribute", "failure-attribute", "discrepancy-attribute", "edges-attribute",
+        "tfpg-attribute"])
 @pytest.mark.parametrize("command", [("convert",), ("check", "--model", MODEL, "--fei", FEI, "--bind", BIND)],
                          ids=["convert", "check"])
 def test_bad_tfpg_xml_exits_2(tmp_path, capsys, old, new, message, command):

@@ -182,12 +182,12 @@ def _naive_reach(xm, target, allowed, bound):
 
 
 def test_shortest_witnesses_equal_naive_search():
-    # plain and common-cause models, with and without a restriction, under
-    # step bounds 0-3 and unbounded: the same trace, state for state
+    # plain, common-cause and typed models, with and without a restriction,
+    # under step bounds 0-3 and unbounded: the same trace, state for state
     rng = random.Random(21)
-    lengths = collections.Counter()
-    for i in range(16):
-        xm, tle = (random_cca_model if i % 2 else random_extended_model)(rng)
+    lengths, typed_lengths = collections.Counter(), collections.Counter()
+
+    def check(i, xm, tle, lengths):
         eng = Engine(xm.typed)
         events = sorted(xm.events)
         restrictions = [frozenset(), frozenset(events), *(frozenset(rng.sample(events, k)) for k in (1, 2))]
@@ -200,7 +200,14 @@ def test_shortest_witnesses_equal_naive_search():
                 got = None if trace is None else [eng.to_tuple(d) for d in trace.states]
                 assert got == _naive_reach(xm, tle, allowed, bound), (i, bound, allowed)
                 lengths[None if got is None else len(got)] += 1
+
+    for i in range(16):
+        check(i, *(random_cca_model if i % 2 else random_extended_model)(rng), lengths)
+    for i, (xm, tle) in enumerate(_typed_extended_models(random.Random(46), 8), 16):
+        check(i, xm, tle, typed_lengths)
     assert lengths[None] and lengths[1] and any(n and n >= 3 for n in lengths)
+    # witnesses of at least one step on integer and enum models
+    assert any(n and n >= 2 for n in typed_lengths), typed_lengths
 
 
 def _naive_distance(xm, target, allowed):
@@ -382,6 +389,8 @@ def test_guarded_generator_equals_filtered_lists():
     names = wide.typed.var_names()
     assert not Engine(wide.typed)._trans_assign and names.index("mode#f6") >= 16
     models.append(wide)
+    typed = [xm for xm, _ in _typed_extended_models(random.Random(50), 8)]
+    models += typed
     seen = collections.Counter()
     for xm in models:
         ana = Analyzer(xm)
@@ -404,7 +413,8 @@ def test_guarded_generator_equals_filtered_lists():
                 seen["pruned"] += len(guarded) < len(succ)
                 seen["pruned to none"] += bool(succ) and not guarded
                 seen["kept"] += bool(guarded) and m != 0
-    assert all(seen[k] for k in ("sampled", "pruned", "pruned to none", "kept")), seen
+                seen["typed pruned"] += xm in typed and len(guarded) < len(succ)
+    assert all(seen[k] for k in ("sampled", "pruned", "pruned to none", "kept", "typed pruned")), seen
 
 
 def _naive_orders(xm, tle, base, bound):
@@ -464,6 +474,8 @@ def test_dynamic_fmea_equals_naive_orders_of_every_pair(redundant_pair, latch_mo
     for i in range(10):
         xm, tle = (random_cca_model if i % 2 else random_extended_model)(rng)
         models.append((xm, [tle, "v0", "v1 & v2"]))
+    typed = _typed_extended_models(random.Random(49), 8)
+    models += [(xm, [tle, "n >= 2", "c in {B, C}"]) for xm, tle in typed]
     seen = collections.Counter()
     for i, (xm, exprs) in enumerate(models):
         events = sorted(xm.events)
@@ -486,7 +498,8 @@ def test_dynamic_fmea_equals_naive_orders_of_every_pair(redundant_pair, latch_mo
             assert set(got) == {(c, o, tuple(sorted(v))) for (c, o), v in expected.items()}, (i, bound)
             assert got == sorted(got, key=lambda r: (len(r[0]), sorted(r[0]), r[1])), (i, bound)
             seen["row"] += len(got)
-    assert all(seen[k] for k in ("no cut set", "non-minimal row", "row")), seen
+            seen["typed row"] += i >= len(models) - len(typed) and len(got)
+    assert all(seen[k] for k in ("no cut set", "non-minimal row", "row", "typed row")), seen
 
 
 def _verdict_equals_per_trace_admission(xm, graph, binding, bound: int) -> bool:

@@ -415,6 +415,21 @@ def test_xml_unknown_gate_element_is_rejected():
         ft_from_xml(_xml('<gate id="top" kind="or"><kid ref="a"/></gate>', '<basic-event id="a"/>'))
 
 
+@pytest.mark.parametrize("text, message", [
+    # a misspelled probability was read as an event with none
+    (_xml(TOP, '<basic-event id="a" prob="0.5"/>'), "unexpected attribute 'prob' on <basic-event>"),
+    (_xml('<gate id="top" kind="or" type="and"><child ref="a"/></gate>', '<basic-event id="a"/>'),
+     "unexpected attribute 'type' on <gate>"),
+    (_xml('<gate id="top" kind="or"><child ref="a" weight="2"/></gate>', '<basic-event id="a"/>'),
+     "unexpected attribute 'weight' on <child>"),
+    ('<fault-tree root="top" top="a">' + TOP + '<basic-event id="a"/></fault-tree>',
+     "unexpected attribute 'top' on <fault-tree>"),
+], ids=["basic-event", "gate", "child", "fault-tree"])
+def test_xml_unknown_attribute_is_rejected(text, message):
+    with pytest.raises(FaultTreeError, match=f"^{message}$"):
+        ft_from_xml(text)
+
+
 def test_xml_probability_outside_unit_interval_is_rejected():
     with pytest.raises(FaultTreeError, match=r"basic event 'a' has probability 2 outside \[0,1\]"):
         ft_from_xml(_xml(TOP, '<basic-event id="a" probability="2"/>'))

@@ -2,7 +2,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from mbsa import analysis, fmea
+from mbsa import cutsets, fmea
 from mbsa.analysis import compute_cut_sequences, compute_mcs
 from mbsa.fmea import (
     FmeaError,
@@ -24,7 +24,7 @@ def test_one_cut_sequence_search_per_candidate_expands_each_state_once(monkeypat
     # a search stores a state with many partitions, and expands it once; dynamic
     # FMEA searches each nonempty candidate once, for all its properties
     searches, active = [], []
-    search, succ = analysis._sequence_partitions, Engine.succ_tuples
+    search, succ = cutsets._sequence_partitions, Engine.succ_tuples
 
     def counted_search(*args):
         searches.append([])
@@ -39,7 +39,7 @@ def test_one_cut_sequence_search_per_candidate_expands_each_state_once(monkeypat
             active[-1].append(s)
         return succ(self, s, forbidden)
 
-    monkeypatch.setattr(analysis, "_sequence_partitions", counted_search)
+    monkeypatch.setattr(cutsets, "_sequence_partitions", counted_search)
     monkeypatch.setattr(fmea, "_sequence_partitions", counted_search, raising=False)
     monkeypatch.setattr(Engine, "succ_tuples", succ_tuples)
     xm = battery_sensor

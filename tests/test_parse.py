@@ -59,6 +59,26 @@ def test_duplicate_declaration():
     assert "duplicate" in str(err.value)
 
 
+def test_literal_clash_is_reported_at_the_literal():
+    # the name may be declared before or after the literal, as a variable or a DEFINE
+    for text, where in (("MODULE m VAR X : boolean; a : {X, Y};", (1, 32)),
+                        ("MODULE m VAR a : {Y, X};\nDEFINE X := TRUE;", (1, 22)),
+                        ("MODULE m VAR a : {X, Y};\n  b : {Z, X};\nDEFINE Z := TRUE;\n  X := FALSE;", (1, 19))):
+        with pytest.raises(ParseError) as err:
+            parse_model(text, "m.smx")
+        (diag,) = err.value.diagnostics
+        assert (diag.line, diag.col, diag.filename) == (*where, "m.smx")
+        assert diag.message.endswith("clashes with a declared name")
+
+
+def test_type_check_refuses_a_literal_that_clashes_with_a_declared_name():
+    # a model built in code reaches the checker without the parser's check
+    model = SymbolicModel("m", (("X", BoolType()), ("a", EnumType(("X", "Y")))), (), (), (), ())
+    with pytest.raises(TypeError_) as err:
+        type_check(model)
+    assert [d.message for d in err.value.diagnostics] == ["enumeration literal 'X' clashes with a declared name"]
+
+
 def test_unknown_character():
     with pytest.raises(ParseError):
         parse_model("MODULE m VAR x : boolean; INIT x @ 1;")

@@ -192,7 +192,7 @@ def test_the_probability_stage_loads_no_model_checking_layer():
                         or isinstance(node, ast.ImportFrom) and node.module != "__future__")
     assert "mbsa.fault_tree" in imports
     checker = {"mbsa.sts.parse", "mbsa.sts.check", "mbsa.sts.engine", "mbsa.sts.pretty", "mbsa.sts.codegen",
-               "mbsa.faults"}
+               "mbsa.faults", "mbsa.cutsets", "mbsa.ccaweave"}
     assert _loaded_modules(imports) & checker == set()
 
 
@@ -207,17 +207,33 @@ def test_the_cli_loads_every_layer_the_tracer_wraps():
     assert wrapped - _loaded_modules("import mbsa.cli") == set()
 
 
-def test_sts_re_exports_the_objects_of_their_home_modules():
+def _assert_re_exports(module_name: str, misspelled: str):
+    """Each name of the module's ``__all__`` is its home module's object, also
+    through ``import *``, and an unknown name is an ``AttributeError``."""
     import importlib
 
-    import mbsa.sts
-
-    for name in mbsa.sts.__all__:
-        home = importlib.import_module(mbsa.sts._HOME[name])
-        assert getattr(mbsa.sts, name) is getattr(home, name), name
+    module = importlib.import_module(module_name)
+    for name in module.__all__:
+        home = importlib.import_module(module._HOME.get(name, module_name))
+        assert getattr(module, name) is getattr(home, name), name
     namespace: dict = {}
-    exec("from mbsa.sts import *", namespace)
-    assert {name: namespace[name] for name in mbsa.sts.__all__} == {
-        name: getattr(mbsa.sts, name) for name in mbsa.sts.__all__}
-    with pytest.raises(AttributeError, match="no attribute 'parse_modle'"):
-        mbsa.sts.parse_modle
+    exec(f"from {module_name} import *", namespace)
+    assert {name: namespace[name] for name in module.__all__} == {
+        name: getattr(module, name) for name in module.__all__}
+    with pytest.raises(AttributeError, match=f"module '{module_name}' has no attribute '{misspelled}'"):
+        getattr(module, misspelled)
+
+
+def test_sts_re_exports_the_objects_of_their_home_modules():
+    _assert_re_exports("mbsa.sts", "parse_modle")
+
+
+@pytest.mark.parametrize("module_name, misspelled", [("mbsa.analysis", "compute_mc"), ("mbsa.cca", "apply_cc")])
+def test_records_modules_re_export_the_objects_of_their_home_modules(module_name, misspelled):
+    _assert_re_exports(module_name, misspelled)
+
+
+def test_importing_the_records_loads_no_search_or_weaving():
+    homes = {"mbsa.cutsets", "mbsa.ccaweave"}
+    assert _loaded_modules("import mbsa.analysis, mbsa.cca") & homes == set()
+    assert _loaded_modules("from mbsa.analysis import compute_mcs\nfrom mbsa.cca import apply_cca") >= homes

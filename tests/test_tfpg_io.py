@@ -77,6 +77,17 @@ def test_structural_errors():
         parse_tfpg("modes M; failure F; or D; edge F -> E [0,0] {*};")  # undeclared node
 
 
+def test_repeated_mode_literal_is_reported_at_the_repetition():
+    for text, where in (("modes P, S, P;", (1, 13)), ("modes P;\nfailure F;\nmodes S, P;", (3, 10))):
+        with pytest.raises(TfpgError) as err:
+            parse_tfpg(text, "g.tfpg")
+        (diag,) = err.value.diagnostics
+        assert (diag.message, diag.line, diag.col, diag.filename) == ("duplicate mode literal", *where, "g.tfpg")
+    # a graph built in code is checked too
+    with pytest.raises(TfpgError, match="duplicate mode literal"):
+        Tfpg(("P", "P"), {}, ()).check()
+
+
 def test_text_round_trip():
     g = full_scale_graph()
     canon = write_tfpg(g)
