@@ -24,14 +24,23 @@ Importing ``mbsa.fault_tree``, ``mbsa.probability``, ``mbsa.analysis``,
 ``mbsa.cutsets`` or ``mbsa.ccaweave``): a probability stage that starts from
 cut sets never compiles them.  ``analysis`` and ``cca`` re-export the names
 whose home is ``cutsets`` or ``ccaweave`` (``compute_mcs``, ``apply_cca``, ...)
-on first access, through :func:`reexport` (PEP 562), as ``mbsa.sts`` does for
-its submodules; code in the package imports a name from its home module.
+on first access, through :func:`reexport` (PEP 562), as ``mbsa.sts`` and
+``mbsa.tfpg`` do for their submodules; code in the package imports a name
+from its home module.
 ``cutsets`` and ``ccaweave`` import the engine, parser and ``faults`` inside
 the functions that need them.  Importing ``faults`` loads the parser and
-checker, and importing ``fmea`` or ``tfpg`` loads the engine too.
-``mbsa.cli`` still imports every layer when it is imported, because the
-benchmark's layer tracer wraps only the functions of modules already loaded
-at that point: a layer loaded later would be reported as never called.
+checker, and importing ``fmea`` or a ``tfpg`` module but ``graph`` loads the
+engine too.  ``mbsa.cli`` imports no layer when it is imported: each
+subcommand imports what it calls inside its function, so a job runs only the
+layers it uses (``extend`` none of ``cutsets``, ``fault_tree``,
+``probability``, ``fmea``, the engine or ``tfpg``).  For that,
+:func:`prob_str`, the text of a probability in every artifact, lives here,
+and ``mbsa.probability`` re-exports it.  The CLI still registers every layer in
+``sys.modules``, unrun, through :func:`register_lazily`.  That is for the
+benchmark's layer tracer, which wraps only the functions of the modules it
+finds there, running each as it looks it up: a layer missing from
+``sys.modules`` would be reported as never called.  The registration can go
+once the tracer wraps modules as they are imported.
 
 A format library loads only where it is needed: ``json`` in the CLI's
 event-registry writer, ``xml.etree.ElementTree`` inside the two XML readers,
@@ -43,6 +52,8 @@ compiles ElementTree nor keeps its memory resident (about 0.7 MiB).
 """
 
 import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -61,3 +72,46 @@ def reexport(namespace: dict, homes: dict[str, str]):
         return value
 
     return __getattr__
+
+
+def register_lazily(*names: str):
+    """Put each module of ``names`` in ``sys.modules``, and on its parent
+    package, without running its body: the body runs on the first access to
+    any of its attributes (``importlib.util.LazyLoader``).  A module already
+    imported is left as it is."""
+    for name in names:
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+
+
+def prob_str(v) -> str:
+    """Stable textual probability: exact decimal when one exists, else the
+    shortest float repr.  Re-parsing with Fraction() and re-rendering is a
+    fixpoint, which the export round-trip tests rely on."""
+    from fractions import Fraction
+
+    v = Fraction(v)
+    if v.denominator == 1:
+        return str(v.numerator)
+    den = v.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den == 1:
+        k = max(twos, fives)
+        digits = v.numerator * 10**k // v.denominator
+        text = f"{digits:0{k + 1}d}"
+        out = (text[:-k] + "." + text[-k:]).rstrip("0").rstrip(".")
+        return out if out else "0"
+    return repr(float(v))

@@ -59,10 +59,12 @@ def parse_cca(text: str, filename: str = "<cca>") -> list[CommonCauseSpec]:
         ts.expect(":")
         ts.expect_word("members")
         ts.expect("{")
-        members = ts.items(lambda: ts.expect_ident("member event").text)
+        member_toks = ts.items(lambda: ts.expect_ident("member event"))
         ts.expect("}")
-        if len(set(members)) != len(members):
-            raise ts.error(id_tok, f"duplicate member in common cause {id_tok.text!r}", CcaError)
+        members = [t.text for t in member_toks]
+        for i, t in enumerate(member_toks):
+            if t.text in members[:i]:
+                raise ts.error(t, f"duplicate member in common cause {id_tok.text!r}", CcaError)
         if len(members) < 2:
             raise ts.error(id_tok, f"common cause {id_tok.text!r} needs at least 2 members", CcaError)
         ts.expect(",")

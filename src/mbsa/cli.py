@@ -15,35 +15,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from mbsa import __version__
-from mbsa.cca import CommonCauseSpec
-from mbsa.ccaweave import apply_cca, parse_cca
-from mbsa.cutsets import compute_cut_sequences, compute_mcs, cutsets_to_tsv, cutsets_to_xml
+from mbsa import __version__, prob_str, register_lazily
 from mbsa.diagnostics import Diagnostic, InputError, MbsaError, ResourceCapError
-from mbsa.fault_tree import (
-    ProbabilityAssignment,
-    build_fault_tree,
-    evaluate_probability,
-    export_ft,
-    rare_event_approximation,
-    symbolic_probability,
-)
-from mbsa.faults import extend_model, load_fault_library, parse_fei
-from mbsa.fmea import export_fmea, generate_dynamic_fmea, generate_fmea
-from mbsa.probability import pexpr_to_text, prob_str, render_prob_script
-from mbsa.sts.check import type_check
-from mbsa.sts.parse import TokenStream, parse_expr, parse_expr_text, parse_model, tokenize
-from mbsa.sts.pretty import print_expr, print_model
-from mbsa.tfpg import (
-    parse_binding,
-    parse_tfpg,
-    synthesize_structure,
-    tfpg_from_xml,
-    tfpg_to_dot,
-    tfpg_to_xml,
-    validate_behavioral,
-    write_tfpg,
-)
+
+# Each subcommand imports what it calls inside its body, so a job runs only
+# the layers it uses.  The layers are registered all the same, unrun, for the
+# benchmark's tracer: it wraps the functions of the modules it finds in
+# sys.modules, and its lookups run them first.
+register_lazily("mbsa.analysis", "mbsa.cca", "mbsa.ccaweave", "mbsa.cutsets", "mbsa.fault_tree", "mbsa.faults",
+                "mbsa.fmea", "mbsa.probability", "mbsa.sts.check", "mbsa.sts.engine", "mbsa.sts.parse",
+                "mbsa.sts.pretty", "mbsa.tfpg.activation", "mbsa.tfpg.admit", "mbsa.tfpg.graph",
+                "mbsa.tfpg.synth", "mbsa.tfpg.validate")
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -96,6 +78,10 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
 
 
 def _load_extended(args):
+    from mbsa.faults import extend_model, load_fault_library, parse_fei
+    from mbsa.sts.check import type_check
+    from mbsa.sts.parse import parse_model
+
     model = parse_model(_read_named(args.model, "model"), args.model)
     typed = type_check(model, args.model)
     library = load_fault_library(_read_named(args.flib, "fault library") if args.flib else "",
@@ -105,12 +91,16 @@ def _load_extended(args):
     xm = extend_model(typed, library, instructions)
     specs = []
     if getattr(args, "cca", None):
+        from mbsa.ccaweave import apply_cca, parse_cca
+
         specs = parse_cca(_read_named(args.cca, "common causes"), args.cca)
         xm = apply_cca(xm, specs)
     return xm, specs
 
 
 def _parse_tle(args, xm):
+    from mbsa.sts.parse import parse_expr_text
+
     if not args.tle:
         raise InputError([Diagnostic("a top-level event is required (--tle)")])
     expr = parse_expr_text(args.tle, "<tle>")
@@ -135,6 +125,8 @@ def _write(path: Path, text: str):
 
 def _registry_json(xm) -> str:
     import json
+
+    from mbsa.sts.pretty import print_expr
 
     payload = {
         "model": xm.model.name,
@@ -166,6 +158,8 @@ def _formats(args, allowed: tuple[str, ...]) -> list[str]:
 # Subcommands
 
 def cmd_extend(args) -> int:
+    from mbsa.sts.pretty import print_model
+
     xm, _ = _load_extended(args)
     out = _out_dir(args)
     stem = Path(args.model).stem
@@ -175,6 +169,8 @@ def cmd_extend(args) -> int:
 
 
 def _cut_sets(args, xm, tle):
+    from mbsa.cutsets import compute_mcs
+
     result = compute_mcs(xm, tle, args.max_card, _step_bound(args), args.cap)
     if result.nominal_warning:
         print("warning: top-level event is reachable with no faults", file=sys.stderr)
@@ -182,6 +178,8 @@ def _cut_sets(args, xm, tle):
 
 
 def cmd_mcs(args) -> int:
+    from mbsa.cutsets import cutsets_to_tsv, cutsets_to_xml
+
     formats = _formats(args, ("tsv", "xml"))
     xm, _ = _load_extended(args)
     result = _cut_sets(args, xm, _parse_tle(args, xm))
@@ -193,6 +191,10 @@ def cmd_mcs(args) -> int:
 
 
 def _build_tree(args, xm):
+    from mbsa.cutsets import compute_cut_sequences
+    from mbsa.fault_tree import build_fault_tree
+    from mbsa.sts.pretty import print_expr
+
     tle = _parse_tle(args, xm)
     result = _cut_sets(args, xm, tle)
     sequences = None
@@ -203,6 +205,8 @@ def _build_tree(args, xm):
 
 
 def cmd_ft(args) -> int:
+    from mbsa.fault_tree import export_ft
+
     formats = _formats(args, ("xml", "tsv", "dot"))
     xm, _ = _load_extended(args)
     ft = _build_tree(args, xm)
@@ -214,6 +218,16 @@ def cmd_ft(args) -> int:
 
 
 def cmd_ftprob(args) -> int:
+    from mbsa.cca import CommonCauseSpec
+    from mbsa.fault_tree import (
+        ProbabilityAssignment,
+        evaluate_probability,
+        export_ft,
+        rare_event_approximation,
+        symbolic_probability,
+    )
+    from mbsa.probability import pexpr_to_text, render_prob_script
+
     xm, specs = _load_extended(args)
     ft = _build_tree(args, xm)
     # a member outside the tree cannot change any node's probability
@@ -236,6 +250,9 @@ def cmd_ftprob(args) -> int:
 
 
 def cmd_fmea(args) -> int:
+    from mbsa.fmea import export_fmea, generate_dynamic_fmea, generate_fmea
+    from mbsa.sts.parse import TokenStream, parse_expr, tokenize
+
     formats = _formats(args, ("xml", "tsv"))
     xm, _ = _load_extended(args)
     if not args.props:
@@ -269,6 +286,8 @@ def cmd_fmea(args) -> int:
 
 
 def _read_tfpg(path: str):
+    from mbsa.tfpg.graph import parse_tfpg, tfpg_from_xml
+
     text = _read_named(path, "tfpg")
     if path.endswith(".xml"):
         return tfpg_from_xml(text, path)
@@ -276,6 +295,8 @@ def _read_tfpg(path: str):
 
 
 def cmd_tfpg(args) -> int:
+    from mbsa.tfpg.graph import tfpg_to_dot, tfpg_to_xml, write_tfpg
+
     if args.tfpg_command == "convert":
         g = _read_tfpg(args.infile)
         target = args.to
@@ -285,9 +306,13 @@ def cmd_tfpg(args) -> int:
         _write(Path(args.outfile), text)
         return EXIT_OK
 
+    from mbsa.tfpg.activation import parse_binding
+
     xm, _ = _load_extended(args)
     binding = parse_binding(_read_named(args.bind, "binding"), xm, args.bind)
     if args.tfpg_command == "check":
+        from mbsa.tfpg.validate import validate_behavioral
+
         g = _read_tfpg(args.tfpg)
         report = validate_behavioral(g, binding, xm, _step_bound(args), args.cap)
         out = _out_dir(args)
@@ -305,6 +330,8 @@ def cmd_tfpg(args) -> int:
         print(f"incomplete: {inc.node} {inc.reason} at step {inc.step}", file=sys.stderr)
         return EXIT_VERDICT
     if args.tfpg_command == "synth":
+        from mbsa.tfpg.synth import synthesize_structure
+
         g = synthesize_structure(xm, binding, _step_bound(args), args.cap)
         _write(Path(args.outfile), write_tfpg(g))
         return EXIT_OK

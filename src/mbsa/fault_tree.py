@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from mbsa import prob_str
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
-from mbsa.probability import Bdd, ProbabilityExpr, prob_str
+from mbsa.probability import Bdd, ProbabilityExpr
 from mbsa.xmlout import to_xml
 
 

@@ -14,6 +14,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+from mbsa import reexport
+
+# prob_str lives in the package root, so that a job that writes
+# probabilities and evaluates none (extend) does not compile this module
+__getattr__ = reexport(globals(), {"prob_str": "mbsa"})
+
 
 class PNode:
     __slots__ = ()
@@ -157,30 +163,6 @@ class Bdd:
                 low[var, lo] = PBin("*", negated[var], out[lo])
             out[u] = PBin("+", high[var, hi], low[var, lo]) if lo else high[var, hi]
         return out[root]
-
-
-def prob_str(v: Fraction) -> str:
-    """Stable textual probability: exact decimal when one exists, else the
-    shortest float repr.  Re-parsing with Fraction() and re-rendering is a
-    fixpoint, which the export round-trip tests rely on."""
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    den = v.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        k = max(twos, fives)
-        digits = v.numerator * 10**k // v.denominator
-        text = f"{digits:0{k + 1}d}"
-        out = (text[:-k] + "." + text[-k:]).rstrip("0").rstrip(".")
-        return out if out else "0"
-    return repr(float(v))
 
 
 def symbol_params(symbols: tuple[str, ...]) -> list[str]:

@@ -266,8 +266,9 @@ def _parse_type(ts: TokenStream, literals: dict[str, Token]) -> TypeSpec:
         tokens = ts.items(lambda: ts.expect_ident("enumeration literal"))
         ts.expect("}")
         lits = tuple(t.text for t in tokens)
-        if len(set(lits)) != len(lits):
-            ts.fail("duplicate enumeration literal")
+        for i, t in enumerate(tokens):
+            if t.text in lits[:i]:
+                raise ts.error(t, "duplicate enumeration literal")
         for t in tokens:
             literals.setdefault(t.text, t)
         return EnumType(lits)

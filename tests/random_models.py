@@ -91,7 +91,8 @@ TYPED_TEMPLATES = {
 def random_typed_extended_model(rng: random.Random):
     """A small random model over ``n : 0..3``, ``c : {A, B, C}`` and a
     boolean with two to four fault events, each of a built-in template that
-    applies to its target and at most one of them ``random``, and in about
+    applies to its target, at most one of them ``random`` and never a
+    ``conditional`` on each of the three variables, and in about
     half of the models one common cause woven over two of them.  An event
     is named after its template (``ramp_down2``).  The top-level event is an
     OR of ANDs of comparisons and ``in`` tests.  Returns ``(xm, tle)``."""
@@ -101,15 +102,21 @@ def random_typed_extended_model(rng: random.Random):
              rng.choice(["TRANS next(c) = c;", "TRANS next(c) = (b ? B : c);"]),
              rng.choice(["TRANS next(b) = b;", "TRANS next(b) = b | (n = 3);"])]
     model = type_check(parse_model("\n".join(lines) + "\n"))
-    fei = []
-    for i in range(rng.randint(2, 4)):
+    faults = []  # [target, template, dynamics]
+    for _ in range(rng.randint(2, 4)):
         target = rng.choice(sorted(TYPED_TEMPLATES))
         # one random at most: its free choice variable multiplies every step's successors
         template = rng.choice([t for t in TYPED_TEMPLATES[target]
-                               if t != "random" or not any("random" in f for f in fei)])
-        dynamics = rng.choice(["permanent", "permanent", "sporadic", "transient"])
-        fei.append(f"fault {template.split('(')[0]}{i}: target {target}, template {template}, "
-                   f"dynamics {dynamics}, prob 0.01;")
+                               if t != "random" or not any(f[1] == "random" for f in faults)])
+        faults.append([target, template, rng.choice(["permanent", "permanent", "sporadic", "transient"])])
+    # the guard of a conditional on n reads b's faulty value, on b c's and on c
+    # n's: conditionals on all three close a cyclic DEFINE, so the last of them
+    # becomes its target's stuck_at (after the draw, which stays the same)
+    conditionals = [f for f in faults if f[1].startswith("conditional")]
+    if {f[0] for f in conditionals} == set(TYPED_TEMPLATES):
+        conditionals[-1][1] = TYPED_TEMPLATES[conditionals[-1][0]][0]
+    fei = [f"fault {template.split('(')[0]}{i}: target {target}, template {template}, dynamics {dynamics}, "
+           "prob 0.01;" for i, (target, template, dynamics) in enumerate(faults)]
     xm = extend_model(model, load_fault_library(), parse_fei("\n".join(fei)))
     if rng.random() < 0.5:
         xm = _weave_one_cause(xm, rng)

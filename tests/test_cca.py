@@ -63,6 +63,14 @@ def test_parse_errors():
                   "cc c: members {f1, f2}, pattern simultaneous, prob 0.1;")  # duplicate id
 
 
+
+def test_repeated_member_is_reported_at_the_repetition():
+    with pytest.raises(CcaError) as err:
+        parse_cca("cc c: members {f1, f2, f2, f1}, pattern simultaneous, prob 0.1;", "c.cca")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col, diag.message) == (1, 24, "duplicate member in common cause 'c'")
+
+
 # -- weaving ---------------------------------------------------------------------
 
 def test_zero_specs_identity(pair):

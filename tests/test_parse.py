@@ -71,6 +71,13 @@ def test_literal_clash_is_reported_at_the_literal():
         assert diag.message.endswith("clashes with a declared name")
 
 
+def test_repeated_enumeration_literal_is_reported_at_the_repetition():
+    with pytest.raises(ParseError) as err:
+        parse_model("MODULE m VAR a : {X, Y, Y, X};", "m.smx")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col, diag.message) == (1, 25, "duplicate enumeration literal")
+
+
 def test_type_check_refuses_a_literal_that_clashes_with_a_declared_name():
     # a model built in code reaches the checker without the parser's check
     model = SymbolicModel("m", (("X", BoolType()), ("a", EnumType(("X", "Y")))), (), (), (), ())

@@ -1,6 +1,8 @@
 """Checks on the source text of the package."""
 
 import ast
+import collections
+import json
 import os
 import subprocess
 import sys
@@ -207,6 +209,55 @@ def test_the_cli_loads_every_layer_the_tracer_wraps():
     assert wrapped - _loaded_modules("import mbsa.cli") == set()
 
 
+FIXTURE = ("--model", str(ROOT / "fixtures" / "battery_sensor.smx"),
+           "--fei", str(ROOT / "fixtures" / "battery_sensor.fei"))
+
+
+def _run_modules(code: str) -> set[str]:
+    """The ``mbsa`` modules whose body a fresh process has run after
+    ``code``.  ``type`` reads no attribute, so it runs no module that the
+    CLI registered lazily."""
+    report = "import sys, types\nprint('\\n'.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {name for name in proc.stdout.split() if name.split(".")[0] == "mbsa"}
+
+
+def test_a_subcommand_runs_only_the_layers_it_calls(tmp_path):
+    tfpg = {f"mbsa.tfpg.{path.stem}" for path in (SRC / "tfpg").glob("*.py")} - {"mbsa.tfpg.__init__"}
+    assert "mbsa.tfpg.validate" in tfpg
+    runs = {command: _run_modules(f"from mbsa.cli import main\n"
+                                  f"assert main({[*argv, *FIXTURE, '--out-dir', str(tmp_path)]!r}) == 0")
+            for command, argv in (("extend", ["extend"]), ("mcs", ["mcs", "--tle", "sys_dead"]))}
+    assert {"mbsa.faults", "mbsa.sts.pretty"} <= runs["extend"]
+    assert runs["extend"] & ({"mbsa.cutsets", "mbsa.fault_tree", "mbsa.probability", "mbsa.fmea",
+                              "mbsa.sts.engine"} | tfpg) == set()
+    assert {"mbsa.cutsets", "mbsa.sts.engine"} <= runs["mcs"]
+    assert runs["mcs"] & ({"mbsa.fault_tree", "mbsa.fmea"} | tfpg) == set()
+
+
+def test_the_tracer_wraps_the_layers_of_cli_jobs(tmp_path):
+    # the CLI runs a layer on first use; the tracer must still wrap it, or
+    # its span would be missing and its metrics would read 0
+    fixtures = ROOT / "fixtures"
+    jobs = {"mcs": ("mcs", *FIXTURE, "--tle", "sys_dead"),
+            "tfpg_check": ("tfpg", "check", *FIXTURE, "--tfpg", str(fixtures / "battery_sensor.tfpg"),
+                           "--bind", str(fixtures / "battery_sensor.bind"), "--step-bound", "60")}
+    spans = collections.Counter()
+    for job, argv in jobs.items():
+        out = tmp_path / job
+        subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(tmp_path / f"{job}.json"), job,
+                        "cli", *argv, "--out-dir", str(out)],
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+                       capture_output=True, text=True, timeout=120, check=True)
+        data = json.loads((tmp_path / f"{job}.json").read_text(encoding="utf-8"))
+        spans.update(f"{job}:{span['name']}" for span in data["spans"])
+    assert spans["mcs:analysis.compute_mcs"] == 1 and spans["mcs:cli.export"] == 1
+    assert spans["mcs:sts.engine.succ_tuples"] > 0 and spans["tfpg_check:sts.engine.succ_tuples"] > 0
+    assert spans["tfpg_check:tfpg.validate_behavioral"] == 1
+
+
 def _assert_re_exports(module_name: str, misspelled: str):
     """Each name of the module's ``__all__`` is its home module's object, also
     through ``import *``, and an unknown name is an ``AttributeError``."""
@@ -226,6 +277,10 @@ def _assert_re_exports(module_name: str, misspelled: str):
 
 def test_sts_re_exports_the_objects_of_their_home_modules():
     _assert_re_exports("mbsa.sts", "parse_modle")
+
+
+def test_tfpg_re_exports_the_objects_of_their_home_modules():
+    _assert_re_exports("mbsa.tfpg", "validate_behavioural")
 
 
 @pytest.mark.parametrize("module_name, misspelled", [("mbsa.analysis", "compute_mc"), ("mbsa.cca", "apply_cc")])
