@@ -209,9 +209,13 @@ def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment) -> dict[str, 
 def rare_event_approximation(ft: FaultTree, pa: ProbabilityAssignment) -> Fraction:
     """Sum of the root's child probabilities: the classical MCS upper-bound
     approximation, reported for reference only."""
-    node_probs = evaluate_probability(ft, pa)
-    root = ft.nodes[ft.root]
-    return sum((node_probs[c] for c in root.children), Fraction(0))
+    return rare_event_sum(ft, evaluate_probability(ft, pa))
+
+
+def rare_event_sum(ft: FaultTree, node_probs: dict[str, Fraction]) -> Fraction:
+    """:func:`rare_event_approximation` from the node probabilities that
+    :func:`evaluate_probability` already gave."""
+    return sum((node_probs[c] for c in ft.nodes[ft.root].children), Fraction(0))
 
 
 def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -> ProbabilityExpr:

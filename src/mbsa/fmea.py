@@ -17,7 +17,6 @@ from mbsa.cutsets import Analyzer, _interleavings, _sequence_partitions, _sorted
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
-from mbsa.sts.pretty import print_expr
 from mbsa.xmlout import to_xml
 
 
@@ -102,6 +101,8 @@ def fmea_to_tsv(table: FmeaTable) -> str:
 
 
 def fmea_to_xml(table: FmeaTable) -> str:
+    from mbsa.sts.pretty import print_expr  # a TSV-only job prints no expression
+
     rows = []
     for row in table.rows:
         children = [("fault", {"name": f}, ()) for f in sorted(row.faults)]

@@ -30,7 +30,6 @@ from mbsa.tfpg.activation import (
     activation_trace_of,
     check_binding_total,
 )
-from mbsa.tfpg.admit import admits
 from mbsa.tfpg.graph import Tfpg
 from mbsa.tfpg.product import explore
 
@@ -184,6 +183,8 @@ def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,
     path, stored = explore(engine, ev, mon.initial(), mon.advance, step_bound, "product")
     if path is None:
         return ValidationReport("complete", [], stored)
+    from mbsa.tfpg.admit import admits  # only a refuted graph needs the per-trace verdict
+
     trace = Trace([engine.to_dict(s) for s in path])
     verdict = admits(tfpg, activation_trace_of(trace, binding, xm))
     if verdict.ok:  # pragma: no cover - monitor and admits disagree

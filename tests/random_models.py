@@ -63,10 +63,11 @@ def random_cca_model(rng: random.Random):
     events: simultaneous, or cascading with random windows.  Returns
     ``(xm, tle)``."""
     xm, tle = random_extended_model(rng)
-    return _weave_one_cause(xm, rng), tle
+    return _weave_one_cause(xm, rng)[0], tle
 
 
 def _weave_one_cause(xm, rng: random.Random):
+    """``(woven model, [its one common cause])``."""
     members = rng.sample(sorted(xm.events), 2)
     if rng.random() < 0.5:
         pattern = "simultaneous"
@@ -76,8 +77,8 @@ def _weave_one_cause(xm, rng: random.Random):
             lo = rng.randint(0, 1)
             windows.append(f"{m}: [{lo},{lo + rng.randint(0, 1)}]")
         pattern = f"cascading({', '.join(windows)})"
-    spec = f"cc cause: members {{{', '.join(members)}}}, pattern {pattern}, prob 0.01;"
-    return apply_cca(xm, parse_cca(spec))
+    specs = parse_cca(f"cc cause: members {{{', '.join(members)}}}, pattern {pattern}, prob 0.01;")
+    return apply_cca(xm, specs), specs
 
 
 # the built-in templates that apply to each variable of random_typed_extended_model
@@ -95,7 +96,8 @@ def random_typed_extended_model(rng: random.Random):
     ``conditional`` on each of the three variables, and in about
     half of the models one common cause woven over two of them.  An event
     is named after its template (``ramp_down2``).  The top-level event is an
-    OR of ANDs of comparisons and ``in`` tests.  Returns ``(xm, tle)``."""
+    OR of ANDs of comparisons and ``in`` tests.  Returns ``(xm, tle, specs)``,
+    ``specs`` the woven common causes (none or one)."""
     lines = ["MODULE random_typed_extended", "VAR", "  n : 0..3;", "  c : {A, B, C};", "  b : boolean;",
              "INIT n = 1;", "INIT c = A;", "INIT !b;",
              rng.choice(["TRANS next(n) = n;", "TRANS next(n) = (b ? 0 : n);"]),
@@ -110,22 +112,26 @@ def random_typed_extended_model(rng: random.Random):
                                if t != "random" or not any(f[1] == "random" for f in faults)])
         faults.append([target, template, rng.choice(["permanent", "permanent", "sporadic", "transient"])])
     # the guard of a conditional on n reads b's faulty value, on b c's and on c
-    # n's: conditionals on all three close a cyclic DEFINE, so the last of them
-    # becomes its target's stuck_at (after the draw, which stays the same)
+    # n's: conditionals on all three close a cyclic DEFINE, so every one on the
+    # last one's target becomes its stuck_at (after the draw, which stays the same)
     conditionals = [f for f in faults if f[1].startswith("conditional")]
     if {f[0] for f in conditionals} == set(TYPED_TEMPLATES):
-        conditionals[-1][1] = TYPED_TEMPLATES[conditionals[-1][0]][0]
+        last = conditionals[-1][0]
+        for f in conditionals:
+            if f[0] == last:
+                f[1] = TYPED_TEMPLATES[last][0]
     fei = [f"fault {template.split('(')[0]}{i}: target {target}, template {template}, dynamics {dynamics}, "
            "prob 0.01;" for i, (target, template, dynamics) in enumerate(faults)]
     xm = extend_model(model, load_fault_library(), parse_fei("\n".join(fei)))
+    specs = []
     if rng.random() < 0.5:
-        xm = _weave_one_cause(xm, rng)
+        xm, specs = _weave_one_cause(xm, rng)
     atoms = [f"n >= {rng.randint(2, 3)}", f"n {rng.choice(['<', '!='])} 1", "n = 2",
              rng.choice(["c in {B, C}", "c in {C}", "!(c in {A, B})"]), "c = B", "b = (c = A)"]
     terms = ["(" + " & ".join(rng.sample(atoms, rng.randint(1, 2))) + ")" for _ in range(rng.randint(1, 2))]
     tle = parse_expr_text(" | ".join(terms))
     xm.typed.check_expr(tle)
-    return xm, tle
+    return xm, tle, specs
 
 
 def random_extend_cases():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -618,6 +619,19 @@ def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
         assert (tmp_path / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
 
 
+def test_ftprob_evaluates_the_tree_once(tmp_path, monkeypatch):
+    # the rare-event sum is read off the node probabilities already evaluated
+    import mbsa.fault_tree
+
+    calls = []
+    evaluate = mbsa.fault_tree.evaluate_probability
+    monkeypatch.setattr(mbsa.fault_tree, "evaluate_probability", lambda *a: calls.append(a) or evaluate(*a))
+    assert run("ftprob", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "ft_probabilities.tsv").read_bytes() == (
+        GOLDENS / "ftprob_fixture" / "ft_probabilities.tsv").read_bytes()
+
+
 @pytest.mark.parametrize("golden, argv", [
     ("mcs_fixture", ("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--formats", "tsv,xml")),
     ("mcs_burst", ("mcs", *PAIR, "--tle", "a & b", "--formats", "tsv,xml")),
@@ -828,3 +842,63 @@ def test_every_analysis_runs_with_and_without_cca_at_each_step_bound(tmp_path, c
         assert run(*command, *inputs, *given, "--step-bound", bound, "--out-dir", str(out)) == 0, bound
         assert "Traceback" not in capsys.readouterr().err
         assert list(out.iterdir())
+
+
+def _program(*argv):
+    """``python -m mbsa.cli`` in a fresh process: (exit code, stdout, stderr)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "mbsa.cli", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ("extend", "--model", MODEL, "--fei", FEI, "--out-dir", str(tmp)),
+    lambda tmp: ("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", _refute_tfpg(tmp), "--bind", BIND,
+                 "--step-bound", "60", "--out-dir", str(tmp)),
+    lambda tmp: ("extend", "--model", "nosuch.smx", "--fei", FEI, "--out-dir", str(tmp)),
+    lambda tmp: ("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--cap", "10", "--out-dir", str(tmp)),
+    lambda tmp: ("--version",),
+    lambda tmp: ("mcs", "--max-card", "0"),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3", "version", "usage-error"])
+def test_the_program_exits_as_main_returns(tmp_path, capsys, argv):
+    # the program freezes the heap on its way out and changes nothing else:
+    # exit code, standard output and diagnostics are main's
+    argv = argv(tmp_path)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert _program(*argv) == (code, out, err)
+
+
+def test_only_the_program_freezes_the_heap(tmp_path):
+    # main runs inside other processes, such as this one, which must keep
+    # collecting garbage; the program freezes, and then still runs exit
+    # handlers and a profiler's report
+    frozen = gc.get_freeze_count()
+    assert main(["mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import atexit, gc, sys\nfrom mbsa.cli import run\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\nrun()\n")
+    for argv, code in ((("--version",), 0), (("mcs", "--max-card", "0"), 2),
+                       (("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--cap", "10",
+                         "--out-dir", str(tmp_path)), 3)):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.endswith("frozen True\n"), argv
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mbsa.cli", "--version"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.startswith("mbsa ") and "function calls" in proc.stdout
+
+
+def test_the_installed_script_is_the_program():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"mbsa": "mbsa.cli:run"}

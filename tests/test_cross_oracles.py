@@ -271,9 +271,9 @@ def test_mcs_and_fmea_equal_naive_subset_search(redundant_pair, latch_model):
 
 
 def _typed_extended_models(rng, count):
-    """``count`` models of ``random_typed_extended_model``, among which every
+    """``count`` ``(xm, tle)`` pairs of ``random_typed_extended_model``, among which every
     template of ``TYPED_TEMPLATES`` and a woven common cause occur."""
-    models = [random_typed_extended_model(rng) for _ in range(count)]
+    models = [random_typed_extended_model(rng)[:2] for _ in range(count)]
     names = {name.rstrip("0123456789") for xm, _ in models for name in xm.events}
     assert names == {t.split("(")[0] for ts in TYPED_TEMPLATES.values() for t in ts} | {"cause"}, names
     return models
@@ -281,10 +281,12 @@ def _typed_extended_models(rng, count):
 
 def test_every_seed_draws_a_typed_extended_model():
     # a conditional on each of n, c and b would close a cyclic DEFINE, as
-    # seed 177 draws: the generator makes the last of them a stuck_at instead
+    # seed 177 draws: the generator makes each conditional on the last one's
+    # target a stuck_at instead; draw 51 of one seed-28 stream puts two there
     sizes = collections.Counter()
-    for seed in range(200):
-        xm, _ = random_typed_extended_model(random.Random(seed))
+    stream = random.Random(28)
+    for rng in [random.Random(seed) for seed in range(200)] + [stream] * 60:
+        xm, _, _ = random_typed_extended_model(rng)
         sizes[len(xm.events.keys() - {"cause"})] += 1
     assert set(sizes) == {2, 3, 4}, sizes
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mbsa.analysis import CutSequence, CutSetResult, compute_cut_sequences, compute_mcs
+from mbsa.cca import CommonCauseSpec
 from mbsa.fault_tree import (
     BasicEvent,
     FaultTreeError,
@@ -25,6 +27,7 @@ from mbsa.sts.parse import parse_expr_text
 
 from conftest import checked_expr
 from probability_references import evaluate
+from random_models import random_typed_extended_model
 
 
 def _result(mcs, tle="a"):
@@ -219,6 +222,29 @@ def test_random_trees_match_enumeration(seed):
         groups = [Group(g.id, g.members, env[g.id]) for g in pa.dependency_groups]
         probs = {e: p for e, p in env.items() if e not in {g.id for g in groups}}
         assert evaluate(sp, env) == _indicator_oracle(ft, ProbabilityAssignment(probs, groups))
+
+
+def test_typed_random_models_match_enumeration():
+    # integer and enum models, about half with a woven common cause, through
+    # the steps of ftprob: cut sets, the tree, and the woven causes as
+    # dependency groups restricted to the tree's events
+    rng = random.Random(28)
+    counts = collections.Counter()
+    for i in range(60):
+        xm, tle, specs = random_typed_extended_model(rng)
+        result = compute_mcs(xm, tle, 3, None)
+        probabilities = {n: e.probability for n, e in xm.events.items()}
+        ft = build_fault_tree(result, probabilities=probabilities)
+        events = ft.basic_events()
+        groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability) for g in specs]
+        pa = ProbabilityAssignment(probabilities, groups)
+        oracle = _node_oracle(ft, pa)
+        assert evaluate_probability(ft, pa) == oracle, i
+        root_children = ft.nodes[ft.root].children
+        assert rare_event_approximation(ft, pa) == sum((oracle[c] for c in root_children), Fraction(0)), i
+        counts["group"] += any(g.members for g in groups)
+        counts["pair"] += any(len(c) >= 2 for c in result.mcs)
+    assert counts["group"] and counts["pair"], counts
 
 
 def test_disjoint_pairs_scale_linearly():

@@ -227,14 +227,26 @@ def _run_modules(code: str) -> set[str]:
 def test_a_subcommand_runs_only_the_layers_it_calls(tmp_path):
     tfpg = {f"mbsa.tfpg.{path.stem}" for path in (SRC / "tfpg").glob("*.py")} - {"mbsa.tfpg.__init__"}
     assert "mbsa.tfpg.validate" in tfpg
+    fixtures = ROOT / "fixtures"
+    refuting = tmp_path / "refute.tfpg"  # without this edge the fixture graph is incomplete
+    refuting.write_text("".join(line for line in (fixtures / "battery_sensor.tfpg").read_text().splitlines(True)
+                                if not line.startswith("edge B1_DEAD -> S2_NO ")))
+    check = ["tfpg", "check", "--bind", str(fixtures / "battery_sensor.bind"), "--step-bound", "60", "--tfpg"]
     runs = {command: _run_modules(f"from mbsa.cli import main\n"
-                                  f"assert main({[*argv, *FIXTURE, '--out-dir', str(tmp_path)]!r}) == 0")
-            for command, argv in (("extend", ["extend"]), ("mcs", ["mcs", "--tle", "sys_dead"]))}
+                                  f"assert main({[*argv, *FIXTURE, '--out-dir', str(tmp_path)]!r}) == {code}")
+            for command, argv, code in (
+                ("extend", ["extend"], 0), ("mcs", ["mcs", "--tle", "sys_dead"], 0),
+                ("fmea", ["fmea", "--props", str(ROOT / "tests" / "goldens" / "fixture.props")], 0),
+                ("check", [*check, str(fixtures / "battery_sensor.tfpg")], 0), ("refute", [*check, str(refuting)], 1))}
     assert {"mbsa.faults", "mbsa.sts.pretty"} <= runs["extend"]
     assert runs["extend"] & ({"mbsa.cutsets", "mbsa.fault_tree", "mbsa.probability", "mbsa.fmea",
                               "mbsa.sts.engine"} | tfpg) == set()
     assert {"mbsa.cutsets", "mbsa.sts.engine"} <= runs["mcs"]
     assert runs["mcs"] & ({"mbsa.fault_tree", "mbsa.fmea"} | tfpg) == set()
+    # the printer writes only the XML table; admits only recomputes a refutation
+    assert "mbsa.fmea" in runs["fmea"] and "mbsa.sts.pretty" not in runs["fmea"]
+    assert "mbsa.tfpg.validate" in runs["check"] and "mbsa.tfpg.admit" not in runs["check"]
+    assert "mbsa.tfpg.admit" in runs["refute"]
 
 
 def test_the_tracer_wraps_the_layers_of_cli_jobs(tmp_path):
