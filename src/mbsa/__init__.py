@@ -7,7 +7,9 @@ The library is organized around a small pipeline:
 * ``mbsa.faults`` -- fault template library, extension instructions, and
   automatic model extension (nominal model -> extended model).
 * ``mbsa.analysis`` -- the records of minimal cut sets and cut sequences;
-  ``mbsa.cutsets`` -- their search and their writers.
+  ``mbsa.cutsets`` -- their searches (one cut-set search, and one
+  first-occurrence order search shared by cut sequences and dynamic FMEA)
+  and their writers.
 * ``mbsa.fault_tree`` / ``mbsa.probability`` -- (dynamic) fault trees,
   exact and symbolic probability evaluation, evaluation-script emission.
 * ``mbsa.fmea`` -- FMEA and dynamic FMEA tables.
@@ -29,11 +31,12 @@ on first access, through :func:`reexport` (PEP 562), as ``mbsa.sts`` and
 from its home module.
 ``cutsets`` and ``ccaweave`` import the engine, parser and ``faults`` inside
 the functions that need them.  Importing ``faults`` loads the parser and
-checker, and importing ``fmea`` or a ``tfpg`` module but ``graph`` loads the
-engine too.  ``mbsa.cli`` imports no layer when it is imported: each
-subcommand imports what it calls inside its function, so a job runs only the
-layers it uses (``extend`` none of ``cutsets``, ``fault_tree``,
-``probability``, ``fmea``, the engine or ``tfpg``).  For that,
+checker; importing ``fmea`` loads ``cutsets`` and ``faults`` but not the
+engine, and importing a ``tfpg`` module but ``graph`` loads the engine too.
+``mbsa.cli`` imports no layer when it is imported: each subcommand imports
+what it calls inside its function, so a job runs only the layers it uses
+(``extend`` none of ``cutsets``, ``fault_tree``, ``probability``, ``fmea``,
+the engine or ``tfpg``).  For that,
 :func:`prob_str`, the text of a probability in every artifact, lives here,
 and ``mbsa.probability`` re-exports it.  The CLI still registers every layer in
 ``sys.modules``, unrun, through :func:`register_lazily`.  That is for the

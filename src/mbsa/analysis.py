@@ -16,8 +16,8 @@ if TYPE_CHECKING:
     from mbsa.sts.model import Expr
 
 # re-exported name -> its home module
-_HOME = dict.fromkeys(("Analyzer", "compute_mcs", "brute_force_mcs", "witness", "compute_cut_sequences",
-                       "cutsets_to_tsv", "cutsets_to_xml"), "mbsa.cutsets")
+_HOME = dict.fromkeys(("Analyzer", "compute_mcs", "witness", "compute_cut_sequences", "cutsets_to_tsv",
+                       "cutsets_to_xml"), "mbsa.cutsets")
 
 __all__ = ["CutSetResult", "CutSequence", *_HOME]
 
@@ -33,9 +33,6 @@ class CutSetResult:
         self.mcs = mcs  # sorted by (cardinality, lexicographic events)
         self.max_card, self.step_bound = max_card, step_bound
         self.complete, self.nominal_warning = complete, nominal_warning
-
-    def as_sets(self) -> set[frozenset[str]]:
-        return set(self.mcs)
 
 
 class CutSequence:

@@ -6,7 +6,8 @@ convert, or synthesize timed failure propagation graphs.  Identical inputs
 and options produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 negative analysis verdict (an incomplete TFPG),
-2 usage, input or file-system error, 3 resource cap exceeded.
+2 usage, input or file-system error, 3 resource cap exceeded (the state cap,
+or expression nesting beyond the interpreter's recursion limit).
 """
 
 from __future__ import annotations
@@ -370,14 +371,16 @@ def _boolean(text: str) -> bool:
 
 
 def _common(sub: argparse.ArgumentParser, *, tle: bool = False, max_card: bool = True,
-            step_bound: bool = True):
+            step_bound: bool = True, cap: bool = True, out_dir: bool = True):
     sub.add_argument("--config", help="key = value configuration file; flags win")
     sub.add_argument("--model", default="", help="nominal model (.smx)")
     sub.add_argument("--flib", default="", help="fault library (.flib), merged over built-ins")
     sub.add_argument("--fei", default="", help="fault extension instructions (.fei)")
     sub.add_argument("--cca", default="", help="common cause definitions (.cca)")
-    sub.add_argument("--out-dir", default=".", help="artifact directory")
-    sub.add_argument("--cap", type=_at_least(1), default=None, help="state cap (default 10^7)")
+    if out_dir:
+        sub.add_argument("--out-dir", default=".", help="artifact directory")
+    if cap:
+        sub.add_argument("--cap", type=_at_least(1), default=None, help="state cap (default 10^7)")
     if tle:
         sub.add_argument("--tle", default="", help="top-level event expression")
     if max_card:
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("extend", help="extend a nominal model with faults")
-    _common(p, max_card=False, step_bound=False)
+    _common(p, max_card=False, step_bound=False, cap=False)  # extension explores no state
     p.set_defaults(func=cmd_extend, _subparser=p)
 
     p = subs.add_parser("mcs", help="compute minimal cut sets")
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_tfpg, _subparser=pv)
 
     ps = tsubs.add_parser("synth", help="synthesize graph structure from a model")
-    _common(ps, max_card=False)
+    _common(ps, max_card=False, out_dir=False)  # it writes --outfile
     ps.add_argument("--bind", required=True, help="node bindings (.bind)")
     ps.add_argument("--outfile", required=True, help="output .tfpg path")
     ps.set_defaults(func=cmd_tfpg, _subparser=ps)
@@ -455,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:  # the checker, printer and code generator walk expressions recursively
+        print("resource cap exceeded: expression nesting beyond the interpreter's recursion limit", file=sys.stderr)
         return EXIT_RESOURCE
     except InputError as exc:
         for diag in exc.diagnostics:

@@ -4,12 +4,13 @@ Restricting an extended model so that "only the events in C may occur"
 conjoins the registry's suppression predicates of all other events as INVAR
 constraints.  The analyzer's engine carries them as guards, and a search
 passes the mask of the forbidden events, so a forbidden fault branch is
-pruned where it is chosen.  ``compute_mcs`` prunes supersets of discovered
-cut sets; ``brute_force_mcs`` enumerates every subset with no pruning.  The
-cut-sequence search runs once per event set over (state id, first-occurrence
+pruned where it is chosen.  ``compute_mcs`` tests subsets in cut-set order
+and skips supersets of discovered cut sets.  The first-occurrence search
+``_orders`` runs once per event set over (state id, first-occurrence
 partition) keys, its states in a ``StateStore`` labelled by the registry's
 occurrence predicates, and tests a vector of targets at once: the order-aware
-query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).
+query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).  Cut sequences
+and dynamic FMEA both read it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ if TYPE_CHECKING:
     from mbsa.faults import ExtendedModel
     from mbsa.sts.engine import Trace
     from mbsa.sts.model import Expr
-
-
-def _sorted_mcs(sets) -> list[frozenset[str]]:
-    return sorted(sets, key=lambda c: (len(c), tuple(sorted(c))))
 
 
 class Analyzer:
@@ -76,21 +73,10 @@ def compute_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
     C is reported iff the TLE is reachable (within ``step_bound``) when only
     events in C may occur and no proper subset of C already explains it.
     Subsets are tested by increasing cardinality, lexicographically within a
-    cardinality; supersets of discovered cut sets are skipped, which cannot
-    change the result because reachability is monotone in the allowed set.
+    cardinality, which is the order of the result; supersets of discovered
+    cut sets are skipped, which cannot change the result because
+    reachability is monotone in the allowed set.
     """
-    return _mcs(xm, tle, max_card, step_bound, cap, prune=True)
-
-
-def brute_force_mcs(xm: ExtendedModel, tle: Expr, max_card: int,
-                    step_bound: int | None = None, cap: int | None = None) -> CutSetResult:
-    """Exhaustive subset enumeration with no pruning: a reference for the
-    pruning of ``compute_mcs``, not for the guarded engine both use."""
-    return _mcs(xm, tle, max_card, step_bound, cap, prune=False)
-
-
-def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
-         cap: int | None, prune: bool) -> CutSetResult:
     if max_card < 1:
         raise ValueError("max_card must be >= 1")
     ana = Analyzer(xm, cap)
@@ -102,18 +88,13 @@ def _mcs(xm: ExtendedModel, tle: Expr, max_card: int, step_bound: int | None,
                             complete=step_bound is None, nominal_warning=True)
 
     found: list[frozenset[str]] = []
-    explaining: list[frozenset[str]] = []
     for card in range(1, min(max_card, len(ana.events)) + 1):
         for combo in itertools.combinations(ana.events, card):
             cand = frozenset(combo)
-            if prune and any(m <= cand for m in found):
-                continue
-            if ana.explains(cand, target_fn, step_bound) is not None:
-                (found if prune else explaining).append(cand)
-    if not prune:
-        found = [c for c in explaining if not any(o < c for o in explaining)]
+            if not any(m <= cand for m in found) and ana.explains(cand, target_fn, step_bound) is not None:
+                found.append(cand)
     complete = step_bound is None and max_card >= len(ana.events)
-    return CutSetResult(tle, _sorted_mcs(found), max_card, step_bound, complete)
+    return CutSetResult(tle, found, max_card, step_bound, complete)
 
 
 def witness(xm: ExtendedModel, events: frozenset[str], tle: Expr,
@@ -132,14 +113,6 @@ def witness(xm: ExtendedModel, events: frozenset[str], tle: Expr,
 # ---------------------------------------------------------------------------
 # Cut sequences (admissible orders of first occurrences)
 
-def _interleavings(partition: tuple[tuple[str, ...], ...]):
-    """All total orders consistent with an ordered partition: simultaneous
-    first occurrences are witnessed under every interleaving of the tied group."""
-    groups = [list(itertools.permutations(g)) for g in partition]
-    for combo in itertools.product(*groups):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
 def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
                           step_bound: int | None = None, cap: int | None = None) -> list[CutSequence]:
     """For each cut set, the total orders realizable as first-occurrence orders
@@ -153,25 +126,28 @@ def compute_cut_sequences(xm: ExtendedModel, tle: Expr, result: CutSetResult,
         if not base:
             out.append(CutSequence(base, ((),)))
             continue
-        orders: dict[tuple[str, ...], Trace] = {}
-        for _, partition, path in _sequence_partitions(ana, base, target, 1, step_bound):
-            # the first witness of an order is kept
-            new = [order for order in _interleavings(partition) if order not in orders]
-            if new:
-                trace = Trace([ana.engine.to_dict(s) for s in path])
-                orders.update(dict.fromkeys(new, trace))
-        out.append(CutSequence(base, tuple(sorted(orders)), orders))
+        witnesses: dict[tuple[str, ...], Trace] = {}
+        path = trace = None
+        for order, (_, first) in _orders(ana, base, target, 1, step_bound).items():
+            if first is not path:  # the orders of one path are consecutive and share its trace
+                path, trace = first, Trace([ana.engine.to_dict(s) for s in first])
+            witnesses[order] = trace
+        out.append(CutSequence(base, tuple(sorted(witnesses)), witnesses))
     return out
 
 
-def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: int, step_bound: int | None):
-    """Search over (state id, partition of first occurrences as event masks)
-    keys with only ``base`` allowed.  For each partition of all of ``base``
-    that first reaches some bits of ``wanted`` in ``targets`` (a
-    ``compile_mask`` function), yields those bits, the partition as sorted
-    name tuples and the witness path of states.  A key whose partition holds
-    all of ``base`` and no longer waits for a wanted target is not expanded:
-    the keys below it carry the same partition."""
+def _orders(ana: Analyzer, base: frozenset[str], targets, wanted: int,
+            step_bound: int | None) -> dict[tuple[str, ...], tuple[int, list]]:
+    """Each total order of first occurrences of all of ``base`` that reaches
+    some bits of ``wanted`` in ``targets`` (a ``compile_mask`` function), with
+    only ``base`` allowed: order -> (the bits witnessed with it, the path of
+    states of its first witness).
+
+    The search runs over (state id, partition of first occurrences as event
+    masks) keys.  Simultaneous first occurrences are witnessed under every
+    interleaving of the tied group.  A key whose partition holds all of
+    ``base`` and no longer waits for a wanted target is not expanded: the keys
+    below it carry the same partition."""
     from mbsa.sts.engine import StateStore, breadth_first
 
     want = ana.mask(base)
@@ -200,10 +176,16 @@ def _sequence_partitions(ana: Analyzer, base: frozenset[str], targets, wanted: i
                     stops.append((*child, bits))
         return children, stops
 
-    for path, _ in breadth_first(expand, step_bound, ana.engine.cap, "cut-sequence states"):
-        if path is not None:
-            _, part, bits = path[-1]
-            yield bits, tuple(ana.names(g) for g in part), [states[key[0]] for key in path]
+    found: dict[tuple[str, ...], tuple[int, list]] = {}
+    for keys, _ in breadth_first(expand, step_bound, ana.engine.cap, "cut-sequence states"):
+        if keys is not None:
+            _, part, bits = keys[-1]
+            path = [states[key[0]] for key in keys]
+            for combo in itertools.product(*(itertools.permutations(ana.names(g)) for g in part)):
+                order = tuple(itertools.chain.from_iterable(combo))
+                old_bits, first = found.get(order, (0, path))
+                found[order] = (old_bits | bits, first)
+    return found
 
 
 # ---------------------------------------------------------------------------

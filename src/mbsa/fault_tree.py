@@ -114,25 +114,19 @@ def build_fault_tree(result: CutSetResult, sequences: list[CutSequence] | None =
             continue
         orders = order_info.get(cut)
         label = "cut set {" + ", ".join(members) + "}"
-        if orders is None or len(orders) == 0 or len(orders) == math.factorial(len(members)):
+        if not orders or len(orders) == math.factorial(len(members)):
             gid = gate_id()
             nodes[gid] = Gate("and", tuple(event_node(m) for m in members), label)
-            children.append(gid)
-        elif len(orders) == 1:
-            gid = gate_id()
-            nodes[gid] = Gate("pand", tuple(event_node(m) for m in orders[0]),
-                              "sequence " + " -> ".join(orders[0]))
-            children.append(gid)
         else:
             pands = []
             for o in orders:
                 gid = gate_id()
-                nodes[gid] = Gate("pand", tuple(event_node(m) for m in o),
-                                  "sequence " + " -> ".join(o))
+                nodes[gid] = Gate("pand", tuple(event_node(m) for m in o), "sequence " + " -> ".join(o))
                 pands.append(gid)
-            gid = gate_id()
-            nodes[gid] = Gate("or", tuple(pands), label + " (admissible orders)")
-            children.append(gid)
+            if len(pands) > 1:
+                gid = gate_id()
+                nodes[gid] = Gate("or", tuple(pands), label + " (admissible orders)")
+        children.append(gid)
     nodes[root_id] = Gate("or", tuple(children), tle_label)
     return FaultTree(root_id, nodes)
 

@@ -6,14 +6,15 @@ candidate fault sets are those minimal for at least one property.  The
 ``max_card``, so C violates p exactly when some cut set of p is a subset of
 C (a nominal property's only cut set is empty): a static row is a candidate
 with every property it violates by that subset test.  A dynamic row is one
-admissible first-occurrence order of a candidate; one cut-sequence search per
-nonempty candidate asks for every property one of whose cut sets it contains
-(no other property has a witness).
+admissible first-occurrence order of a candidate: the first-occurrence search
+that also gives cut sequences runs once per nonempty candidate and asks for
+every property one of whose cut sets it contains (no other property has a
+witness).
 """
 
 from __future__ import annotations
 
-from mbsa.cutsets import Analyzer, _interleavings, _sequence_partitions, _sorted_mcs, compute_mcs
+from mbsa.cutsets import Analyzer, _orders, compute_mcs
 from mbsa.diagnostics import MbsaError
 from mbsa.faults import ExtendedModel
 from mbsa.sts.model import Expr
@@ -47,7 +48,7 @@ def _join(xm: ExtendedModel, properties: list[tuple[str, Expr]], max_card: int,
           step_bound: int | None, cap: int | None):
     """Each property's cut-set result, and the candidates in cut-set order."""
     results = [compute_mcs(xm, expr, max_card, step_bound, cap) for _, expr in properties]
-    return results, _sorted_mcs(set().union(*(r.mcs for r in results)))
+    return results, sorted(set().union(*(r.mcs for r in results)), key=lambda c: (len(c), sorted(c)))
 
 
 def _violates(cand: frozenset[str], result) -> bool:
@@ -74,12 +75,9 @@ def generate_dynamic_fmea(xm: ExtendedModel, properties: list[tuple[str, Expr]],
     rows = []
     for cand in filter(None, candidates):
         wanted = sum(1 << k for k, r in enumerate(results) if _violates(cand, r))
-        witnessed: dict[tuple[str, ...], int] = {}  # order -> property bits
-        for bits, partition, _ in _sequence_partitions(ana, cand, targets, wanted, step_bound):
-            for order in _interleavings(partition):
-                witnessed[order] = witnessed.get(order, 0) | bits
-        rows += [FmeaRow(cand, tuple(sorted(label for k, (label, _) in enumerate(properties) if bits >> k & 1)),
-                         order) for order, bits in sorted(witnessed.items())]
+        for order, (bits, _) in sorted(_orders(ana, cand, targets, wanted, step_bound).items()):
+            violated = tuple(sorted(label for k, (label, _) in enumerate(properties) if bits >> k & 1))
+            rows.append(FmeaRow(cand, violated, order))
     return FmeaTable(tuple(properties), rows, max_card, step_bound, dynamic=True)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from mbsa import reexport
+from mbsa import __version__, reexport
 
 # prob_str lives in the package root, so that a job that writes
 # probabilities and evaluates none (extend) does not compile this module
@@ -250,7 +250,7 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
 _DIALECTS = ("python", "matlab")
 
 
-def render_prob_script(expr: ProbabilityExpr, dialect: str, version: str = "0.1.0") -> str:
+def render_prob_script(expr: ProbabilityExpr, dialect: str, version: str = __version__) -> str:
     """Emit a self-contained evaluation script for the probability expression.
 
     ``python`` emits a module defining ``tle_probability`` plus a small CLI that

@@ -266,6 +266,3 @@ class SymbolicModel(Record):
 
     def var_names(self) -> list[str]:
         return [n for n, _ in self.variables]
-
-    def define_names(self) -> list[str]:
-        return [n for n, _ in self.defines]

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from mbsa.analysis import brute_force_mcs, compute_cut_sequences, compute_mcs, cutsets_to_tsv
+from mbsa.analysis import compute_cut_sequences, compute_mcs, cutsets_to_tsv
 from mbsa.cca import parse_cca
 from mbsa.fault_tree import (
     Gate,
@@ -37,6 +37,7 @@ from mbsa.tfpg import (
 from mbsa.tfpg.activation import activation_trace_of
 
 from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr, reachable_tuples
+from cutset_references import brute_force_mcs
 from probability_references import evaluate
 from random_models import random_extended_model
 from test_fault_tree import _indicator_oracle
@@ -59,7 +60,7 @@ def test_criterion_01_mcs_oracle_equivalence():
         assert len(reachable_tuples(Engine(xm.typed))) <= 10_000
         fast = compute_mcs(xm, tle, n_events)
         slow = brute_force_mcs(xm, tle, n_events)
-        assert fast.as_sets() == slow.as_sets()
+        assert set(fast.mcs) == set(slow.mcs)
         assert fast.mcs == slow.mcs  # identical deterministic order too
         checked += 1
         nonempty += bool(fast.mcs)
@@ -74,10 +75,10 @@ def test_criterion_02_fixture_mcs_golden(battery_sensor):
     xm = battery_sensor
     tle = checked_expr(xm, "sys_dead")
     oracle = brute_force_mcs(xm, tle, 4)
-    assert oracle.as_sets() == GOLDEN_MCS
+    assert set(oracle.mcs) == GOLDEN_MCS
     golden = (FIXTURES / "battery_sensor.mcs.golden").read_text()
     assert cutsets_to_tsv(oracle) == golden
-    assert compute_mcs(xm, tle, 4).as_sets() == oracle.as_sets()
+    assert set(compute_mcs(xm, tle, 4).mcs) == set(oracle.mcs)
     _ok(2, "golden cut sets confirmed by the brute-force oracle")
 
 
@@ -150,7 +151,7 @@ def test_criterion_05_cca_conditioning():
     assert abs(value - Fraction("0.0595")) <= Fraction(1, 10**12)
     woven = apply_cca(xm, specs)
     result = compute_mcs(woven, checked_expr(woven, "a & b"), 3)
-    assert frozenset({"burst"}) in result.as_sets()
+    assert frozenset({"burst"}) in result.mcs
     _ok(5, f"conditioned probability {float(value)} with singleton cc cut set")
 
 
@@ -189,7 +190,7 @@ def test_criterion_07_fmea_fta_consistency(redundant_pair, latch_model, battery_
         for label, expr in properties:
             violating = [row.faults for row in table.rows if label in row.violated]
             minimal = {c for c in violating if not any(o < c for o in violating)}
-            assert minimal == compute_mcs(xm, expr, card).as_sets(), label
+            assert minimal == set(compute_mcs(xm, expr, card).mcs), label
             checked += 1
     _ok(7, f"{checked} properties: FMEA minimal rows equal minimal cut sets")
 
@@ -236,7 +237,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     props.write_text("dead : sys_dead;\n")
 
     def commands(out: Path):
-        common = ["--model", model, "--fei", fei, "--out-dir", str(out)]
+        inputs = ["--model", model, "--fei", fei]
+        common = [*inputs, "--out-dir", str(out)]
         return [
             ["extend", *common],
             ["mcs", *common, "--tle", "sys_dead", "--formats", "tsv,xml"],
@@ -246,7 +248,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ["fmea", *common, "--props", str(props), "--formats", "tsv,xml", "--max-card", "2"],
             ["tfpg", "check", *common, "--tfpg", tfpg, "--bind", bind, "--step-bound", "60"],
             ["tfpg", "convert", tfpg, str(out / "converted.xml")],
-            ["tfpg", "synth", *common, "--bind", bind, "--step-bound", "60",
+            ["tfpg", "synth", *inputs, "--bind", bind, "--step-bound", "60",
              "--outfile", str(out / "synth.tfpg")],
         ]
 

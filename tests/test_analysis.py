@@ -4,7 +4,6 @@ import pytest
 
 from mbsa.analysis import (
     CutSetResult,
-    brute_force_mcs,
     compute_cut_sequences,
     compute_mcs,
     cutsets_to_tsv,
@@ -18,6 +17,7 @@ from mbsa.sts.parse import parse_expr_text
 from mbsa.tfpg import parse_binding
 
 from conftest import GOLDEN_MCS, build_extended, checked_expr
+from cutset_references import brute_force_mcs
 
 
 def test_library_rejects_a_non_boolean_predicate(battery_sensor):
@@ -42,7 +42,7 @@ def test_redundant_pair_mcs(redundant_pair):
     xm = redundant_pair
     tle = checked_expr(xm, "(a & b) | c")
     result = compute_mcs(xm, tle, 3)
-    assert result.as_sets() == {frozenset({"fc"}), frozenset({"fa", "fb"})}
+    assert set(result.mcs) == {frozenset({"fc"}), frozenset({"fa", "fb"})}
     assert result.complete
     # deterministic order: cardinality, then lexicographic
     assert result.mcs == [frozenset({"fc"}), frozenset({"fa", "fb"})]
@@ -51,7 +51,7 @@ def test_redundant_pair_mcs(redundant_pair):
 def test_oracle_equivalence_redundant_pair(redundant_pair):
     xm = redundant_pair
     tle = checked_expr(xm, "(a & b) | c")
-    assert compute_mcs(xm, tle, 3).as_sets() == brute_force_mcs(xm, tle, 3).as_sets()
+    assert set(compute_mcs(xm, tle, 3).mcs) == set(brute_force_mcs(xm, tle, 3).mcs)
 
 
 def test_false_tle(redundant_pair):
@@ -93,7 +93,7 @@ def test_step_bound_limits_explanations(latch_model):
     # arming needs a step with a failed and b healthy before b fails
     assert compute_mcs(xm, tle, 2, step_bound=1).mcs == []
     bounded = compute_mcs(xm, tle, 2, step_bound=10)
-    assert bounded.as_sets() == {frozenset({"fa", "fb"})}
+    assert set(bounded.mcs) == {frozenset({"fa", "fb"})}
     assert not bounded.complete
 
 
@@ -101,7 +101,7 @@ def test_max_card_bound(redundant_pair):
     xm = redundant_pair
     tle = checked_expr(xm, "a & b & c")
     assert compute_mcs(xm, tle, 2).mcs == []
-    assert compute_mcs(xm, tle, 3).as_sets() == {frozenset({"fa", "fb", "fc"})}
+    assert set(compute_mcs(xm, tle, 3).mcs) == {frozenset({"fa", "fb", "fc"})}
 
 
 # -- cut sequences -------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_sequence_bases_cover_mcs(redundant_pair):
     tle = checked_expr(xm, "(a & b) | c")
     result = compute_mcs(xm, tle, 3)
     seqs = compute_cut_sequences(xm, tle, result)
-    assert {s.base for s in seqs} == result.as_sets()
+    assert {s.base for s in seqs} == set(result.mcs)
 
 
 def test_simultaneous_occurrences_count_both_ways():
@@ -159,7 +159,7 @@ def test_simultaneous_occurrences_count_both_ways():
 def test_battery_sensor_golden_mcs(battery_sensor):
     xm = battery_sensor
     tle = checked_expr(xm, "sys_dead")
-    assert compute_mcs(xm, tle, 4).as_sets() == GOLDEN_MCS
+    assert set(compute_mcs(xm, tle, 4).mcs) == GOLDEN_MCS
 
 
 def test_tsv_format(redundant_pair):

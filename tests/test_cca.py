@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbsa.analysis import brute_force_mcs, compute_mcs, witness
+from mbsa.analysis import compute_mcs, witness
 from mbsa.cca import Cascading, CcaError, Simultaneous, apply_cca, parse_cca
 from mbsa.cli import main
 from mbsa.fault_tree import ProbabilityAssignment, build_fault_tree, evaluate_probability, symbolic_probability
@@ -11,6 +11,7 @@ from mbsa.sts.engine import Engine
 from mbsa.sts.parse import parse_model
 
 from conftest import build_extended, checked_expr, reachable_tuples
+from cutset_references import brute_force_mcs
 from probability_references import evaluate
 
 PAIR_SMX = """MODULE pair
@@ -82,8 +83,8 @@ def test_simultaneous_enlarges_mcs_alphabet(pair):
     xm = apply_cca(pair, specs)
     tle = checked_expr(xm, "a & b")
     result = compute_mcs(xm, tle, 3)
-    assert result.as_sets() == {frozenset({"burst"}), frozenset({"f1", "f2"})}
-    assert brute_force_mcs(xm, tle, 3).as_sets() == result.as_sets()
+    assert set(result.mcs) == {frozenset({"burst"}), frozenset({"f1", "f2"})}
+    assert set(brute_force_mcs(xm, tle, 3).mcs) == set(result.mcs)
     # cc is registered as a basic event and appears in built trees
     ft = build_fault_tree(result)
     assert "burst" in ft.basic_events()
@@ -140,7 +141,7 @@ def test_cascading_mcs(pair):
     specs = parse_cca("cc casc: members {f1, f2}, pattern cascading(f2: [1,3]), prob 0.01;")
     xm = apply_cca(pair, specs)
     tle = checked_expr(xm, "a & b")
-    assert compute_mcs(xm, tle, 3).as_sets() == {frozenset({"casc"}), frozenset({"f1", "f2"})}
+    assert set(compute_mcs(xm, tle, 3).mcs) == {frozenset({"casc"}), frozenset({"f1", "f2"})}
     trace = witness(xm, frozenset({"casc"}), tle)
     assert trace is not None
 

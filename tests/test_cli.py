@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mbsa
 from mbsa.cli import main
 
 from conftest import FIXTURES
@@ -571,8 +572,9 @@ def test_max_card_below_one_exits_2(tmp_path, capsys, card):
 @pytest.mark.parametrize("command", ["synth", "check"])
 def test_tfpg_has_no_max_card(tmp_path, capsys, command):
     # the flag was accepted and never read
-    target = ("--outfile", str(tmp_path / "g.tfpg")) if command == "synth" else ("--tfpg", TFPG)
-    argv = ("tfpg", command, "--model", MODEL, "--fei", FEI, "--bind", BIND, *target, "--out-dir", str(tmp_path))
+    target = (("--outfile", str(tmp_path / "g.tfpg")) if command == "synth"
+              else ("--tfpg", TFPG, "--out-dir", str(tmp_path)))
+    argv = ("tfpg", command, "--model", MODEL, "--fei", FEI, "--bind", BIND, *target)
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--max-card", "2")
     assert exc.value.code == 2
@@ -873,6 +875,43 @@ def test_the_program_exits_as_main_returns(tmp_path, capsys, argv):
     assert _program(*argv) == (code, out, err)
 
 
+@pytest.mark.parametrize("command", ["extend", "mcs"])
+def test_expression_nesting_beyond_the_recursion_limit_exits_3(tmp_path, command):
+    # the parser reads these chains without recursion, but the checker walks
+    # them recursively: it ran out of stack with a traceback and exit 1, the
+    # code of a negative verdict (400 sys_dead disjuncts still fit)
+    if command == "extend":
+        model = tmp_path / "deep.smx"
+        model.write_text("MODULE m VAR x : boolean; INIT " + " & ".join(["x"] * 700) + " ;\n")
+        argv = ("extend", "--model", str(model))
+    else:
+        argv = ("mcs", "--model", MODEL, "--fei", FEI, "--tle", " | ".join(["sys_dead"] * 600))
+    assert _program(*argv, "--out-dir", str(tmp_path / "out")) == (
+        3, "", "resource cap exceeded: expression nesting beyond the interpreter's recursion limit\n")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (("extend",), "--cap", "10"),
+    (("tfpg", "synth", "--bind", BIND), "--out-dir", "out"),
+], ids=["extend-cap", "synth-out-dir"])
+def test_flags_nothing_reads_are_usage_errors(tmp_path, capsys, command, flag, value):
+    # extension explores no state, and synthesis writes only --outfile: both
+    # flags were accepted and never read
+    argv = (*command, "--model", MODEL, "--fei", FEI)
+    if command[0] == "tfpg":
+        argv += ("--outfile", str(tmp_path / "s.tfpg"))
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, flag, value)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    key = flag.removeprefix("--")
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n")
+    assert run(*argv, "--config", str(config)) == 2
+    assert capsys.readouterr().err == f"{config}:0:0: error: unknown config key {key!r}\n"
+    assert not (tmp_path / "s.tfpg").exists()
+
+
 def test_only_the_program_freezes_the_heap(tmp_path):
     # main runs inside other processes, such as this one, which must keep
     # collecting garbage; the program freezes, and then still runs exit
@@ -901,4 +940,6 @@ def test_the_installed_script_is_the_program():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as f:
-        assert tomllib.load(f)["project"]["scripts"] == {"mbsa": "mbsa.cli:run"}
+        project = tomllib.load(f)["project"]
+    assert project["scripts"] == {"mbsa": "mbsa.cli:run"}
+    assert project["version"] == mbsa.__version__

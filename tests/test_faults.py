@@ -319,7 +319,7 @@ def test_extension_serializes_to_model_language():
 def test_define_target_extension():
     xm = build_extended(NOMINAL, "fault out_off: target out, template stuck_at(FALSE), "
                                  "dynamics permanent, prob 0.01;")
-    names = xm.model.define_names()
+    names = [n for n, _ in xm.model.defines]
     assert "out#nominal" in names and "out" in names
 
 
@@ -417,7 +417,7 @@ def test_random_needs_a_finite_domain():
 @pytest.mark.parametrize("index", range(len(EXTENDED)))
 def test_random_extensions_match_goldens(index):
     xm = EXTENDED[index]
-    names = xm.model.var_names() + xm.model.define_names()
+    names = xm.model.var_names() + [n for n, _ in xm.model.defines]
     assert len(names) == len(set(names))  # every name declared once
     for name, text in (("extended.smx", print_model(xm.model)), ("events.json", _registry_json(xm))):
         assert text.encode("utf-8") == (EXTEND_CASES / f"random_{index:02d}" / name).read_bytes(), name

@@ -24,13 +24,13 @@ def test_one_cut_sequence_search_per_candidate_expands_each_state_once(monkeypat
     # a search stores a state with many partitions, and expands it once; dynamic
     # FMEA searches each nonempty candidate once, for all its properties
     searches, active = [], []
-    search, succ = cutsets._sequence_partitions, Engine.succ_tuples
+    search, succ = cutsets._orders, Engine.succ_tuples
 
     def counted_search(*args):
         searches.append([])
         active.append(searches[-1])
         try:
-            yield from search(*args)
+            return search(*args)
         finally:
             active.pop()
 
@@ -39,8 +39,8 @@ def test_one_cut_sequence_search_per_candidate_expands_each_state_once(monkeypat
             active[-1].append(s)
         return succ(self, s, forbidden)
 
-    monkeypatch.setattr(cutsets, "_sequence_partitions", counted_search)
-    monkeypatch.setattr(fmea, "_sequence_partitions", counted_search, raising=False)
+    monkeypatch.setattr(cutsets, "_orders", counted_search)
+    monkeypatch.setattr(fmea, "_orders", counted_search)
     monkeypatch.setattr(Engine, "succ_tuples", succ_tuples)
     xm = battery_sensor
     props = [(label, checked_expr(xm, text)) for label, text in
@@ -92,7 +92,7 @@ def test_fmea_minimal_rows_match_mcs(redundant_pair, latch_model):
         table = generate_fmea(xm, [("P", tle)], 3)
         violating = [row.faults for row in table.rows if "P" in row.violated]
         minimal = {c for c in violating if not any(o < c for o in violating)}
-        assert minimal == compute_mcs(xm, tle, 3).as_sets()
+        assert minimal == set(compute_mcs(xm, tle, 3).mcs)
 
 
 def test_dynamic_table_lists_orders(redundant_pair):

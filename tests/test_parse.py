@@ -41,7 +41,7 @@ TRANS next(x) = x;
 INVAR x | y = B;
 """)
     assert m.var_names() == ["x", "y"]
-    assert m.define_names() == ["d"]
+    assert [n for n, _ in m.defines] == ["d"]
     assert len(m.init) == 2 and len(m.invar) == 1
 
 

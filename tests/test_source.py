@@ -4,6 +4,7 @@ import ast
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,62 @@ def test_unreferenced_private_definitions_are_caught():
 def test_every_private_definition_is_referenced():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
     assert _unreferenced_private_definitions(sources) == []
+
+
+def _reads(node) -> collections.Counter:
+    """How often ``node`` reads or imports each name, attributes included."""
+    reads = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            reads.update(alias.name for alias in n.names)
+    return reads
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class, and of each method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef))
+
+
+def _unused_public_definitions(package: dict[str, str], users: list[str], docs: str) -> list[str]:
+    """Public top-level functions and classes of ``package``, and public
+    methods of its classes, that no code of ``package`` or ``users`` reads
+    outside their own definition, and that ``docs`` do not name.  A name in
+    a string, such as a re-export table's, is not a read."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = sum(map(_reads, [*trees.values(), *map(ast.parse, users)]), collections.Counter())
+    named = set(re.findall(r"\w+", docs))
+    return [f"{module}: {qualified} (line {node.lineno})" for module, tree in trees.items()
+            for qualified, node in _definitions(tree)
+            if not node.name.startswith("_") and reads[node.name] <= _reads(node)[node.name]
+            and node.name not in named]
+
+
+def test_unused_public_definitions_are_caught():
+    package = {"a.py": "def used():\n    used()\n\n\ndef documented():\n    pass\n\n\nclass Record:\n"
+                       "    def read(self):\n        return self.read\n\n    def test_only(self):\n        pass\n",
+               "b.py": "from a import Record\nNAMES = ('test_only',)\n"}
+    # a recursive call or read inside the definition itself does not count
+    assert _unused_public_definitions(package, ["from a import used\n"], "`documented` is public") == [
+        "a.py: Record.read (line 10)", "a.py: Record.test_only (line 13)"]
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # the program, the benchmark and the demos are the users of src/mbsa;
+    # a name the tests alone call is test code, and the references live in tests/
+    package = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
+    users = [path.read_text(encoding="utf-8") for folder in ("perfbench", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    docs = "\n".join(path.read_text(encoding="utf-8")
+                     for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))])
+    assert _unused_public_definitions(package, users, docs) == []
 
 
 def _model_constructions(source: str) -> list[int]:
