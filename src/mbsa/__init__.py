@@ -36,7 +36,8 @@ engine, and importing a ``tfpg`` module but ``graph`` loads the engine too.
 ``mbsa.cli`` imports no layer when it is imported: each subcommand imports
 what it calls inside its function, so a job runs only the layers it uses
 (``extend`` none of ``cutsets``, ``fault_tree``, ``probability``, ``fmea``,
-the engine or ``tfpg``).  For that,
+the engine or ``tfpg``; ``ft`` no ``probability``, which ``fault_tree``
+imports only where a probability is computed).  For that,
 :func:`prob_str`, the text of a probability in every artifact, lives here,
 and ``mbsa.probability`` re-exports it.  The CLI still registers every layer in
 ``sys.modules``, unrun, through :func:`register_lazily`.  That is for the

@@ -228,7 +228,7 @@ def cmd_ftprob(args) -> int:
         rare_event_sum,
         symbolic_probability,
     )
-    from mbsa.probability import pexpr_to_text, render_prob_script
+    from mbsa.probability import render_prob_script, tle_probability_text
 
     xm, specs = _load_extended(args)
     ft = _build_tree(args, xm)
@@ -244,8 +244,7 @@ def cmd_ftprob(args) -> int:
     lines.append(f"rare-event-sum\t{prob_str(rare_event_sum(ft, node_probs))}")
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
     _write(out / "ft.ftx", export_ft(ft, "xml", with_probabilities=True))
-    header = "symbols: " + ", ".join(symbolic.symbols) if symbolic.symbols else "symbols:"
-    _write(out / "tle_probability.txt", header + "\n" + pexpr_to_text(symbolic) + "\n")
+    _write(out / "tle_probability.txt", tle_probability_text(symbolic))
     _write(out / "tle_probability.py", render_prob_script(symbolic, "python", version=__version__))
     _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab", version=__version__))
     return EXIT_OK
@@ -389,67 +388,114 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, max_card: bool =
         sub.add_argument("--step-bound", type=_at_least(0), default=0, help="step bound (0 = unbounded)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mbsa", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"mbsa {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """The parser of one subcommand, given its arguments by its wiring
+    function ``wire`` on the first parse.  argparse calls the chosen
+    subcommand's ``parse_known_args`` only, so a job builds no other
+    subcommand's arguments: each ``add_argument`` makes a help formatter,
+    which asks for the terminal size."""
 
-    p = subs.add_parser("extend", help="extend a nominal model with faults")
+    def __init__(self, *, wire, **kwargs):
+        super().__init__(**kwargs)
+        self._wire = wire
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._wire is not None:
+            self._wire(self)
+            self._wire = None
+        return super().parse_known_args(args, namespace)
+
+
+def _subcommands(parser: argparse.ArgumentParser, dest: str, table):
+    """One unwired :class:`_Subcommand` per (name, help line, wiring function) of ``table``."""
+    subs = parser.add_subparsers(dest=dest, required=True, parser_class=_Subcommand)
+    for name, help_line, wire in table:
+        subs.add_parser(name, help=help_line, wire=wire)
+
+
+def _extend_args(p):
     _common(p, max_card=False, step_bound=False, cap=False)  # extension explores no state
     p.set_defaults(func=cmd_extend, _subparser=p)
 
-    p = subs.add_parser("mcs", help="compute minimal cut sets")
+
+def _mcs_args(p):
     _common(p, tle=True)
     p.add_argument("--formats", default="tsv", help="comma-separated: tsv,xml")
     p.set_defaults(func=cmd_mcs, _subparser=p)
 
-    p = subs.add_parser("ft", help="build a (dynamic) fault tree")
+
+def _ft_args(p):
     _common(p, tle=True)
     p.add_argument("--dynamic", action="store_true", help="detect required event orders (PAND gates)")
     p.add_argument("--with-probabilities", action="store_true")
     p.add_argument("--formats", default="xml", help="comma-separated: xml,tsv,dot")
     p.set_defaults(func=cmd_ft, _subparser=p)
 
-    p = subs.add_parser("ftprob", help="evaluate fault tree probabilities and emit scripts")
+
+def _ftprob_args(p):
     _common(p, tle=True)
     p.add_argument("--dynamic", action="store_true")
     p.set_defaults(func=cmd_ftprob, _subparser=p)
 
-    p = subs.add_parser("fmea", help="generate an FMEA table")
+
+def _fmea_args(p):
     _common(p)
     p.add_argument("--props", default="", help="property file: 'label : expression;' per line")
     p.add_argument("--dynamic", action="store_true", help="dynamic FMEA (orders per row)")
     p.add_argument("--formats", default="tsv", help="comma-separated: xml,tsv")
     p.set_defaults(func=cmd_fmea, _subparser=p)
 
-    p = subs.add_parser("tfpg", help="timed failure propagation graphs")
-    tsubs = p.add_subparsers(dest="tfpg_command", required=True)
 
-    pc = tsubs.add_parser("check", help="behavioral validation against a model")
-    _common(pc, max_card=False)
-    pc.add_argument("--tfpg", required=True, help="graph file (.tfpg or .xml)")
-    pc.add_argument("--bind", required=True, help="node bindings (.bind)")
-    pc.set_defaults(func=cmd_tfpg, _subparser=pc)
+def _tfpg_args(p):
+    _subcommands(p, "tfpg_command", (
+        ("check", "behavioral validation against a model", _check_args),
+        ("convert", "convert between text, XML, and DOT", _convert_args),
+        ("synth", "synthesize graph structure from a model", _synth_args),
+    ))
 
-    pv = tsubs.add_parser("convert", help="convert between text, XML, and DOT")
-    pv.add_argument("infile")
-    pv.add_argument("outfile")
-    pv.add_argument("--to", default="auto", choices=("auto", "text", "xml", "dot"))
-    pv.set_defaults(func=cmd_tfpg, _subparser=pv)
 
-    ps = tsubs.add_parser("synth", help="synthesize graph structure from a model")
-    _common(ps, max_card=False, out_dir=False)  # it writes --outfile
-    ps.add_argument("--bind", required=True, help="node bindings (.bind)")
-    ps.add_argument("--outfile", required=True, help="output .tfpg path")
-    ps.set_defaults(func=cmd_tfpg, _subparser=ps)
+def _check_args(p):
+    _common(p, max_card=False)
+    p.add_argument("--tfpg", required=True, help="graph file (.tfpg or .xml)")
+    p.add_argument("--bind", required=True, help="node bindings (.bind)")
+    p.set_defaults(func=cmd_tfpg, _subparser=p)
 
+
+def _convert_args(p):
+    p.add_argument("infile")
+    p.add_argument("outfile")
+    p.add_argument("--to", default="auto", choices=("auto", "text", "xml", "dot"))
+    p.set_defaults(func=cmd_tfpg, _subparser=p)
+
+
+def _synth_args(p):
+    _common(p, max_card=False, out_dir=False)  # it writes --outfile
+    p.add_argument("--bind", required=True, help="node bindings (.bind)")
+    p.add_argument("--outfile", required=True, help="output .tfpg path")
+    p.set_defaults(func=cmd_tfpg, _subparser=p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one unwired subcommand parser per command;
+    parsing wires the subcommand it picks."""
+    parser = argparse.ArgumentParser(prog="mbsa", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"mbsa {__version__}")
+    _subcommands(parser, "command", (
+        ("extend", "extend a nominal model with faults", _extend_args),
+        ("mcs", "compute minimal cut sets", _mcs_args),
+        ("ft", "build a (dynamic) fault tree", _ft_args),
+        ("ftprob", "evaluate fault tree probabilities and emit scripts", _ftprob_args),
+        ("fmea", "generate an FMEA table", _fmea_args),
+        ("tfpg", "timed failure propagation graphs", _tfpg_args),
+    ))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand in this process and return its exit code; tests and
-    the benchmark's tracer call it.  It never freezes the heap, so a calling
-    process keeps collecting its garbage."""
+    the benchmark's tracer call it.  It leaves the cyclic collector as its
+    caller set it and never freezes the heap, so a calling process keeps
+    collecting its garbage."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -479,13 +525,18 @@ def run():
     """The ``mbsa`` program (``python -m mbsa.cli``, the installed ``mbsa``
     script): :func:`main` on ``sys.argv``, then ``sys.exit`` with its code.
 
-    Every way out, argparse's ``--help``, ``--version`` and usage errors
-    included, first freezes the heap (``gc.freeze``): the interpreter's
-    finalization then skips the loaded modules and the job's objects in its
-    collections, which cost each job 4-5 ms after its last artifact was
-    written (about 8 % of a fixture ``extend``).  Exit handlers, stream
-    flushes and profilers still run, as they would not after ``os._exit``.
+    The cyclic collector is off for the whole job (``gc.disable``): a job
+    leaves a few hundred objects in cycles whatever the size of its search
+    (about 50 KiB after a fixture ``tfpg synth``, whose 47 collector passes
+    took 6 ms), so collecting frees next to nothing for its cost.  Every way
+    out, argparse's ``--help``, ``--version`` and usage errors included, then
+    freezes the heap (``gc.freeze``): the interpreter's finalization skips
+    the loaded modules and the job's objects in its collections, which cost
+    each job 4-5 ms after its last artifact was written (about 8 % of a
+    fixture ``extend``).  Exit handlers, stream flushes and profilers still
+    run, as they would not after ``os._exit``.
     """
+    gc.disable()
     try:
         sys.exit(main())
     finally:

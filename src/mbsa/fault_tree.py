@@ -21,8 +21,11 @@ from fractions import Fraction
 from mbsa import prob_str
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
-from mbsa.probability import Bdd, ProbabilityExpr
 from mbsa.xmlout import to_xml
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from mbsa.probability import Bdd, ProbabilityExpr
 
 
 class FaultTreeError(MbsaError):
@@ -142,6 +145,8 @@ def _compile(ft: FaultTree, groups) -> tuple[Bdd, dict[str, int], list[str]]:
     Raises FaultTreeError when a group references an event that is not a
     basic event of the tree.
     """
+    from mbsa.probability import Bdd  # a job that only builds or writes a tree loads no probability core
+
     events = ft.basic_events()
     groups = sorted(groups, key=lambda g: g.id)
     for g in groups:
@@ -221,6 +226,8 @@ def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -
     subterm built once (see :meth:`Bdd.to_pnode`).  Evaluating at any
     assignment equals :func:`evaluate_probability`'s root value exactly.
     """
+    from mbsa.probability import ProbabilityExpr
+
     bdd, compiled, names = _compile(ft, dependency_groups or [])
     return ProbabilityExpr(bdd.to_pnode(compiled[ft.root], names), tuple(sorted(names)))
 

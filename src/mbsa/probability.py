@@ -247,6 +247,13 @@ def pexpr_to_text(expr: ProbabilityExpr) -> str:
     return "\n".join([f"{name} = {rhs}" for name, rhs in lines] + [result])
 
 
+def tle_probability_text(expr: ProbabilityExpr) -> str:
+    """The ``tle_probability.txt`` artifact: a ``symbols:`` line naming the
+    symbols, then :func:`pexpr_to_text`."""
+    header = "symbols: " + ", ".join(expr.symbols) if expr.symbols else "symbols:"
+    return header + "\n" + pexpr_to_text(expr) + "\n"
+
+
 _DIALECTS = ("python", "matlab")
 
 

@@ -854,6 +854,21 @@ def _program(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+HELP = json.loads((GOLDENS / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_version_and_usage_texts_match_goldens(capsys, monkeypatch, argv):
+    # exit code, stdout and stderr of help, version and usage errors, at a
+    # terminal width of 80, in process and from the program
+    want = (HELP[argv]["exit"], HELP[argv]["stdout"], HELP[argv]["stderr"])
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert (exc.value.code, *capsys.readouterr()) == want
+    assert _program(*argv.split()) == want
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ("extend", "--model", MODEL, "--fei", FEI, "--out-dir", str(tmp)),
     lambda tmp: ("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", _refute_tfpg(tmp), "--bind", BIND,
@@ -912,28 +927,54 @@ def test_flags_nothing_reads_are_usage_errors(tmp_path, capsys, command, flag, v
     assert not (tmp_path / "s.tfpg").exists()
 
 
+def _collecting(enabled: bool):
+    (gc.enable if enabled else gc.disable)()
+
+
 def test_only_the_program_freezes_the_heap(tmp_path):
     # main runs inside other processes, such as this one, which must keep
-    # collecting garbage; the program freezes, and then still runs exit
-    # handlers and a profiler's report
-    frozen = gc.get_freeze_count()
-    assert main(["mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(tmp_path)]) == 0
-    with pytest.raises(SystemExit):
-        main(["--version"])
+    # collecting garbage as they chose; the program collects none, freezes,
+    # and then still runs exit handlers and a profiler's report
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    try:
+        for collecting in (True, False):
+            _collecting(collecting)
+            assert main(["mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(tmp_path)]) == 0
+            with pytest.raises(SystemExit):
+                main(["--version"])
+            assert gc.isenabled() is collecting
+    finally:
+        _collecting(enabled)
     assert gc.get_freeze_count() == frozen
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import atexit, gc, sys\nfrom mbsa.cli import run\n"
-              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\nrun()\n")
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, 'collecting', gc.isenabled()))\n"
+              "run()\n")
     for argv, code in ((("--version",), 0), (("mcs", "--max-card", "0"), 2),
                        (("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--cap", "10",
                          "--out-dir", str(tmp_path)), 3)):
         proc = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
-        assert proc.stdout.endswith("frozen True\n"), argv
+        assert proc.stdout.endswith("frozen True collecting False\n"), argv
     proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mbsa.cli", "--version"],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
     assert proc.stdout.startswith("mbsa ") and "function calls" in proc.stdout
+
+
+def test_a_job_leaves_little_cyclic_garbage(tmp_path):
+    # the program runs with the collector off, so what a job leaves in
+    # reference cycles stays until it exits: it must not grow with the search
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for step_bound in ("5", "60"):
+            assert main(["tfpg", "synth", "--model", MODEL, "--fei", FEI, "--bind", BIND, "--step-bound", step_bound,
+                         "--outfile", str(tmp_path / "synth.tfpg")]) == 0
+            assert gc.collect() < 2000, step_bound
+    finally:
+        _collecting(enabled)
 
 
 def test_the_installed_script_is_the_program():

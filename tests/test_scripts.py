@@ -13,7 +13,7 @@ from mbsa.fault_tree import (
     rare_event_approximation,
     symbolic_probability,
 )
-from mbsa.probability import pexpr_to_text, prob_str, render_prob_script, symbol_params
+from mbsa.probability import pexpr_to_text, prob_str, render_prob_script, symbol_params, tle_probability_text
 from mbsa.analysis import CutSetResult
 from mbsa.sts.parse import parse_expr_text
 
@@ -116,6 +116,15 @@ def test_pexpr_to_text_parses_as_python():
                                             abs=1e-12)
 
 
+def test_tle_probability_text_names_the_symbols_then_the_closed_form():
+    # an empty symbol list, of a top-level event with no cut set or with the
+    # empty one, leaves no space after the colon
+    assert tle_probability_text(symbolic_probability(_tree([]))) == "symbols:\n0\n"
+    assert tle_probability_text(symbolic_probability(_tree([set()]))) == "symbols:\n1\n"
+    assert tle_probability_text(symbolic_probability(_tree([{"fb"}, {"fa"}]))) == (
+        "symbols: fa, fb\np_fa + (1 - p_fa) * p_fb\n")
+
+
 def _ftprob_artifacts(result, sequences, probs, groups) -> dict[str, str]:
     """The probability artifacts of ``mbsa ftprob`` for one cut-set result,
     through the library calls that ``cmd_ftprob`` makes."""
@@ -126,8 +135,7 @@ def _ftprob_artifacts(result, sequences, probs, groups) -> dict[str, str]:
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_approximation(ft, pa))}")
     texts = ("\n".join(lines) + "\n",
-             ("symbols: " + ", ".join(symbolic.symbols) if symbolic.symbols else "symbols:") + "\n"
-             + pexpr_to_text(symbolic) + "\n",
+             tle_probability_text(symbolic),
              render_prob_script(symbolic, "python"),
              render_prob_script(symbolic, "matlab"))
     return dict(zip(ARTIFACTS, texts))

@@ -293,6 +293,7 @@ def test_a_subcommand_runs_only_the_layers_it_calls(tmp_path):
                                   f"assert main({[*argv, *FIXTURE, '--out-dir', str(tmp_path)]!r}) == {code}")
             for command, argv, code in (
                 ("extend", ["extend"], 0), ("mcs", ["mcs", "--tle", "sys_dead"], 0),
+                ("ft", ["ft", "--dynamic", "--tle", "sys_dead"], 0),
                 ("fmea", ["fmea", "--props", str(ROOT / "tests" / "goldens" / "fixture.props")], 0),
                 ("check", [*check, str(fixtures / "battery_sensor.tfpg")], 0), ("refute", [*check, str(refuting)], 1))}
     assert {"mbsa.faults", "mbsa.sts.pretty"} <= runs["extend"]
@@ -300,6 +301,8 @@ def test_a_subcommand_runs_only_the_layers_it_calls(tmp_path):
                               "mbsa.sts.engine"} | tfpg) == set()
     assert {"mbsa.cutsets", "mbsa.sts.engine"} <= runs["mcs"]
     assert runs["mcs"] & ({"mbsa.fault_tree", "mbsa.fmea"} | tfpg) == set()
+    # a tree that is built and written, with no probability computed
+    assert "mbsa.fault_tree" in runs["ft"] and "mbsa.probability" not in runs["ft"]
     # the printer writes only the XML table; admits only recomputes a refutation
     assert "mbsa.fmea" in runs["fmea"] and "mbsa.sts.pretty" not in runs["fmea"]
     assert "mbsa.tfpg.validate" in runs["check"] and "mbsa.tfpg.admit" not in runs["check"]
