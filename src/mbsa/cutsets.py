@@ -9,13 +9,16 @@ and skips supersets of discovered cut sets.  The first-occurrence search
 ``_orders`` runs once per event set over (state id, first-occurrence
 partition) keys, its states in a ``StateStore`` labelled by the registry's
 occurrence predicates, and tests a vector of targets at once: the order-aware
-query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).  Cut sequences
+query of Bozzano, Cimatti, Griggio and Mattarei (CAV 2015).  It stops as soon
+as every order of the event set is witnessed with every wanted target; a set
+with an order it can never witness is searched to exhaustion.  Cut sequences
 and dynamic FMEA both read it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.xmlout import to_xml
@@ -147,7 +150,8 @@ def _orders(ana: Analyzer, base: frozenset[str], targets, wanted: int,
     masks) keys.  Simultaneous first occurrences are witnessed under every
     interleaving of the tied group.  A key whose partition holds all of
     ``base`` and no longer waits for a wanted target is not expanded: the keys
-    below it carry the same partition."""
+    below it carry the same partition.  Bits are only added and first paths
+    kept, so the search ends once all ``len(base)!`` orders hold ``wanted``."""
     from mbsa.sts.engine import StateStore, breadth_first
 
     want = ana.mask(base)
@@ -177,6 +181,7 @@ def _orders(ana: Analyzer, base: frozenset[str], targets, wanted: int,
         return children, stops
 
     found: dict[tuple[str, ...], tuple[int, list]] = {}
+    done, total = 0, math.factorial(len(base))  # the orders holding all of wanted, and all orders
     for keys, _ in breadth_first(expand, step_bound, ana.engine.cap, "cut-sequence states"):
         if keys is not None:
             _, part, bits = keys[-1]
@@ -185,6 +190,10 @@ def _orders(ana: Analyzer, base: frozenset[str], targets, wanted: int,
                 order = tuple(itertools.chain.from_iterable(combo))
                 old_bits, first = found.get(order, (0, path))
                 found[order] = (old_bits | bits, first)
+                if old_bits != wanted and old_bits | bits == wanted:
+                    done += 1
+            if done == total:
+                break  # bits are only added and first paths kept: nothing left can change
     return found
 
 

@@ -1,4 +1,4 @@
-"""Model expressions as Python source, for the engine's generated functions.
+"""Model expressions as Python source, and the engine's generated functions.
 
 Expressions become Python operator text over locals named by state index:
 ``cI`` is variable ``I`` of the source state, ``nI`` of the state being
@@ -7,13 +7,21 @@ only these names, Python operators and ``repr`` literals, never a user
 identifier.  A define is bound to a local once per evaluation context,
 before its first use, so nested defines give linear rather than exponential
 text.  A gated check prunes only while its bit of the mask ``r`` is set, a
-parameter of ``f`` that every continuation receives.
+parameter of ``f`` that every continuation receives.  ``enumerator`` stages
+an engine's successor and initial-state functions from these pieces (see
+:mod:`mbsa.sts.engine`); in a reordered loop nest ``wI`` is the rank digit of
+variable ``I``'s value.
 """
 
 from __future__ import annotations
 
+from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
 from mbsa.sts.model import BinOp, BoolConst, BoolType, EnumType, Expr, InSet, IntConst, Ite, Name, Next, UnOp
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    from mbsa.sts.engine import Engine
 
 # Python precedence levels, loosest first; an operand is parenthesized only
 # when it binds looser than its position requires
@@ -97,8 +105,9 @@ class Source:
         text = self.expr(e, ctx, _NOT)
         self.line(f"if {f'r & {gate} and ' if gate else ''}not {text}: {prune}")
 
-    def loop(self, i: int, domain: tuple | range):
-        """Bind next-state variable ``i`` to each value of ``domain`` in turn."""
+    def loop(self, i: int, domain: tuple | range, radix: int | None = None):
+        """Bind next-state variable ``i`` to each value of ``domain`` in turn;
+        given a ``radix``, bind ``wI`` to the value's position times it."""
         if self.loops == _MAX_LOOPS:
             # continue in a new function that receives every local bound so far
             args = ", ".join(["out", *self.names])
@@ -106,7 +115,11 @@ class Source:
             self.line(f"{name}({args})")
             self.funcs.append([f"def {name}({args}):"])
             self.indent, self.loops = 1, 0
-        self.line(f"for n{i} in {tuple(domain)!r}:")
+        if radix is None:
+            self.line(f"for n{i} in {tuple(domain)!r}:")
+        else:
+            self.line(f"for n{i}, w{i} in {tuple((v, k * radix) for k, v in enumerate(domain))!r}:")
+            self.names.append(f"w{i}")
         self.indent += 1
         self.loops += 1
         self.names.append(f"n{i}")
@@ -149,3 +162,100 @@ class Source:
             vals = [m.value if isinstance(m, (IntConst, BoolConst)) else m.name for m in e.members]
             return f"{self.expr(e.operand, ctx, _ARITH)} in {_set_src(vals)}", _CMP
         raise AssertionError(f"unhandled node {e!r}")
+
+
+def enumerator(eng: Engine, succ: bool):
+    """The staged enumerator of ``eng``: ``f(s, r)`` lists the successors of
+    ``s`` when ``succ``, else ``f(r)`` the initial states, under mask ``r``,
+    in canonical order."""
+    tm = eng.tm
+    if succ:
+        assigns, actx = eng._trans_assign, STEP
+        checks = [(c, STEP, 0) for c in eng._trans_checks] + [(c, STATE, 0) for c in tm.model.invar]
+    else:
+        assigns, actx = eng._init_assign, STATE
+        checks = [(c, STATE, 0) for c in [*eng._init_checks, *tm.model.invar]]
+    checks += [(c, STATE, 1 << k) for k, c in enumerate(eng.guards)]
+    assigned = {i for i, _, _ in assigns}
+    free = [i for i in range(eng.nvars) if i not in assigned]
+    size = 1
+    for i in free:
+        size *= len(tm.domains[i])
+        if size > eng.cap:
+            raise ResourceCapError(f"enumeration of {size}+ candidate states exceeds cap {eng.cap}")
+
+    order = _loop_order(eng, free, assigns, actx is STEP)
+    # loop level k binds the k-th variable of the order; level 0 runs once per call
+    level = {i: k for k, i in enumerate(order, 1)}
+    used: set[tuple[str, tuple]] = set()  # (define, context) pairs
+
+    def level_of(e: Expr, ctx) -> int:
+        """The first level at which every reference of ``e`` is bound."""
+        names, defs = eng.refs(e, nxt=ctx is STEP)
+        used.update((name, ctx) for name in defs)
+        return max((level[tm.var_index[n]] for n in names), default=0)
+
+    stages = [([], [], []) for _ in range(len(order) + 1)]  # per level: assignments, defines, checks
+    for i, rhs, ty in assigns:
+        level[i] = level_of(rhs, actx)
+        stages[level[i]][0].append((i, rhs, ty))
+    for e, ctx, gate in checks:
+        stages[level_of(e, ctx)][2].append((e, ctx, gate))
+    g = Source(tm, "def f(s, r):" if succ else "def f(r):")
+    # every define in use is bound once per context, at its own level
+    for name, ctx in sorted(used, key=lambda d: (g.define_ids[d[0]], d[1][2])):
+        stages[level_of(tm.defines[name], ctx)][1].append((name, ctx))
+
+    if succ and eng.nvars:
+        cur = [f"c{i}" for i in range(eng.nvars)]
+        g.line(f"{', '.join(cur)}, = s")
+        g.names.extend(cur)
+    g.names.append("r")
+    # a reordered nest files each state under its rank in canonical order:
+    # the domain positions of the free variables in declaration order, as
+    # the digits of one mixed-radix int, each loop binding its own digit
+    radix, weight = {}, 1
+    if order != free:
+        for i in reversed(free):
+            radix[i] = weight
+            weight *= len(tm.domains[i])
+    for lv, (asg, defs, chks) in enumerate(stages):
+        if lv:
+            g.loop(order[lv - 1], tm.domains[order[lv - 1]], radix.get(order[lv - 1]))
+        prune = "continue" if lv else "return []"
+        for i, rhs, ty in asg:
+            g.assign(i, rhs, actx, ty, prune)
+        for name, ctx in defs:
+            g.define(name, ctx)
+        for e, ctx, gate in chks:
+            g.check(e, ctx, prune, gate)
+        if not lv and free:
+            g.line("out = {}" if radix else "out = []")
+    state = "(" + "".join(f"n{i}, " for i in range(eng.nvars)) + ")"
+    if radix:
+        g.line(f"out[{' + '.join(f'w{i}' for i in order)}] = {state}")
+        g.funcs[0].append("    return [out[q] for q in sorted(out)]")
+    elif free:
+        g.line(f"out.append({state})")
+        g.funcs[0].append("    return out")
+    else:
+        g.line(f"return [{state}]")
+    return g.build()
+
+
+def _loop_order(eng: Engine, free: list[int], assigns, nxt: bool) -> list[int]:
+    """The order in which an enumerator binds the ``free`` variables:
+    declaration order, except that each variable is followed at once by the
+    other free variables that a guard reading it needs, so that the guard
+    prunes before the loops of unrelated variables.  A guard needs the free
+    variables its references are computed from."""
+    needs = {i: {i} for i in free}
+    for i, rhs, _ in assigns:
+        needs[i] = set().union(*(needs[eng.tm.var_index[n]] for n in eng.refs(rhs, nxt)[0]))
+    reads = [set().union(*(needs[eng.tm.var_index[n]] for n in eng.refs(e, nxt=False)[0])) for e in eng.guards]
+    order: list[int] = []
+    for v in free:
+        for i in (v, *sorted(set().union(*(d for d in reads if v in d)))):
+            if i not in order:
+                order.append(i)
+    return order

@@ -2,12 +2,12 @@
 
 States are value tuples in variable declaration order.  One compiler
 (:mod:`mbsa.sts.codegen`) turns expressions into Python source over state
-indices; from it the engine builds, lazily and once per model, a staged
+indices, and its ``enumerator`` builds, lazily and once per engine, a staged
 successor function and a staged initial-state function:
 
 * TRANS conjuncts of the shape ``next(v) = e`` (``v = e`` in INIT) are
   functional assignments, so only the remaining free variables are
-  enumerated, as nested loops in declaration order over canonical domains;
+  enumerated, as nested loops over canonical domains;
 * each assignment is computed, and each residual check and INVAR tested, at
   the first loop level where all its references are bound: current-state
   work runs once per state, and a failing check prunes its branch at once
@@ -20,6 +20,12 @@ Guards are current-state predicates switched on per call: bit k of the
 conjoins guard k as an INVAR, staged like one behind a test of that bit, so
 a forbidden branch is cut at its loop level.  The cut-set restriction of
 :mod:`mbsa.analysis` is one guard per event, its suppression predicate.
+The loops bind the free variables in declaration order, except that each is
+followed at once by the other free variables that a guard reading it needs,
+so the guard is tested before the loops of unrelated variables.  Where that
+changes the order, the function sorts its states back into canonical order
+by an int rank, the sum of one digit per loop, so successor lists never
+depend on the loop order.
 
 ``Engine.compile`` builds a function of one state from the same compiler,
 and ``Engine.compile_mask`` one function that evaluates a vector of
@@ -37,7 +43,7 @@ searches states (``Engine.reach_tuples``), the cut-sequence search (state
 id, first-occurrence partition) pairs, and the TFPG product (state id,
 abstract state id) pairs.
 
-Iteration order is fixed (declaration order, canonical value order), so every
+Successor order is fixed (declaration order, canonical value order), so every
 result is reproducible bit for bit.  Models are immutable and engines only
 fill their caches with pure functions, so both are safe to share across
 threads.
@@ -134,7 +140,7 @@ class Engine:
         hit = self.tm._engines.get(id(e))
         if hit is not None:
             return hit[1]
-        from mbsa.sts.codegen import PRED, Source  # on first use: see _generate
+        from mbsa.sts.codegen import PRED, Source  # on first use: see init_tuples
 
         g = Source(self.tm, "def f(s):")
         text = g.expr(e, PRED)
@@ -216,7 +222,7 @@ class Engine:
         while pending:
             progress = False
             for v in [n for n, _ in self.tm.model.variables if n in pending]:
-                if not self._refs(pending[v], nxt)[0] & pending.keys():
+                if not self.refs(pending[v], nxt)[0] & pending.keys():
                     order.append(v)
                     del pending[v]
                     progress = True
@@ -230,7 +236,7 @@ class Engine:
         assigns = [(tm.var_index[v], candidates[v], tm.var_types[tm.var_index[v]]) for v in order]
         return assigns, checks
 
-    def _refs(self, e: Expr, nxt: bool) -> tuple[set[str], set[str]]:
+    def refs(self, e: Expr, nxt: bool) -> tuple[set[str], set[str]]:
         """Variable names referenced by ``e`` (next-state refs when ``nxt``),
         expanded through defines, and the defines it uses."""
         out: set[str] = set()
@@ -252,85 +258,22 @@ class Engine:
 
     # -- enumeration ----------------------------------------------------------
 
-    def _generate(self, succ: bool):
-        """Build the staged enumerator: ``f(s, r)`` lists the successors of
-        ``s`` when ``succ``, else ``f(r)`` the initial states, under mask ``r``."""
-        # imported here, not at the top: every mbsa process imports this
-        # module, and the ones that never explore then skip compiling codegen
-        from mbsa.sts.codegen import STATE, STEP, Source
-
-        tm = self.tm
-        if succ:
-            assigns, actx = self._trans_assign, STEP
-            checks = [(c, STEP, 0) for c in self._trans_checks] + [(c, STATE, 0) for c in tm.model.invar]
-        else:
-            assigns, actx = self._init_assign, STATE
-            checks = [(c, STATE, 0) for c in [*self._init_checks, *tm.model.invar]]
-        checks += [(c, STATE, 1 << k) for k, c in enumerate(self.guards)]
-        assigned = {i for i, _, _ in assigns}
-        free = [i for i in range(self.nvars) if i not in assigned]
-        size = 1
-        for i in free:
-            size *= len(tm.domains[i])
-            if size > self.cap:
-                raise ResourceCapError(f"enumeration of {size}+ candidate states exceeds cap {self.cap}")
-
-        # loop level k binds the k-th free variable; level 0 runs once per call
-        level = {i: k for k, i in enumerate(free, 1)}
-        used: set[tuple[str, tuple]] = set()  # (define, context) pairs
-
-        def level_of(e: Expr, ctx) -> int:
-            """The first level at which every reference of ``e`` is bound."""
-            names, defs = self._refs(e, nxt=ctx is STEP)
-            used.update((name, ctx) for name in defs)
-            return max((level[tm.var_index[n]] for n in names), default=0)
-
-        stages = [([], [], []) for _ in range(len(free) + 1)]  # per level: assignments, defines, checks
-        for i, rhs, ty in assigns:
-            level[i] = level_of(rhs, actx)
-            stages[level[i]][0].append((i, rhs, ty))
-        for e, ctx, gate in checks:
-            stages[level_of(e, ctx)][2].append((e, ctx, gate))
-        g = Source(tm, "def f(s, r):" if succ else "def f(r):")
-        # every define in use is bound once per context, at its own level
-        for name, ctx in sorted(used, key=lambda d: (g.define_ids[d[0]], d[1][2])):
-            stages[level_of(tm.defines[name], ctx)][1].append((name, ctx))
-
-        if succ and self.nvars:
-            cur = [f"c{i}" for i in range(self.nvars)]
-            g.line(f"{', '.join(cur)}, = s")
-            g.names.extend(cur)
-        g.names.append("r")
-        for lv, (asg, defs, chks) in enumerate(stages):
-            if lv:
-                g.loop(free[lv - 1], tm.domains[free[lv - 1]])
-            prune = "continue" if lv else "return []"
-            for i, rhs, ty in asg:
-                g.assign(i, rhs, actx, ty, prune)
-            for name, ctx in defs:
-                g.define(name, ctx)
-            for e, ctx, gate in chks:
-                g.check(e, ctx, prune, gate)
-            if not lv and free:
-                g.line("out = []")
-        state = "(" + "".join(f"n{i}, " for i in range(self.nvars)) + ")"
-        if free:
-            g.line(f"out.append({state})")
-            g.funcs[0].append("    return out")
-        else:
-            g.line(f"return [{state}]")
-        return g.build()
-
     def init_tuples(self, forbidden: int = 0) -> list[tuple]:
         """The states satisfying INIT, INVAR and the guards in ``forbidden``, in canonical order."""
         if self._init_fn is None:
-            self._init_fn = self._generate(succ=False)
+            # imported here, not at the top: every mbsa process imports this
+            # module, and the ones that never explore then skip compiling codegen
+            from mbsa.sts.codegen import enumerator
+
+            self._init_fn = enumerator(self, succ=False)
         return self._init_fn(forbidden)
 
     def succ_tuples(self, s: tuple, forbidden: int = 0) -> list[tuple]:
         """The successors of ``s`` under TRANS, INVAR and the guards in ``forbidden``, in canonical order."""
         if self._succ_fn is None:
-            self._succ_fn = self._generate(succ=True)
+            from mbsa.sts.codegen import enumerator
+
+            self._succ_fn = enumerator(self, succ=True)
         return self._succ_fn(s, forbidden)
 
     # -- state conversion ------------------------------------------------------

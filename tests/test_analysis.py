@@ -1,7 +1,10 @@
 import itertools
+import math
+import types
 
 import pytest
 
+from mbsa import cutsets
 from mbsa.analysis import (
     CutSetResult,
     compute_cut_sequences,
@@ -11,12 +14,13 @@ from mbsa.analysis import (
     witness,
 )
 from mbsa.fmea import generate_fmea
+from mbsa.sts import engine
 from mbsa.sts.check import TypeError_
 from mbsa.sts.engine import replay_ok
 from mbsa.sts.parse import parse_expr_text
 from mbsa.tfpg import parse_binding
 
-from conftest import GOLDEN_MCS, build_extended, checked_expr
+from conftest import GOLDEN_MCS, LATCH_FEI, build_extended, checked_expr
 from cutset_references import brute_force_mcs
 
 
@@ -152,6 +156,93 @@ def test_simultaneous_occurrences_count_both_ways():
     (seq,) = compute_cut_sequences(xm, tle, result, step_bound=1)
     # one step suffices only when both occur simultaneously
     assert seq.orders == (("fa", "fb"), ("fb", "fa"))
+
+
+def _logged_sequences(monkeypatch, xm, tle, result, exit_early: bool):
+    """``compute_cut_sequences`` with, per order search, the stops its
+    breadth-first search yielded and the number of keys it had stored; without
+    ``exit_early`` no search ever counts all of its orders, so each runs to
+    exhaustion."""
+    searches, search = [], engine.breadth_first
+
+    def logged(*args):
+        log = {"stops": [], "stored": 0}
+        searches.append(log)
+        for path, stored in search(*args):
+            log["stored"] = len(stored)
+            if path is not None:
+                log["stops"].append(path[-1])
+            yield path, stored
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "breadth_first", logged)
+        if not exit_early:
+            patch.setattr(cutsets, "math", types.SimpleNamespace(factorial=lambda n: -1))
+        seqs = compute_cut_sequences(xm, tle, result)
+    witnesses = [{order: trace.states for order, trace in seq.witnesses.items()} for seq in seqs]
+    return [(seq.base, seq.orders) for seq in seqs], witnesses, searches
+
+
+def _stops_to_witness_all(stops, base) -> int:
+    """How many of ``stops``, in turn, witness every order of ``base``."""
+    seen = set()
+    for n, (_, part, _) in enumerate(stops, 1):
+        groups = [[k for k in range(part_mask.bit_length()) if part_mask >> k & 1] for part_mask in part]
+        seen.update(itertools.product(*map(itertools.permutations, groups)))
+        if len(seen) == math.factorial(len(base)):
+            return n
+    return len(stops) + 1
+
+
+VOTER_SMX = """MODULE voter
+VAR s0 : boolean; s1 : boolean; s2 : boolean;
+DEFINE ok := (s0 ? 1 : 0) + (s1 ? 1 : 0) + (s2 ? 1 : 0);
+INIT s0 & s1 & s2;
+TRANS next(s0) = s0; TRANS next(s1) = s1; TRANS next(s2) = s2;
+"""
+VOTER_FEI = "".join(f"fault f{i}: target s{i}, template stuck_at(FALSE), dynamics permanent, prob 0.01;"
+                    for i in range(3))
+
+# either fault may come first, but a simultaneous pair arms neither latch: the
+# two orders are witnessed at two stops
+TWO_LATCHES_SMX = """MODULE two_latches
+VAR x : boolean; y : boolean; arm_x : boolean; arm_y : boolean;
+INIT !x & !y & !arm_x & !arm_y;
+TRANS next(x) = x; TRANS next(y) = y;
+TRANS next(arm_x) = arm_x | (x & !y);
+TRANS next(arm_y) = arm_y | (y & !x);
+"""
+
+
+@pytest.mark.parametrize("smx, fei, tle", [
+    (VOTER_SMX, VOTER_FEI, "ok < 2"),
+    (VOTER_SMX, VOTER_FEI, "ok < 1"),
+    (TWO_LATCHES_SMX, LATCH_FEI, "(arm_x | arm_y) & x & y"),
+], ids=["voter-pairs", "voter-triple", "two-latches"])
+def test_order_search_ends_at_the_stop_that_witnesses_every_order(monkeypatch, smx, fei, tle):
+    xm = build_extended(smx, fei)
+    tle = checked_expr(xm, tle)
+    result = compute_mcs(xm, tle, 3)
+    assert result.mcs
+    early = _logged_sequences(monkeypatch, xm, tle, result, exit_early=True)
+    full = _logged_sequences(monkeypatch, xm, tle, result, exit_early=False)
+    assert early[:2] == full[:2]
+    for (base, orders), stopped, exhausted in zip(early[0], early[2], full[2]):
+        assert len(orders) == math.factorial(len(base))  # symmetric: every order is witnessed
+        n = _stops_to_witness_all(exhausted["stops"], base)
+        assert stopped["stops"] == exhausted["stops"][:n]
+        assert stopped["stored"] < exhausted["stored"]
+
+
+def test_order_search_with_an_unwitnessed_order_runs_to_exhaustion(monkeypatch, latch_model):
+    # the PAND shape: fb before fa never arms the latch, so the search can
+    # never count both orders and must explore everything, as without the exit
+    tle = checked_expr(latch_model, "armed & y")
+    result = compute_mcs(latch_model, tle, 2)
+    early = _logged_sequences(monkeypatch, latch_model, tle, result, exit_early=True)
+    full = _logged_sequences(monkeypatch, latch_model, tle, result, exit_early=False)
+    assert early[0] == [(frozenset({"fa", "fb"}), (("fa", "fb"),))]
+    assert early == full
 
 
 # -- fixture + serialization -----------------------------------------------------

@@ -728,11 +728,12 @@ def test_cut_sequence_search_honours_cap(tmp_path, capsys, argv):
     ("fmea", "--props", PROPS, "--dynamic"),
 ])
 def test_cut_sequence_search_smallest_passing_cap(tmp_path, argv):
-    # the most keys one cut-sequence search stores on the fixture; the cut-set
-    # searches of mcs and fmea store at most 462
+    # the most keys one cut-sequence search stores on the fixture, which leaves
+    # off once all of a cut set's orders are witnessed; the cut-set searches of
+    # mcs and fmea store at most 462
     m = ("--model", MODEL, "--fei", FEI, "--out-dir", str(tmp_path))
-    assert run(*argv, *m, "--cap", "1132") == 0
-    assert run(*argv, *m, "--cap", "1131") == 3
+    assert run(*argv, *m, "--cap", "1129") == 0
+    assert run(*argv, *m, "--cap", "1128") == 3
     assert run("mcs", *m, "--tle", "sys_dead", "--cap", "462") == 0
     assert run("fmea", *m, "--props", PROPS, "--cap", "462") == 0
     assert run("mcs", *m, "--tle", "sys_dead", "--cap", "461") == 3

@@ -23,6 +23,7 @@ from mbsa.analysis import Analyzer, CutSetResult, compute_cut_sequences, compute
 from mbsa.cca import apply_cca, parse_cca
 from mbsa.faults import ExtendedModel
 from mbsa.fmea import generate_dynamic_fmea, generate_fmea
+from mbsa.sts.codegen import _loop_order
 from mbsa.sts.engine import Engine, Trace, reach, replay_ok
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
 from mbsa.tfpg import admits, validate_behavioral
@@ -400,13 +401,19 @@ def test_guarded_generator_equals_filtered_lists():
     wide = _wide_model()
     names = wide.typed.var_names()
     assert not Engine(wide.typed)._trans_assign and names.index("mode#f6") >= 16
-    models.append(wide)
+    # the cause variable comes last: its members' guards bind it early, and
+    # the reordered nest spans a continuation function
+    models += [wide, apply_cca(wide, parse_cca("cc c: members {f0, f6}, pattern simultaneous, prob 0.1;"))]
     typed = [xm for xm, _ in _typed_extended_models(random.Random(50), 8)]
     models += typed
     seen = collections.Counter()
     for xm in models:
         ana = Analyzer(xm)
         plain = Engine(xm.typed)
+        assigns = ana.engine._trans_assign
+        free = [i for i in range(plain.nvars) if i not in {i for i, _, _ in assigns}]
+        reordered = _loop_order(ana.engine, free, assigns, True) != free
+        seen["reordered" if reordered else "declaration order"] += 1
         suppressions = [xm.events[name].suppression for name in ana.events]
         fails = functools.cache(lambda t: sum(1 << k for k, e in enumerate(suppressions)
                                               if not _eval(xm.typed, e, t)))
@@ -426,7 +433,10 @@ def test_guarded_generator_equals_filtered_lists():
                 seen["pruned to none"] += bool(succ) and not guarded
                 seen["kept"] += bool(guarded) and m != 0
                 seen["typed pruned"] += xm in typed and len(guarded) < len(succ)
-    assert all(seen[k] for k in ("sampled", "pruned", "pruned to none", "kept", "typed pruned")), seen
+        # only a reordered loop nest sorts its states back into canonical order
+        assert ("sorted" in ana.engine._succ_fn.__code__.co_names) == reordered
+    assert all(seen[k] for k in ("sampled", "pruned", "pruned to none", "kept", "typed pruned",
+                                 "reordered", "declaration order")), seen
 
 
 def _naive_orders(xm, tle, base, bound):

@@ -1,16 +1,19 @@
 import inspect
+import re
 import time
 import tracemalloc
 
 import pytest
 
+from mbsa.cca import apply_cca, parse_cca
 from mbsa.diagnostics import ResourceCapError
+from mbsa.sts import codegen
 from mbsa.sts.check import TypeError_, type_check
 from mbsa.sts.engine import Engine, StateStore, Trace, _engine, initial_states, reach, replay_ok, successors
 from mbsa.sts.model import BinOp, BoolConst, BoolType, IntRangeType, Name, Next, SymbolicModel
 from mbsa.sts.parse import parse_expr_text, parse_model
 
-from conftest import reachable_tuples
+from conftest import build_extended, reachable_tuples
 from test_cross_oracles import _naive_inits, _naive_successors
 
 
@@ -342,3 +345,53 @@ def test_engines_of_one_model_share_compiled_predicates():
     assert guarded.compile_mask([e, f]) is _engine(tm).compile_mask([e, f])
     assert _engine(tm).compile_mask([e, f])((2,)) == 1 and _engine(tm).compile_mask([f, e])((2,)) == 2
     assert _engine(tm).compile_mask([f]) is not _engine(tm).compile(f)
+
+
+def _guarded_successor_source(monkeypatch, xm, reorder: bool) -> str:
+    """The source of the successor function that an engine guarded by the
+    events' suppression predicates generates; without ``reorder`` its loops
+    bind the free variables in declaration order."""
+    sources = []
+    with monkeypatch.context() as patch:
+        build = codegen.Source.build
+        patch.setattr(codegen.Source, "build",
+                      lambda self: sources.append("\n".join(line for f in self.funcs for line in f)) or build(self))
+        if not reorder:
+            patch.setattr(codegen, "_loop_order", lambda eng, free, *_: free)
+        eng = Engine(xm.typed, guards=[xm.events[name].suppression for name in sorted(xm.events)])
+        eng.succ_tuples(eng.init_tuples()[0])
+    (source,) = [text for text in sources if text.startswith("def f(s, r):")]
+    return source
+
+
+def _guard_levels(source: str) -> dict[int, int]:
+    """Each guard bit -> the number of loops around its check (no continuation functions)."""
+    assert "def k" not in source
+    return {int(bit): len(indent) // 4 - 1 for indent, bit in re.findall(r"^( *)if r & (\d+) and ", source, re.M)}
+
+
+VOTER_WITH_CAUSE = ("MODULE voter VAR s0 : boolean; s1 : boolean; s2 : boolean; INIT s0 & s1 & s2; "
+                    "TRANS next(s0) = s0; TRANS next(s1) = s1; TRANS next(s2) = s2;",
+                    "".join(f"fault f{i}: target s{i}, template stuck_at(FALSE), dynamics permanent, prob 0.01;"
+                            for i in range(3)),
+                    "cc burst: members {f0, f2}, pattern simultaneous, prob 0.001;")
+
+
+@pytest.mark.parametrize("model, moves", [("fixture", False), ("voter-with-cause", True)])
+def test_loops_are_reordered_and_sorted_only_where_a_guard_moves_up(monkeypatch, battery_sensor, model, moves):
+    # every guard of the fixture reads one mode variable and is tested in that
+    # variable's loop; a cause variable, declared last, is read with each
+    # member's mode variable and moves up to it
+    if model == "fixture":
+        xm = battery_sensor
+    else:
+        smx, fei, cca = VOTER_WITH_CAUSE
+        xm = apply_cca(build_extended(smx, fei), parse_cca(cca))
+    declared = _guarded_successor_source(monkeypatch, xm, reorder=False)
+    source = _guarded_successor_source(monkeypatch, xm, reorder=True)
+    before, after = _guard_levels(declared), _guard_levels(source)
+    assert before.keys() == after.keys() == {1 << k for k in range(len(xm.events))}
+    moved_up = [bit for bit in before if after[bit] < before[bit]]
+    assert bool(moved_up) == moves
+    assert ("sorted(out)" in source) == moves
+    assert (source == declared) == (not moves)
