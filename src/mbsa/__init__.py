@@ -19,40 +19,9 @@ The library is organized around a small pipeline:
   admission, behavioral validation, structure synthesis.
 * ``mbsa.cli`` -- batch command-line front end.
 
-Every run is a fresh process, so imports are part of every run's cost.
-Importing ``mbsa.fault_tree``, ``mbsa.probability``, ``mbsa.analysis``,
-``mbsa.cca`` or ``mbsa.sts.model`` loads no model-checking layer (the
-``mbsa.sts`` parser, checker, engine and printer, ``mbsa.faults``,
-``mbsa.cutsets`` or ``mbsa.ccaweave``): a probability stage that starts from
-cut sets never compiles them.  ``analysis`` and ``cca`` re-export the names
-whose home is ``cutsets`` or ``ccaweave`` (``compute_mcs``, ``apply_cca``, ...)
-on first access, through :func:`reexport` (PEP 562), as ``mbsa.sts`` and
-``mbsa.tfpg`` do for their submodules; code in the package imports a name
-from its home module.
-``cutsets`` and ``ccaweave`` import the engine, parser and ``faults`` inside
-the functions that need them.  Importing ``faults`` loads the parser and
-checker; importing ``fmea`` loads ``cutsets`` and ``faults`` but not the
-engine, and importing a ``tfpg`` module but ``graph`` loads the engine too.
-``mbsa.cli`` imports no layer when it is imported: each subcommand imports
-what it calls inside its function, so a job runs only the layers it uses
-(``extend`` none of ``cutsets``, ``fault_tree``, ``probability``, ``fmea``,
-the engine or ``tfpg``; ``ft`` no ``probability``, which ``fault_tree``
-imports only where a probability is computed).  For that,
-:func:`prob_str`, the text of a probability in every artifact, lives here,
-and ``mbsa.probability`` re-exports it.  The CLI still registers every layer in
-``sys.modules``, unrun, through :func:`register_lazily`.  That is for the
-benchmark's layer tracer, which wraps only the functions of the modules it
-finds there, running each as it looks it up: a layer missing from
-``sys.modules`` would be reported as never called.  The registration can go
-once the tracer wraps modules as they are imported.
-
-A format library loads only where it is needed: ``json`` in the CLI's
-event-registry writer, ``xml.etree.ElementTree`` inside the two XML readers,
-``fault_tree.ft_from_xml`` and ``tfpg.graph.tfpg_from_xml``.  The XML writers
-of ``cutsets``, ``fault_tree``, ``fmea`` and ``tfpg.graph`` print their
-elements through ``mbsa.xmlout``, which needs no library.  A job that reads no
-XML, such as any CLI pipeline but ``tfpg`` on an ``.xml`` graph, then neither
-compiles ElementTree nor keeps its memory resident (about 0.7 MiB).
+Every run is a fresh process, so imports are part of every run's cost.  The
+modules that each import and each CLI job load are stated once, in the layer
+table ``tests/layers.py``, which a test checks in fresh processes.
 """
 
 import importlib
@@ -98,7 +67,9 @@ def register_lazily(*names: str):
 def prob_str(v) -> str:
     """Stable textual probability: exact decimal when one exists, else the
     shortest float repr.  Re-parsing with Fraction() and re-rendering is a
-    fixpoint, which the export round-trip tests rely on."""
+    fixpoint, which the export round-trip tests rely on.  It lives here, and
+    ``mbsa.probability`` re-exports it, so that a writer loads no probability
+    core."""
     from fractions import Fraction
 
     v = Fraction(v)

@@ -66,7 +66,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
     given = vars(parser.parse_args(argv))
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in actions or not hasattr(args, dest):
+        if dest not in actions or dest == "config" or not hasattr(args, dest):
             raise InputError([Diagnostic(f"unknown config key {key!r}", filename=args.config)])
         if dest not in given:
             convert = _boolean if actions[dest].nargs == 0 else actions[dest].type  # a switch has nargs 0
@@ -147,7 +147,7 @@ def _registry_json(xm) -> str:
 
 
 def _formats(args, allowed: tuple[str, ...]) -> list[str]:
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    formats = list(dict.fromkeys(f.strip() for f in args.formats.split(",") if f.strip()))  # each once, in order
     if not formats:
         raise InputError([Diagnostic(f"no format given (expected one or more of {', '.join(allowed)})")])
     for f in formats:
@@ -245,8 +245,8 @@ def cmd_ftprob(args) -> int:
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
     _write(out / "ft.ftx", export_ft(ft, "xml", with_probabilities=True))
     _write(out / "tle_probability.txt", tle_probability_text(symbolic))
-    _write(out / "tle_probability.py", render_prob_script(symbolic, "python", version=__version__))
-    _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab", version=__version__))
+    _write(out / "tle_probability.py", render_prob_script(symbolic, "python"))
+    _write(out / "tle_probability.m", render_prob_script(symbolic, "matlab"))
     return EXIT_OK
 
 
@@ -295,48 +295,55 @@ def _read_tfpg(path: str):
     return parse_tfpg(text, path)
 
 
-def cmd_tfpg(args) -> int:
-    from mbsa.tfpg.graph import tfpg_to_dot, tfpg_to_xml, write_tfpg
-
-    if args.tfpg_command == "convert":
-        g = _read_tfpg(args.infile)
-        target = args.to
-        if target == "auto":
-            target = "xml" if args.outfile.endswith(".xml") else ("dot" if args.outfile.endswith(".dot") else "text")
-        text = {"text": write_tfpg, "xml": tfpg_to_xml, "dot": tfpg_to_dot}[target](g)
-        _write(Path(args.outfile), text)
-        return EXIT_OK
-
+def _bound_model(args):
     from mbsa.tfpg.activation import parse_binding
 
     xm, _ = _load_extended(args)
-    binding = parse_binding(_read_named(args.bind, "binding"), xm, args.bind)
-    if args.tfpg_command == "check":
-        from mbsa.tfpg.validate import validate_behavioral
+    return xm, parse_binding(_read_named(args.bind, "binding"), xm, args.bind)
 
-        g = _read_tfpg(args.tfpg)
-        report = validate_behavioral(g, binding, xm, _step_bound(args), args.cap)
-        out = _out_dir(args)
-        if report.complete:
-            _write(out / "tfpg_check.txt", "complete\n")
-            return EXIT_OK
-        trace, inc = report.counterexamples[0]
-        lines = [f"incomplete\t{inc.node}\t{inc.reason}\tstep {inc.step}"]
-        _write(out / "tfpg_check.txt", "\n".join(lines) + "\n")
-        var_names = xm.typed.var_names()
-        rows = ["step\t" + "\t".join(var_names)]
-        for i, state in enumerate(trace.states):
-            rows.append(f"{i}\t" + "\t".join(str(state[v]) for v in var_names))
-        _write(out / "tfpg_counterexample.trace", "\n".join(rows) + "\n")
-        print(f"incomplete: {inc.node} {inc.reason} at step {inc.step}", file=sys.stderr)
-        return EXIT_VERDICT
-    if args.tfpg_command == "synth":
-        from mbsa.tfpg.synth import synthesize_structure
 
-        g = synthesize_structure(xm, binding, _step_bound(args), args.cap)
-        _write(Path(args.outfile), write_tfpg(g))
+def cmd_tfpg_check(args) -> int:
+    xm, binding = _bound_model(args)
+    from mbsa.tfpg.validate import validate_behavioral
+
+    g = _read_tfpg(args.tfpg)
+    report = validate_behavioral(g, binding, xm, _step_bound(args), args.cap)
+    out = _out_dir(args)
+    if report.complete:
+        _write(out / "tfpg_check.txt", "complete\n")
         return EXIT_OK
-    raise AssertionError(args.tfpg_command)
+    trace, inc = report.counterexamples[0]
+    _write(out / "tfpg_check.txt", f"incomplete\t{inc.node}\t{inc.reason}\tstep {inc.step}\n")
+    var_names = xm.typed.var_names()
+    rows = ["step\t" + "\t".join(var_names)]
+    for i, state in enumerate(trace.states):
+        rows.append(f"{i}\t" + "\t".join(str(state[v]) for v in var_names))
+    _write(out / "tfpg_counterexample.trace", "\n".join(rows) + "\n")
+    print(f"incomplete: {inc.node} {inc.reason} at step {inc.step}", file=sys.stderr)
+    return EXIT_VERDICT
+
+
+def cmd_tfpg_convert(args) -> int:
+    from mbsa.tfpg.graph import tfpg_to_dot, tfpg_to_xml, write_tfpg
+
+    g = _read_tfpg(args.infile)
+    target = args.to
+    if target == "auto":
+        target = "xml" if args.outfile.endswith(".xml") else ("dot" if args.outfile.endswith(".dot") else "text")
+    text = {"text": write_tfpg, "xml": tfpg_to_xml, "dot": tfpg_to_dot}[target](g)
+    _write(Path(args.outfile), text)
+    return EXIT_OK
+
+
+def cmd_tfpg_synth(args) -> int:
+    from mbsa.tfpg.graph import write_tfpg
+
+    xm, binding = _bound_model(args)
+    from mbsa.tfpg.synth import synthesize_structure
+
+    g = synthesize_structure(xm, binding, _step_bound(args), args.cap)
+    _write(Path(args.outfile), write_tfpg(g))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +397,40 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, max_card: bool =
 
 class _Subcommand(argparse.ArgumentParser):
     """The parser of one subcommand, given its arguments by its wiring
-    function ``wire`` on the first parse.  argparse calls the chosen
-    subcommand's ``parse_known_args`` only, so a job builds no other
-    subcommand's arguments: each ``add_argument`` makes a help formatter,
-    which asks for the terminal size."""
+    function ``wire`` on the first parse, and with them the defaults ``func``
+    (its command function, if it has one) and ``_subparser`` (itself).
+    argparse calls the chosen subcommand's ``parse_known_args`` only, so a
+    job builds no other subcommand's arguments: each ``add_argument`` makes a
+    help formatter, which asks for the terminal size."""
 
-    def __init__(self, *, wire, **kwargs):
+    def __init__(self, *, wire, func, **kwargs):
         super().__init__(**kwargs)
-        self._wire = wire
+        self._wire, self._func = wire, func
 
     def parse_known_args(self, args=None, namespace=None):
         if self._wire is not None:
             self._wire(self)
             self._wire = None
+            if self._func is not None:
+                self.set_defaults(func=self._func, _subparser=self)
         return super().parse_known_args(args, namespace)
 
 
 def _subcommands(parser: argparse.ArgumentParser, dest: str, table):
-    """One unwired :class:`_Subcommand` per (name, help line, wiring function) of ``table``."""
+    """One unwired :class:`_Subcommand` per (name, help line, wiring function,
+    command function or None) of ``table``."""
     subs = parser.add_subparsers(dest=dest, required=True, parser_class=_Subcommand)
-    for name, help_line, wire in table:
-        subs.add_parser(name, help=help_line, wire=wire)
+    for name, help_line, wire, func in table:
+        subs.add_parser(name, help=help_line, wire=wire, func=func)
 
 
 def _extend_args(p):
     _common(p, max_card=False, step_bound=False, cap=False)  # extension explores no state
-    p.set_defaults(func=cmd_extend, _subparser=p)
 
 
 def _mcs_args(p):
     _common(p, tle=True)
     p.add_argument("--formats", default="tsv", help="comma-separated: tsv,xml")
-    p.set_defaults(func=cmd_mcs, _subparser=p)
 
 
 def _ft_args(p):
@@ -429,13 +438,11 @@ def _ft_args(p):
     p.add_argument("--dynamic", action="store_true", help="detect required event orders (PAND gates)")
     p.add_argument("--with-probabilities", action="store_true")
     p.add_argument("--formats", default="xml", help="comma-separated: xml,tsv,dot")
-    p.set_defaults(func=cmd_ft, _subparser=p)
 
 
 def _ftprob_args(p):
     _common(p, tle=True)
     p.add_argument("--dynamic", action="store_true")
-    p.set_defaults(func=cmd_ftprob, _subparser=p)
 
 
 def _fmea_args(p):
@@ -443,14 +450,13 @@ def _fmea_args(p):
     p.add_argument("--props", default="", help="property file: 'label : expression;' per line")
     p.add_argument("--dynamic", action="store_true", help="dynamic FMEA (orders per row)")
     p.add_argument("--formats", default="tsv", help="comma-separated: xml,tsv")
-    p.set_defaults(func=cmd_fmea, _subparser=p)
 
 
 def _tfpg_args(p):
     _subcommands(p, "tfpg_command", (
-        ("check", "behavioral validation against a model", _check_args),
-        ("convert", "convert between text, XML, and DOT", _convert_args),
-        ("synth", "synthesize graph structure from a model", _synth_args),
+        ("check", "behavioral validation against a model", _check_args, cmd_tfpg_check),
+        ("convert", "convert between text, XML, and DOT", _convert_args, cmd_tfpg_convert),
+        ("synth", "synthesize graph structure from a model", _synth_args, cmd_tfpg_synth),
     ))
 
 
@@ -458,21 +464,18 @@ def _check_args(p):
     _common(p, max_card=False)
     p.add_argument("--tfpg", required=True, help="graph file (.tfpg or .xml)")
     p.add_argument("--bind", required=True, help="node bindings (.bind)")
-    p.set_defaults(func=cmd_tfpg, _subparser=p)
 
 
 def _convert_args(p):
     p.add_argument("infile")
     p.add_argument("outfile")
     p.add_argument("--to", default="auto", choices=("auto", "text", "xml", "dot"))
-    p.set_defaults(func=cmd_tfpg, _subparser=p)
 
 
 def _synth_args(p):
     _common(p, max_card=False, out_dir=False)  # it writes --outfile
     p.add_argument("--bind", required=True, help="node bindings (.bind)")
     p.add_argument("--outfile", required=True, help="output .tfpg path")
-    p.set_defaults(func=cmd_tfpg, _subparser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mbsa", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mbsa {__version__}")
     _subcommands(parser, "command", (
-        ("extend", "extend a nominal model with faults", _extend_args),
-        ("mcs", "compute minimal cut sets", _mcs_args),
-        ("ft", "build a (dynamic) fault tree", _ft_args),
-        ("ftprob", "evaluate fault tree probabilities and emit scripts", _ftprob_args),
-        ("fmea", "generate an FMEA table", _fmea_args),
-        ("tfpg", "timed failure propagation graphs", _tfpg_args),
+        ("extend", "extend a nominal model with faults", _extend_args, cmd_extend),
+        ("mcs", "compute minimal cut sets", _mcs_args, cmd_mcs),
+        ("ft", "build a (dynamic) fault tree", _ft_args, cmd_ft),
+        ("ftprob", "evaluate fault tree probabilities and emit scripts", _ftprob_args, cmd_ftprob),
+        ("fmea", "generate an FMEA table", _fmea_args, cmd_fmea),
+        ("tfpg", "timed failure propagation graphs", _tfpg_args, None),
     ))
     return parser
 

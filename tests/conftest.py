@@ -1,7 +1,9 @@
-import pytest
-
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # property tests must be as reproducible as everything else
@@ -14,7 +16,15 @@ from mbsa.sts.engine import breadth_first
 from mbsa.sts.parse import parse_expr_text, parse_model
 from mbsa.tfpg import parse_binding, parse_tfpg
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh process that imports ``mbsa`` from ``src``
+    and writes no bytecode, with its output captured as text."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 def build_extended(model_text: str, fei_text: str, flib_text: str = ""):

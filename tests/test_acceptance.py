@@ -6,8 +6,6 @@ lines; every tolerance is pinned here.
 
 import itertools
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +34,7 @@ from mbsa.tfpg import (
 )
 from mbsa.tfpg.activation import activation_trace_of
 
-from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr, reachable_tuples
+from conftest import FIXTURES, GOLDEN_MCS, build_extended, checked_expr, fresh_python, reachable_tuples
 from cutset_references import brute_force_mcs
 from probability_references import evaluate
 from random_models import random_extended_model
@@ -128,8 +126,8 @@ def test_criterion_04_script_emission(battery_sensor):
         vec = [rng.random() for _ in sp.symbols]
         expected = float(evaluate_probability(
             ft, ProbabilityAssignment({s: Fraction(v) for s, v in zip(sp.symbols, vec)}))[ft.root])
-        out = subprocess.run([sys.executable, "-c", script, *map(str, vec)],
-                             capture_output=True, text=True, check=True)
+        out = fresh_python("-c", script, *map(str, vec))
+        assert out.returncode == 0, out.stderr
         assert abs(float(out.stdout.strip()) - expected) <= 1e-9
     assert "function p = tle_probability" in render_prob_script(sp, "matlab")
     _ok(4, "python script matches evaluation within 1e-9 at 10 vectors")
@@ -257,8 +255,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         out = tmp_path / run_dir
         out.mkdir()
         for argv in commands(out):
-            proc = subprocess.run([sys.executable, "-m", "mbsa.cli", *argv],
-                                  capture_output=True, text=True)
+            proc = fresh_python("-m", "mbsa.cli", *argv)
             assert proc.returncode == 0, (argv, proc.stderr)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert outputs[0].keys() == outputs[1].keys()

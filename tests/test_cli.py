@@ -1,8 +1,5 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +7,7 @@ import pytest
 import mbsa
 from mbsa.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fresh_python
 
 MODEL = str(FIXTURES / "battery_sensor.smx")
 FEI = str(FIXTURES / "battery_sensor.fei")
@@ -136,11 +133,7 @@ def test_tfpg_check_complete(tmp_path):
 
 
 def test_tfpg_check_incomplete_exits_1(tmp_path, capsys):
-    mutated = tmp_path / "mutated.tfpg"
-    lines = [l for l in Path(TFPG).read_text().splitlines()
-             if not l.startswith("edge B1_DEAD -> S2_NO")]
-    mutated.write_text("\n".join(lines) + "\n")
-    code = run("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", str(mutated),
+    code = run("tfpg", "check", "--model", MODEL, "--fei", FEI, "--tfpg", _refute_tfpg(tmp_path),
                "--bind", BIND, "--step-bound", "60", "--out-dir", str(tmp_path))
     assert code == 1
     assert "incomplete" in capsys.readouterr().err
@@ -428,6 +421,17 @@ def test_unknown_format_exits_2(tmp_path, capsys):
                "--out-dir", str(tmp_path)) == 2
     assert capsys.readouterr().err == "<input>:0:0: error: unknown format 'bogus' (expected one of tsv, xml)\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, formats, written", [
+    (("mcs", "--tle", "sys_dead"), "tsv,xml,tsv", ["mcs.tsv", "mcs.xml"]),
+    (("ft", "--tle", "sys_dead"), "dot,xml,dot", ["ft.dot", "ft.ftx"]),
+    (("fmea", "--props", PROPS), "xml,xml", ["fmea.xml"]),
+], ids=["mcs", "ft", "fmea"])
+def test_a_repeated_format_is_written_once(tmp_path, capsys, command, formats, written):
+    # each artifact was written, and its path printed, once per mention
+    assert run(*command, "--model", MODEL, "--fei", FEI, "--formats", formats, "--out-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().out == "".join(f"{tmp_path / name}\n" for name in written)
 
 
 @pytest.mark.parametrize("command, message", [
@@ -771,28 +775,11 @@ def test_enumeration_cap_error_names_the_search_and_depth(tmp_path, capsys, argv
         f"resource cap exceeded: {message}: enumeration of 12+ candidate states exceeds cap 10\n"
 
 
-@pytest.mark.parametrize("modules", [
-    "mbsa.cli",
-    "mbsa.analysis, mbsa.cca, mbsa.fault_tree, mbsa.probability, mbsa.sts.model",
-], ids=["cli", "trees_job"])
-def test_start_up_loads_no_dataclasses_inspect_or_format_library(modules):
-    # every CLI run is a fresh process: creating dataclasses, and importing
-    # dataclasses with inspect, ast and dis behind it, cost each run ~50 ms;
-    # json and ElementTree load only in the functions that write or read
-    # those formats, so a job that writes neither keeps their memory
-    src = Path(__file__).resolve().parent.parent / "src"
-    banned = {"dataclasses", "inspect", "json", "xml.etree.ElementTree"}
-    code = f"import sys, {modules}; print(sorted({banned!r} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
 def test_format_writers_and_readers_in_a_fresh_process(tmp_path):
     # json is imported inside the event-registry writer and ElementTree inside
-    # the two XML readers; in-process tests always find both already loaded,
-    # so the same steps run once in a fresh process and once here
+    # the two XML readers, which in-process tests always find already loaded:
+    # the same steps run once in a fresh process and once here, and write the
+    # same bytes (which of them loads either library is in tests/layers.py)
     common = ("--model", MODEL, "--fei", FEI)
     steps = [
         ("extend", *common),
@@ -800,27 +787,20 @@ def test_format_writers_and_readers_in_a_fresh_process(tmp_path):
         ("ft", *common, "--tle", "sys_dead", "--formats", "xml"),
         ("fmea", *common, "--props", PROPS, "--formats", "xml"),
     ]
-    write = f"""
+    script = f"""
 from mbsa.cli import main
 from mbsa.fault_tree import ft_from_xml, ft_to_tsv
 for argv in {steps!r}:
     assert main([*argv, "--out-dir", str(out)]) == 0, argv
 assert main(["tfpg", "convert", {TFPG!r}, str(out / "g.xml")]) == 0
-"""
-    read = """
 assert main(["tfpg", "convert", str(out / "g.xml"), str(out / "g.tfpg")]) == 0
 tree = ft_from_xml((out / "ft.ftx").read_text())
 (out / "reloaded.fttsv").write_text(ft_to_tsv(tree, with_probabilities=True))
 """
     fresh, here = tmp_path / "fresh", tmp_path / "here"
-    src = Path(__file__).resolve().parent.parent / "src"
-    script = ("import sys\nfrom pathlib import Path\nimport mbsa.cli, mbsa.fault_tree\n"
-              "assert not {'json', 'xml.etree.ElementTree'} & set(sys.modules)\nout = Path(sys.argv[1])\n"
-              + write + "assert 'xml.etree.ElementTree' not in sys.modules\n" + read)
-    proc = subprocess.run([sys.executable, "-c", script, str(fresh)], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh_python("-c", "import sys\nfrom pathlib import Path\nout = Path(sys.argv[1])\n" + script, str(fresh))
     assert proc.returncode == 0, proc.stderr
-    exec(write + read, {"out": here})
+    exec(script, {"out": here})
     names = sorted(p.name for p in here.iterdir())
     assert names == sorted(p.name for p in fresh.iterdir())
     assert {"battery_sensor_events.json", "mcs.xml", "ft.ftx", "fmea.xml", "g.xml", "g.tfpg",
@@ -849,9 +829,7 @@ def test_every_analysis_runs_with_and_without_cca_at_each_step_bound(tmp_path, c
 
 def _program(*argv):
     """``python -m mbsa.cli`` in a fresh process: (exit code, stdout, stderr)."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "mbsa.cli", *argv], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh_python("-m", "mbsa.cli", *argv)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -928,6 +906,14 @@ def test_flags_nothing_reads_are_usage_errors(tmp_path, capsys, command, flag, v
     assert not (tmp_path / "s.tfpg").exists()
 
 
+def test_a_config_file_cannot_name_another(tmp_path, capsys):
+    # the key was accepted and its file never read
+    config = _conf(tmp_path, f"config = {tmp_path / 'other.conf'}")
+    assert run("mcs", "--config", config) == 2
+    assert capsys.readouterr().err == f"{config}:0:0: error: unknown config key 'config'\n"
+    assert not (tmp_path / "mcs.tsv").exists()
+
+
 def _collecting(enabled: bool):
     (gc.enable if enabled else gc.disable)()
 
@@ -947,19 +933,16 @@ def test_only_the_program_freezes_the_heap(tmp_path):
     finally:
         _collecting(enabled)
     assert gc.get_freeze_count() == frozen
-    src = Path(__file__).resolve().parent.parent / "src"
     script = ("import atexit, gc, sys\nfrom mbsa.cli import run\n"
               "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, 'collecting', gc.isenabled()))\n"
               "run()\n")
     for argv, code in ((("--version",), 0), (("mcs", "--max-card", "0"), 2),
                        (("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--cap", "10",
                          "--out-dir", str(tmp_path)), 3)):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
-                              capture_output=True, text=True, timeout=120)
+        proc = fresh_python("-c", script, *argv)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.endswith("frozen True collecting False\n"), argv
-    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mbsa.cli", "--version"],
-                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    proc = fresh_python("-m", "cProfile", "-m", "mbsa.cli", "--version")
     assert proc.stdout.startswith("mbsa ") and "function calls" in proc.stdout
 
 

@@ -1,13 +1,9 @@
 """The demos are the library API the README promises: each must run clean."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, fresh_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,8 +13,6 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh_python(str(demo), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from mbsa.probability import pexpr_to_text, prob_str, render_prob_script, symbol
 from mbsa.analysis import CutSetResult
 from mbsa.sts.parse import parse_expr_text
 
+from conftest import fresh_python
 from probability_references import evaluate, evaluate_text, script_values
 from random_models import random_cut_set_cases
 
@@ -34,8 +33,8 @@ def _tree(mcs):
 
 
 def _run_python_script(text, args):
-    proc = subprocess.run([sys.executable, "-c", text + "\n", *map(str, args)],
-                          capture_output=True, text=True, check=True)
+    proc = fresh_python("-c", text + "\n", *map(str, args))
+    assert proc.returncode == 0, proc.stderr
     return float(proc.stdout.strip())
 
 

@@ -3,13 +3,14 @@
 import ast
 import collections
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
+from layers import CHECK, FIXTURE, LAYERS
+from test_cli import _refute_tfpg
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mbsa"
@@ -233,96 +234,62 @@ def test_checker_printer_and_code_generator_name_the_same_binary_operators():
     assert checked == bound == compiled
 
 
-def _loaded_modules(imports: str) -> set[str]:
-    """The ``mbsa`` modules a fresh process has loaded after ``imports``."""
-    code = f"{imports}\nimport sys\nprint('\\n'.join(m for m in sys.modules if m.split('.')[0] == 'mbsa'))"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+def _imports_of(path: Path) -> str:
+    """The top-level import statements of a module, ``__future__`` aside."""
+    return "\n".join(ast.unparse(node) for node in ast.parse(path.read_text(encoding="utf-8")).body
+                     if isinstance(node, ast.Import)
+                     or isinstance(node, ast.ImportFrom) and node.module != "__future__")
 
 
-def test_the_probability_stage_loads_no_model_checking_layer():
-    # the imports of the benchmark's fault-tree job, which works on cut sets
-    # it reads from files and never parses, checks, explores or extends a model
-    tree = ast.parse((ROOT / "perfbench" / "trees_job.py").read_text(encoding="utf-8"))
-    imports = "\n".join(ast.unparse(node) for node in tree.body
-                        if isinstance(node, ast.Import)
-                        or isinstance(node, ast.ImportFrom) and node.module != "__future__")
-    assert "mbsa.fault_tree" in imports
-    checker = {"mbsa.sts.parse", "mbsa.sts.check", "mbsa.sts.engine", "mbsa.sts.pretty", "mbsa.sts.codegen",
-               "mbsa.faults", "mbsa.cutsets", "mbsa.ccaweave"}
-    assert _loaded_modules(imports) & checker == set()
-
-
-def test_the_cli_loads_every_layer_the_tracer_wraps():
-    # the tracer wraps the layers that importing mbsa.cli has loaded: a layer
-    # loaded later, on first use, would be reported as never called
+def _traced_modules() -> set[str]:
+    """The modules whose functions ``perfbench/tracer.py`` wraps."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     tables = {target.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
               for target in node.targets if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED")}
-    wrapped = {module for table in tables.values() for module, _, _ in table}
-    assert set(tables) == {"SPANNED", "COUNTED"} and "mbsa.sts.engine" in wrapped
-    assert wrapped - _loaded_modules("import mbsa.cli") == set()
+    assert set(tables) == {"SPANNED", "COUNTED"}
+    return {module for table in tables.values() for module, _, _ in table}
 
 
-FIXTURE = ("--model", str(ROOT / "fixtures" / "battery_sensor.smx"),
-           "--fei", str(ROOT / "fixtures" / "battery_sensor.fei"))
+def _modules(names: str) -> set[str]:
+    """``mbsa.NAME`` for each NAME of ``names``."""
+    return {f"mbsa.{name}" for name in names.split()}
 
 
-def _run_modules(code: str) -> set[str]:
-    """The ``mbsa`` modules whose body a fresh process has run after
-    ``code``.  ``type`` reads no attribute, so it runs no module that the
-    CLI registered lazily."""
-    report = "import sys, types\nprint('\\n'.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
-    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+# the last line of output: each loaded module and whether its body ran.  ``type``
+# reads no attribute, so the report runs no module that the CLI registered lazily
+REPORT = "import sys, types\nprint({n: type(m) is types.ModuleType for n, m in list(sys.modules.items())})"
+
+
+@pytest.mark.parametrize("row", LAYERS.values(), ids=LAYERS)
+def test_each_entry_loads_exactly_the_layers_of_its_row(tmp_path, row):
+    if "argv" in row:
+        fields = {"out": tmp_path, "refuting": _refute_tfpg(tmp_path)}
+        argv = [arg.format(**fields) for arg in row["argv"]]
+        code = f"from mbsa.cli import main\nassert main({argv!r}) == {row['exit']}"
+    else:
+        code = row.get("code") or _imports_of(ROOT / row["imports_of"])
+    proc = fresh_python("-c", f"{code}\n{REPORT}", cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    return {name for name in proc.stdout.split() if name.split(".")[0] == "mbsa"}
-
-
-def test_a_subcommand_runs_only_the_layers_it_calls(tmp_path):
-    tfpg = {f"mbsa.tfpg.{path.stem}" for path in (SRC / "tfpg").glob("*.py")} - {"mbsa.tfpg.__init__"}
-    assert "mbsa.tfpg.validate" in tfpg
-    fixtures = ROOT / "fixtures"
-    refuting = tmp_path / "refute.tfpg"  # without this edge the fixture graph is incomplete
-    refuting.write_text("".join(line for line in (fixtures / "battery_sensor.tfpg").read_text().splitlines(True)
-                                if not line.startswith("edge B1_DEAD -> S2_NO ")))
-    check = ["tfpg", "check", "--bind", str(fixtures / "battery_sensor.bind"), "--step-bound", "60", "--tfpg"]
-    runs = {command: _run_modules(f"from mbsa.cli import main\n"
-                                  f"assert main({[*argv, *FIXTURE, '--out-dir', str(tmp_path)]!r}) == {code}")
-            for command, argv, code in (
-                ("extend", ["extend"], 0), ("mcs", ["mcs", "--tle", "sys_dead"], 0),
-                ("ft", ["ft", "--dynamic", "--tle", "sys_dead"], 0),
-                ("fmea", ["fmea", "--props", str(ROOT / "tests" / "goldens" / "fixture.props")], 0),
-                ("check", [*check, str(fixtures / "battery_sensor.tfpg")], 0), ("refute", [*check, str(refuting)], 1))}
-    assert {"mbsa.faults", "mbsa.sts.pretty"} <= runs["extend"]
-    assert runs["extend"] & ({"mbsa.cutsets", "mbsa.fault_tree", "mbsa.probability", "mbsa.fmea",
-                              "mbsa.sts.engine"} | tfpg) == set()
-    assert {"mbsa.cutsets", "mbsa.sts.engine"} <= runs["mcs"]
-    assert runs["mcs"] & ({"mbsa.fault_tree", "mbsa.fmea"} | tfpg) == set()
-    # a tree that is built and written, with no probability computed
-    assert "mbsa.fault_tree" in runs["ft"] and "mbsa.probability" not in runs["ft"]
-    # the printer writes only the XML table; admits only recomputes a refutation
-    assert "mbsa.fmea" in runs["fmea"] and "mbsa.sts.pretty" not in runs["fmea"]
-    assert "mbsa.tfpg.validate" in runs["check"] and "mbsa.tfpg.admit" not in runs["check"]
-    assert "mbsa.tfpg.admit" in runs["refute"]
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    package = {name for name in loaded if name.split(".")[0] == "mbsa"}
+    ran = {name for name in package if loaded[name]}
+    assert ran == {"mbsa"} | _modules(row["ran"])
+    assert row["absent"] & loaded.keys() == set()
+    if "unrun" in row:
+        assert package - ran == _modules(row["unrun"])
+        assert _traced_modules() <= _modules(row["unrun"])
 
 
 def test_the_tracer_wraps_the_layers_of_cli_jobs(tmp_path):
     # the CLI runs a layer on first use; the tracer must still wrap it, or
     # its span would be missing and its metrics would read 0
-    fixtures = ROOT / "fixtures"
     jobs = {"mcs": ("mcs", *FIXTURE, "--tle", "sys_dead"),
-            "tfpg_check": ("tfpg", "check", *FIXTURE, "--tfpg", str(fixtures / "battery_sensor.tfpg"),
-                           "--bind", str(fixtures / "battery_sensor.bind"), "--step-bound", "60")}
+            "tfpg_check": (*CHECK, "--tfpg", "fixtures/battery_sensor.tfpg")}
     spans = collections.Counter()
     for job, argv in jobs.items():
-        out = tmp_path / job
-        subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(tmp_path / f"{job}.json"), job,
-                        "cli", *argv, "--out-dir", str(out)],
-                       env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
-                       capture_output=True, text=True, timeout=120, check=True)
+        proc = fresh_python("perfbench/tracer.py", str(tmp_path / f"{job}.json"), job, "cli", *argv,
+                            "--out-dir", str(tmp_path / job), cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
         data = json.loads((tmp_path / f"{job}.json").read_text(encoding="utf-8"))
         spans.update(f"{job}:{span['name']}" for span in data["spans"])
     assert spans["mcs:analysis.compute_mcs"] == 1 and spans["mcs:cli.export"] == 1
@@ -358,9 +325,3 @@ def test_tfpg_re_exports_the_objects_of_their_home_modules():
 @pytest.mark.parametrize("module_name, misspelled", [("mbsa.analysis", "compute_mc"), ("mbsa.cca", "apply_cc")])
 def test_records_modules_re_export_the_objects_of_their_home_modules(module_name, misspelled):
     _assert_re_exports(module_name, misspelled)
-
-
-def test_importing_the_records_loads_no_search_or_weaving():
-    homes = {"mbsa.cutsets", "mbsa.ccaweave"}
-    assert _loaded_modules("import mbsa.analysis, mbsa.cca") & homes == set()
-    assert _loaded_modules("from mbsa.analysis import compute_mcs\nfrom mbsa.cca import apply_cca") >= homes
