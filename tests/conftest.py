@@ -27,6 +27,14 @@ def fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
 
 
+def _refute_tfpg(tmp_path) -> str:
+    """The fixture graph without edge B1_DEAD -> S2_NO: no longer complete."""
+    mutated = tmp_path / "refute.tfpg"
+    mutated.write_text("".join(l for l in (FIXTURES / "battery_sensor.tfpg").read_text().splitlines(True)
+                               if not l.startswith("edge B1_DEAD -> S2_NO ")))
+    return str(mutated)
+
+
 def build_extended(model_text: str, fei_text: str, flib_text: str = ""):
     typed = type_check(parse_model(model_text))
     library = load_fault_library(flib_text)

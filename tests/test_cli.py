@@ -7,7 +7,8 @@ import pytest
 import mbsa
 from mbsa.cli import main
 
-from conftest import FIXTURES, fresh_python
+from conftest import FIXTURES, _refute_tfpg, fresh_python
+from layers import loaded
 
 MODEL = str(FIXTURES / "battery_sensor.smx")
 FEI = str(FIXTURES / "battery_sensor.fei")
@@ -140,14 +141,6 @@ def test_tfpg_check_incomplete_exits_1(tmp_path, capsys):
     assert (tmp_path / "tfpg_counterexample.trace").is_file()
     header = (tmp_path / "tfpg_counterexample.trace").read_text().splitlines()[0]
     assert header.startswith("step\t")
-
-
-def _refute_tfpg(tmp_path):
-    """The fixture graph without edge B1_DEAD -> S2_NO: no longer complete."""
-    mutated = tmp_path / "refute.tfpg"
-    mutated.write_text("".join(l for l in Path(TFPG).read_text().splitlines(True)
-                               if not l.startswith("edge B1_DEAD -> S2_NO ")))
-    return str(mutated)
 
 
 @pytest.mark.parametrize("golden, graph, code", [
@@ -773,6 +766,16 @@ def test_enumeration_cap_error_names_the_search_and_depth(tmp_path, capsys, argv
     assert run(*argv, "--model", MODEL, "--fei", FEI, "--cap", "10", *out) == 3
     assert capsys.readouterr().err == \
         f"resource cap exceeded: {message}: enumeration of 12+ candidate states exceeds cap 10\n"
+
+
+@pytest.mark.parametrize("name", ["cli", "trees_job"])
+def test_start_up_loads_no_dataclasses_inspect_or_format_library(tmp_path, name):
+    # every CLI run is a fresh process: creating dataclasses, and importing
+    # dataclasses with inspect, ast and dis behind it, cost each run ~50 ms;
+    # json and ElementTree load only in the functions that write or read
+    # those formats, so a job that writes neither keeps their memory
+    banned = {"dataclasses", "inspect", "json", "xml.etree.ElementTree"}
+    assert banned & loaded(name, tmp_path).keys() == set()
 
 
 def test_format_writers_and_readers_in_a_fresh_process(tmp_path):

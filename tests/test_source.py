@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fresh_python
-from layers import CHECK, FIXTURE, LAYERS
-from test_cli import _refute_tfpg
+from layers import CHECK, FIXTURE, LAYERS, loaded
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mbsa"
@@ -234,13 +233,6 @@ def test_checker_printer_and_code_generator_name_the_same_binary_operators():
     assert checked == bound == compiled
 
 
-def _imports_of(path: Path) -> str:
-    """The top-level import statements of a module, ``__future__`` aside."""
-    return "\n".join(ast.unparse(node) for node in ast.parse(path.read_text(encoding="utf-8")).body
-                     if isinstance(node, ast.Import)
-                     or isinstance(node, ast.ImportFrom) and node.module != "__future__")
-
-
 def _traced_modules() -> set[str]:
     """The modules whose functions ``perfbench/tracer.py`` wraps."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
@@ -255,29 +247,32 @@ def _modules(names: str) -> set[str]:
     return {f"mbsa.{name}" for name in names.split()}
 
 
-# the last line of output: each loaded module and whether its body ran.  ``type``
-# reads no attribute, so the report runs no module that the CLI registered lazily
-REPORT = "import sys, types\nprint({n: type(m) is types.ModuleType for n, m in list(sys.modules.items())})"
-
-
-@pytest.mark.parametrize("row", LAYERS.values(), ids=LAYERS)
-def test_each_entry_loads_exactly_the_layers_of_its_row(tmp_path, row):
-    if "argv" in row:
-        fields = {"out": tmp_path, "refuting": _refute_tfpg(tmp_path)}
-        argv = [arg.format(**fields) for arg in row["argv"]]
-        code = f"from mbsa.cli import main\nassert main({argv!r}) == {row['exit']}"
-    else:
-        code = row.get("code") or _imports_of(ROOT / row["imports_of"])
-    proc = fresh_python("-c", f"{code}\n{REPORT}", cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
-    package = {name for name in loaded if name.split(".")[0] == "mbsa"}
-    ran = {name for name in package if loaded[name]}
+@pytest.mark.parametrize("name", LAYERS)
+def test_each_entry_loads_exactly_the_layers_of_its_row(tmp_path, name):
+    row, modules = LAYERS[name], loaded(name, tmp_path)
+    package = {module for module in modules if module.split(".")[0] == "mbsa"}
+    ran = {module for module in package if modules[module]}
     assert ran == {"mbsa"} | _modules(row["ran"])
-    assert row["absent"] & loaded.keys() == set()
+    assert row["absent"] & modules.keys() == set()
     if "unrun" in row:
         assert package - ran == _modules(row["unrun"])
-        assert _traced_modules() <= _modules(row["unrun"])
+
+
+def test_the_cli_loads_every_layer_the_tracer_wraps(tmp_path):
+    # the tracer wraps the layers that importing mbsa.cli has loaded: a layer
+    # loaded later, on first use, would be reported as never called
+    wrapped = _traced_modules()
+    assert "mbsa.sts.engine" in wrapped
+    assert wrapped - loaded("cli", tmp_path).keys() == set()
+
+
+def test_the_probability_stage_loads_no_model_checking_layer(tmp_path):
+    # the benchmark's fault-tree job works on cut sets it reads from files and
+    # never parses, checks, explores or extends a model
+    modules = loaded("trees_job", tmp_path)
+    checker = {"mbsa.sts.parse", "mbsa.sts.check", "mbsa.sts.engine", "mbsa.sts.pretty", "mbsa.sts.codegen",
+               "mbsa.faults", "mbsa.cutsets", "mbsa.ccaweave"}
+    assert modules["mbsa.fault_tree"] and modules.keys() & checker == set()
 
 
 def test_the_tracer_wraps_the_layers_of_cli_jobs(tmp_path):
