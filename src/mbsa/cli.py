@@ -57,8 +57,9 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None):
-    """Config supplies defaults; flags on the command line win, even one that
-    repeats its default.  A value is converted like the flag's own argument."""
+    """Config supplies defaults, and the required flags the command line
+    lacks; flags on the command line win, even one that repeats its default.
+    A value is converted like the flag's own argument."""
     config = _load_config(args.config)
     actions = {a.dest: a for a in args._subparser._actions}
     for a in actions.values():
@@ -77,6 +78,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
                     raise InputError([Diagnostic(f"config key {key!r}: bad value {value!r} ({exc})",
                                                  filename=args.config)]) from None
             setattr(args, dest, value)
+    args._subparser.require(args)
 
 
 def _load_extended(args):
@@ -401,7 +403,11 @@ class _Subcommand(argparse.ArgumentParser):
     (its command function, if it has one) and ``_subparser`` (itself).
     argparse calls the chosen subcommand's ``parse_known_args`` only, so a
     job builds no other subcommand's arguments: each ``add_argument`` makes a
-    help formatter, which asks for the terminal size."""
+    help formatter, which asks for the terminal size.
+
+    A ``--config`` file may supply a required flag: when the arguments give
+    ``--config``, the parse leaves the required flags to :meth:`require`,
+    called once the file is applied."""
 
     def __init__(self, *, wire, func, **kwargs):
         super().__init__(**kwargs)
@@ -413,7 +419,23 @@ class _Subcommand(argparse.ArgumentParser):
             self._wire = None
             if self._func is not None:
                 self.set_defaults(func=self._func, _subparser=self)
-        return super().parse_known_args(args, namespace)
+        required = [a for a in self._actions if a.required and a.option_strings]
+        config = any(a == "--config" or a.startswith("--config=") for a in args)
+        for a in required:
+            a.required = not config
+        namespace, extras = super().parse_known_args(args, namespace)
+        for a in required:
+            a.required = True
+        if not getattr(namespace, "config", None):
+            self.require(namespace)
+        return namespace, extras
+
+    def require(self, namespace: argparse.Namespace):
+        """argparse's usage error for the required flags ``namespace`` lacks."""
+        missing = ["/".join(a.option_strings) for a in self._actions
+                   if a.required and a.option_strings and getattr(namespace, a.dest, None) is None]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
 
 
 def _subcommands(parser: argparse.ArgumentParser, dest: str, table):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from mbsa import prob_str
 from mbsa.analysis import CutSequence, CutSetResult
 from mbsa.diagnostics import MbsaError
-from mbsa.xmlout import to_xml
+from mbsa.xmlout import _read_xml, to_xml
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -286,25 +286,7 @@ _XML_ATTRIBUTES = {"fault-tree": {"root"}, "gate": {"id", "kind", "label"}, "chi
 
 
 def ft_from_xml(text: str) -> FaultTree:
-    from xml.etree import ElementTree as ET
-
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise FaultTreeError(f"malformed XML: {exc}") from None
-    if root.tag != "fault-tree":
-        raise FaultTreeError(f"expected <fault-tree> document, found <{root.tag}>")
-    for el in root.iter():
-        allowed = _XML_ATTRIBUTES.get(el.tag)
-        extra = None if allowed is None else next((a for a in el.attrib if a not in allowed), None)
-        if extra is not None:
-            raise FaultTreeError(f"unexpected attribute {extra!r} on <{el.tag}>")
-
-    def attr(el, name: str) -> str:
-        if name not in el.attrib:
-            raise FaultTreeError(f"<{el.tag}> lacks the attribute {name!r}")
-        return el.attrib[name]
-
+    root, attr = _read_xml(text, "fault-tree", _XML_ATTRIBUTES, FaultTreeError)
     nodes: dict[str, BasicEvent | Gate] = {}
     for el in root:
         if el.tag not in ("gate", "basic-event"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import Record
 from mbsa.sts.parse import TokenStream, tokenize
-from mbsa.xmlout import to_xml
+from mbsa.xmlout import _read_xml, to_xml
 
 
 class TfpgError(InputError):
@@ -180,25 +180,7 @@ _XML_ATTRIBUTES = {"tfpg": set(), "modes": set(), "nodes": set(), "edges": set()
 
 
 def tfpg_from_xml(text: str, filename: str = "<tfpg.xml>") -> Tfpg:
-    from xml.etree import ElementTree as ET
-
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise _err(f"malformed XML: {exc}", filename=filename)
-    if root.tag != "tfpg":
-        raise _err(f"expected <tfpg> document, found <{root.tag}>", filename=filename)
-    for el in root.iter():
-        allowed = _XML_ATTRIBUTES.get(el.tag)
-        extra = None if allowed is None else next((a for a in el.attrib if a not in allowed), None)
-        if extra is not None:
-            raise _err(f"unexpected attribute {extra!r} on <{el.tag}>", filename=filename)
-
-    def attr(el, name: str) -> str:
-        if name not in el.attrib:
-            raise _err(f"<{el.tag}> lacks the attribute {name!r}", filename=filename)
-        return el.attrib[name]
-
+    root, attr = _read_xml(text, "tfpg", _XML_ATTRIBUTES, lambda message: _err(message, filename))
     sections: dict[str, list] = {}
     for el in root:
         if el.tag not in ("modes", "nodes", "edges") or el.tag in sections:

@@ -20,6 +20,8 @@ once:
   the first one ends the search.
 
 States are turned back into value tuples only on the path that is returned.
+The table's entries are returned too, as (abstract state, label) moves:
+synthesis reads its instances off them once the search is done.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from mbsa.tfpg.activation import BindingEvaluator
 
 
 def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int | None,
-            what: str) -> tuple[list[tuple] | None, int]:
+            what: str):
     """Search from ``start``, the abstract state before the first step (an
     initial model state is a step from it too).
 
@@ -38,8 +40,10 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     before the product state it leads to is looked up: that state is
     meaningless, and it may equal one already stored.  Returns the shortest
     run of model states whose last step stops (None when no step within
-    ``step_bound`` does) and the number of product states stored, the
-    stopping one included.  Storing more than the engine's cap raises
+    ``step_bound`` does), the number of product states stored, the
+    stopping one included, and an iterator over the steps taken that did
+    not stop, one (abstract state, label) pair per table entry.  Storing
+    more than the engine's cap raises
     ``ResourceCapError("stored <what> states exceed cap N at depth D")``.
 
     A key is ``sid << shift | a``, so the abstract id ``a`` must stay below
@@ -84,6 +88,7 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
         return children, ()
 
     path, stored = next(breadth_first(expand, step_bound, engine.cap, f"{what} states"))
+    moves = ((abstract[a], label) for a, row in enumerate(table) for label in row)
     if path is None:
-        return None, len(stored)
-    return [store.states[key >> shift] for key in path], len(stored) + 1
+        return None, len(stored), moves
+    return [store.states[key >> shift] for key in path], len(stored) + 1, moves

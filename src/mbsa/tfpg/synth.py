@@ -10,9 +10,10 @@ and the active mode m.  S and L form the direct group: the nodes with
 direct-precedence evidence for v in that instance.  The search is the
 product search of :mod:`mbsa.tfpg.product` with (activated, last burst)
 node masks as its abstract state; an instance depends on that state and
-the observation only, so it is recorded once per distinct pair.  Every node
-set is a mask over the nodes in sorted-name order, so an index tie-break is
-a name tie-break; names appear only when the edges are emitted.
+the observation only, so it is read off the search's moves, one per
+distinct pair, once the search is done.  Every node set is a mask over the
+nodes in sorted-name order, so an index tie-break is a name tie-break;
+names appear only when the edges are emitted.
 
 Parent selection per node:
 
@@ -53,39 +54,33 @@ from mbsa.tfpg.product import explore
 
 def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int | None,
                        cap: int | None):
-    """Product search over (state, acted mask, last-burst mask), recording
-    each discrepancy's distinct instances (A, S, L, mode), with A, S and L
-    node masks over the evaluator's ``node_order``.  Returns that order and
-    the per-node instance sets in it.
+    """Product search over (state, acted mask, last-burst mask), then each
+    discrepancy's distinct instances (A, S, L, mode), with A, S and L node
+    masks over the evaluator's ``node_order``.  Returns that order and the
+    per-node instance sets in it.
 
-    With n nodes, the search appends an instance to its node's list as the
-    one int ``A | S << n | L << 2n | k << 3n``, k the mode's index in
-    ``ev.modes``.  A list may hold an instance more than once (it is recorded
-    once per distinct abstract state and observation); a list entry costs a
-    pointer where a set entry costs a hash slot.  Once the search has
-    returned and its states are freed, each list is decoded into a set of
-    tuples, which drops the repeats."""
+    The search's step only tracks the masks.  Its moves, one per distinct
+    (masks, observation) pair, are read once it has returned and its
+    states are freed: a move whose observation first activates v gives v's
+    instance."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding)
-    n = len(ev.node_order)
     discrepancies = [(1 << i, i) for i, v in enumerate(ev.node_order) if binding.kinds[v] != "failure"]
-    mode_bits = {m: k << 3 * n for k, m in enumerate(ev.modes)}
-    found: list[list[int]] = [[] for _ in ev.node_order]
 
     def step(state, mask: int, mode: str):
         acted, last = state
         newly = mask & ~acted
-        if not newly:
-            return state, None
+        return ((acted | newly, newly) if newly else state), None
+
+    _, _, moves = explore(engine, ev, (0, 0), step, step_bound, "synthesis")
+    found: list[set[tuple]] = [set() for _ in ev.node_order]
+    for (acted, last), label in moves:
+        mask, mode = ev.decode(label)
+        newly = mask & ~acted
         for b, v in discrepancies:
             if newly & b:
-                found[v].append((acted | newly) & ~b | (newly & ~b) << n | last << 2 * n | mode_bits[mode])
-        return (acted | newly, newly), None
-
-    explore(engine, ev, (0, 0), step, step_bound, "synthesis")
-    full = (1 << n) - 1
-    return ev.node_order, [{(x & full, x >> n & full, x >> 2 * n & full, ev.modes[x >> 3 * n]) for x in insts}
-                           for insts in found]
+                found[v].add(((acted | newly) & ~b, newly & ~b, last, mode))
+    return ev.node_order, found
 
 
 def _bits(mask: int) -> list[int]:

@@ -8,18 +8,19 @@ saturated elapsed counter and a passed-deadline bit, which is exactly the
 information the per-node admission conditions need (counters never
 decrease, so a passed deadline stays passed, and a counter at or past
 ``tmin`` has met its window once, as it grows by at most one per step).  The
-monitor step is a function of (monitor state, observation), so the search
-takes it once per distinct pair.  It is generated once per TFPG as
-straight-line Python, every edge and node check unrolled with its bits,
-bounds and modes as constants; the tests compare it step by step with an
-interpretive reference monitor.  Every step is checked, a step back into
-a product state already stored included.  The first violating step
-ends a shortest counterexample trace; its precise (node, reason, step)
-verdict is recomputed with :func:`mbsa.tfpg.admit.admits` on that trace.
+monitor is one function, :func:`admission_monitor`, that returns the initial
+monitor state and the monitor step of a TFPG.  The step is a function of
+(monitor state, observation), so the search takes it once per distinct
+pair.  It is generated once per TFPG as straight-line Python, every edge
+and node check unrolled with its bits, bounds and modes as constants; the
+tests compare it step by step with an interpretive reference monitor.
+Every step is checked, a step back into a product state already stored
+included.  The first violating step ends a shortest counterexample trace;
+its precise (node, reason, step) verdict is recomputed with
+:func:`mbsa.tfpg.admit.admits` on that trace.
 """
 
 from __future__ import annotations
-
 
 from mbsa.faults import ExtendedModel
 from mbsa.sts.engine import Trace, _engine
@@ -54,8 +55,9 @@ class ValidationReport:
         return self.verdict == "complete"
 
 
-class AdmissionMonitor:
-    """Stepwise admission check over (activation mask, mode) observations.
+def admission_monitor(tfpg: Tfpg, node_order: tuple[str, ...]):
+    """The stepwise admission check of ``tfpg`` over (activation mask, mode)
+    observations, as (initial monitor state, ``advance``).
 
     Bit i of a mask is ``node_order[i]``; bits of nodes outside the TFPG are
     ignored.  A monitor state is (activated TFPG nodes, edges past their
@@ -67,20 +69,14 @@ class AdmissionMonitor:
 
     ``advance(mstate, mask, mode)`` processes one step and returns (new
     state, violated node | None); on a violation the new state is
-    meaningless and exploration of that branch stops.  It is generated once
-    per TFPG as straight-line Python (:func:`_advance_source`): the per-node
+    meaningless and exploration of that branch stops.  Each call generates
+    it as straight-line Python (:func:`_advance_source`): the per-node
     checks and the per-edge slot updates are unrolled, with every bit,
     bound and mode set a constant.
     """
-
-    def __init__(self, tfpg: Tfpg, node_order: tuple[str, ...]):
-        self.nslots = len(tfpg.edges)
-        ns: dict = {}
-        exec(compile(_advance_source(tfpg, node_order), "<mbsa-monitor>", "exec"), ns)
-        self.advance = ns["advance"]
-
-    def initial(self) -> tuple[int, int, tuple]:
-        return (0, 0, (None,) * self.nslots)
+    ns: dict = {}
+    exec(compile(_advance_source(tfpg, node_order), "<mbsa-monitor>", "exec"), ns)
+    return (0, 0, (None,) * len(tfpg.edges)), ns["advance"]
 
 
 def _window(c: str, tmin: int, tmax: int | None) -> str:
@@ -179,8 +175,7 @@ def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,
     check_binding_total(tfpg, binding)
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding)
-    mon = AdmissionMonitor(tfpg, ev.node_order)
-    path, stored = explore(engine, ev, mon.initial(), mon.advance, step_bound, "product")
+    path, stored, _ = explore(engine, ev, *admission_monitor(tfpg, ev.node_order), step_bound, "product")
     if path is None:
         return ValidationReport("complete", [], stored)
     from mbsa.tfpg.admit import admits  # only a refuted graph needs the per-trace verdict

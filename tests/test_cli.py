@@ -917,6 +917,64 @@ def test_a_config_file_cannot_name_another(tmp_path, capsys):
     assert not (tmp_path / "mcs.tsv").exists()
 
 
+@pytest.mark.parametrize("command, required, artifact", [
+    ("check", {"tfpg": TFPG, "bind": BIND}, "tfpg_check.txt"),
+    ("synth", {"bind": BIND, "outfile": "{out}/synth.tfpg"}, "synth.tfpg"),
+], ids=["check", "synth"])
+def test_a_config_file_supplies_required_flags(tmp_path, capsys, command, required, artifact):
+    # argparse required the flags before the config file was read
+    required = {key: value.format(out=tmp_path) for key, value in required.items()}
+    inputs = {"model": MODEL, "fei": FEI, "step-bound": "60", **({"out-dir": tmp_path} if command == "check" else {})}
+
+    def config(**lines):
+        path = tmp_path / "run.conf"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in {**inputs, **lines}.items()))
+        return str(path)
+
+    assert run("tfpg", command, "--config", config(**required)) == 0
+    assert (tmp_path / artifact).exists()
+    (tmp_path / artifact).unlink()
+    # a flag on the command line wins over the config's value
+    first, value = next(iter(required.items()))
+    assert run("tfpg", command, f"--config={config(**{**required, first: tmp_path / 'nosuch'})}",
+               f"--{first}", value) == 0
+    assert (tmp_path / artifact).exists()
+    capsys.readouterr()
+    # a flag that neither gives is argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        run("tfpg", command, "--config", config(**{key: value for key, value in required.items() if key != first}))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"mbsa tfpg {command}: error: the following arguments are required: --{first}\n")
+
+
+HASH_SEED_JOBS = """import sys
+from mbsa.cli import main
+out, model, fei, bind, tfpg, refuting = sys.argv[1:]
+common = ["--model", model, "--fei", fei, "--bind", bind, "--step-bound", "60"]
+assert [main(["tfpg", "synth", *common, "--outfile", f"{out}/synth.tfpg"]),
+        main(["tfpg", "check", *common, "--tfpg", tfpg, "--out-dir", f"{out}/check"]),
+        main(["tfpg", "check", *common, "--tfpg", refuting, "--out-dir", f"{out}/refute"])] == [0, 0, 1]
+"""
+
+
+def test_tfpg_artifacts_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # synthesis collects its instances, and validation its modes, in sets of
+    # mode literals, which hash differently in each process
+    refuting = _refute_tfpg(tmp_path)
+    outputs = []
+    for seed in ("0", "1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        out = tmp_path / seed
+        out.mkdir()
+        proc = fresh_python("-c", HASH_SEED_JOBS, str(out), MODEL, FEI, BIND, TFPG, refuting)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(outputs[0]) == ["check/tfpg_check.txt", "refute/tfpg_check.txt",
+                                  "refute/tfpg_counterexample.trace", "synth.tfpg"]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def _collecting(enabled: bool):
     (gc.enable if enabled else gc.disable)()
 

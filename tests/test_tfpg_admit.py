@@ -4,7 +4,7 @@ import pytest
 
 from mbsa.tfpg import Tfpg, TfpgEdge, admits
 from mbsa.tfpg.activation import ActivationTrace
-from mbsa.tfpg.validate import AdmissionMonitor
+from mbsa.tfpg.validate import admission_monitor
 
 from test_tfpg_io import full_scale_graph
 from tfpg_references import ReferenceMonitor, admits_by_search, monitor_run
@@ -215,9 +215,9 @@ def test_generated_monitor_step_equals_reference_on_random_walks():
         g.check()
         # a bit of a node outside the graph is ignored
         order = tuple(sorted([*g.nodes, "X"]))
-        compiled, reference = AdmissionMonitor(g, order), ReferenceMonitor(g, order)
+        (state, advance), reference = admission_monitor(g, order), ReferenceMonitor(g, order)
         tmins = [e.tmin for e in g.sorted_edges()]
-        state, ref_state = compiled.initial(), reference.initial()
+        ref_state = reference.initial()
         assert state == ref_state
         mask = 0
         for _ in range(40):
@@ -225,7 +225,7 @@ def test_generated_monitor_step_equals_reference_on_random_walks():
             mask |= sum(1 << i for i in range(len(order)) if rng.random() < 0.1)
             mask &= ~sum(1 << i for i in range(len(order)) if rng.random() < 0.05)
             mode = rng.choice(g.modes)
-            got, want = compiled.advance(state, mask, mode), reference.advance(ref_state, mask, mode)
+            got, want = advance(state, mask, mode), reference.advance(ref_state, mask, mode)
             # a generated slot is the reference's counter; the reference's
             # window-hit flag is whether that counter reached tmin
             (act, late, slots), bad = want

@@ -152,11 +152,12 @@ def test_product_search_expands_and_observes_each_model_state_once(
 
 @pytest.mark.parametrize("job, bound_mib", [("check", 2.7), ("synth", 4.4)])
 def test_product_search_peak_memory(battery_tfpg, battery_binding, battery_sensor, job, bound_mib):
-    # the search keeps its keys, table entries and synthesis instances as
-    # small ints and its successor rows as tuples.  Each bound lies between
-    # the traced peak of this search (check 2.30 MiB, synth 3.51) and that
-    # of one with tuple keys, (id, stop) entries, list rows and tuple
-    # instances (3.12, 5.28)
+    # the search keeps its keys and table entries as small ints and its
+    # successor rows as tuples; synthesis reads its instances off the table
+    # once the search has returned.  Each bound lies between the traced peak
+    # of this search (check 2.04 MiB, synth 2.75) and that of one with tuple
+    # keys, (id, stop) entries, list rows and tuple instances recorded
+    # during the search (3.12, 5.28)
     if job == "check":
         run = lambda: validate_behavioral(battery_tfpg, battery_binding, battery_sensor, step_bound=60)
     else:

@@ -4,7 +4,8 @@
 definition that :func:`mbsa.tfpg.admit.admits` decides analytically),
 ``monitor_run`` feeds a whole activation trace through the admission
 monitor that behavioral validation runs stepwise, and ``ReferenceMonitor``
-is the interpretive form of that monitor's generated step.
+is the interpretive form of that monitor's step, the ``advance`` function
+that :func:`mbsa.tfpg.validate.admission_monitor` generates.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 from mbsa.tfpg.activation import ActivationTrace
 from mbsa.tfpg.admit import _edge_view
 from mbsa.tfpg.graph import Tfpg
-from mbsa.tfpg.validate import AdmissionMonitor
+from mbsa.tfpg.validate import admission_monitor
 
 
 def admits_by_search(tfpg: Tfpg, at: ActivationTrace) -> bool:
@@ -64,12 +65,11 @@ def _node_consistent(kind: str, t_v: int | None, n_incoming: int, views) -> bool
 def monitor_run(tfpg: Tfpg, at: ActivationTrace) -> bool:
     """Feed a whole activation trace through the admission monitor."""
     node_order = tuple(sorted(tfpg.nodes))
-    mon = AdmissionMonitor(tfpg, node_order)
-    mstate = mon.initial()
+    mstate, advance = admission_monitor(tfpg, node_order)
     for step in range(at.length):
         mask = sum(1 << i for i, n in enumerate(node_order)
                    if at.times[n] is not None and at.times[n] <= step)
-        mstate, bad = mon.advance(mstate, mask, at.modes[step])
+        mstate, bad = advance(mstate, mask, at.modes[step])
         if bad is not None:
             return False
     return True
@@ -78,7 +78,8 @@ def monitor_run(tfpg: Tfpg, at: ActivationTrace) -> bool:
 class ReferenceMonitor:
     """Stepwise admission check over (activation mask, mode) observations,
     interpreted from per-edge and per-node tuples: the reference of the
-    generated :class:`mbsa.tfpg.validate.AdmissionMonitor` step.
+    ``advance`` step that :func:`mbsa.tfpg.validate.admission_monitor`
+    generates, and of its initial state.
 
     Bit i of a mask is ``node_order[i]``; bits of nodes outside the TFPG are
     ignored.  A monitor state is (activated TFPG nodes, edges past their
