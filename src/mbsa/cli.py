@@ -42,45 +42,6 @@ def _read_named(path: str, what: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """Key-value configuration: one ``key = value`` per line, # comments."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_named(path, "config").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError([Diagnostic("expected 'key = value'", lineno, filename=path)])
-        key, _, value = line.partition("=")
-        out[key.strip().replace("_", "-")] = value.strip()
-    return out
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None):
-    """Config supplies defaults, and the required flags the command line
-    lacks; flags on the command line win, even one that repeats its default.
-    A value is converted like the flag's own argument."""
-    config = _load_config(args.config)
-    actions = {a.dest: a for a in args._subparser._actions}
-    for a in actions.values():
-        a.default = argparse.SUPPRESS  # so the parse below sets only the flags argv gives
-    given = vars(parser.parse_args(argv))
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in actions or dest == "config" or not hasattr(args, dest):
-            raise InputError([Diagnostic(f"unknown config key {key!r}", filename=args.config)])
-        if dest not in given:
-            convert = _boolean if actions[dest].nargs == 0 else actions[dest].type  # a switch has nargs 0
-            if convert is not None:
-                try:
-                    value = convert(value)
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise InputError([Diagnostic(f"config key {key!r}: bad value {value!r} ({exc})",
-                                                 filename=args.config)]) from None
-            setattr(args, dest, value)
-    args._subparser.require(args)
-
-
 def _load_extended(args):
     from mbsa.faults import extend_model, load_fault_library, parse_fei
     from mbsa.sts.check import type_check
@@ -116,13 +77,9 @@ def _step_bound(args) -> int | None:
     return None if args.step_bound == 0 else args.step_bound
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write(path: Path, text: str):
+    """Write any artifact, ``--outfile`` too, making its directory first; print its path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     print(str(path))
 
@@ -165,7 +122,7 @@ def cmd_extend(args) -> int:
     from mbsa.sts.pretty import print_model
 
     xm, _ = _load_extended(args)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     stem = Path(args.model).stem
     _write(out / f"{stem}_extended.smx", print_model(xm.model))
     _write(out / f"{stem}_events.json", _registry_json(xm))
@@ -187,7 +144,7 @@ def cmd_mcs(args) -> int:
     formats = _formats(args, ("tsv", "xml"))
     xm, _ = _load_extended(args)
     result = _cut_sets(args, xm, _parse_tle(args, xm))
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     for fmt in formats:
         text = cutsets_to_tsv(result) if fmt == "tsv" else cutsets_to_xml(result)
         _write(out / f"mcs.{fmt}", text)
@@ -214,7 +171,7 @@ def cmd_ft(args) -> int:
     formats = _formats(args, ("xml", "tsv", "dot"))
     xm, _ = _load_extended(args)
     ft = _build_tree(args, xm)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     ext = {"xml": "ftx", "tsv": "fttsv", "dot": "dot"}
     for fmt in formats:
         _write(out / f"ft.{ext[fmt]}", export_ft(ft, fmt, with_probabilities=args.with_probabilities))
@@ -241,7 +198,7 @@ def cmd_ftprob(args) -> int:
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     node_probs = evaluate_probability(ft, pa)
     symbolic = symbolic_probability(ft, groups)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_sum(ft, node_probs))}")
     _write(out / "ft_probabilities.tsv", "\n".join(lines) + "\n")
@@ -281,7 +238,7 @@ def cmd_fmea(args) -> int:
         properties.append((label.text, expr))
     gen = generate_dynamic_fmea if args.dynamic else generate_fmea
     table = gen(xm, properties, args.max_card, _step_bound(args), args.cap)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     suffix = "fmea_dynamic" if args.dynamic else "fmea"
     for fmt in formats:
         _write(out / f"{suffix}.{fmt}", export_fmea(table, fmt))
@@ -310,7 +267,7 @@ def cmd_tfpg_check(args) -> int:
 
     g = _read_tfpg(args.tfpg)
     report = validate_behavioral(g, binding, xm, _step_bound(args), args.cap)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     if report.complete:
         _write(out / "tfpg_check.txt", "complete\n")
         return EXIT_OK
@@ -399,15 +356,17 @@ def _common(sub: argparse.ArgumentParser, *, tle: bool = False, max_card: bool =
 
 class _Subcommand(argparse.ArgumentParser):
     """The parser of one subcommand, given its arguments by its wiring
-    function ``wire`` on the first parse, and with them the defaults ``func``
-    (its command function, if it has one) and ``_subparser`` (itself).
-    argparse calls the chosen subcommand's ``parse_known_args`` only, so a
-    job builds no other subcommand's arguments: each ``add_argument`` makes a
-    help formatter, which asks for the terminal size.
+    function ``wire`` on the first parse, and with them the default ``func``
+    (its command function, if it has one).  argparse calls the chosen
+    subcommand's ``parse_known_args`` only, so a job builds no other
+    subcommand's arguments: each ``add_argument`` makes a help formatter,
+    which asks for the terminal size.
 
-    A ``--config`` file may supply a required flag: when the arguments give
-    ``--config``, the parse leaves the required flags to :meth:`require`,
-    called once the file is applied."""
+    A ``--config`` file is a source of flags: its lines go ahead of the
+    arguments as ``--key=value``, a true switch as ``--key`` and a false one
+    left out, so that one parse lets the command line's flags win, converts
+    the file's values and finds a required flag in either.  Each key and
+    value is checked first, so that its fault is reported at the file."""
 
     def __init__(self, *, wire, func, **kwargs):
         super().__init__(**kwargs)
@@ -418,24 +377,61 @@ class _Subcommand(argparse.ArgumentParser):
             self._wire(self)
             self._wire = None
             if self._func is not None:
-                self.set_defaults(func=self._func, _subparser=self)
-        required = [a for a in self._actions if a.required and a.option_strings]
-        config = any(a == "--config" or a.startswith("--config=") for a in args)
-        for a in required:
-            a.required = not config
-        namespace, extras = super().parse_known_args(args, namespace)
-        for a in required:
-            a.required = True
-        if not getattr(namespace, "config", None):
-            self.require(namespace)
-        return namespace, extras
+                self.set_defaults(func=self._func)
+        path = self._config_path(args)
+        if path:
+            args = [*self._config_flags(path), *args]
+        return super().parse_known_args(args, namespace)
 
-    def require(self, namespace: argparse.Namespace):
-        """argparse's usage error for the required flags ``namespace`` lacks."""
-        missing = ["/".join(a.option_strings) for a in self._actions
-                   if a.required and a.option_strings and getattr(namespace, a.dest, None) is None]
-        if missing:
-            self.error(f"the following arguments are required: {', '.join(missing)}")
+    def _config_path(self, args: list[str]) -> str | None:
+        """The ``--config`` value that argparse will take from ``args`` (the
+        last one; its name may be abbreviated), or None, also when ``args``
+        ask for help: help wins over a faulty file."""
+        options = self._option_string_actions
+        path = None
+        for i, arg in enumerate(args):
+            if arg == "--":
+                break
+            name, eq, value = arg.partition("=")
+            if name not in options:  # argparse takes a unique prefix of a long option for it
+                prefixed = [o for o in options if name.startswith("--") and o.startswith(name)]
+                name = prefixed[0] if len(prefixed) == 1 else None
+            dest = options[name].dest if name else None
+            if dest == "help":
+                return None
+            if dest == "config":
+                path = value if eq else next(iter(args[i + 1:]), None)
+        return path
+
+    def _config_flags(self, path: str) -> list[str]:
+        """The ``key = value`` lines of config file ``path`` (# comments) as
+        flags, each value checked as its flag's argument would be, a switch's
+        as :func:`_boolean`."""
+        config: dict[str, str] = {}
+        for lineno, raw in enumerate(_read_named(path, "config").splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InputError([Diagnostic("expected 'key = value'", lineno, filename=path)])
+            key, _, value = line.partition("=")
+            config[key.strip().replace("_", "-")] = value.strip()
+        actions = {a.dest: a for a in self._actions if a.option_strings and a.dest not in ("config", "help")}
+        flags = []
+        for key, value in config.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise InputError([Diagnostic(f"unknown config key {key!r}", filename=path)])
+            try:
+                if action.nargs != 0:  # a switch has nargs 0
+                    (action.type or str)(value)
+                    flags.append(f"{action.option_strings[0]}={value}")
+                elif _boolean(value):
+                    flags.append(action.option_strings[0])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise InputError([Diagnostic(f"config key {key!r}: bad value {value!r} ({exc})",
+                                             filename=path)]) from None
+        return flags
 
 
 def _subcommands(parser: argparse.ArgumentParser, dest: str, table):
@@ -517,15 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand in this process and return its exit code; tests and
-    the benchmark's tracer call it.  It leaves the cyclic collector as its
-    caller set it and never freezes the heap, so a calling process keeps
-    collecting its garbage."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv`` and run its subcommand in this process; return its exit
+    code (2 for a faulty ``--config`` file too, as for any input error).
+    Tests and the benchmark's tracer call it.  It leaves the cyclic collector
+    as its caller set it and never freezes the heap, so a calling process
+    keeps collecting its garbage."""
     try:
-        if getattr(args, "config", None):
-            _apply_config(args, parser, argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

@@ -139,8 +139,12 @@ def synthesize_structure(xm: ExtendedModel, binding: NodeBinding, step_bound: in
     modes = binding.mode_literals()
     all_modes = frozenset(modes)
 
-    # per instance: activated nodes, direct group (co-activations | last burst), mode
-    insts = [[(a, sim | last, m) for a, sim, last, m in node_instances] for node_instances in instances]
+    # per instance: activated nodes, direct group (co-activations | last burst),
+    # mode; each node's set is dropped once its list is built
+    insts = []
+    for v in range(len(order)):
+        insts.append([(a, sim | last, m) for a, sim, last, m in instances[v]])
+        instances[v] = None
     parents = [0] * len(order)  # bit u of parents[v]: edge u -> v
     for v, k in enumerate(kinds):
         if k == "and" and insts[v]:

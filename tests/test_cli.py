@@ -391,12 +391,12 @@ def test_mode_binding_not_exactly_one_exits_2(tmp_path, capsys, command, old, ne
 
 def test_file_system_error_exits_2(tmp_path, capsys):
     # an artifact that cannot be written is an input error, not a traceback
-    # (exit 1 is the verdict of an incomplete graph)
-    missing = tmp_path / "no" / "such" / "g.xml"
-    assert run("tfpg", "convert", TFPG, str(missing)) == 2
-    assert capsys.readouterr().err == f"{missing}:0:0: error: No such file or directory\n"
+    # (exit 1 is the verdict of an incomplete graph); a file stands where
+    # the artifact's directory would be made
     blocker = tmp_path / "file"
     blocker.write_text("")
+    assert run("tfpg", "convert", TFPG, str(blocker / "x" / "g.xml")) == 2
+    assert capsys.readouterr().err == f"{blocker / 'x'}:0:0: error: Not a directory\n"
     assert run("mcs", "--model", MODEL, "--fei", FEI, "--tle", "sys_dead", "--out-dir", str(blocker / "x")) == 2
     assert capsys.readouterr().err.startswith(f"{blocker / 'x'}:0:0: error: ")
 
@@ -931,9 +931,12 @@ def test_a_config_file_supplies_required_flags(tmp_path, capsys, command, requir
         path.write_text("".join(f"{key} = {value}\n" for key, value in {**inputs, **lines}.items()))
         return str(path)
 
-    assert run("tfpg", command, "--config", config(**required)) == 0
-    assert (tmp_path / artifact).exists()
-    (tmp_path / artifact).unlink()
+    # --config abbreviated as argparse allows: the flags stayed required
+    for spelling in (("--config", config(**required)), ("--conf", config(**required)),
+                     (f"--conf={config(**required)}",)):
+        assert run("tfpg", command, *spelling) == 0
+        assert (tmp_path / artifact).exists()
+        (tmp_path / artifact).unlink()
     # a flag on the command line wins over the config's value
     first, value = next(iter(required.items()))
     assert run("tfpg", command, f"--config={config(**{**required, first: tmp_path / 'nosuch'})}",
@@ -946,6 +949,27 @@ def test_a_config_file_supplies_required_flags(tmp_path, capsys, command, requir
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         f"mbsa tfpg {command}: error: the following arguments are required: --{first}\n")
+
+
+@pytest.mark.parametrize("argv", ["mcs --config {missing} --help", "mcs --conf={missing} --he"])
+def test_help_wins_over_a_missing_config_file(tmp_path, capsys, monkeypatch, argv):
+    # help is printed before the config file is read
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(missing=tmp_path / "missing.conf").split())
+    assert (exc.value.code, *capsys.readouterr()) == (0, HELP["mcs --help"]["stdout"], "")
+
+
+@pytest.mark.parametrize("command", ["synth", "convert"])
+def test_an_outfile_directory_is_created(tmp_path, command):
+    # the write failed with "No such file or directory" and exit 2
+    out = tmp_path / "new" / "dir" / ("synth.tfpg" if command == "synth" else "g.xml")
+    if command == "synth":
+        argv = ("synth", "--model", MODEL, "--fei", FEI, "--bind", BIND, "--step-bound", "60", "--outfile", str(out))
+    else:
+        argv = ("convert", TFPG, str(out))
+    assert run("tfpg", *argv) == 0
+    assert out.stat().st_size > 0
 
 
 HASH_SEED_JOBS = """import sys

@@ -154,8 +154,9 @@ def test_product_search_expands_and_observes_each_model_state_once(
 def test_product_search_peak_memory(battery_tfpg, battery_binding, battery_sensor, job, bound_mib):
     # the search keeps its keys and table entries as small ints and its
     # successor rows as tuples; synthesis reads its instances off the table
-    # once the search has returned.  Each bound lies between the traced peak
-    # of this search (check 2.04 MiB, synth 2.75) and that of one with tuple
+    # once the search has returned, and keeps one copy of them.  Each bound
+    # lies between the traced peak of this search (check 2.04 MiB, synth
+    # 2.39; 2.75 with each node's instance set kept) and that of one with tuple
     # keys, (id, stop) entries, list rows and tuple instances recorded
     # during the search (3.12, 5.28)
     if job == "check":
