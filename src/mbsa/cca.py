@@ -45,7 +45,7 @@ class CommonCauseSpec:
     __slots__ = ("id", "members", "pattern", "probability", "where")
 
     def __init__(self, id: str, members: frozenset[str], pattern: Simultaneous | Cascading,
-                 probability: Fraction, where: tuple[str, int, int] = ("<input>", 0, 0)):
+                 probability: str | Fraction, where: tuple[str, int, int] = ("<input>", 0, 0)):
         self.id, self.members, self.pattern, self.probability, self.where = id, members, pattern, probability, where
 
     def error(self, message: str) -> CcaError:

@@ -182,6 +182,7 @@ def cmd_ftprob(args) -> int:
     from mbsa.cca import CommonCauseSpec
     from mbsa.fault_tree import (
         ProbabilityAssignment,
+        _compile,
         evaluate_probability,
         export_ft,
         rare_event_sum,
@@ -196,8 +197,9 @@ def cmd_ftprob(args) -> int:
     groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability, g.where)
               for g in specs]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
-    node_probs = evaluate_probability(ft, pa)
-    symbolic = symbolic_probability(ft, groups)
+    compiled = _compile(ft, groups)  # one BDD serves the values and the closed form
+    node_probs = evaluate_probability(ft, pa, compiled)
+    symbolic = symbolic_probability(ft, groups, compiled)
     out = Path(args.out_dir)
     lines = [f"{nid}\t{prob_str(node_probs[nid])}" for nid in sorted(node_probs)]
     lines.append(f"rare-event-sum\t{prob_str(rare_event_sum(ft, node_probs))}")

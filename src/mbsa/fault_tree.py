@@ -16,7 +16,6 @@ reference value.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from mbsa import prob_str
 from mbsa.analysis import CutSequence, CutSetResult
@@ -25,6 +24,8 @@ from mbsa.xmlout import _read_xml, to_xml
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from mbsa.probability import Bdd, ProbabilityExpr
 
 
@@ -35,7 +36,7 @@ class FaultTreeError(MbsaError):
 class BasicEvent:
     __slots__ = ("event", "probability", "label")
 
-    def __init__(self, event: str, probability: Fraction | None = None, label: str = ""):
+    def __init__(self, event: str, probability: str | Fraction | None = None, label: str = ""):
         self.event, self.probability, self.label = event, probability, label
 
 
@@ -67,7 +68,7 @@ class ProbabilityAssignment:
 
     __slots__ = ("probabilities", "dependency_groups")
 
-    def __init__(self, probabilities: dict[str, Fraction], dependency_groups: list | None = None):
+    def __init__(self, probabilities: dict[str, str | Fraction], dependency_groups: list | None = None):
         self.probabilities = probabilities
         self.dependency_groups = [] if dependency_groups is None else dependency_groups
 
@@ -76,7 +77,7 @@ class ProbabilityAssignment:
 # Construction
 
 def build_fault_tree(result: CutSetResult, sequences: list[CutSequence] | None = None,
-                     tle_label: str = "TLE", probabilities: dict[str, Fraction] | None = None) -> FaultTree:
+                     tle_label: str = "TLE", probabilities: dict[str, str | Fraction] | None = None) -> FaultTree:
     """Two-level tree: an OR root over one child per cut set.
 
     Size-one cut sets contribute their basic event directly.  Larger cut
@@ -183,13 +184,17 @@ def _compile(ft: FaultTree, groups) -> tuple[Bdd, dict[str, int], list[str]]:
     return bdd, compiled, names
 
 
-def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment) -> dict[str, Fraction]:
+def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment, compiled=None) -> dict[str, Fraction]:
     """Exact probability of every node (root value is P(TLE)).
 
-    Raises FaultTreeError when a probability is missing or a dependency group
-    references an event that is not a basic event of the tree.
+    ``compiled`` is ``_compile(ft, pa.dependency_groups)`` when the caller
+    has it already.  Raises FaultTreeError when a probability is missing or
+    a dependency group references an event that is not a basic event of the
+    tree.
     """
-    bdd, compiled, names = _compile(ft, pa.dependency_groups)
+    from fractions import Fraction
+
+    bdd, nodes, names = compiled or _compile(ft, pa.dependency_groups)
     # a group id that is also a basic event takes the group occurrence probability
     probs = {g.id: Fraction(g.probability) for g in pa.dependency_groups}
     for name in ft.basic_events():
@@ -202,7 +207,7 @@ def evaluate_probability(ft: FaultTree, pa: ProbabilityAssignment) -> dict[str, 
             raise FaultTreeError(f"probability of {name!r} outside [0,1]")
         probs[name] = p
     values = bdd.probabilities([probs[n] for n in names])
-    return {nid: values[compiled[nid]] for nid in ft.nodes}
+    return {nid: values[nodes[nid]] for nid in ft.nodes}
 
 
 def rare_event_approximation(ft: FaultTree, pa: ProbabilityAssignment) -> Fraction:
@@ -214,10 +219,12 @@ def rare_event_approximation(ft: FaultTree, pa: ProbabilityAssignment) -> Fracti
 def rare_event_sum(ft: FaultTree, node_probs: dict[str, Fraction]) -> Fraction:
     """:func:`rare_event_approximation` from the node probabilities that
     :func:`evaluate_probability` already gave."""
+    from fractions import Fraction
+
     return sum((node_probs[c] for c in ft.nodes[ft.root].children), Fraction(0))
 
 
-def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -> ProbabilityExpr:
+def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None, compiled=None) -> ProbabilityExpr:
     """Closed-form root probability over symbols p_e, one per basic event and
     one per common cause group.
 
@@ -225,11 +232,13 @@ def symbolic_probability(ft: FaultTree, dependency_groups: list | None = None) -
     (group symbols first, then the other events in sorted order), with each
     subterm built once (see :meth:`Bdd.to_pnode`).  Evaluating at any
     assignment equals :func:`evaluate_probability`'s root value exactly.
+    ``compiled`` is ``_compile(ft, dependency_groups)`` when the caller has
+    it already.
     """
     from mbsa.probability import ProbabilityExpr
 
-    bdd, compiled, names = _compile(ft, dependency_groups or [])
-    return ProbabilityExpr(bdd.to_pnode(compiled[ft.root], names), tuple(sorted(names)))
+    bdd, nodes, names = compiled or _compile(ft, dependency_groups or [])
+    return ProbabilityExpr(bdd.to_pnode(nodes[ft.root], names), tuple(sorted(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +295,8 @@ _XML_ATTRIBUTES = {"fault-tree": {"root"}, "gate": {"id", "kind", "label"}, "chi
 
 
 def ft_from_xml(text: str) -> FaultTree:
+    from fractions import Fraction
+
     root, attr = _read_xml(text, "fault-tree", _XML_ATTRIBUTES, FaultTreeError)
     nodes: dict[str, BasicEvent | Gate] = {}
     for el in root:

@@ -24,8 +24,6 @@ Common-cause weaving (:mod:`mbsa.cca`) builds through the same
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.check import TypeError_, TypedModel, _compatible, type_check
 from mbsa.sts.model import (
@@ -94,7 +92,7 @@ class ExtensionInstruction:
     __slots__ = ("event", "target", "template", "args", "dynamics", "probability", "where")
 
     def __init__(self, event: str, target: str, template: str, args: tuple[Expr, ...], dynamics: str,
-                 probability: Fraction, where: tuple[str, int, int]):
+                 probability: str, where: tuple[str, int, int]):
         self.event, self.target, self.template, self.args = event, target, template, args
         self.dynamics, self.probability, self.where = dynamics, probability, where
 
@@ -109,11 +107,13 @@ class EventInfo:
     ``occurrence`` holds while the fault is active; ``suppression`` is the
     invariant that forbids the event in restricted analyses (it still permits
     occurrences forced by a common cause once the cca module rewrites it).
+    ``probability`` is the text of the event's literal, checked to lie in
+    [0,1]; only the stages that compute with it read it as a fraction.
     """
 
     __slots__ = ("name", "mode_var", "occurrence", "probability", "suppression")
 
-    def __init__(self, name: str, mode_var: str, occurrence: Expr, probability: Fraction,
+    def __init__(self, name: str, mode_var: str, occurrence: Expr, probability: str,
                  suppression: Expr):
         self.name, self.mode_var, self.occurrence = name, mode_var, occurrence
         self.probability, self.suppression = probability, suppression

@@ -259,8 +259,11 @@ def type_check(model: SymbolicModel, filename: str = "<input>") -> TypedModel:
                 owners = enum_literals.setdefault(lit, [])
                 if ty not in owners:
                     owners.append(ty)
-    clashes = [Diagnostic(f"enumeration literal {lit!r} clashes with a declared name", filename=filename)
-               for lit in enum_literals if lit in var_index or lit in defines]
+    # the parser reports a clash at the literal; a model built in code is
+    # reported at the first enumeration that holds it
+    clashes = [Diagnostic(f"enumeration literal {lit!r} clashes with a declared name", owners[0].line,
+                          owners[0].col, filename=filename)
+               for lit, owners in enum_literals.items() if lit in var_index or lit in defines]
     if clashes:
         raise TypeError_(clashes)
 

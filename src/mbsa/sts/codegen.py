@@ -59,9 +59,8 @@ def _set_src(values) -> str:
 
 
 def _out_of_type(local: str, ty) -> str:
-    """Condition under which a computed value does not fit its variable's type."""
-    if isinstance(ty, BoolType):
-        return f"{local} is not True and {local} is not False"
+    """Condition under which a computed value does not fit its variable's
+    type, which is not boolean."""
     if isinstance(ty, EnumType):
         return f"{local} not in {_set_src(ty.literals)}"
     return f"not ({local}.__class__ is int and {ty.lo} <= {local} <= {ty.hi})"
@@ -96,10 +95,13 @@ class Source:
         return local
 
     def assign(self, i: int, rhs: Expr, ctx, ty, prune: str):
-        """Bind next-state variable ``i``; ``prune`` when the value is out of type."""
+        """Bind next-state variable ``i``; ``prune`` when the value is out of
+        type.  A checked boolean expression evaluates to True or False, so a
+        boolean value is never out of type; an integer leaves its range."""
         text = self.expr(rhs, ctx)
         self.bind(f"n{i}", text)
-        self.line(f"if {_out_of_type(f'n{i}', ty)}: {prune}")
+        if not isinstance(ty, BoolType):
+            self.line(f"if {_out_of_type(f'n{i}', ty)}: {prune}")
 
     def check(self, e: Expr, ctx, prune: str, gate: int = 0):
         text = self.expr(e, ctx, _NOT)

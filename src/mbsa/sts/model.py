@@ -44,14 +44,18 @@ class BoolType(Record):
 
 
 class EnumType(Record):
-    __slots__ = _fields = ("literals",)
+    # the position of its ``{`` (set by the parser) is bookkeeping only, as
+    # an expression node's is
+    __slots__ = ("literals", "line", "col")
+    _fields = ("literals",)
 
-    def __init__(self, literals: tuple[str, ...]):
+    def __init__(self, literals: tuple[str, ...], *, line: int = 0, col: int = 0):
         if not literals:
             raise ValueError("enumeration needs at least one literal")
         if len(set(literals)) != len(literals):
             raise ValueError("enumeration literals must be distinct")
         self.literals = literals
+        self.line, self.col = line, col
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.literals) + "}"

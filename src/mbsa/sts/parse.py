@@ -16,7 +16,6 @@ languages' keywords, which are lexed as identifiers.  Readers go through
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from mbsa.diagnostics import Diagnostic, InputError
 from mbsa.sts.model import (
@@ -160,17 +159,26 @@ class TokenStream:
             self.fail(message)
         return int(self.advance().text)
 
-    def probability(self, cls: type[InputError]) -> Fraction:
-        """A probability literal, integer or real, in [0,1]; a value outside
-        raises ``cls``, positioned at the literal."""
+    def probability(self, cls: type[InputError]) -> str:
+        """A probability literal, integer or real, in [0,1], as its text; a
+        value outside raises ``cls``, positioned at the literal.
+
+        The bound is checked exactly on the literal's digits and exponent,
+        so a reader loads no rational arithmetic: with its leading zeros
+        dropped, a nonzero literal has ``places`` digits before the point,
+        and it is at most 1 exactly when that is none, or one digit 1 with
+        only zeros after it."""
         t = self.cur
         if t.kind not in ("num", "real"):
             self.fail(f"expected probability literal, found {t.text!r}")
         self.advance()
-        p = Fraction(t.text)
-        if not 0 <= p <= 1:
+        mantissa, _, exp = t.text.lower().partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        digits = (whole + fraction).lstrip("0")
+        places = len(digits) + int(exp or 0) - len(fraction)
+        if digits and places > 0 and (places > 1 or digits.rstrip("0") != "1"):
             raise self.error(t, f"probability {t.text} outside [0,1]", cls)
-        return p
+        return t.text
 
     def error(self, tok, message: str, cls: type[InputError] = ParseError) -> InputError:
         """``cls`` with one diagnostic at ``tok`` (a token, or an expression
@@ -262,6 +270,7 @@ def _parse_type(ts: TokenStream, literals: dict[str, Token]) -> TypeSpec:
     in ``literals``."""
     if ts.accept("boolean"):
         return BoolType()
+    start = ts.cur
     if ts.accept("{"):
         tokens = ts.items(lambda: ts.expect_ident("enumeration literal"))
         ts.expect("}")
@@ -271,7 +280,7 @@ def _parse_type(ts: TokenStream, literals: dict[str, Token]) -> TypeSpec:
                 raise ts.error(t, "duplicate enumeration literal")
         for t in tokens:
             literals.setdefault(t.text, t)
-        return EnumType(lits)
+        return EnumType(lits, line=start.line, col=start.col)
     neg = ts.accept("-")
     lo = ts.number(f"expected a type, found {ts.cur.text!r}") * (-1 if neg else 1)
     ts.expect("..")

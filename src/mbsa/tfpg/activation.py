@@ -111,7 +111,9 @@ class BindingEvaluator:
 
     Bit i of a state's label is the activation of ``node_order[i]``, and bit
     ``len(node_order) + k`` the predicate of the k-th mode literal, in
-    declaration order.
+    declaration order.  The product search hands labels to its step as they
+    are, and the step tests their bits; ``decode`` names a label's mode only
+    where a trace or a synthesis instance records it.
     """
 
     def __init__(self, xm: ExtendedModel, binding: NodeBinding):

@@ -13,11 +13,11 @@ once:
   labelled by ``BindingEvaluator.observe`` (activation bits over the
   binding's node order, then mode bits), so ``observe`` runs once per
   distinct state and ``Engine.succ_tuples`` once per expanded one;
-* the abstract step, one table entry per (abstract id, label), the label
-  decoded once per entry: on the fixture at step bound 60, 9,560 entries
-  serve check's 26,651 transitions, which reach 5,200 distinct model states.
-  An entry is only the next abstract id.  A stopping step is never entered:
-  the first one ends the search.
+* the abstract step, one table entry per (abstract id, label), given the
+  raw label, which the step reads bit by bit: on the fixture at step bound
+  60, 9,560 entries serve check's 26,651 transitions, which reach 5,200
+  distinct model states.  An entry is only the next abstract id.  A
+  stopping step is never entered: the first one ends the search.
 
 States are turned back into value tuples only on the path that is returned.
 The table's entries are returned too, as (abstract state, label) moves:
@@ -35,15 +35,16 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     """Search from ``start``, the abstract state before the first step (an
     initial model state is a step from it too).
 
-    ``step(abstract state, activation mask, mode)`` returns the next abstract
-    state and a stop value.  A stop other than None ends the search at once,
-    before the product state it leads to is looked up: that state is
-    meaningless, and it may equal one already stored.  Returns the shortest
-    run of model states whose last step stops (None when no step within
-    ``step_bound`` does), the number of product states stored, the
-    stopping one included, and an iterator over the steps taken that did
-    not stop, one (abstract state, label) pair per table entry.  Storing
-    more than the engine's cap raises
+    ``step(abstract state, label)`` returns the next abstract state and a
+    stop value; the label is ``ev.observe``'s, activation bits over
+    ``ev.node_order`` and then one mode bit.  A stop other than None ends
+    the search at once, before the product state it leads to is looked up:
+    that state is meaningless, and it may equal one already stored.
+    Returns the shortest run of model states whose last step stops (None
+    when no step within ``step_bound`` does), the number of product states
+    stored, the stopping one included, and an iterator over the steps taken
+    that did not stop, one (abstract state, label) pair per table entry.
+    Storing more than the engine's cap raises
     ``ResourceCapError("stored <what> states exceed cap N at depth D")``.
 
     A key is ``sid << shift | a``, so the abstract id ``a`` must stay below
@@ -65,7 +66,7 @@ def explore(engine: Engine, ev: BindingEvaluator, start, step, step_bound: int |
     def move(a: int, label: int) -> int | None:
         """The abstract id after ``label`` from ``a``, entered in the table,
         or None when the step stops (the search then ends: nothing is kept)."""
-        nstate, stop = step(abstract[a], *ev.decode(label))
+        nstate, stop = step(abstract[a], label)
         if stop is not None:
             return None
         na = abstract_ids.setdefault(nstate, len(abstract))

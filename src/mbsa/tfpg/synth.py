@@ -59,24 +59,29 @@ def _collect_instances(xm: ExtendedModel, binding: NodeBinding, step_bound: int 
     masks over the evaluator's ``node_order``.  Returns that order and the
     per-node instance sets in it.
 
-    The search's step only tracks the masks.  Its moves, one per distinct
-    (masks, observation) pair, are read once it has returned and its
-    states are freed: a move whose observation first activates v gives v's
-    instance."""
+    The search's step only tracks the masks, read off the label's
+    activation bits.  Its moves, one per distinct (masks, label) pair, are
+    read once it has returned and its states are freed: a move whose label
+    first activates v gives v's instance, and only such a move's mode is
+    named."""
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding)
+    nodes = (1 << len(ev.node_order)) - 1  # the activation bits of a label
     discrepancies = [(1 << i, i) for i, v in enumerate(ev.node_order) if binding.kinds[v] != "failure"]
+    targets = _union(b for b, _ in discrepancies)
 
-    def step(state, mask: int, mode: str):
+    def step(state, label: int):
         acted, last = state
-        newly = mask & ~acted
+        newly = label & nodes & ~acted
         return ((acted | newly, newly) if newly else state), None
 
     _, _, moves = explore(engine, ev, (0, 0), step, step_bound, "synthesis")
     found: list[set[tuple]] = [set() for _ in ev.node_order]
     for (acted, last), label in moves:
-        mask, mode = ev.decode(label)
-        newly = mask & ~acted
+        newly = label & nodes & ~acted
+        if not newly & targets:
+            continue
+        mode = ev.decode(label)[1]
         for b, v in discrepancies:
             if newly & b:
                 found[v].add(((acted | newly) & ~b, newly & ~b, last, mode))

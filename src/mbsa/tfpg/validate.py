@@ -10,10 +10,11 @@ decrease, so a passed deadline stays passed, and a counter at or past
 ``tmin`` has met its window once, as it grows by at most one per step).  The
 monitor is one function, :func:`admission_monitor`, that returns the initial
 monitor state and the monitor step of a TFPG.  The step is a function of
-(monitor state, observation), so the search takes it once per distinct
-pair.  It is generated once per TFPG as straight-line Python, every edge
-and node check unrolled with its bits, bounds and modes as constants; the
-tests compare it step by step with an interpretive reference monitor.
+(monitor state, label), the label being the binding's observation of a
+model state, so the search takes it once per distinct pair.  It is
+generated once per TFPG as straight-line Python, every edge and node check
+unrolled with its bits, bounds and modes as constants; the tests compare it
+step by step with an interpretive reference monitor.
 Every step is checked, a step back into a product state already stored
 included.  The first violating step ends a shortest counterexample trace;
 its precise (node, reason, step) verdict is recomputed with
@@ -55,11 +56,13 @@ class ValidationReport:
         return self.verdict == "complete"
 
 
-def admission_monitor(tfpg: Tfpg, node_order: tuple[str, ...]):
-    """The stepwise admission check of ``tfpg`` over (activation mask, mode)
-    observations, as (initial monitor state, ``advance``).
+def admission_monitor(tfpg: Tfpg, node_order: tuple[str, ...], modes: tuple[str, ...]):
+    """The stepwise admission check of ``tfpg`` over labels, as (initial
+    monitor state, ``advance``).
 
-    Bit i of a mask is ``node_order[i]``; bits of nodes outside the TFPG are
+    A label is a :class:`BindingEvaluator` label: bit i is the activation of
+    ``node_order[i]``, and bit ``len(node_order) + k`` is set when
+    ``modes[k]`` is the active mode.  Bits of nodes outside the TFPG are
     ignored.  A monitor state is (activated TFPG nodes, edges past their
     deadline, edge slots), the first two as masks.  An edge's slot holds its
     saturated elapsed counter while the edge is pending and its destination
@@ -67,15 +70,15 @@ def admission_monitor(tfpg: Tfpg, node_order: tuple[str, ...]):
     rejects exactly the prefixes whose activation traces the TFPG does not
     admit.
 
-    ``advance(mstate, mask, mode)`` processes one step and returns (new
-    state, violated node | None); on a violation the new state is
-    meaningless and exploration of that branch stops.  Each call generates
-    it as straight-line Python (:func:`_advance_source`): the per-node
-    checks and the per-edge slot updates are unrolled, with every bit,
-    bound and mode set a constant.
+    ``advance(mstate, label)`` processes one step and returns (new state,
+    violated node | None); on a violation the new state is meaningless and
+    exploration of that branch stops.  Each call generates it as
+    straight-line Python (:func:`_advance_source`): the per-node checks and
+    the per-edge slot updates are unrolled, with every bit, bound and mode
+    set a constant, a mode set being the mask of its modes' label bits.
     """
     ns: dict = {}
-    exec(compile(_advance_source(tfpg, node_order), "<mbsa-monitor>", "exec"), ns)
+    exec(compile(_advance_source(tfpg, node_order, modes), "<mbsa-monitor>", "exec"), ns)
     return (0, 0, (None,) * len(tfpg.edges)), ns["advance"]
 
 
@@ -87,7 +90,7 @@ def _window(c: str, tmin: int, tmax: int | None) -> str:
     return f"{low}{c}{high}" if low or high else "True"
 
 
-def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
+def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...], modes: tuple[str, ...]) -> str:
     """The monitor step of ``tfpg`` as the source of ``advance``.
 
     On a violation it returns the state it was given and the first
@@ -102,14 +105,15 @@ def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
     is none.
     """
     bit = {n: 1 << i for i, n in enumerate(node_order)}
+    mode_bit = {m: 1 << len(node_order) + k for k, m in enumerate(modes)}
     edges = tfpg.sorted_edges()
     nodes = sum(bit[n] for n in tfpg.nodes)
     discrepancies = sorted(tfpg.discrepancies())
     incoming = {n: [(i, e) for i, e in enumerate(edges) if e.dst == n] for n in discrepancies}
     slots = "".join(f"s{i}, " for i in range(len(edges)))
-    src = ["def advance(mstate, mask, mode):",
+    src = ["def advance(mstate, label):",
            f"    act, late, ({slots}) = mstate" if edges else "    act, late, _ = mstate",
-           f"    newly = mask & {nodes} & ~act"]
+           f"    newly = label & {nodes} & ~act"]
 
     deadlines = []
     for n in discrepancies:
@@ -150,8 +154,8 @@ def _advance_source(tfpg: Tfpg, node_order: tuple[str, ...]) -> str:
                 f"        c = s{i} or 0"]
         if e.modes is None:
             src.append("        c += 1")
-        elif e.modes:
-            src.append(f"        if mode in {{{', '.join(map(repr, sorted(e.modes)))}}}: c += 1")
+        elif gate := sum(mode_bit[m] for m in e.modes):
+            src.append(f"        if label & {gate}: c += 1")
         if e.tmax is not None:
             src += [f"        if c > {e.tmax}:",
                     f"            late |= {1 << i}",
@@ -175,7 +179,8 @@ def validate_behavioral(tfpg: Tfpg, binding: NodeBinding, xm: ExtendedModel,
     check_binding_total(tfpg, binding)
     engine = _engine(xm.typed, cap)
     ev = BindingEvaluator(xm, binding)
-    path, stored, _ = explore(engine, ev, *admission_monitor(tfpg, ev.node_order), step_bound, "product")
+    path, stored, _ = explore(engine, ev, *admission_monitor(tfpg, ev.node_order, ev.modes), step_bound,
+                              "product")
     if path is None:
         return ValidationReport("complete", [], stored)
     from mbsa.tfpg.admit import admits  # only a refuted graph needs the per-trace verdict

@@ -29,6 +29,9 @@ from conftest import ROOT, _refute_tfpg, fresh_python
 # 50 ms; json and ElementTree load only inside the functions that write or
 # read their format.
 LIBRARIES = frozenset({"dataclasses", "inspect", "json", "xml.etree.ElementTree"})
+# A probability literal is kept as its text, checked exactly on its digits:
+# only a job that prints or computes a probability reads it as a fraction.
+EXACT = frozenset({"fractions", "decimal"})
 
 FIXTURE = ("--model", "fixtures/battery_sensor.smx", "--fei", "fixtures/battery_sensor.fei")
 CHECK = ("tfpg", "check", *FIXTURE, "--bind", "fixtures/battery_sensor.bind", "--step-bound", "60")
@@ -57,7 +60,7 @@ LAYERS = {
     "mcs": dict(argv=("mcs", *FIXTURE, "--tle", "sys_dead", "--formats", "tsv,xml", "--out-dir", "{out}"), exit=0,
                 ran="analysis cli cutsets diagnostics faults sts sts.check sts.codegen sts.engine sts.model "
                     "sts.parse sts.pretty tfpg xmlout",
-                absent=LIBRARIES),
+                absent=LIBRARIES | EXACT),
     # a tree built and written computes no probability
     "ft_dynamic": dict(argv=("ft", "--dynamic", *FIXTURE, "--tle", "sys_dead", "--out-dir", "{out}"), exit=0,
                        ran="analysis cli cutsets diagnostics fault_tree faults sts sts.check sts.codegen "
@@ -67,23 +70,29 @@ LAYERS = {
     "fmea": dict(argv=("fmea", *FIXTURE, "--props", "tests/goldens/fixture.props", "--out-dir", "{out}"), exit=0,
                  ran="analysis cli cutsets diagnostics faults fmea sts sts.check sts.codegen sts.engine sts.model "
                      "sts.parse tfpg xmlout",
-                 absent=LIBRARIES),
+                 absent=LIBRARIES | EXACT),
     "fmea_dynamic_xml": dict(argv=("fmea", "--dynamic", *FIXTURE, "--props", "tests/goldens/fixture.props",
                                    "--formats", "xml", "--out-dir", "{out}"), exit=0,
                              ran="analysis cli cutsets diagnostics faults fmea sts sts.check sts.codegen sts.engine "
                                  "sts.model sts.parse sts.pretty tfpg xmlout",
-                             absent=LIBRARIES),
+                             absent=LIBRARIES | EXACT),
     # admission only recomputes a refutation
     "tfpg_check": dict(argv=(*CHECK, "--tfpg", "fixtures/battery_sensor.tfpg", "--out-dir", "{out}"), exit=0,
                        ran="cli diagnostics faults sts sts.check sts.codegen sts.engine sts.model sts.parse tfpg "
                            "tfpg.activation tfpg.graph tfpg.product tfpg.validate xmlout",
-                       absent=LIBRARIES),
+                       absent=LIBRARIES | EXACT),
     "tfpg_refute": dict(argv=(*CHECK, "--tfpg", "{refuting}", "--out-dir", "{out}"), exit=1,
                         ran="cli diagnostics faults sts sts.check sts.codegen sts.engine sts.model sts.parse tfpg "
                             "tfpg.activation tfpg.admit tfpg.graph tfpg.product tfpg.validate xmlout",
-                        absent=LIBRARIES),
+                        absent=LIBRARIES | EXACT),
+    # synthesis reads no probability either
+    "tfpg_synth": dict(argv=("tfpg", "synth", *CHECK[2:], "--outfile", "{out}/synth.tfpg"), exit=0,
+                       ran="cli diagnostics faults sts sts.check sts.codegen sts.engine sts.model sts.parse tfpg "
+                           "tfpg.activation tfpg.graph tfpg.product tfpg.synth xmlout",
+                       absent=LIBRARIES | EXACT),
     "tfpg_convert": dict(argv=("tfpg", "convert", "fixtures/battery_sensor.tfpg", "{out}/g.xml"), exit=0,
-                         ran="cli diagnostics sts sts.model sts.parse tfpg tfpg.graph xmlout", absent=LIBRARIES),
+                         ran="cli diagnostics sts sts.model sts.parse tfpg tfpg.graph xmlout",
+                         absent=LIBRARIES | EXACT),
 }
 
 

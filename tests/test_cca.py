@@ -39,7 +39,7 @@ def test_parse_simultaneous():
     assert spec.id == "burst"
     assert spec.members == frozenset({"f1", "f2"})
     assert isinstance(spec.pattern, Simultaneous)
-    assert spec.probability == Fraction(1, 100000)
+    assert Fraction(spec.probability) == Fraction(1, 100000)
 
 
 def test_parse_empty():

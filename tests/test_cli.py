@@ -608,14 +608,33 @@ def test_cli_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("golden, argv", [
+FTPROB_GOLDENS = [
     ("ftprob_fixture", ("--model", MODEL, "--fei", FEI, "--tle", "sys_dead")),
     ("ftprob_burst", (*PAIR, "--tle", "a & b")),
-])
-def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
-    assert run("ftprob", *argv, "--out-dir", str(tmp_path)) == 0
+]
+
+
+def _ftprob_matches_golden(out: Path, golden: str, argv):
+    assert run("ftprob", *argv, "--out-dir", str(out)) == 0
     for name in ("ft_probabilities.tsv", "tle_probability.txt", "tle_probability.py", "tle_probability.m"):
-        assert (tmp_path / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDENS / golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("golden, argv", FTPROB_GOLDENS)
+def test_ftprob_artifacts_match_goldens(tmp_path, golden, argv):
+    _ftprob_matches_golden(tmp_path, golden, argv)
+
+
+@pytest.mark.parametrize("golden, argv", FTPROB_GOLDENS)
+def test_ftprob_compiles_the_tree_once(tmp_path, monkeypatch, golden, argv):
+    # one BDD gives both the node probabilities and the closed form
+    import mbsa.fault_tree
+
+    calls = []
+    compile_tree = mbsa.fault_tree._compile
+    monkeypatch.setattr(mbsa.fault_tree, "_compile", lambda *a: calls.append(a) or compile_tree(*a))
+    _ftprob_matches_golden(tmp_path, golden, argv)
+    assert len(calls) == 1
 
 
 def test_ftprob_evaluates_the_tree_once(tmp_path, monkeypatch):

@@ -130,6 +130,12 @@ def test_tsv_rows(redundant_pair):
     assert text.splitlines() == ["faults\tviolated", "fc\tTLE", "fa,fb\tTLE"]
 
 
+def _children(root, tag: str) -> list:
+    """The children of ``root``'s first ``tag`` element; none when it is absent."""
+    element = root.find(tag)
+    return [] if element is None else list(element)
+
+
 def fmea_from_xml(text: str) -> FmeaTable:
     """Read ``fmea_to_xml`` output back into a table."""
     root = ET.fromstring(text)
@@ -138,10 +144,10 @@ def fmea_from_xml(text: str) -> FmeaTable:
     dynamic = root.get("dynamic") == "true"
     bound = root.get("step-bound", "unbounded")
     properties = []
-    for p in root.find("properties") or []:
+    for p in _children(root, "properties"):
         properties.append((p.get("label", ""), parse_expr_text(p.get("expr", "TRUE"))))
     rows = []
-    for r in root.find("rows") or []:
+    for r in _children(root, "rows"):
         faults = frozenset(f.get("name", "") for f in r if f.tag == "fault")
         orders = sorted(((int(o.get("pos", "0")), o.get("name", "")) for o in r if o.tag == "order"))
         ordering = tuple(name for _, name in orders) if dynamic else None

@@ -11,7 +11,7 @@ from mbsa.sts.model import (
     BinOp, BoolConst, BoolType, EnumType, InSet, IntConst, IntRangeType, IntType, Ite, Name, Next, SymbolicModel,
     UnOp, _Node,
 )
-from mbsa.sts.parse import ParseError, Token, parse_expr_text, parse_model
+from mbsa.sts.parse import ParseError, Token, TokenStream, parse_expr_text, parse_model, tokenize
 from mbsa.tfpg.graph import TfpgEdge
 from mbsa.sts.pretty import print_expr, print_model
 
@@ -84,6 +84,53 @@ def test_type_check_refuses_a_literal_that_clashes_with_a_declared_name():
     with pytest.raises(TypeError_) as err:
         type_check(model)
     assert [d.message for d in err.value.diagnostics] == ["enumeration literal 'X' clashes with a declared name"]
+
+
+def test_type_check_reports_a_clash_at_the_enumeration():
+    # a parsed enumeration keeps the position of its brace, which equality ignores
+    (a,) = parse_model("MODULE m VAR a : {X, Y};", "m.smx").variables
+    assert (a[1].line, a[1].col) == (1, 18) and a[1] == EnumType(("X", "Y"))
+    model = SymbolicModel("m", (("X", BoolType()), a), (), (), (), ())
+    with pytest.raises(TypeError_) as err:
+        type_check(model, "m.smx")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col, diag.filename) == (1, 18, "m.smx")
+
+
+# both sides of each bound in every literal form: leading and trailing zeros,
+# exponents that move the point either way, a digit past 1 far down
+PROBABILITY_LITERALS = ["0", "1", "2", "1.0", "0.5", "00.0010", "10e-1", "100e-2", "0010e-1", "0.1e1", "0.11e1",
+                        "0e7", "0.0e+5", "1e1", "1e0", "1E-0", "1e+0", "01.000e0", "2.5E-3", "9.99e-1", "10e-2",
+                        "1.01", "1.0000000000000000001", "0.9999999999999999999"]
+
+
+def _probability(text: str):
+    """``TokenStream.probability`` on ``text``, which must read it whole."""
+    ts = TokenStream(tokenize(text, "p.txt"), "p.txt")
+    p = ts.probability(ParseError)
+    assert ts.at_end()
+    return p
+
+
+@pytest.mark.parametrize("text", PROBABILITY_LITERALS)
+def test_probability_literal_is_accepted_exactly_when_its_value_is_in_range(text):
+    if 0 <= Fraction(text) <= 1:
+        assert _probability(text) == text
+        return
+    with pytest.raises(ParseError) as err:
+        _probability(text)
+    (diag,) = err.value.diagnostics
+    assert (diag.message, diag.line, diag.col, diag.filename) == (f"probability {text} outside [0,1]", 1, 1, "p.txt")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"[01]{1,4}(\.[019]{1,4})?([eE][-+]?[0-9]{1,2})?", fullmatch=True))
+def test_probability_literal_range_agrees_with_its_fraction(text):
+    try:
+        accepted = _probability(text) == text
+    except ParseError:
+        accepted = False
+    assert accepted == (0 <= Fraction(text) <= 1)
 
 
 def test_unknown_character():

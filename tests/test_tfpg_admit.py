@@ -7,7 +7,7 @@ from mbsa.tfpg.activation import ActivationTrace
 from mbsa.tfpg.validate import admission_monitor
 
 from test_tfpg_io import full_scale_graph
-from tfpg_references import ReferenceMonitor, admits_by_search, monitor_run
+from tfpg_references import ReferenceMonitor, admits_by_search, label_of, monitor_run
 
 
 def _at(graph, times, length=60, modes=None):
@@ -215,7 +215,7 @@ def test_generated_monitor_step_equals_reference_on_random_walks():
         g.check()
         # a bit of a node outside the graph is ignored
         order = tuple(sorted([*g.nodes, "X"]))
-        (state, advance), reference = admission_monitor(g, order), ReferenceMonitor(g, order)
+        (state, advance), reference = admission_monitor(g, order, g.modes), ReferenceMonitor(g, order)
         tmins = [e.tmin for e in g.sorted_edges()]
         ref_state = reference.initial()
         assert state == ref_state
@@ -225,7 +225,9 @@ def test_generated_monitor_step_equals_reference_on_random_walks():
             mask |= sum(1 << i for i in range(len(order)) if rng.random() < 0.1)
             mask &= ~sum(1 << i for i in range(len(order)) if rng.random() < 0.05)
             mode = rng.choice(g.modes)
-            got, want = advance(state, mask, mode), reference.advance(ref_state, mask, mode)
+            # the generated step reads the label that observes (mask, mode)
+            got = advance(state, label_of(mask, mode, order, g.modes))
+            want = reference.advance(ref_state, mask, mode)
             # a generated slot is the reference's counter; the reference's
             # window-hit flag is whether that counter reached tmin
             (act, late, slots), bad = want

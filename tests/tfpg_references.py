@@ -62,14 +62,21 @@ def _node_consistent(kind: str, t_v: int | None, n_incoming: int, views) -> bool
     return False
 
 
+def label_of(mask: int, mode: str, node_order: tuple[str, ...], modes: tuple[str, ...]) -> int:
+    """The binding label that observes ``mask`` over ``node_order`` in
+    ``mode``: the monitor's input for the (mask, mode) that
+    :class:`ReferenceMonitor` takes."""
+    return mask | 1 << len(node_order) + modes.index(mode)
+
+
 def monitor_run(tfpg: Tfpg, at: ActivationTrace) -> bool:
     """Feed a whole activation trace through the admission monitor."""
     node_order = tuple(sorted(tfpg.nodes))
-    mstate, advance = admission_monitor(tfpg, node_order)
+    mstate, advance = admission_monitor(tfpg, node_order, tfpg.modes)
     for step in range(at.length):
         mask = sum(1 << i for i, n in enumerate(node_order)
                    if at.times[n] is not None and at.times[n] <= step)
-        mstate, bad = advance(mstate, mask, at.modes[step])
+        mstate, bad = advance(mstate, label_of(mask, at.modes[step], node_order, tfpg.modes))
         if bad is not None:
             return False
     return True
