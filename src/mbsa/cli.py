@@ -179,7 +179,6 @@ def cmd_ft(args) -> int:
 
 
 def cmd_ftprob(args) -> int:
-    from mbsa.cca import CommonCauseSpec
     from mbsa.fault_tree import (
         ProbabilityAssignment,
         _compile,
@@ -192,10 +191,13 @@ def cmd_ftprob(args) -> int:
 
     xm, specs = _load_extended(args)
     ft = _build_tree(args, xm)
-    # a member outside the tree cannot change any node's probability
-    events = ft.basic_events()
-    groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability, g.where)
-              for g in specs]
+    groups = []
+    if specs:  # a member outside the tree cannot change any node's probability
+        from mbsa.cca import CommonCauseSpec
+
+        events = ft.basic_events()
+        groups = [CommonCauseSpec(g.id, g.members.intersection(events), g.pattern, g.probability, g.where)
+                  for g in specs]
     pa = ProbabilityAssignment({n: i.probability for n, i in xm.events.items()}, groups)
     compiled = _compile(ft, groups)  # one BDD serves the values and the closed form
     node_probs = evaluate_probability(ft, pa, compiled)

@@ -249,7 +249,7 @@ _KINDS = {"and", "or", "pand", "event"}
 
 def _node_order(ft: FaultTree) -> list[str]:
     gates = [i for i in ft.nodes if isinstance(ft.nodes[i], Gate) and i != ft.root]
-    events = sorted(i for i in ft.nodes if isinstance(ft.nodes[i], BasicEvent))
+    events = sorted(i for i in ft.nodes if isinstance(ft.nodes[i], BasicEvent) and i != ft.root)
     return [ft.root] + sorted(gates, key=lambda g: int(g[1:]) if g[1:].isdigit() else 0) + events
 
 
@@ -295,7 +295,7 @@ _XML_ATTRIBUTES = {"fault-tree": {"root"}, "gate": {"id", "kind", "label"}, "chi
 
 
 def ft_from_xml(text: str) -> FaultTree:
-    from fractions import Fraction
+    from mbsa.sts.parse import _TOKEN_RE, _in_unit
 
     root, attr = _read_xml(text, "fault-tree", _XML_ATTRIBUTES, FaultTreeError)
     nodes: dict[str, BasicEvent | Gate] = {}
@@ -314,14 +314,14 @@ def ft_from_xml(text: str) -> FaultTree:
                     raise FaultTreeError(f"unexpected element <{c.tag}> in gate {nid!r}")
             nodes[nid] = Gate(kind, tuple(attr(c, "ref") for c in el), el.get("label", ""))
         else:
-            p = el.get("probability")
-            try:
-                probability = None if p is None else Fraction(p)
-            except (ValueError, ZeroDivisionError):
-                raise FaultTreeError(f"basic event {nid!r} has a malformed probability {p!r}") from None
-            if probability is not None and not 0 <= probability <= 1:
-                raise FaultTreeError(f"basic event {nid!r} has probability {p} outside [0,1]")
-            nodes[nid] = BasicEvent(nid, probability, el.get("label", ""))
+            p = el.get("probability")  # a model-language probability literal, kept as its text
+            if p is not None:
+                literal = _TOKEN_RE.fullmatch(p)
+                if literal is None or literal.lastgroup not in ("num", "real"):
+                    raise FaultTreeError(f"basic event {nid!r} has a malformed probability {p!r}")
+                if not _in_unit(p):
+                    raise FaultTreeError(f"basic event {nid!r} has probability {p} outside [0,1]")
+            nodes[nid] = BasicEvent(nid, p, el.get("label", ""))
     tree = FaultTree(attr(root, "root"), nodes)
     if tree.root not in nodes:
         raise FaultTreeError(f"root node {tree.root!r} is not declared")

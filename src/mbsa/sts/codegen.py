@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from mbsa.diagnostics import ResourceCapError
 from mbsa.sts.check import TypedModel
-from mbsa.sts.model import BinOp, BoolConst, BoolType, EnumType, Expr, InSet, IntConst, Ite, Name, Next, UnOp
+from mbsa.sts.model import BinOp, BoolConst, Expr, InSet, IntConst, IntRangeType, Ite, Name, Next, UnOp
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
@@ -58,14 +58,6 @@ def _set_src(values) -> str:
     return "{" + ", ".join(repr(v) for v in values) + "}" if values else "()"
 
 
-def _out_of_type(local: str, ty) -> str:
-    """Condition under which a computed value does not fit its variable's
-    type, which is not boolean."""
-    if isinstance(ty, EnumType):
-        return f"{local} not in {_set_src(ty.literals)}"
-    return f"not ({local}.__class__ is int and {ty.lo} <= {local} <= {ty.hi})"
-
-
 class Source:
     """One generated module: the entry function ``f`` and the continuations
     ``k1, k2, ...`` of loop nests deeper than ``_MAX_LOOPS``."""
@@ -95,13 +87,13 @@ class Source:
         return local
 
     def assign(self, i: int, rhs: Expr, ctx, ty, prune: str):
-        """Bind next-state variable ``i``; ``prune`` when the value is out of
-        type.  A checked boolean expression evaluates to True or False, so a
-        boolean value is never out of type; an integer leaves its range."""
-        text = self.expr(rhs, ctx)
-        self.bind(f"n{i}", text)
-        if not isinstance(ty, BoolType):
-            self.line(f"if {_out_of_type(f'n{i}', ty)}: {prune}")
+        """Bind next-state variable ``i``; ``prune`` when an integer value
+        leaves its range.  A checked expression evaluates to a value of its
+        variable's type, a literal of that same enumeration or an ``int``, so
+        the range is the only test a computed value needs."""
+        self.bind(f"n{i}", self.expr(rhs, ctx))
+        if isinstance(ty, IntRangeType):
+            self.line(f"if not {ty.lo} <= n{i} <= {ty.hi}: {prune}")
 
     def check(self, e: Expr, ctx, prune: str, gate: int = 0):
         text = self.expr(e, ctx, _NOT)

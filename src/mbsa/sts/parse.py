@@ -92,6 +92,20 @@ def tokenize(text: str, filename: str = "<input>", line: int = 1) -> list[Token]
     return tokens
 
 
+def _in_unit(literal: str) -> bool:
+    """Whether an integer or real literal is in [0,1].
+
+    The bound is checked exactly on the literal's digits and exponent, so a
+    reader loads no rational arithmetic: with its leading zeros dropped, a
+    nonzero literal has ``places`` digits before the point, and it is at most
+    1 exactly when that is none, or one digit 1 with only zeros after it."""
+    mantissa, _, exp = literal.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    places = len(digits) + int(exp or 0) - len(fraction)
+    return not digits or places <= 0 or places == 1 and digits.rstrip("0") == "1"
+
+
 class TokenStream:
     def __init__(self, tokens: list[Token], filename: str = "<input>"):
         self.tokens = tokens
@@ -161,22 +175,12 @@ class TokenStream:
 
     def probability(self, cls: type[InputError]) -> str:
         """A probability literal, integer or real, in [0,1], as its text; a
-        value outside raises ``cls``, positioned at the literal.
-
-        The bound is checked exactly on the literal's digits and exponent,
-        so a reader loads no rational arithmetic: with its leading zeros
-        dropped, a nonzero literal has ``places`` digits before the point,
-        and it is at most 1 exactly when that is none, or one digit 1 with
-        only zeros after it."""
+        value outside raises ``cls``, positioned at the literal."""
         t = self.cur
         if t.kind not in ("num", "real"):
             self.fail(f"expected probability literal, found {t.text!r}")
         self.advance()
-        mantissa, _, exp = t.text.lower().partition("e")
-        whole, _, fraction = mantissa.partition(".")
-        digits = (whole + fraction).lstrip("0")
-        places = len(digits) + int(exp or 0) - len(fraction)
-        if digits and places > 0 and (places > 1 or digits.rstrip("0") != "1"):
+        if not _in_unit(t.text):
             raise self.error(t, f"probability {t.text} outside [0,1]", cls)
         return t.text
 

@@ -66,6 +66,11 @@ LAYERS = {
                        ran="analysis cli cutsets diagnostics fault_tree faults sts sts.check sts.codegen "
                            "sts.engine sts.model sts.parse sts.pretty tfpg xmlout",
                        absent=LIBRARIES),
+    # without --cca the probability stage restricts no common cause
+    "ftprob": dict(argv=("ftprob", *FIXTURE, "--tle", "sys_dead", "--out-dir", "{out}"), exit=0,
+                   ran="analysis cli cutsets diagnostics fault_tree faults probability sts sts.check sts.codegen "
+                       "sts.engine sts.model sts.parse sts.pretty tfpg xmlout",
+                   absent=LIBRARIES),
     # only the XML table prints an expression
     "fmea": dict(argv=("fmea", *FIXTURE, "--props", "tests/goldens/fixture.props", "--out-dir", "{out}"), exit=0,
                  ran="analysis cli cutsets diagnostics faults fmea sts sts.check sts.codegen sts.engine sts.model "

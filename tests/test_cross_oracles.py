@@ -23,9 +23,11 @@ from mbsa.analysis import Analyzer, CutSetResult, compute_cut_sequences, compute
 from mbsa.cca import apply_cca, parse_cca
 from mbsa.faults import ExtendedModel
 from mbsa.fmea import generate_dynamic_fmea, generate_fmea
+from mbsa.sts.check import type_check
 from mbsa.sts.codegen import _loop_order
 from mbsa.sts.engine import Engine, Trace, reach, replay_ok
 from mbsa.sts.model import BinOp, BoolConst, InSet, IntConst, Ite, Name, Next, UnOp, type_values
+from mbsa.sts.parse import parse_model
 from mbsa.tfpg import admits, validate_behavioral
 from mbsa.tfpg.activation import BindingEvaluator, activation_trace_of
 from mbsa.tfpg.synth import _collect_instances
@@ -134,6 +136,34 @@ def test_typed_successor_generation_matches_naive_enumeration():
     rng = random.Random(17)
     for _ in range(20):
         _check_against_naive(random_typed_model(rng), 12)
+
+
+SHARED_LITERALS = """
+MODULE shared
+VAR
+  m : {idle, run, stop};
+  p : {run, stop, fault};
+  i : 0..2;
+  go : boolean;
+DEFINE
+  dp := go ? p : run;
+INIT m = idle & i = 0 & p = (go ? run : stop);
+TRANS next(m) = (go ? stop : run) & next(p) = dp;
+TRANS next(i) = (go ? i + 1 : i - 1);
+"""
+
+
+def test_shared_literal_successors_match_naive_enumeration():
+    # an enumeration value computed through a define or a ?: of literals
+    # shared by two types is a literal of the assigned variable's own type,
+    # so the enumerator tests it no further; an integer leaving 0..2 at
+    # either end prunes its successor
+    tm = type_check(parse_model(SHARED_LITERALS))
+    eng = Engine(tm)
+    assert [i for i, _, _ in eng._trans_assign] == [0, 1, 2] and [i for i, _, _ in eng._init_assign] == [0, 1, 2]
+    _check_against_naive(tm, 40)
+    assert eng.succ_tuples(("run", "stop", 2, True)) == []
+    assert eng.succ_tuples(("run", "stop", 0, False)) == []
 
 
 def _all_traces(eng: Engine, bound: int):

@@ -431,9 +431,11 @@ def test_xml_malformed_document_is_rejected():
         ft_from_xml(_xml(TOP, '<basic-event id="a">'))
 
 
-def test_xml_malformed_probability_is_rejected():
-    with pytest.raises(FaultTreeError, match="basic event 'a' has a malformed probability 'x'"):
-        ft_from_xml(_xml(TOP, '<basic-event id="a" probability="x"/>'))
+@pytest.mark.parametrize("literal", ["x", " 1/3 ", "1/3", ".5"])
+def test_xml_malformed_probability_is_rejected(literal):
+    # Fraction() reads all but the first, but no model-language reader does
+    with pytest.raises(FaultTreeError, match=f"^basic event 'a' has a malformed probability '{literal}'$"):
+        ft_from_xml(_xml(TOP, f'<basic-event id="a" probability="{literal}"/>'))
 
 
 def test_xml_unknown_gate_element_is_rejected():
@@ -459,6 +461,24 @@ def test_xml_unknown_attribute_is_rejected(text, message):
 def test_xml_probability_outside_unit_interval_is_rejected():
     with pytest.raises(FaultTreeError, match=r"basic event 'a' has probability 2 outside \[0,1\]"):
         ft_from_xml(_xml(TOP, '<basic-event id="a" probability="2"/>'))
+
+
+@pytest.mark.parametrize("literal, canonical", [("0.50", "0.5"), ("1e-1", "0.1"), ("1", "1")])
+def test_xml_probability_literal_round_trips_exactly(literal, canonical):
+    ft = ft_from_xml(_xml(TOP, f'<basic-event id="a" probability="{literal}"/>'))
+    assert ft.nodes["a"].probability == literal
+    xml = export_ft(ft, "xml", with_probabilities=True)
+    assert f'<basic-event id="a" probability="{canonical}" />' in xml
+    assert export_ft(ft_from_xml(xml), "xml", with_probabilities=True) == xml
+
+
+def test_event_root_is_written_once():
+    ft = ft_from_xml('<fault-tree root="a"><basic-event id="a" probability="0.5"/></fault-tree>')
+    xml = export_ft(ft, "xml", with_probabilities=True)
+    assert xml.count("<basic-event") == 1
+    assert export_ft(ft_from_xml(xml), "xml", with_probabilities=True) == xml
+    assert export_ft(ft, "tsv", with_probabilities=True) == "a\tevent\t0.5\t\n"
+    assert export_ft(ft, "dot").count('"a" [shape=circle') == 1
 
 
 @pytest.mark.parametrize("xml, message", [
